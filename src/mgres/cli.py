@@ -4,7 +4,8 @@ Subcommands: validate, analyze, taylor, scarf, verify, minimize, relabel.
 Every subcommand takes ``--output json|text`` and ``--out PATH``.  Exit
 codes: 0 success, 1 a verification came back negative (not exact, or not
 minimal under --minimal), 2 input parse or format error, 3 an internal
-invariant was breached while building a complex.
+invariant was breached while building a complex, or any other unexpected
+error (reported on one line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -14,34 +15,10 @@ import sys
 from pathlib import Path
 
 from . import formats, lattice, verify
-from .errors import (
-    DegreeNotInLattice,
-    DimensionError,
-    FormatError,
-    HomogeneityError,
-    MgresError,
-    MissingKey,
-    NegativeShift,
-    NotAComplex,
-    RankMismatch,
-    RestrictionError,
-    TooManyColumns,
-    ZeroColumnError,
-)
+from .errors import FormatError, MgresError, NotAComplex, RestrictionError
 from .relabel import relabel as apply_relabel
 from .systems import scarf_complex, taylor_complex
 
-INPUT_ERRORS = (
-    FormatError,
-    HomogeneityError,
-    DimensionError,
-    ZeroColumnError,
-    MissingKey,
-    NegativeShift,
-    RankMismatch,
-    TooManyColumns,
-    DegreeNotInLattice,
-)
 INTERNAL_ERRORS = (RestrictionError, NotAComplex)
 
 
@@ -101,8 +78,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_morphism(args):
-    return formats.load_morphism(
-        args.file, allow_zero_columns=getattr(args, "allow_zero_columns", False)
+    return formats.load_morphism(args.file, allow_zero_columns=args.allow_zero_columns)
+
+
+def _load_complex(args):
+    """A complex file as it stands, or the full-system complex of a morphism file."""
+    raw = formats.load_json(args.file)
+    if formats.is_complex_dict(raw):
+        return formats.complex_from_dict(raw)
+    return taylor_complex(
+        formats.morphism_from_dict(raw, allow_zero_columns=args.allow_zero_columns)
     )
 
 
@@ -200,16 +185,7 @@ def run(argv) -> int:
             return 0
 
         if args.command == "verify":
-            raw = formats.load_json(args.file)
-            if formats.is_complex_dict(raw):
-                x = formats.complex_from_dict(raw)
-            else:
-                x = taylor_complex(
-                    formats.morphism_from_dict(
-                        raw, allow_zero_columns=getattr(args, "allow_zero_columns", False)
-                    )
-                )
-            report = verify.is_resolution(x)
+            report = verify.is_resolution(_load_complex(args))
             payload = {"format_version": formats.FORMAT_VERSION, **report.to_dict()}
             text = f"exact: {str(report.exact).lower()}, minimal: {str(report.minimal).lower()}"
             _emit(args, payload, text)
@@ -217,16 +193,7 @@ def run(argv) -> int:
             return 0 if ok else 1
 
         if args.command == "minimize":
-            raw = formats.load_json(args.file)
-            if formats.is_complex_dict(raw):
-                x = formats.complex_from_dict(raw)
-            else:
-                x = taylor_complex(
-                    formats.morphism_from_dict(
-                        raw, allow_zero_columns=getattr(args, "allow_zero_columns", False)
-                    )
-                )
-            y = verify.minimize(x)
+            y = verify.minimize(_load_complex(args))
             _emit(args, formats.complex_to_dict(y), formats.complex_text(y))
             return 0
 
@@ -239,15 +206,15 @@ def run(argv) -> int:
             return 0
 
         raise FormatError(f"unknown command {args.command!r}")
-    except INPUT_ERRORS as exc:
-        print(f"mgres: {exc}", file=sys.stderr)
-        return 2
     except INTERNAL_ERRORS as exc:
         print(f"mgres: internal invariant breach: {exc}", file=sys.stderr)
         return 3
     except MgresError as exc:
         print(f"mgres: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"mgres: internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -45,7 +45,11 @@ class DegreeNotInLattice(MgresError):
 
 
 class RestrictionError(MgresError):
-    """An image vector does not lie in the span prescribed by a face system."""
+    """A face system is malformed or not closed under the boundary map."""
+
+    def __init__(self, face, message: str):
+        self.face = tuple(face)
+        super().__init__(message)
 
 
 class NotAComplex(MgresError):

@@ -14,6 +14,10 @@ from fractions import Fraction
 
 from .errors import FormatError
 
+# Longest numerator or denominator accepted from a file; CPython's default
+# limit on int <-> str conversion, so every parsed value can be written back.
+MAX_DIGITS = 4300
+
 
 class PrimeFieldElement:
     """An element of GF(p), stored as its canonical representative."""
@@ -77,10 +81,22 @@ class RationalField:
         return Fraction(n)
 
     def parse(self, s: str) -> Fraction:
+        s = str(s)
         try:
-            return Fraction(str(s))
+            # checked on the string: Fraction("1e999999999") builds a huge
+            # integer; a decimal point counts as a digit because 10^k, the
+            # denominator of k decimals, has k + 1 digits
+            if "e" in s.lower() or any(
+                sum(c.isdigit() or c == "." for c in part) > MAX_DIGITS
+                for part in s.split("/")
+            ):
+                raise ValueError("exponent notation or too many digits")
+            return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"cannot parse rational coefficient {s!r}") from exc
+            raise FormatError(
+                f"cannot parse rational coefficient {s[:40]!r}: expected an integer, "
+                f"fraction or decimal without exponent, at most {MAX_DIGITS} digits a part"
+            ) from exc
 
     def format(self, x: Fraction) -> str:
         return str(x)

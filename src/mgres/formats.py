@@ -37,7 +37,7 @@ def load_json(path) -> object:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -56,8 +56,13 @@ def _record_list(v, what: str) -> list:
     return v
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _int_list(v) -> list[int]:
-    if not isinstance(v, list) or not all(isinstance(c, int) for c in v):
+    if not isinstance(v, list) or not all(_is_int(c) for c in v):
         raise FormatError(f"expected a list of integers, got {v!r}")
     return v
 
@@ -69,7 +74,7 @@ def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
         raise FormatError("morphism file must be a JSON object")
     field = field_by_name(str(_require(d, "field", "morphism")))
     n = _require(d, "n", "morphism")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FormatError(f"bad variable count {n!r}")
     vars_ = _require(d, "vars", "morphism")
     if not isinstance(vars_, list) or len(vars_) != n:
@@ -83,7 +88,7 @@ def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
     entries = {}
     for rec in _record_list(_require(d, "entries", "morphism"), "entry"):
         i, j = rec.get("row"), rec.get("col")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise FormatError(f"entry record {rec!r} needs integer 'row' and 'col'")
         if (i, j) in entries:
             raise FormatError(f"duplicate entry at ({i}, {j})")
@@ -150,7 +155,7 @@ def complex_from_dict(d: dict) -> GradedComplex:
     field = field_by_name(str(_require(d, "field", "complex")))
     n = _require(d, "n", "complex")
     vars_ = [str(v) for v in d.get("vars", [])] or None
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FormatError(f"bad variable count {n!r}")
     raw_levels = _require(d, "levels", "complex")
     if not isinstance(raw_levels, list):
@@ -173,9 +178,9 @@ def complex_from_dict(d: dict) -> GradedComplex:
         seen = set()
         for rec in recs:
             row, col = rec.get("row"), rec.get("col")
-            if not (isinstance(row, int) and 1 <= row <= rows):
+            if not (_is_int(row) and 1 <= row <= rows):
                 raise FormatError(f"bad row index in differential {i + 1}: {rec!r}")
-            if not (isinstance(col, int) and 1 <= col <= cols):
+            if not (_is_int(col) and 1 <= col <= cols):
                 raise FormatError(f"bad col index in differential {i + 1}: {rec!r}")
             if (row, col) in seen:
                 raise FormatError(

@@ -44,6 +44,10 @@ class Matrix:
         return cls(field, len(rows), cols, rows)
 
     @classmethod
+    def from_columns(cls, field, rows: int, cols: Sequence[Sequence]):
+        return cls(field, rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+
+    @classmethod
     def from_int_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
         return cls.from_rows(field, [[field.of(x) for x in r] for r in rows], cols)
 
@@ -218,9 +222,7 @@ class Matrix:
             if x is None:
                 return None
             cols.append(x)
-        return Matrix(
-            self.field, self.cols, b.cols, [[c[i] for c in cols] for i in range(self.cols)]
-        )
+        return Matrix.from_columns(self.field, self.cols, cols)
 
     def __eq__(self, other):
         return (

@@ -18,6 +18,7 @@ factorials), so everything works verbatim over GF(p).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,10 +88,52 @@ class VectorComplex:
         )
 
 
-def _mixed_index(faces: list[ExteriorIndex], divs: list[DividedIndex]):
-    """Basis (face, divided) pairs with the face as major key, plus lookup."""
-    basis = [(f, b) for f in faces for b in divs]
-    return basis, {fb: i for i, fb in enumerate(basis)}
+@functools.lru_cache(maxsize=None)
+def _divided_index(r: int, m: int) -> tuple[tuple[DividedIndex, ...], dict[DividedIndex, int]]:
+    """The basis of D_m in dimension r and its position lookup (shared, read-only)."""
+    basis = tuple(divided_basis(r, m))
+    return basis, {b: i for i, b in enumerate(basis)}
+
+
+def contract(uv: Matrix, face: ExteriorIndex, w: Sequence, m: int) -> list:
+    """Boundary of w (x) e_face: one (facet, signed image in D_{m-1}) per position.
+
+    w is a vector over the basis of D_m (dimension uv.rows).  Removing the
+    column l at position pos of the face lowers each divided exponent j by
+    one, weighted by the pairing value uv[j][l], and signs the result by
+    removal_sign(pos).
+    """
+    zero = uv.field.zero
+    rk = uv.rows
+    dom, _ = _divided_index(rk, m)
+    _, cod_index = _divided_index(rk, m - 1)
+    terms = [(wi, b) for wi, b in zip(w, dom) if wi != zero]
+    out = []
+    for pos, l in enumerate(face):
+        ucol = [uv.data[j][l - 1] for j in range(rk)]
+        v = [zero] * len(cod_index)
+        for wi, b in terms:
+            for j, u in enumerate(ucol):
+                if b[j] and u != zero:
+                    row = cod_index[b[:j] + (b[j] - 1,) + b[j + 1 :]]
+                    v[row] = v[row] + wi * u
+        if removal_sign(pos) < 0:
+            v = [-x for x in v]
+        out.append((face[:pos] + face[pos + 1 :], v))
+    return out
+
+
+def splice_column(uv: Matrix, face: ExteriorIndex) -> list:
+    """Splice image of a (uv.rows + 1)-face in the source space.
+
+    Entry l is the signed maximal minor of uv on the face without l.
+    """
+    rows = range(uv.rows)
+    out = [uv.field.zero] * uv.cols
+    for pos, l in enumerate(face):
+        minor = uv.submatrix(rows, [j - 1 for j in face[:pos] + face[pos + 1 :]]).det()
+        out[l - 1] = minor if removal_sign(pos) > 0 else -minor
+    return out
 
 
 def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
@@ -102,41 +145,26 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
     if i < 1:
         raise DimensionError("boundary index must be at least 1")
     field = uv.field
-    rk = uv.rows
-    dom, _ = _mixed_index(exterior_basis(e, k + i), divided_basis(rk, m + i))
-    cod, cod_idx = _mixed_index(exterior_basis(e, k + i - 1), divided_basis(rk, m + i - 1))
-    zero = field.zero
-    out = [[zero] * len(dom) for _ in range(len(cod))]
-    for col, (face, b) in enumerate(dom):
-        for pos, l in enumerate(face):
-            sign = removal_sign(pos)
-            sub = face[:pos] + face[pos + 1 :]
-            for j in range(rk):
-                if b[j] == 0:
-                    continue
-                val = uv.data[j][l - 1]
-                if val == zero:
-                    continue
-                b2 = b[:j] + (b[j] - 1,) + b[j + 1 :]
-                row = cod_idx[(sub, b2)]
-                out[row][col] = out[row][col] + (val if sign > 0 else -val)
-    return Matrix(field, len(cod), len(dom), out)
+    n_dom = divided_dim(uv.rows, m + i)
+    n_cod = divided_dim(uv.rows, m + i - 1)
+    facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
+    cols = []
+    for face in exterior_basis(e, k + i):
+        for t in range(n_dom):
+            unit = [field.zero] * n_dom
+            unit[t] = field.one
+            col = [field.zero] * (len(facet_offset) * n_cod)
+            for sub, v in contract(uv, face, unit, m + i):
+                col[facet_offset[sub] : facet_offset[sub] + n_cod] = v
+            cols.append(col)
+    return Matrix.from_columns(field, len(facet_offset) * n_cod, cols)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors."""
-    field = uv.field
-    zero = field.zero
-    faces = exterior_basis(e, rk + 1)
-    out = [[zero] * len(faces) for _ in range(e)]
-    rows = range(rk)
-    for col, face in enumerate(faces):
-        for pos, l in enumerate(face):
-            rest = face[:pos] + face[pos + 1 :]
-            minor = uv.submatrix(rows, [j - 1 for j in rest]).det()
-            if minor != zero:
-                out[l - 1][col] = minor if removal_sign(pos) > 0 else -minor
-    return Matrix(field, e, len(faces), out)
+    return Matrix.from_columns(
+        uv.field, e, [splice_column(uv, face) for face in exterior_basis(e, rk + 1)]
+    )
 
 
 def sigma_matrix(cd: CoeffData, m: int, k: int, i: int) -> Matrix:
@@ -262,7 +290,7 @@ def divided_embed(subspace: Subspace, m: int) -> Matrix:
     """
     field = subspace.field
     rk = subspace.ambient_dim
-    rows_idx = {b: i for i, b in enumerate(divided_basis(rk, m))}
+    _, rows_idx = _divided_index(rk, m)
     cols = []
     for b in divided_basis(subspace.dim, m):
         elem = {(0,) * rk: field.one}
@@ -273,9 +301,4 @@ def divided_embed(subspace: Subspace, m: int) -> Matrix:
         for key, val in elem.items():
             col[rows_idx[key]] = val
         cols.append(col)
-    return Matrix(
-        field,
-        len(rows_idx),
-        len(cols),
-        [[c[i] for c in cols] for i in range(len(rows_idx))],
-    )
+    return Matrix.from_columns(field, len(rows_idx), cols)

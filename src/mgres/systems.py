@@ -33,13 +33,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError
 from .linalg import Matrix
 from .morphism import Morphism
-from .multilinear import (
-    divided_basis,
-    divided_dim,
-    divided_embed,
-    removal_sign,
-    splice_matrix_on,
-)
+from .multilinear import contract, divided_dim, divided_embed, splice_column
 
 Face = tuple[int, ...]
 
@@ -208,75 +202,39 @@ def scarf_system(phi: Morphism, max_columns: int = lat.MAX_ENUM_COLUMNS) -> Face
     return FaceSystem(r, spaces)
 
 
-def _contract_column(field, rk: int, w, ucol, dom_div, cod_index):
-    """Contract a divided vector against one image column (no sign)."""
-    zero = field.zero
-    out = [zero] * len(cod_index)
-    for wi, b in zip(w, dom_div):
-        if wi == zero:
-            continue
-        for j in range(rk):
-            if b[j] == 0 or ucol[j] == zero:
-                continue
-            b2 = b[:j] + (b[j] - 1,) + b[j + 1 :]
-            out[cod_index[b2]] = out[cod_index[b2]] + wi * ucol[j]
-    return out
-
-
 def is_compatible_system(phi: Morphism, system: FaceSystem):
-    """Check the closure condition; returns (ok, first offending face).
-
-    Shapes are checked first (right divided-power degree for each face),
-    then for every face of size at least r + 2 the contraction image of
-    each assigned basis column must decompose over the facet subspaces.
-    """
-    cd = phi.coeff_data
-    r = cd.r
-    if system.r != r:
-        raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
-    field = phi.field
-    zero = field.zero
-    for face, emb in sorted(system.spaces.items()):
-        if max(face) > phi.e or min(face) < 1:
-            return False, face
-        if emb.rows != divided_dim(r, len(face) - r - 1):
-            return False, face
-    for face, emb in sorted(system.spaces.items()):
-        p = len(face)
-        if p < r + 2:
-            continue
-        dom_div = divided_basis(r, p - r - 1)
-        cod_div = divided_basis(r, p - r - 2)
-        cod_index = {b: i for i, b in enumerate(cod_div)}
-        for t in range(emb.cols):
-            w = emb.col(t)
-            for pos in range(p):
-                l = face[pos]
-                sub = face[:pos] + face[pos + 1 :]
-                ucol = [cd.uv.data[j][l - 1] for j in range(r)]
-                v = _contract_column(field, r, w, ucol, dom_div, cod_index)
-                target = system.space(sub)
-                if target is None:
-                    if any(x != zero for x in v):
-                        return False, face
-                elif target.solve(v) is None:
-                    return False, face
+    """Closure check: (True, None) when build_complex succeeds, else
+    (False, first offending face in build order)."""
+    try:
+        build_complex(phi, system)
+    except RestrictionError as exc:
+        return False, exc.face
     return True, None
 
 
 def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     """The graded complex spanned by a face system.
 
-    Differential entries out of a face generator are obtained by
-    contracting its divided vector against each removable column (size
-    r + 2 and up) or by taking signed maximal minors (size r + 1), then
-    solving against the facet's stored basis columns.  An image that fails
-    to decompose raises RestrictionError: the system was not closed.
+    Faces are taken in build order (size, then lexicographic).  Every face
+    must index columns of phi and be assigned a subspace of the divided
+    power of its own degree.  Differential entries out of a face generator
+    are the signed maximal minors (size r + 1) or the contraction of its
+    divided vector against each removable column (size r + 2 and up),
+    solved against the facet's stored basis columns.  A malformed face, or
+    an image that fails to decompose, raises RestrictionError naming the
+    face: the system was not closed.
     """
     cd = phi.coeff_data
     r = cd.r
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
+    for face in sorted(system.spaces, key=lambda f: (len(f), f)):
+        if face[0] < 1 or face[-1] > phi.e:
+            raise RestrictionError(face, f"face {face} has an index outside 1..{phi.e}")
+        if system.spaces[face].rows != divided_dim(r, len(face) - r - 1):
+            raise RestrictionError(
+                face, f"face {face} is not assigned a subspace of D_{len(face) - r - 1}"
+            )
     field = phi.field
     zero = field.zero
     levels: list[list[Generator]] = [
@@ -284,81 +242,44 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
         [Generator(d, f"e{j}") for j, d in enumerate(phi.source_degrees, start=1)],
     ]
     diffs: list[Matrix] = [cd.matrix]
-
-    max_p = system.max_face_size()
-    for p in range(r + 1, max_p + 1):
-        faces = system.faces_of_size(p)
+    offsets: dict[Face, int] = {}  # first generator of each face in its level
+    for p in range(r + 1, system.max_face_size() + 1):
+        prev_offsets, offsets = offsets, {}
         gens: list[Generator] = []
-        for face in faces:
+        cols: list[list] = []
+        for face in system.faces_of_size(p):
             emb = system.spaces[face]
+            offsets[face] = len(gens)
             degree = phi.face_degree(face)
             label_face = "{" + ",".join(map(str, face)) + "}"
+            if p == r + 1:
+                base = splice_column(cd.uv, face)
             for t in range(emb.cols):
                 gens.append(Generator(degree, f"e{label_face}#{t + 1}"))
-        level_index = p - r + 1
-        prev_gens = levels[level_index - 1]
-        cols: list[list] = []
-        if level_index == 2:
-            splice = splice_matrix_on(cd.uv, phi.e, r)
-            ext_index = {
-                f: i for i, f in enumerate(itertools.combinations(range(1, phi.e + 1), r + 1))
-            }
-            for face in faces:
-                emb = system.spaces[face]
-                base = splice.col(ext_index[face])
-                for t in range(emb.cols):
-                    scale = emb.data[0][t]
-                    cols.append([scale * x for x in base])
-        else:
-            dom_div = divided_basis(r, p - r - 1)
-            cod_div = divided_basis(r, p - r - 2)
-            cod_index = {b: i for i, b in enumerate(cod_div)}
-            # offsets of each facet's generators in the previous level
-            pos_in_prev: dict[Face, int] = {}
-            counter = 0
-            for face in system.faces_of_size(p - 1):
-                pos_in_prev[face] = counter
-                counter += system.spaces[face].cols
-            for face in faces:
-                emb = system.spaces[face]
-                for t in range(emb.cols):
-                    w = emb.col(t)
-                    col = [zero] * len(prev_gens)
-                    for pos in range(p):
-                        l = face[pos]
-                        sub = face[:pos] + face[pos + 1 :]
-                        ucol = [cd.uv.data[j][l - 1] for j in range(r)]
-                        v = _contract_column(field, r, w, ucol, dom_div, cod_index)
-                        if removal_sign(pos) < 0:
-                            v = [-x for x in v]
-                        target = system.space(sub)
-                        if target is None:
-                            if any(x != zero for x in v):
-                                raise RestrictionError(
-                                    f"image of face {face} has a component at "
-                                    f"missing facet {sub}"
-                                )
-                            continue
-                        coords = target.solve(v)
-                        if coords is None:
+                if p == r + 1:
+                    cols.append([emb.data[0][t] * x for x in base])
+                    continue
+                col = [zero] * len(levels[-1])
+                for sub, v in contract(cd.uv, face, emb.col(t), p - r - 1):
+                    target = system.spaces.get(sub)
+                    if target is None:
+                        if any(x != zero for x in v):
                             raise RestrictionError(
-                                f"image of face {face} does not lie in the span "
-                                f"assigned to facet {sub}"
+                                face,
+                                f"image of face {face} has a component at missing facet {sub}",
                             )
-                        offset = pos_in_prev[sub]
-                        for u, x in enumerate(coords):
-                            if x != zero:
-                                col[offset + u] = col[offset + u] + x
-                    cols.append(col)
+                        continue
+                    coords = target.solve(v)
+                    if coords is None:
+                        raise RestrictionError(
+                            face,
+                            f"image of face {face} does not lie in the span "
+                            f"assigned to facet {sub}",
+                        )
+                    col[prev_offsets[sub] : prev_offsets[sub] + len(coords)] = coords
+                cols.append(col)
+        diffs.append(Matrix.from_columns(field, len(levels[-1]), cols))
         levels.append(gens)
-        diffs.append(
-            Matrix(
-                field,
-                len(prev_gens),
-                len(gens),
-                [[c[row] for c in cols] for row in range(len(prev_gens))],
-            )
-        )
     # drop trailing empty levels (possible when the top faces vanish)
     while len(levels) > 2 and not levels[-1]:
         levels.pop()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mgres import cli, formats
+from mgres import QQ, cli, formats
 from mgres.errors import FormatError
 from helpers import DATA, xy_example
 
@@ -216,6 +216,9 @@ def test_cli_output_to_file(tmp_path):
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": "zip", "differentials": []}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [["zap"]], "differentials": []}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}]], "differentials": [[]]}',
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":true,"col":1,"coeff":"1"}]}',
+        '{"field": "Q", "n": true, "vars": ["x"], "source_degrees": [[1]], "target_degrees": [[0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":1,"col":true,"coeff":"1","shift":[1,0]}]]}',
     ],
 )
 def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):
@@ -224,6 +227,38 @@ def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):
     for command in (["validate", str(path)], ["verify", str(path)]):
         assert cli.run(command) == 2
     capsys.readouterr()
+
+
+def test_oversized_coefficients_are_input_errors(tmp_path, capsys):
+    # exponent notation is refused on the string, before any integer is built
+    for coeff in ["1e5000", "1e999999999"]:
+        with pytest.raises(FormatError):
+            QQ.parse(coeff)
+        raw = formats.load_json(DATA / "ex4.mmor")
+        raw["entries"][0]["coeff"] = coeff
+        path = tmp_path / "huge.mmor"
+        path.write_text(json.dumps(raw))
+        for command in ("validate", "scarf"):
+            assert cli.run([command, str(path)]) == 2
+    with pytest.raises(FormatError):
+        QQ.parse("1/" + "7" * 4301)
+    assert QQ.parse("-" + "9" * 4300) == -(10**4300 - 1)
+    # so are a JSON number past the int conversion limit and deep nesting
+    path.write_text(json.dumps(raw).replace('"1e999999999"', "1" * 5000))
+    assert cli.run(["validate", str(path)]) == 2
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert cli.run(["validate", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_cli_unexpected_exception_exits_3(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("line one\nline two")
+
+    monkeypatch.setattr(formats, "load_json", boom)
+    assert cli.run(["validate", str(DATA / "ex4.mmor")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mgres: ") and err.count("\n") == 1
 
 
 def test_prime_field_morphism_file(tmp_path):

@@ -1,0 +1,41 @@
+"""CLI JSON output on the worked examples is pinned byte for byte.
+
+Each case runs one subcommand with ``--output json`` on a file in
+``data/`` and compares stdout and the exit code with ``tests/golden/``.
+The golden files were written by the CLI itself; a refactor that changes
+any of them changes user-visible output and must say so.
+"""
+
+import pytest
+
+from mgres import cli
+from helpers import DATA, ROOT
+
+GOLDEN = ROOT / "tests" / "golden"
+
+CASES = [
+    (f"{command}_{example}", [command, str(DATA / f"{example}.mmor")], 0)
+    for command in ("validate", "analyze", "taylor", "scarf", "verify", "minimize")
+    for example in ("ex4", "ex7_prime")
+] + [("verify_minimal_ex4", ["verify", str(DATA / "ex4.mmor"), "--minimal"], 1)]
+
+
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_cli_json_matches_golden(capsys, name, argv, code):
+    assert cli.run(argv + ["--output", "json"]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_cli_relabel_matches_golden(tmp_path, capsys):
+    scarf_json = tmp_path / "scarf_ex4.json"
+    scarf_json.write_text((GOLDEN / "scarf_ex4.json").read_text())
+    argv = [
+        "relabel",
+        str(DATA / "ex7_relabel.json"),
+        str(scarf_json),
+        str(DATA / "ex7_prime.mmor"),
+        "--output",
+        "json",
+    ]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "relabel_ex7.json").read_text()

@@ -114,6 +114,24 @@ def test_incompatible_system_detected():
         build_complex(phi, bad)
 
 
+@pytest.mark.parametrize(
+    "face, emb",
+    [
+        ((1, 2, 3, 4), Matrix.identity(QQ, 3)),  # wrong divided-power degree
+        ((1, 2, 9), Matrix.identity(QQ, 1)),  # column index out of range
+    ],
+)
+def test_malformed_system_names_the_face(face, emb):
+    phi = xy_example()
+    spaces = dict(full_system(phi).spaces)
+    spaces[face] = emb
+    bad = FaceSystem(2, spaces)
+    with pytest.raises(RestrictionError) as info:
+        build_complex(phi, bad)
+    assert info.value.face == face
+    assert is_compatible_system(phi, bad) == (False, face)
+
+
 def test_taylor_golden():
     x = taylor_complex(xy_example())
     assert x.ranks() == (2, 4, 4, 2)

@@ -193,6 +193,7 @@ def test_strand_matches_directly_built_splice_complex():
         phi = random_morphism(rng)
         cd = phi.coeff_data
         t = taylor_complex(phi)
+        assert t.diffs == build_B_complex(cd, cd.image).diffs
         for a in sorted(join_closure(phi.source_degrees)):
             cols = sorted(phi.columns_leq(a))
             sub = cd.matrix.submatrix(range(phi.g), [j - 1 for j in cols])
