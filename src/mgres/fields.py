@@ -3,13 +3,18 @@
 Two fields are supported behind one small protocol: the rationals (elements
 are ``fractions.Fraction``, so lowest terms and positive denominators come
 for free) and prime fields GF(p) with canonical representatives in [0, p).
-A field handle knows how to build, parse and format its elements; all
-arithmetic goes through the elements' own operators, so the linear algebra
-layer never needs to know which field it is working over.
+A field handle knows how to build, parse and format its elements, and it
+owns the integer coding that elimination runs on: ``encode_rows`` turns rows
+of elements into rows of ints (a rational row scaled by the lcm of its
+denominators, a GF(p) row as its representatives), ``characteristic`` says
+whether those ints are eliminated over Z (0) or mod p, and ``decode`` turns
+an integer numerator over a pivot back into an element.  All other
+arithmetic goes through the elements' own operators.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import FormatError
@@ -17,6 +22,23 @@ from .errors import FormatError
 # Longest numerator or denominator accepted from a file; CPython's default
 # limit on int <-> str conversion, so every parsed value can be written back.
 MAX_DIGITS = 4300
+
+# Prime field moduli must lie below this bound; Miller-Rabin with the prime
+# bases up to 37 is deterministic for every n < 3.1e23, far beyond it.
+MAX_MODULUS = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for 0 <= n < MAX_MODULUS."""
+    if n < 2 or any(n % q == 0 for q in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+        for a in _WITNESSES
+    )
 
 
 class PrimeFieldElement:
@@ -74,11 +96,24 @@ class RationalField:
     """The field of rationals; elements are Fraction instances."""
 
     name = "Q"
+    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
     def of(self, n) -> Fraction:
         return Fraction(n)
+
+    def encode_rows(self, data) -> tuple[list[list[int]], int]:
+        """Rows scaled to ints by their denominators' lcm, and the product of the scales."""
+        rows, scale = [], 1
+        for row in data:
+            lcm = math.lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (lcm // x.denominator) for x in row])
+            scale *= lcm
+        return rows, scale
+
+    def decode(self, num: int, den: int) -> Fraction:
+        return Fraction(num, den)
 
     def parse(self, s: str) -> Fraction:
         s = str(s)
@@ -115,9 +150,11 @@ class PrimeField:
     """GF(p) for a prime p."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not 2 <= p < MAX_MODULUS:
+            raise FormatError(f"GF(p) needs 2 <= p < 2^64, got {str(p)[:40]}")
+        if not _is_prime(p):
             raise FormatError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = PrimeFieldElement(p, 0)
         self.one = PrimeFieldElement(p, 1)
 
@@ -127,6 +164,13 @@ class PrimeField:
 
     def of(self, n) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, int(n))
+
+    def encode_rows(self, data) -> tuple[list[list[int]], int]:
+        """The canonical representatives; no scaling is needed."""
+        return [[x.v for x in row] for row in data], 1
+
+    def decode(self, num: int, den: int) -> PrimeFieldElement:
+        return PrimeFieldElement(self.p, num * pow(den, -1, self.p))
 
     def parse(self, s: str) -> PrimeFieldElement:
         try:

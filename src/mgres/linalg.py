@@ -1,11 +1,14 @@
 """Exact dense linear algebra over Q or GF(p).
 
 Everything downstream (kernels of dual maps, complex homology, resolution
-minimization) reduces to ranks, reduced row echelon forms and small linear
-solves, all computed exactly.  Rank over the rationals goes through
-fraction-free (Bareiss) elimination on integer rows after clearing
-denominators, which avoids per-step gcd churn; canonical forms and solves
-use ordinary Gauss-Jordan over the field.
+minimization) reduces to ranks, reduced row echelon forms, determinants and
+small linear solves, all computed exactly by one elimination, ``_echelon``.
+It runs on rows the field handle has coded as ints: over Q each row is
+scaled by the lcm of its denominators and eliminated fraction-free
+(Bareiss), so every division is exact and no gcd is taken inside the loop;
+over GF(p) the canonical representatives are eliminated mod p.  Rank is the
+pivot count, the reduced form decodes each pivot row by its pivot, and the
+determinant is read off the pivots.
 
 Subspaces are stored as reduced row echelon bases, so subspace equality is
 literal equality of the stored rows.
@@ -13,12 +16,9 @@ literal equality of the stored rows.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError
-from .fields import QQ
 
 
 class Matrix:
@@ -127,59 +127,22 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank of the matrix."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if self.field == QQ:
-            return _bareiss_rank(_cleared_int_rows(self.data))
-        return len(self.rref()[1])
+        return len(_echelon(self.field, self.data, reduced=False)[1])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        z, o = self.field.zero, self.field.one
-        m = [list(r) for r in self.data]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot = next((r for r in range(pr, len(m)) if m[r][pc] != z), None)
-            if pivot is None:
-                continue
-            m[pr], m[pivot] = m[pivot], m[pr]
-            inv = o / m[pr][pc]
-            m[pr] = [x * inv for x in m[pr]]
-            for r in range(len(m)):
-                if r != pr and m[r][pc] != z:
-                    f = m[r][pc]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(m):
-                break
-        return Matrix(self.field, self.rows, self.cols, m), tuple(pivots)
+        rows, pivots, den, _, _ = _echelon(self.field, self.data, reduced=True)
+        decode, z = self.field.decode, self.field.zero
+        out = [[decode(x, den) for x in row] for row in rows[: len(pivots)]]
+        out += [[z] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(self.field, self.rows, self.cols, out), tuple(pivots)
 
     def det(self):
-        """Determinant of a square matrix (field elimination)."""
+        """Determinant of a square matrix."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        z = self.field.zero
-        n = self.rows
-        if n == 0:
-            return self.field.one
-        m = [list(r) for r in self.data]
-        det = self.field.one
-        for pc in range(n):
-            pivot = next((r for r in range(pc, n) if m[r][pc] != z), None)
-            if pivot is None:
-                return z
-            if pivot != pc:
-                m[pc], m[pivot] = m[pivot], m[pc]
-                det = -det
-            det = det * m[pc][pc]
-            inv = self.field.one / m[pc][pc]
-            for r in range(pc + 1, n):
-                if m[r][pc] != z:
-                    f = m[r][pc] * inv
-                    m[r] = [x - f * y for x, y in zip(m[r], m[pc])]
-        return det
+        _, pivots, _, det, scale = _echelon(self.field, self.data, reduced=False)
+        return self.field.decode(det, scale) if len(pivots) == self.rows else self.field.zero
 
     def kernel_rows(self) -> list[list]:
         """A spanning set of the right kernel {v : self @ v = 0}."""
@@ -199,19 +162,14 @@ class Matrix:
         """One solution x of self @ x = b (free variables set to 0), or None."""
         if len(b) != self.rows:
             raise DimensionError("right-hand side length does not match row count")
-        z = self.field.zero
-        aug = Matrix(
-            self.field,
-            self.rows,
-            self.cols + 1,
-            [list(row) + [bv] for row, bv in zip(self.data, b)],
-        )
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        n = self.cols
+        aug = [(*row, bv) for row, bv in zip(self.data, b)]
+        rows, pivots, den, _, _ = _echelon(self.field, aug, reduced=True)
+        if n in pivots:
             return None
-        x = [z] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = red.data[i][self.cols]
+        x = [self.field.zero] * n
+        for row, p in zip(rows, pivots):
+            x[p] = self.field.decode(row[n], den)
         return x
 
     def solve_matrix(self, b: "Matrix") -> "Matrix | None":
@@ -241,46 +199,59 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
 
 
-def _cleared_int_rows(data) -> list[list[int]]:
-    """Scale each rational row by the lcm of denominators (rank-preserving)."""
-    out = []
-    for row in data:
-        scale = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+def _echelon(field, data, reduced: bool):
+    """The one elimination, on rows coded as ints by ``field.encode_rows``.
 
-
-def _bareiss_rank(m: list[list[int]]) -> int:
-    """Rank by fraction-free elimination; all divisions are exact."""
+    Over Z (characteristic 0) each step is Bareiss's fraction-free update:
+    entries stay minors of the coded rows, the division by the previous
+    pivot is exact, and in reduced form every pivot equals the last one.
+    Mod p the pivot row is scaled to 1.  ``reduced`` clears above each pivot
+    as well as below.  Returns (rows, pivot columns, den, det, scale): pivot
+    rows decode entrywise by ``field.decode(x, den)``, and with a pivot in
+    every row the determinant of ``data`` is ``field.decode(det, scale)``.
+    """
+    m, scale = field.encode_rows(data)
+    p = field.characteristic
     n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    prev = 1
-    pr = 0
+    n_cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign = d = 1  # d: determinant of the pivot block so far (over Z, the last pivot)
     for pc in range(n_cols):
-        pivot = next((r for r in range(pr, n_rows) if m[r][pc] != 0), None)
-        if pivot is None:
-            continue
-        m[pr], m[pivot] = m[pivot], m[pr]
-        p = m[pr][pc]
-        prow = m[pr]
-        for r in range(pr + 1, n_rows):
-            f = m[r][pc]
-            mr = m[r]
-            for c in range(pc + 1, n_cols):
-                mr[c] = (mr[c] * p - f * prow[c]) // prev
-            mr[pc] = 0
-        prev = p
-        pr += 1
+        pr = len(pivots)
         if pr == n_rows:
             break
-    return pr
+        pivot = next((r for r in range(pr, n_rows) if m[r][pc]), None)
+        if pivot is None:
+            continue
+        if pivot != pr:
+            m[pr], m[pivot] = m[pivot], m[pr]
+            sign = -sign
+        prow = m[pr]
+        piv = prow[pc]
+        others = [r for r in range(0 if reduced else pr + 1, n_rows) if r != pr]
+        if p:
+            d = d * piv % p
+            inv = pow(piv, -1, p)
+            prow = m[pr] = [x * inv % p for x in prow]
+            for r in others:
+                f = m[r][pc]
+                if f:
+                    m[r] = [(x - f * y) % p for x, y in zip(m[r], prow)]
+        else:
+            for r in others:
+                f = m[r][pc]
+                m[r] = [(x * piv - f * y) // d for x, y in zip(m[r], prow)]
+            d = piv
+        pivots.append(pc)
+    return m, pivots, 1 if p else d, sign * d, scale
 
 
 class Subspace:
     """A subspace of a coordinate space, canonically a reduced echelon basis.
 
     Two subspaces are equal exactly when their stored bases are identical,
-    which makes containment and equality of kernels decidable by inspection.
+    which makes equality of kernels decidable by inspection; containment is
+    a rank test.
     """
 
     __slots__ = ("field", "ambient_dim", "basis")
@@ -318,24 +289,16 @@ class Subspace:
             for row in self.basis.data
         )
 
-    def reduce_vector(self, v: Sequence) -> list:
-        """Residue of v after subtracting its projection onto the basis rows."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        v = list(v)
-        z = self.field.zero
-        for row, p in zip(self.basis.data, self.pivots()):
-            f = v[p]
-            if f != z:
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
     def contains_vector(self, v: Sequence) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce_vector(v))
+        """v lies in the subspace: appending it to the basis keeps the rank."""
+        return self.basis.rows == Matrix.from_rows(
+            self.field, [*self.basis.data, v], self.ambient_dim
+        ).rank()
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis.data)
+        return self.basis.rows == Matrix.from_rows(
+            self.field, self.basis.data + other.basis.data, self.ambient_dim
+        ).rank()
 
     def annihilator(self) -> "Subspace":
         """Functionals (in dual coordinates) vanishing on this subspace."""

@@ -58,9 +58,7 @@ def check_d2(x: GradedComplex) -> bool:
     endpoint degrees, so vanishing of the scalar products is equivalent to
     vanishing of the module maps.
     """
-    return all(
-        x.diffs[i].mul(x.diffs[i + 1]).is_zero() for i in range(len(x.diffs) - 1)
-    )
+    return VectorComplex(x.ranks(), x.diffs).composes_to_zero()
 
 
 def strand(x: GradedComplex, a: Iterable[int]) -> VectorComplex:
@@ -127,17 +125,12 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
 
 def is_minimal(x: GradedComplex) -> bool:
     """No nonzero entry sits between generators of equal degree."""
-    zero = x.field.zero
-    for i, d in enumerate(x.diffs):
-        for row in range(d.rows):
-            rdeg = x.levels[i][row].degree
-            for col in range(d.cols):
-                if d.data[row][col] != zero and x.levels[i + 1][col].degree == rdeg:
-                    return False
-    return True
+    return _find_unit(x.levels, [d.data for d in x.diffs], x.field.zero, last=False) is None
 
 
 def _find_unit(levels, diffs, zero, last: bool):
+    """The first (or last) nonzero entry with zero shift, as
+    (differential index, row, column), or None."""
     hits = []
     for di, rows in enumerate(diffs):
         for p, row in enumerate(rows):

@@ -287,3 +287,25 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "modulus, code",
+    [
+        (2**61 - 1, 0),  # trial division up to its square root would not finish
+        (2**64 - 59, 0),  # the largest prime below the bound
+        (int("9" * 400), 2),  # past the bound; a float square root overflows
+        (2**89 - 1, 2),  # prime, but past the bound
+        (2**61 + 1, 2),
+        (3825123056546413051, 2),  # strong pseudoprime to every base up to 23
+        (32003**2, 2),
+        (1, 2),
+    ],
+)
+def test_cli_prime_field_moduli(tmp_path, capsys, modulus, code):
+    raw = formats.load_json(DATA / "ex4.mmor")
+    raw["field"] = f"GF({modulus})"
+    path = tmp_path / "gfp.mmor"
+    path.write_text(json.dumps(raw))
+    assert cli.run(["validate", str(path)]) == code
+    capsys.readouterr()

@@ -1,6 +1,9 @@
 """Exact linear algebra: ranks against a brute-force minor oracle, kernels,
-column spaces, annihilators, and the canonical subspace representation."""
+column spaces, annihilators, the canonical subspace representation, the
+elimination kernel against independent references, and prime moduli."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from mgres import (
     kernel_basis,
     rank,
 )
+from mgres.errors import FormatError
 from helpers import brute_minor_rank
 
 C_EX = Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
@@ -167,3 +171,125 @@ def test_rationals_lowest_terms():
     assert x.numerator == 2 and x.denominator == 3
     with pytest.raises(Exception):
         QQ.parse("not-a-number")
+
+
+def test_primality_matches_trial_division():
+    for n in range(10**4):
+        expected = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        try:
+            PrimeField(n)
+        except FormatError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected, n
+
+
+# Independent references for the elimination kernel: Gauss-Jordan on plain
+# Fractions or on ints mod p, and the permutation expansion of a determinant.
+
+
+def _reference_rref(rows, cols, p):
+    """Reduced row echelon form and pivot columns, one column at a time."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(m)) if m[i][c] != 0), None)
+        if r is None:
+            continue
+        m[k], m[r] = m[r], m[k]
+        inv = pow(m[k][c], -1, p) if p else 1 / m[k][c]
+        m[k] = [x * inv % p if p else x * inv for x in m[k]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != k and f != 0:
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[k])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _leibniz_det(rows, p):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p if p else total
+
+
+def _random_matrix(rng, rows, cols, draw):
+    kind = rng.choice(["dense", "low rank", "zero lines"])
+    if kind == "low rank" and rows and cols:
+        k = rng.randint(0, min(rows, cols))
+        a = [[draw() for _ in range(k)] for _ in range(rows)]
+        b = [[draw() for _ in range(cols)] for _ in range(k)]
+        return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+                for i in range(rows)]
+    m = [[draw() for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero lines":
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            m[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in m:
+                row[j] = 0
+    return m
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_elimination_kernel_matches_independent_references(p):
+    rng = random.Random(20261017 + p)
+    if p:
+        field = PrimeField(p)
+        draw = lambda: rng.randrange(p)  # noqa: E731
+        plain = lambda x: x.v  # noqa: E731
+    else:
+        field = QQ
+        draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))  # noqa: E731
+        plain = Fraction
+    lift = field.of
+
+    def reduce(x):
+        return x % p if p else x
+
+    for _ in range(150):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        if rng.random() < 0.3:
+            c = r
+        ref = [[reduce(x) for x in row] for row in _random_matrix(rng, r, c, draw)]
+        m = Matrix.from_rows(field, [[lift(x) for x in row] for row in ref], cols=c)
+        red, pivots = _reference_rref(ref, c, p)
+
+        assert m.rank() == len(pivots)
+        got, got_pivots = m.rref()
+        assert got_pivots == tuple(pivots)
+        assert [[plain(x) for x in row] for row in got.data] == red
+
+        if r == c:
+            assert plain(m.det()) == _leibniz_det(ref, p)
+
+        kernel = [[plain(x) for x in v] for v in m.kernel_rows()]
+        expected = []
+        for f in (j for j in range(c) if j not in pivots):
+            v = [0] * c
+            v[f] = 1
+            for i, q in enumerate(pivots):
+                v[q] = reduce(-red[i][f])
+            expected.append(v)
+        assert kernel == expected
+
+        x0 = [draw() for _ in range(c)]
+        solvable = [reduce(sum(a * b for a, b in zip(row, x0))) for row in ref]
+        for b in (solvable, [draw() for _ in range(r)]):
+            aug, aug_pivots = _reference_rref([row + [bv] for row, bv in zip(ref, b)], c + 1, p)
+            x = m.solve([lift(bv) for bv in b])
+            if c in aug_pivots:
+                assert x is None
+                continue
+            want = [0] * c
+            for i, q in enumerate(aug_pivots):
+                want[q] = aug[i][c]
+            assert [plain(v) for v in x] == want
