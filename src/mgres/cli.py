@@ -128,7 +128,7 @@ def _analyze_payload(phi) -> dict:
         "lcm_lattice": [list(a) for a in sorted(lat.elements)],
         "scarf_degrees": [list(a) for a in sorted(lat.scarf_part)],
         "nonscarf_degrees": [list(a) for a in sorted(lat.nonscarf_part)],
-        "scarf_faces": [list(f) for f in sorted(lattice.scarf_faces(phi))],
+        "scarf_faces": [list(f) for f in sorted(lat.scarf_faces)],
         "face_data": face_data,
     }
 

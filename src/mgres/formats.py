@@ -67,6 +67,12 @@ def _int_list(v) -> list[int]:
     return v
 
 
+def _var_names(vars_, n: int) -> list[str]:
+    if not isinstance(vars_, list) or len(vars_) != n:
+        raise FormatError("'vars' must list exactly n variable names")
+    return [str(v) for v in vars_]
+
+
 # ---------------------------------------------------------------- morphisms
 
 def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
@@ -76,9 +82,7 @@ def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
     n = _require(d, "n", "morphism")
     if not _is_int(n) or n < 1:
         raise FormatError(f"bad variable count {n!r}")
-    vars_ = _require(d, "vars", "morphism")
-    if not isinstance(vars_, list) or len(vars_) != n:
-        raise FormatError("'vars' must list exactly n variable names")
+    vars_ = _var_names(_require(d, "vars", "morphism"), n)
     raw_sources = _require(d, "source_degrees", "morphism")
     raw_targets = _require(d, "target_degrees", "morphism")
     if not isinstance(raw_sources, list) or not isinstance(raw_targets, list):
@@ -93,7 +97,7 @@ def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
         if (i, j) in entries:
             raise FormatError(f"duplicate entry at ({i}, {j})")
         entries[(i, j)] = field.parse(str(rec.get("coeff", "0")))
-    phi = Morphism(n, field, sources, targets, entries, var_names=[str(v) for v in vars_])
+    phi = Morphism(n, field, sources, targets, entries, var_names=vars_)
     return phi.validate(allow_zero_columns=allow_zero_columns)
 
 
@@ -154,9 +158,9 @@ def complex_from_dict(d: dict) -> GradedComplex:
         raise FormatError("complex file must be a JSON object")
     field = field_by_name(str(_require(d, "field", "complex")))
     n = _require(d, "n", "complex")
-    vars_ = [str(v) for v in d.get("vars", [])] or None
     if not _is_int(n) or n < 1:
         raise FormatError(f"bad variable count {n!r}")
+    vars_ = _var_names(d["vars"], n) if "vars" in d else None
     raw_levels = _require(d, "levels", "complex")
     if not isinstance(raw_levels, list):
         raise FormatError("'levels' must be a JSON array")

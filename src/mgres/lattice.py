@@ -30,6 +30,7 @@ class LcmLattice:
     elements: frozenset[Multidegree]
     scarf_part: frozenset[Multidegree]
     nonscarf_part: frozenset[Multidegree]
+    scarf_faces: frozenset[Face]
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,17 @@ def faces_by_degree(
 
 def scarf_faces(phi: Morphism, max_columns: int = MAX_ENUM_COLUMNS) -> frozenset[Face]:
     """Faces whose multidegree is achieved by no other face."""
-    return frozenset(
-        faces[0]
-        for faces in faces_by_degree(phi, max_columns).values()
-        if len(faces) == 1
-    )
+    return lcm_lattice(phi, max_columns).scarf_faces
 
 
 def lcm_lattice(phi: Morphism, max_columns: int = MAX_ENUM_COLUMNS) -> LcmLattice:
-    """The set of face degrees, partitioned into Scarf and non-Scarf parts."""
+    """The set of face degrees, partitioned into Scarf and non-Scarf parts,
+    and the Scarf faces, from one enumeration of the faces."""
     by_degree = faces_by_degree(phi, max_columns)
     elements = frozenset(by_degree)
     scarf = frozenset(a for a, faces in by_degree.items() if len(faces) == 1)
-    return LcmLattice(phi.source_degrees, elements, scarf, elements - scarf)
+    faces = frozenset(f[0] for f in by_degree.values() if len(f) == 1)
+    return LcmLattice(phi.source_degrees, elements, scarf, elements - scarf, faces)
 
 
 def face_data(phi: Morphism, a: Iterable[int]) -> FaceData:

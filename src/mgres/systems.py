@@ -187,10 +187,10 @@ def scarf_system(phi: Morphism, max_columns: int = lat.MAX_ENUM_COLUMNS) -> Face
     cd = phi.coeff_data
     r = cd.r
     spaces: dict[Face, Matrix] = {}
-    for face in lat.scarf_faces(phi, max_columns):
+    lattice = lat.lcm_lattice(phi, max_columns)
+    for face in lattice.scarf_faces:
         if len(face) >= r + 1:
             spaces[face] = Matrix.identity(phi.field, divided_dim(r, len(face) - r - 1))
-    lattice = lat.lcm_lattice(phi, max_columns)
     for a in lattice.nonscarf_part:
         fd = lat.face_data(phi, a)
         face = tuple(sorted(fd.i_a))

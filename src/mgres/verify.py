@@ -8,10 +8,11 @@ join of the degrees it keeps, so testing the join-closure of all generator
 degrees covers every multidegree.
 
 Minimality means no nonzero entry has zero shift.  ``minimize`` removes
-such entries one at a time by the usual unit-entry cancellation (split off
-a trivial two-term summand and correct the adjacent differentials); it is
-an independent route to the minimal resolution and never consults the face
-system machinery.
+them by unit-entry cancellation, an independent route to the minimal
+resolution that never consults the face system machinery.  A cancellation
+creates no unit in an earlier differential or an earlier row, so one
+forward pass per differential makes the same cancellations as restarting
+from the first unit after each one.
 """
 
 from __future__ import annotations
@@ -125,76 +126,71 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
 
 def is_minimal(x: GradedComplex) -> bool:
     """No nonzero entry sits between generators of equal degree."""
-    return _find_unit(x.levels, [d.data for d in x.diffs], x.field.zero, last=False) is None
+    zero = x.field.zero
+    return not any(
+        v != zero and x.levels[i + 1][q].degree == x.levels[i][p].degree
+        for i, d in enumerate(x.diffs)
+        for p, row in enumerate(d.data)
+        for q, v in enumerate(row)
+    )
 
 
-def _find_unit(levels, diffs, zero, last: bool):
-    """The first (or last) nonzero entry with zero shift, as
-    (differential index, row, column), or None."""
-    hits = []
-    for di, rows in enumerate(diffs):
-        for p, row in enumerate(rows):
-            for q, v in enumerate(row):
-                if v != zero and levels[di + 1][q].degree == levels[di][p].degree:
-                    if not last:
-                        return (di, p, q)
-                    hits.append((di, p, q))
-    return hits[-1] if hits else None
-
-
-def minimize(x: GradedComplex, pivot_order: str = "first") -> GradedComplex:
+def minimize(x: GradedComplex) -> GradedComplex:
     """Cancel zero-shift unit entries until the complex is minimal.
 
-    Cancelling entry (p, q) of d splits off the trivial summand spanned by
-    generator q upstairs and d(q) downstairs; the remaining entries pick up
-    the usual correction -d[p', q] * u^{-1} * d[p, q'], the next
-    differential loses row q, and the previous one loses column p.  Graded
-    rank multisets of the result do not depend on the cancellation order.
+    Cancelling entry (p, q) of d_i splits off the trivial summand spanned by
+    generator q upstairs and d(q) downstairs: the rest of d_i picks up
+    -d[r, q] * u^{-1} * d[p, c], d_{i+1} loses row q and d_{i-1} column p.
+    No earlier differential gains a unit, and in a homogeneous complex a
+    pivot of degree a changes a zero-shift entry (r, c) only when d[r, q]
+    already was one (deg r = deg c = a), so no row already passed gains a
+    unit.  One pass over the sparse rows of d_0, d_1, ..., each pivoting at
+    its first zero-shift nonzero column and updating only the rows nonzero
+    in that column, thus makes the cancellations of restarting after each.
     """
-    field = x.field
-    zero = field.zero
-    one = field.one
-    levels = [list(level) for level in x.levels]
-    diffs = [[list(row) for row in d.data] for d in x.diffs]
-    while True:
-        hit = _find_unit(levels, diffs, zero, last=(pivot_order == "last"))
-        if hit is None:
-            break
-        di, p, q = hit
-        u = diffs[di][p][q]
-        uinv = one / u
-        rows = diffs[di]
-        colq = [rows[pp][q] for pp in range(len(rows))]
-        rowp = rows[p]
-        diffs[di] = [
-            [
-                rows[pp][qq] - colq[pp] * uinv * rowp[qq]
-                for qq in range(len(rowp))
-                if qq != q
-            ]
-            for pp in range(len(rows))
-            if pp != p
-        ]
-        if di + 1 < len(diffs):
-            del diffs[di + 1][q]
-        if di >= 1:
-            for row in diffs[di - 1]:
-                del row[p]
-        del levels[di + 1][q]
-        del levels[di][p]
-    while len(levels) > 1 and not levels[-1]:
-        levels.pop()
-        diffs.pop()
-    return GradedComplex(
-        field,
-        x.n,
-        levels,
-        [
-            Matrix(field, len(levels[i]), len(levels[i + 1]), diffs[i])
-            for i in range(len(diffs))
-        ],
-        var_names=x.var_names,
-    )
+    field, zero, levels = x.field, x.field.zero, x.levels
+    sparse = []  # per differential, its surviving rows
+    dead = set()  # generators of the current level cancelled as columns
+    for i, d in enumerate(x.diffs):
+        rows, cols = {}, [set() for _ in levels[i + 1]]
+        for p, row in enumerate(d.data):
+            if p not in dead:
+                rows[p] = {q: v for q, v in enumerate(row) if v != zero}
+                for q in rows[p]:
+                    cols[q].add(p)
+        dead = set()
+        for p in list(rows):
+            a = levels[i][p].degree
+            q = min((q for q in rows[p] if levels[i + 1][q].degree == a), default=None)
+            if q is None:
+                continue
+            pivot = rows.pop(p)
+            for c in pivot:
+                cols[c].discard(p)
+            u_inv = field.one / pivot.pop(q)
+            for r in cols[q]:
+                target = rows[r]
+                f = target.pop(q) * u_inv
+                for c, v in pivot.items():
+                    w = target.get(c, zero) - f * v
+                    if w != zero:
+                        target[c] = w
+                        cols[c].add(r)
+                    else:
+                        del target[c]
+                        cols[c].discard(r)
+            dead.add(q)
+        sparse.append(rows)
+    keep = [list(rows) for rows in sparse]
+    keep += [[q for q in range(len(level)) if q not in dead] for level in levels[-1:]]
+    while len(keep) > 1 and not keep[-1]:
+        keep.pop()
+    diffs = [
+        Matrix(field, len(ps), len(qs), [[sparse[i][p].get(q, zero) for q in qs] for p in ps])
+        for i, (ps, qs) in enumerate(zip(keep, keep[1:]))
+    ]
+    kept = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
+    return GradedComplex(field, x.n, kept, diffs, var_names=x.var_names)
 
 
 def graded_ranks(x: GradedComplex) -> list[dict[Multidegree, int]]:

@@ -12,7 +12,7 @@ import itertools
 import random
 from pathlib import Path
 
-from mgres import QQ, GradedComplex, Generator, Matrix, Morphism, Subspace
+from mgres import QQ, GradedComplex, Generator, Matrix, Morphism, PrimeField, Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -231,3 +231,81 @@ def enlarged_subspace(rng: random.Random, base: Subspace) -> Subspace:
         bigger = Subspace.from_rows(QQ, base.ambient_dim, rows)
         if bigger.dim > base.dim:
             return bigger
+
+
+def mod_p(phi: Morphism, p: int = 32003) -> Morphism:
+    """The same morphism with its rational coefficients reduced mod p."""
+    gf = PrimeField(p)
+    entries = {
+        k: gf.of(v.numerator) / gf.of(v.denominator) for k, v in phi.entries.items()
+    }
+    return Morphism(
+        phi.n, gf, phi.source_degrees, phi.target_degrees, entries, phi.var_names
+    ).validate(allow_zero_columns=True)
+
+
+def _first_unit(levels, diffs, zero):
+    """The first nonzero entry with zero shift, as
+    (differential index, row, column), or None."""
+    for di, rows in enumerate(diffs):
+        for p, row in enumerate(rows):
+            for q, v in enumerate(row):
+                if v != zero and levels[di + 1][q].degree == levels[di][p].degree:
+                    return (di, p, q)
+    return None
+
+
+def rescan_minimize(x: GradedComplex) -> GradedComplex:
+    """Slow-path oracle for ``minimize``: dense unit-entry cancellation that
+    rescans every differential from the start after each cancellation and
+    rebuilds the whole differential it cancelled in.
+
+    Cancelling entry (p, q) of d splits off the trivial summand spanned by
+    generator q upstairs and d(q) downstairs; the remaining entries pick up
+    the usual correction -d[p', q] * u^{-1} * d[p, q'], the next
+    differential loses row q, and the previous one loses column p.
+    """
+    field = x.field
+    zero = field.zero
+    one = field.one
+    levels = [list(level) for level in x.levels]
+    diffs = [[list(row) for row in d.data] for d in x.diffs]
+    while True:
+        hit = _first_unit(levels, diffs, zero)
+        if hit is None:
+            break
+        di, p, q = hit
+        u = diffs[di][p][q]
+        uinv = one / u
+        rows = diffs[di]
+        colq = [rows[pp][q] for pp in range(len(rows))]
+        rowp = rows[p]
+        diffs[di] = [
+            [
+                rows[pp][qq] - colq[pp] * uinv * rowp[qq]
+                for qq in range(len(rowp))
+                if qq != q
+            ]
+            for pp in range(len(rows))
+            if pp != p
+        ]
+        if di + 1 < len(diffs):
+            del diffs[di + 1][q]
+        if di >= 1:
+            for row in diffs[di - 1]:
+                del row[p]
+        del levels[di + 1][q]
+        del levels[di][p]
+    while len(levels) > 1 and not levels[-1]:
+        levels.pop()
+        diffs.pop()
+    return GradedComplex(
+        field,
+        x.n,
+        levels,
+        [
+            Matrix(field, len(levels[i]), len(levels[i + 1]), diffs[i])
+            for i in range(len(diffs))
+        ],
+        var_names=x.var_names,
+    )

@@ -219,6 +219,9 @@ def test_cli_output_to_file(tmp_path):
         '{"field": "Q", "n": 2, "vars": ["x","y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":true,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": true, "vars": ["x"], "source_degrees": [[1]], "target_degrees": [[0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":1,"col":true,"coeff":"1","shift":[1,0]}]]}',
+        '{"field": "Q", "n": 2, "vars": 5, "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[2,1]}]]}',
+        '{"field": "Q", "n": 2, "vars": ["x"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[2,1]}]]}',
+        '{"field": "Q", "n": 2, "vars": "xy", "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[2,1]}]]}',
     ],
 )
 def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):

@@ -22,7 +22,16 @@ from mgres import (
     strand,
     taylor_complex,
 )
-from helpers import monomial_ideal_morphism, random_generic_minimal, xy_example
+from mgres.formats import load_morphism
+from helpers import (
+    DATA,
+    mod_p,
+    monomial_ideal_morphism,
+    random_generic_minimal,
+    random_morphism,
+    rescan_minimize,
+    xy_example,
+)
 
 
 def corrupt_entry(x: GradedComplex, diff_index: int, row: int, col: int) -> GradedComplex:
@@ -132,11 +141,65 @@ def test_minimize_fixed_point():
     assert minimize(s) == s
 
 
-def test_minimize_order_independent():
-    t = taylor_complex(xy_example())
-    first = minimize(t, pivot_order="first")
-    last = minimize(t, pivot_order="last")
-    assert graded_ranks(first) == graded_ranks(last)
+def _draws(field_name, seed, count):
+    """random_morphism and random_generic_minimal draws, over Q or mapped
+    into GF(32003)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        for phi in (random_morphism(rng), random_generic_minimal(rng)):
+            yield phi if field_name == "Q" else mod_p(phi)
+
+
+def _block_betti_numbers(x):
+    """beta_{i,a} = #gens(i,a) - rank(d_i|a,a) - rank(d_{i+1}|a,a): tensoring
+    with k keeps only the zero-shift entries, which split by degree."""
+    blocks = []
+    for level in x.levels:
+        by_degree = {}
+        for j, gen in enumerate(level):
+            by_degree.setdefault(gen.degree, []).append(j)
+        blocks.append(by_degree)
+
+    def block_rank(i, a):
+        if not 0 <= i < len(x.diffs):
+            return 0
+        rows, cols = blocks[i].get(a, []), blocks[i + 1].get(a, [])
+        return x.diffs[i].submatrix(rows, cols).rank() if rows and cols else 0
+
+    out = []
+    for i, by_degree in enumerate(blocks):
+        counts = {
+            a: len(js) - block_rank(i - 1, a) - block_rank(i, a)
+            for a, js in by_degree.items()
+        }
+        out.append({a: c for a, c in counts.items() if c})
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(32003)"])
+def test_minimize_betti_numbers_match_degree_blocks(field_name):
+    # the block formula does not depend on the cancellation order
+    for phi in _draws(field_name, 4099, 15):
+        t = taylor_complex(phi)
+        assert graded_ranks(minimize(t)) == _block_betti_numbers(t)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(32003)"])
+def test_minimize_matches_rescan_oracle(field_name):
+    examples = [load_morphism(DATA / "ex4.mmor"), load_morphism(DATA / "ex7_prime.mmor")]
+    if field_name != "Q":
+        examples = [mod_p(phi) for phi in examples]
+    draws = list(_draws(field_name, 4111, 15))
+    for phi in examples + draws:
+        for x in (taylor_complex(phi), scarf_complex(phi)):
+            # equal levels means equal degrees and equal labels
+            assert minimize(x) == rescan_minimize(x)
+    # the Scarf complex of a generic morphism is already minimal
+    for phi in examples[:1] + draws[1::2]:
+        s = scarf_complex(phi)
+        assert minimize(s) == s
 
 
 def test_minimize_preserves_strand_euler_characteristics():
