@@ -3,9 +3,9 @@
 Subcommands: validate, analyze, taylor, scarf, verify, minimize, relabel.
 Every subcommand takes ``--output json|text`` and ``--out PATH``.  Exit
 codes: 0 success, 1 a verification came back negative (not exact, or not
-minimal under --minimal), 2 input parse or format error, 3 an internal
-invariant was breached while building a complex, or any other unexpected
-error (reported on one line, never as a traceback).
+minimal under --minimal), 2 input parse or format error or an unwritable
+--out path, 3 an internal invariant was breached while building a complex,
+or any other unexpected error (reported on one line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ def _load_complex(args):
 def _emit(args, payload: dict, text: str) -> None:
     body = formats.canonical_dumps(payload) if args.output == "json" else text + "\n"
     if args.out:
-        Path(args.out).write_text(body)
+        try:
+            Path(args.out).write_text(body)
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(body)
 

@@ -10,6 +10,11 @@ denominators, a GF(p) row as its representatives), ``characteristic`` says
 whether those ints are eliminated over Z (0) or mod p, and ``decode`` turns
 an integer numerator over a pivot back into an element.  All other
 arithmetic goes through the elements' own operators.
+
+Zero protocol: an element is zero exactly when it is falsy (``Fraction``
+and ``PrimeFieldElement`` both define ``__bool__`` that way), so code tests
+``if x`` / ``if not x`` and never compares with ``field.zero``, which serves
+only as a value (a fill, a default or the start of a sum).
 """
 
 from __future__ import annotations

@@ -123,23 +123,19 @@ def load_morphism(path, allow_zero_columns: bool = False) -> Morphism:
 # ---------------------------------------------------------------- complexes
 
 def complex_to_dict(x: GradedComplex) -> dict:
-    zero = x.field.zero
-    diffs = []
-    for i, d in enumerate(x.diffs):
-        recs = []
-        for row in range(d.rows):
-            for col in range(d.cols):
-                v = d.data[row][col]
-                if v != zero:
-                    recs.append(
-                        {
-                            "row": row + 1,
-                            "col": col + 1,
-                            "coeff": x.field.format(v),
-                            "shift": list(x.shift(i, row, col)),
-                        }
-                    )
-        diffs.append(recs)
+    diffs = [
+        [
+            {
+                "row": row + 1,
+                "col": col + 1,
+                "coeff": x.field.format(v),
+                "shift": list(x.shift(i, row, col)),
+            }
+            for row, entries in enumerate(d.nonzero_rows())
+            for col, v in entries.items()
+        ]
+        for i, d in enumerate(x.diffs)
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "field": x.field.name,
@@ -178,7 +174,7 @@ def complex_from_dict(d: dict) -> GradedComplex:
     for i, raw_recs in enumerate(raw_diffs):
         recs = _record_list(raw_recs, "differential entry")
         rows, cols = len(levels[i]), len(levels[i + 1])
-        data = [[field.zero] * cols for _ in range(rows)]
+        data = [{} for _ in range(rows)]
         seen = set()
         for rec in recs:
             row, col = rec.get("row"), rec.get("col")
@@ -199,12 +195,13 @@ def complex_from_dict(d: dict) -> GradedComplex:
                     f"entry ({row}, {col}) of differential {i + 1} declares shift "
                     f"{declared} but the degrees force {shift}"
                 )
-            if coeff != field.zero and any(c < 0 for c in shift):
-                raise FormatError(
-                    f"entry ({row}, {col}) of differential {i + 1} has negative shift"
-                )
-            data[row - 1][col - 1] = coeff
-        diffs.append(Matrix(field, rows, cols, data))
+            if coeff:
+                if any(c < 0 for c in shift):
+                    raise FormatError(
+                        f"entry ({row}, {col}) of differential {i + 1} has negative shift"
+                    )
+                data[row - 1][col - 1] = coeff
+        diffs.append(Matrix.from_nonzero_rows(field, cols, data))
     return GradedComplex(field, n, levels, diffs, var_names=vars_)
 
 
@@ -249,7 +246,7 @@ def monomial_text(shift, var_names) -> str:
 
 def entry_text(field, coeff, shift, var_names) -> str:
     """Paper-style display: coefficient times monomial, 1 suppressed."""
-    if coeff == field.zero:
+    if not coeff:
         return "0"
     mono = monomial_text(shift, var_names)
     cs = field.format(coeff)

@@ -1,4 +1,10 @@
-"""Exact dense linear algebra over Q or GF(p).
+"""Exact linear algebra over Q or GF(p).
+
+A ``Matrix`` stores its entries densely, as a tuple of row tuples.  The one
+scan for nonzeros is ``Matrix.nonzero_rows`` (a ``{col: value}`` dict per
+row, columns ascending), and ``Matrix.from_nonzero_rows`` is the one way
+back; the product ``mul`` is taken over the nonzero rows of both factors,
+so it costs the number of nonzero products, not rows x inner x cols.
 
 Everything downstream (kernels of dual maps, complex homology, resolution
 minimization) reduces to ranks, reduced row echelon forms, determinants and
@@ -16,7 +22,7 @@ literal equality of the stored rows.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionError
 
@@ -50,6 +56,17 @@ class Matrix:
     @classmethod
     def from_int_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
         return cls.from_rows(field, [[field.of(x) for x in r] for r in rows], cols)
+
+    @classmethod
+    def from_nonzero_rows(cls, field, cols: int, rows: Sequence[Mapping[int, object]]):
+        """The matrix with one row per {col: value} dict, absent columns zero."""
+        data = []
+        for entries in rows:
+            row = [field.zero] * cols
+            for j, x in entries.items():
+                row[j] = x
+            data.append(row)
+        return cls(field, len(data), cols, data)
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
@@ -86,44 +103,35 @@ class Matrix:
             [[self.data[i][j] for j in col_idx] for i in row_idx],
         )
 
+    def nonzero_rows(self) -> list[dict[int, object]]:
+        """Per row, its nonzero entries as {col: value}, columns ascending."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the nonzero entries of both factors only."""
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        z = self.field.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.data[i]
-            acc = out[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a == z:
-                    continue
-                orow = other.data[k]
-                for j in range(other.cols):
-                    b = orow[j]
-                    if b != z:
-                        acc[j] = acc[j] + a * b
-        return Matrix(self.field, self.rows, other.cols, out)
+        right = other.nonzero_rows()
+        out = []
+        for entries in self.nonzero_rows():
+            acc = {}
+            for k, a in entries.items():
+                for j, b in right[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append(acc)
+        return Matrix.from_nonzero_rows(self.field, other.cols, out)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionError("vector length does not match column count")
-        z = self.field.zero
-        out = []
-        for row in self.data:
-            acc = z
-            for a, b in zip(row, vec):
-                if a != z and b != z:
-                    acc = acc + a * b
-            out.append(acc)
-        return out
+        zero = self.field.zero
+        return [sum((a * vec[j] for j, a in row.items()), zero) for row in self.nonzero_rows()]
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(self.nonzero_rows())
 
     def rank(self) -> int:
         """Exact rank of the matrix."""
@@ -283,11 +291,7 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> tuple[int, ...]:
-        z = self.field.zero
-        return tuple(
-            next(j for j in range(self.ambient_dim) if row[j] != z)
-            for row in self.basis.data
-        )
+        return tuple(min(row) for row in self.basis.nonzero_rows())
 
     def contains_vector(self, v: Sequence) -> bool:
         """v lies in the subspace: appending it to the basis keeps the rank."""

@@ -73,10 +73,7 @@ class Morphism:
         self.field = field
         self.source_degrees = tuple(deg.as_degree(d, n) for d in source_degrees)
         self.target_degrees = tuple(deg.as_degree(d, n) for d in target_degrees)
-        zero = field.zero
-        self.entries = {
-            (int(i), int(j)): v for (i, j), v in entries.items() if v != zero
-        }
+        self.entries = {(int(i), int(j)): v for (i, j), v in entries.items() if v}
         self.var_names = tuple(var_names) if var_names is not None else default_var_names(n)
 
     @property

@@ -107,14 +107,14 @@ def contract(uv: Matrix, face: ExteriorIndex, w: Sequence, m: int) -> list:
     rk = uv.rows
     dom, _ = _divided_index(rk, m)
     _, cod_index = _divided_index(rk, m - 1)
-    terms = [(wi, b) for wi, b in zip(w, dom) if wi != zero]
+    terms = [(wi, b) for wi, b in zip(w, dom) if wi]
     out = []
     for pos, l in enumerate(face):
-        ucol = [uv.data[j][l - 1] for j in range(rk)]
+        ucol = uv.col(l - 1)
         v = [zero] * len(cod_index)
         for wi, b in terms:
             for j, u in enumerate(ucol):
-                if b[j] and u != zero:
+                if b[j] and u:
                     row = cod_index[b[:j] + (b[j] - 1,) + b[j + 1 :]]
                     v[row] = v[row] + wi * u
         if removal_sign(pos) < 0:
@@ -243,20 +243,15 @@ def _power(x, n: int):
 def _linear_form_power(field, coeffs: Sequence, c: int) -> dict[DividedIndex, object]:
     """Divided power of a linear form: exponent tuple -> product of coefficients."""
     rk = len(coeffs)
-    zero = field.zero
     if c == 0:
         return {(0,) * rk: field.one}
     out: dict[DividedIndex, object] = {}
     for d in divided_basis(rk, c):
         term = field.one
         for lam, pw in zip(coeffs, d):
-            if pw == 0:
-                continue
-            if lam == zero:
-                term = zero
-                break
-            term = term * _power(lam, pw)
-        if term != zero:
+            if pw:
+                term = term * _power(lam, pw)
+        if term:
             out[d] = term
     return out
 
@@ -272,10 +267,8 @@ def _divided_product(field, u: dict, v: dict) -> dict:
                 if a and b:
                     coef = coef * field.of(math.comb(a + b, a))
             key = tuple(a + b for a, b in zip(d1, d2))
-            acc = out.get(key, zero) + coef
-            if acc == zero:
-                out.pop(key, None)
-            else:
+            acc = out.pop(key, zero) + coef
+            if acc:
                 out[key] = acc
     return out
 

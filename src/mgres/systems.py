@@ -96,13 +96,10 @@ class GradedComplex:
 
     def homogeneity_violation(self) -> tuple[int, int, int] | None:
         """(diff index, row, col) of the first negative-shift nonzero entry."""
-        zero = self.field.zero
         for i, d in enumerate(self.diffs):
-            for row in range(d.rows):
-                for col in range(d.cols):
-                    if d.data[row][col] != zero and any(
-                        c < 0 for c in self.shift(i, row, col)
-                    ):
+            for row, entries in enumerate(d.nonzero_rows()):
+                for col in entries:
+                    if any(c < 0 for c in self.shift(i, row, col)):
                         return (i, row, col)
         return None
 
@@ -236,7 +233,6 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
                 face, f"face {face} is not assigned a subspace of D_{len(face) - r - 1}"
             )
     field = phi.field
-    zero = field.zero
     levels: list[list[Generator]] = [
         [Generator(d, f"g{i}") for i, d in enumerate(phi.target_degrees, start=1)],
         [Generator(d, f"e{j}") for j, d in enumerate(phi.source_degrees, start=1)],
@@ -259,11 +255,11 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
                 if p == r + 1:
                     cols.append([emb.data[0][t] * x for x in base])
                     continue
-                col = [zero] * len(levels[-1])
+                col = [field.zero] * len(levels[-1])
                 for sub, v in contract(cd.uv, face, emb.col(t), p - r - 1):
                     target = system.spaces.get(sub)
                     if target is None:
-                        if any(x != zero for x in v):
+                        if any(v):
                             raise RestrictionError(
                                 face,
                                 f"image of face {face} has a component at missing facet {sub}",

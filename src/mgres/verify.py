@@ -126,12 +126,11 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
 
 def is_minimal(x: GradedComplex) -> bool:
     """No nonzero entry sits between generators of equal degree."""
-    zero = x.field.zero
     return not any(
-        v != zero and x.levels[i + 1][q].degree == x.levels[i][p].degree
+        x.levels[i + 1][q].degree == x.levels[i][p].degree
         for i, d in enumerate(x.diffs)
-        for p, row in enumerate(d.data)
-        for q, v in enumerate(row)
+        for p, row in enumerate(d.nonzero_rows())
+        for q in row
     )
 
 
@@ -153,10 +152,10 @@ def minimize(x: GradedComplex) -> GradedComplex:
     dead = set()  # generators of the current level cancelled as columns
     for i, d in enumerate(x.diffs):
         rows, cols = {}, [set() for _ in levels[i + 1]]
-        for p, row in enumerate(d.data):
+        for p, row in enumerate(d.nonzero_rows()):
             if p not in dead:
-                rows[p] = {q: v for q, v in enumerate(row) if v != zero}
-                for q in rows[p]:
+                rows[p] = row
+                for q in row:
                     cols[q].add(p)
         dead = set()
         for p in list(rows):
@@ -173,7 +172,7 @@ def minimize(x: GradedComplex) -> GradedComplex:
                 f = target.pop(q) * u_inv
                 for c, v in pivot.items():
                     w = target.get(c, zero) - f * v
-                    if w != zero:
+                    if w:
                         target[c] = w
                         cols[c].add(r)
                     else:
@@ -185,10 +184,13 @@ def minimize(x: GradedComplex) -> GradedComplex:
     keep += [[q for q in range(len(level)) if q not in dead] for level in levels[-1:]]
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
-    diffs = [
-        Matrix(field, len(ps), len(qs), [[sparse[i][p].get(q, zero) for q in qs] for p in ps])
-        for i, (ps, qs) in enumerate(zip(keep, keep[1:]))
-    ]
+    diffs = []
+    for i, (ps, qs) in enumerate(zip(keep, keep[1:])):
+        # a row may still be nonzero at a generator cancelled as a pivot row
+        # of the next differential; that column is split off, not kept
+        new_col = {q: c for c, q in enumerate(qs)}
+        rows = [{new_col[q]: v for q, v in sparse[i][p].items() if q in new_col} for p in ps]
+        diffs.append(Matrix.from_nonzero_rows(field, len(qs), rows))
     kept = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
     return GradedComplex(field, x.n, kept, diffs, var_names=x.var_names)
 

@@ -193,13 +193,18 @@ def test_cli_relabel_missing_key_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_output_to_file(tmp_path):
+def test_cli_output_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert (
         cli.run(["analyze", str(DATA / "ex4.mmor"), "--output", "json", "--out", str(out)])
         == 0
     )
     assert json.loads(out.read_text())["rank"] == 2
+    # a missing directory or a directory is an input error, like an unreadable input
+    for bad in (tmp_path / "missing" / "report.json", tmp_path):
+        command = ["validate", str(DATA / "ex4.mmor"), "--out", str(bad)]
+        assert cli.run(command) == 2
+        assert capsys.readouterr().err.startswith(f"mgres: cannot write {bad}: ")
 
 
 @pytest.mark.parametrize(

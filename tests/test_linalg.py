@@ -239,8 +239,12 @@ def _random_matrix(rng, rows, cols, draw):
     return m
 
 
-@pytest.mark.parametrize("p", [0, 2, 7, 32003])
-def test_elimination_kernel_matches_independent_references(p):
+def _seeded_matrices(p, count):
+    """(field, draw, plain, reduce, rng) and `count` seeded (r, c, ref, m) draws.
+
+    draw gives a plain value (Fraction or int mod p), plain reads an element
+    back as one, and ref is the plain form of the matrix m.
+    """
     rng = random.Random(20261017 + p)
     if p:
         field = PrimeField(p)
@@ -250,17 +254,28 @@ def test_elimination_kernel_matches_independent_references(p):
         field = QQ
         draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))  # noqa: E731
         plain = Fraction
-    lift = field.of
 
     def reduce(x):
         return x % p if p else x
 
-    for _ in range(150):
-        r, c = rng.randint(0, 6), rng.randint(0, 6)
-        if rng.random() < 0.3:
-            c = r
-        ref = [[reduce(x) for x in row] for row in _random_matrix(rng, r, c, draw)]
-        m = Matrix.from_rows(field, [[lift(x) for x in row] for row in ref], cols=c)
+    def matrices():
+        for _ in range(count):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            if rng.random() < 0.3:
+                c = r
+            ref = [[reduce(x) for x in row] for row in _random_matrix(rng, r, c, draw)]
+            m = Matrix.from_rows(field, [[field.of(x) for x in row] for row in ref], cols=c)
+            yield r, c, ref, m
+
+    return field, draw, plain, reduce, rng, matrices()
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_elimination_kernel_matches_independent_references(p):
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)
+    lift = field.of
+
+    for r, c, ref, m in matrices:
         red, pivots = _reference_rref(ref, c, p)
 
         assert m.rank() == len(pivots)
@@ -293,3 +308,43 @@ def test_elimination_kernel_matches_independent_references(p):
             for i, q in enumerate(aug_pivots):
                 want[q] = aug[i][c]
             assert [plain(v) for v in x] == want
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_sparse_product_matches_naive_references(p):
+    """mul, apply, nonzero_rows and pivots against loops over every entry."""
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)
+
+    for r, c, ref, m in matrices:
+        rows = m.nonzero_rows()
+        assert rows == [{j: x for j, x in enumerate(row) if plain(x) != 0} for row in m.data]
+        assert all(list(row) == sorted(row) for row in rows)
+        assert Matrix.from_nonzero_rows(field, c, rows) == m
+        assert m.is_zero() == all(x == 0 for row in ref for x in row)
+
+        red, pivots = _reference_rref(ref, c, p)
+        assert Subspace.from_rows(field, c, m.data).pivots() == tuple(pivots)
+
+        v = [draw() for _ in range(c)]
+        want = [reduce(sum((a * b for a, b in zip(row, v)), 0)) for row in ref]
+        assert [plain(x) for x in m.apply([field.of(x) for x in v])] == want
+
+        k = rng.randint(0, 6)
+        other = [[draw() if rng.random() < 0.5 else 0 for _ in range(k)] for _ in range(c)]
+        lifted = Matrix.from_rows(field, [[field.of(x) for x in row] for row in other], k)
+        product = m.mul(lifted)
+        want = [
+            [reduce(sum((ref[i][t] * other[t][j] for t in range(c)), 0)) for j in range(k)]
+            for i in range(r)
+        ]
+        assert (product.rows, product.cols) == (r, k)
+        assert [[plain(x) for x in row] for row in product.data] == want
+        assert product.is_zero() == all(x == 0 for row in want for x in row)
+
+        # a product that cancels: m times a basis of its own kernel
+        kernel = m.kernel_rows()
+        zero = m.mul(Matrix.from_columns(field, c, kernel))
+        assert (zero.rows, zero.cols) == (r, len(kernel))
+        assert all(x == field.zero for row in zero.data for x in row)
+        assert zero.is_zero()
+        assert zero.nonzero_rows() == [{} for _ in range(r)]

@@ -10,12 +10,30 @@ from mgres import (
     HomogeneityError,
     Matrix,
     Morphism,
+    PrimeField,
     Subspace,
     ZeroColumnError,
     join_closure,
     leq,
 )
 from helpers import random_morphism, uvw_example, xy_example
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_elements_are_falsy_exactly_at_zero(p):
+    field = PrimeField(p) if p else QQ
+    texts = ["0", "-0", "1", "-3"]
+    texts += [str(p), str(-p), str(2 * p + 1)] if p else ["0/5", "-3/4", "0.0"]
+    values = [field.parse(t) for t in texts]
+    for x in values + [field.zero, field.one, -field.one]:
+        assert bool(x) == (x != field.zero)
+    assert [bool(x) for x in values] == [False, False, True, True] + (
+        [False, False, True] if p else [False, True, False]
+    )
+    # Morphism drops every entry equal to zero, field.zero or a parsed zero alike
+    coeffs = dict(enumerate([*values, field.zero], start=1))
+    phi = Morphism(1, field, [(1,)] * len(coeffs), [(0,)], {(1, j): x for j, x in coeffs.items()})
+    assert sorted(phi.entries) == [(1, j) for j, x in coeffs.items() if x != field.zero]
 
 
 def test_validate_example():

@@ -4,6 +4,9 @@ import pytest
 
 from mgres import (
     QQ,
+    Generator,
+    GradedComplex,
+    Matrix,
     MissingKey,
     Morphism,
     NegativeShift,
@@ -142,6 +145,21 @@ def test_relabel_negative_shift_detected():
     table[(3, 2)] = (0, 0, 0)
     with pytest.raises(NegativeShift):
         relabel(RelabelMap(table.items()), s, phi2)
+
+
+def test_first_negative_shift_is_row_major_and_skips_zeros():
+    # d_2 rows have degrees 1, 2; columns 0, 3, 0.  Entry (0, 0) is a zero
+    # with a negative shift; (0, 2) comes first row-major, (1, 0) column-major.
+    phi = Morphism(1, QQ, [(1,), (2,)], [(0,)], {(1, 1): QQ.one, (1, 2): QQ.one}).validate()
+    degrees = [[(0,)], [(1,), (2,)], [(0,), (3,), (0,)]]
+    levels = [[Generator(d, f"b{t}") for t, d in enumerate(level)] for level in degrees]
+    d2 = Matrix.from_int_rows(QQ, [[0, 1, 5], [7, 1, 0]])
+    x = GradedComplex(QQ, 1, levels, [phi.coeff_data.matrix, d2])
+    assert x.homogeneity_violation() == (1, 0, 2)
+    ident = RelabelMap([((t,), (t,)) for t in range(4)])
+    with pytest.raises(NegativeShift) as exc:
+        relabel(ident, x, phi)
+    assert (exc.value.level, exc.value.row, exc.value.col, exc.value.shift) == (2, 1, 3, (-1,))
 
 
 def test_relabel_collapsing_lattice_still_resolves():
