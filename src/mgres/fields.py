@@ -4,12 +4,12 @@ Two fields are supported behind one small protocol: the rationals (elements
 are ``fractions.Fraction``, so lowest terms and positive denominators come
 for free) and prime fields GF(p) with canonical representatives in [0, p).
 A field handle knows how to build, parse and format its elements, and it
-owns the integer coding that elimination runs on: ``encode_rows`` turns rows
-of elements into rows of ints (a rational row scaled by the lcm of its
-denominators, a GF(p) row as its representatives), ``characteristic`` says
-whether those ints are eliminated over Z (0) or mod p, and ``decode`` turns
-an integer numerator over a pivot back into an element.  All other
-arithmetic goes through the elements' own operators.
+owns the integer coding that elimination runs on: ``encode_rows`` turns
+sparse rows ``{col: element}`` into new sparse rows of ints (a rational row
+scaled by the lcm of its denominators, a GF(p) row as its representatives),
+``characteristic`` says whether they are eliminated over Z (0) or mod p,
+and ``decode`` turns an integer numerator over a pivot back into an
+element.  All other arithmetic goes through the elements' own operators.
 
 Zero protocol: an element is zero exactly when it is falsy (``Fraction``
 and ``PrimeFieldElement`` both define ``__bool__`` that way), so code tests
@@ -108,14 +108,14 @@ class RationalField:
     def of(self, n) -> Fraction:
         return Fraction(n)
 
-    def encode_rows(self, data) -> tuple[list[list[int]], int]:
-        """Rows scaled to ints by their denominators' lcm, and the product of the scales."""
-        rows, scale = [], 1
-        for row in data:
-            lcm = math.lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (lcm // x.denominator) for x in row])
+    def encode_rows(self, rows) -> tuple[list[dict[int, int]], int]:
+        """Sparse rows scaled to ints by their denominators' lcm, and the product of the scales."""
+        out, scale = [], 1
+        for row in rows:
+            lcm = math.lcm(*(x.denominator for x in row.values()))
+            out.append({j: x.numerator * (lcm // x.denominator) for j, x in row.items()})
             scale *= lcm
-        return rows, scale
+        return out, scale
 
     def decode(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
@@ -170,9 +170,9 @@ class PrimeField:
     def of(self, n) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, int(n))
 
-    def encode_rows(self, data) -> tuple[list[list[int]], int]:
-        """The canonical representatives; no scaling is needed."""
-        return [[x.v for x in row] for row in data], 1
+    def encode_rows(self, rows) -> tuple[list[dict[int, int]], int]:
+        """Sparse rows of the canonical representatives; no scaling is needed."""
+        return [{j: x.v for j, x in row.items()} for row in rows], 1
 
     def decode(self, num: int, den: int) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, num * pow(den, -1, self.p))

@@ -68,9 +68,10 @@ def _int_list(v) -> list[int]:
 
 
 def _var_names(vars_, n: int) -> list[str]:
-    if not isinstance(vars_, list) or len(vars_) != n:
-        raise FormatError("'vars' must list exactly n variable names")
-    return [str(v) for v in vars_]
+    names = vars_ if isinstance(vars_, list) else []
+    if not all(isinstance(v, str) and v for v in names) or not n == len(names) == len(set(names)):
+        raise FormatError("'vars' must list exactly n distinct non-empty variable names")
+    return vars_
 
 
 # ---------------------------------------------------------------- morphisms
@@ -267,10 +268,10 @@ def matrix_text(x: GradedComplex, diff_index: int) -> str:
     d = x.diffs[diff_index]
     cells = [
         [
-            entry_text(x.field, d.data[row][col], x.shift(diff_index, row, col), var_names)
-            for col in range(d.cols)
+            entry_text(x.field, v, x.shift(diff_index, row, col), var_names)
+            for col, v in enumerate(values)
         ]
-        for row in range(d.rows)
+        for row, values in enumerate(d.data)
     ]
     widths = [
         max((len(cells[row][col]) for row in range(d.rows)), default=1)

@@ -1,20 +1,21 @@
 """Exact linear algebra over Q or GF(p).
 
-A ``Matrix`` stores its entries densely, as a tuple of row tuples.  The one
-scan for nonzeros is ``Matrix.nonzero_rows`` (a ``{col: value}`` dict per
-row, columns ascending), and ``Matrix.from_nonzero_rows`` is the one way
-back; the product ``mul`` is taken over the nonzero rows of both factors,
-so it costs the number of nonzero products, not rows x inner x cols.
+A ``Matrix`` stores only its nonzero rows: one ``{col: value}`` dict per
+row, columns ascending, zeros absent.  ``from_nonzero_rows`` copies what it
+is handed and ``nonzero_rows`` hands out copies, so no caller holds the
+stored dicts.  ``data``, the dense rows, is a read-only view built on each
+access for display and tests.  Products, transposes and strands
+(``submatrix``) cost the number of nonzeros.
 
 Everything downstream (kernels of dual maps, complex homology, resolution
 minimization) reduces to ranks, reduced row echelon forms, determinants and
 small linear solves, all computed exactly by one elimination, ``_echelon``.
-It runs on rows the field handle has coded as ints: over Q each row is
-scaled by the lcm of its denominators and eliminated fraction-free
-(Bareiss), so every division is exact and no gcd is taken inside the loop;
-over GF(p) the canonical representatives are eliminated mod p.  Rank is the
-pivot count, the reduced form decodes each pivot row by its pivot, and the
-determinant is read off the pivots.
+It runs row by row on the sparse int rows of ``field.encode_rows``: each
+row is cleared at its first nonzero by the pivot row of that column, so it
+meets only the pivot rows of its own nonzero columns, and is normalized
+(over Z divided by its content, mod p scaled to a leading 1).  Rank is the
+pivot count, the reduced form decodes each pivot row by its own pivot, and
+the determinant is read off the pivots and the row multipliers.
 
 Subspaces are stored as reduced row echelon bases, so subspace equality is
 literal equality of the stored rows.
@@ -22,23 +23,24 @@ literal equality of the stored rows.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 from .errors import DimensionError
 
 
 class Matrix:
-    """An immutable dense matrix over a fixed exact field."""
+    """An immutable sparse matrix over a fixed exact field."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_entries")
 
     def __init__(self, field, rows: int, cols: int, data):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = tuple(tuple(row) for row in data)
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
+        """The matrix of the dense rows ``data``."""
+        data = [tuple(row) for row in data]
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionError(f"matrix data does not have shape {rows}x{cols}")
+        self.field, self.rows, self.cols = field, rows, cols
+        self._entries = tuple({j: x for j, x in enumerate(row) if x} for row in data)
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence], cols: int | None = None):
@@ -51,7 +53,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, rows: int, cols: Sequence[Sequence]):
-        return cls(field, rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+        return cls(field, len(cols), rows, cols).transpose()
 
     @classmethod
     def from_int_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
@@ -59,53 +61,46 @@ class Matrix:
 
     @classmethod
     def from_nonzero_rows(cls, field, cols: int, rows: Sequence[Mapping[int, object]]):
-        """The matrix with one row per {col: value} dict, absent columns zero."""
-        data = []
-        for entries in rows:
-            row = [field.zero] * cols
-            for j, x in entries.items():
-                row[j] = x
-            data.append(row)
-        return cls(field, len(data), cols, data)
+        """One row per {col: value} mapping (copied; any column order, zeros dropped)."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols = field, len(rows), cols
+        m._entries = tuple({j: row[j] for j in sorted(row) if row[j]} for row in rows)
+        return m
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls.from_nonzero_rows(field, cols, [{}] * rows)
 
     @classmethod
     def identity(cls, field, n: int):
-        z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_nonzero_rows(field, n, [{i: field.one} for i in range(n)])
 
-    def at(self, i: int, j: int):
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
+    @property
+    def data(self) -> tuple:
+        """The dense rows as tuples, built on each access."""
+        z = self.field.zero
+        return tuple(tuple(row.get(j, z) for j in range(self.cols)) for row in self._entries)
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        z = self.field.zero
+        return tuple(row.get(j, z) for row in self._entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_nonzero_rows(self.field, self.rows, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
-            self.field,
-            len(row_idx),
-            len(col_idx),
-            [[self.data[i][j] for j in col_idx] for i in row_idx],
-        )
+        """The rows row_idx and the distinct columns col_idx, in the order given."""
+        new = {j: k for k, j in enumerate(col_idx)}
+        rows = [{new[j]: x for j, x in self._entries[i].items() if j in new} for i in row_idx]
+        return Matrix.from_nonzero_rows(self.field, len(new), rows)
 
     def nonzero_rows(self) -> list[dict[int, object]]:
-        """Per row, its nonzero entries as {col: value}, columns ascending."""
-        return [{j: x for j, x in enumerate(row) if x} for row in self.data]
+        """Per row, its nonzero entries as {col: value}, columns ascending (copies)."""
+        return [dict(row) for row in self._entries]
 
     def mul(self, other: "Matrix") -> "Matrix":
         """The product, summed over the nonzero entries of both factors only."""
@@ -113,9 +108,9 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        right = other.nonzero_rows()
+        right = other._entries
         out = []
-        for entries in self.nonzero_rows():
+        for entries in self._entries:
             acc = {}
             for k, a in entries.items():
                 for j, b in right[k].items():
@@ -128,29 +123,41 @@ class Matrix:
         if len(vec) != self.cols:
             raise DimensionError("vector length does not match column count")
         zero = self.field.zero
-        return [sum((a * vec[j] for j, a in row.items()), zero) for row in self.nonzero_rows()]
+        return [sum((a * vec[j] for j, a in row.items()), zero) for row in self._entries]
 
     def is_zero(self) -> bool:
-        return not any(self.nonzero_rows())
+        return not any(self._entries)
 
     def rank(self) -> int:
         """Exact rank of the matrix."""
-        return len(_echelon(self.field, self.data, reduced=False)[1])
+        return len(_echelon(self.field, self._entries, reduced=False)[0])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        rows, pivots, den, _, _ = _echelon(self.field, self.data, reduced=True)
-        decode, z = self.field.decode, self.field.zero
-        out = [[decode(x, den) for x in row] for row in rows[: len(pivots)]]
-        out += [[z] * self.cols for _ in range(self.rows - len(pivots))]
-        return Matrix(self.field, self.rows, self.cols, out), tuple(pivots)
+        found, _, _ = _echelon(self.field, self._entries, reduced=True)
+        decode = self.field.decode
+        pivots = sorted(found)
+        out = [{j: decode(x, found[c][c]) for j, x in found[c].items()} for c in pivots]
+        out += [{}] * (self.rows - len(pivots))
+        return Matrix.from_nonzero_rows(self.field, self.cols, out), tuple(pivots)
 
     def det(self):
         """Determinant of a square matrix."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        _, pivots, _, det, scale = _echelon(self.field, self.data, reduced=False)
-        return self.field.decode(det, scale) if len(pivots) == self.rows else self.field.zero
+        found, num, den = _echelon(self.field, self._entries, reduced=False)
+        if len(found) < self.rows:
+            return self.field.zero
+        # Pivot row k is coded row k times its multipliers over its divisor,
+        # plus multiples of earlier rows, and coded row k is row k times its
+        # scale, so det = det(pivot rows) * num / den (den starts as the
+        # scales' product).  Sorted by pivot column the pivot rows are upper
+        # triangular: their det is the pivots' product, signed by the
+        # inversions of the found order.
+        order = list(found)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+        num *= math.prod(row[c] for c, row in found.items())
+        return self.field.decode(-num if inversions % 2 else num, den)
 
     def kernel_rows(self) -> list[list]:
         """A spanning set of the right kernel {v : self @ v = 0}."""
@@ -161,8 +168,8 @@ class Matrix:
         for f in free:
             v = [z] * self.cols
             v[f] = o
-            for i, p in enumerate(pivots):
-                v[p] = -red.data[i][f]
+            for row, p in zip(red._entries, pivots):
+                v[p] = -row.get(f, z)
             basis.append(v)
         return basis
 
@@ -171,13 +178,13 @@ class Matrix:
         if len(b) != self.rows:
             raise DimensionError("right-hand side length does not match row count")
         n = self.cols
-        aug = [(*row, bv) for row, bv in zip(self.data, b)]
-        rows, pivots, den, _, _ = _echelon(self.field, aug, reduced=True)
-        if n in pivots:
+        aug = [{**row, n: bv} if bv else row for row, bv in zip(self._entries, b)]
+        found, _, _ = _echelon(self.field, aug, reduced=True)
+        if n in found:
             return None
         x = [self.field.zero] * n
-        for row, p in zip(rows, pivots):
-            x[p] = self.field.decode(row[n], den)
+        for c, row in found.items():
+            x[c] = self.field.decode(row.get(n, 0), row[c])
         return x
 
     def solve_matrix(self, b: "Matrix") -> "Matrix | None":
@@ -196,62 +203,69 @@ class Matrix:
             and other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
-            and other.data == self.data
+            and other._entries == self._entries
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(tuple(r.items()) for r in self._entries)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
 
 
-def _echelon(field, data, reduced: bool):
-    """The one elimination, on rows coded as ints by ``field.encode_rows``.
+def _echelon(field, rows, reduced: bool):
+    """The one elimination, row by row on the sparse int rows of ``field.encode_rows``.
 
-    Over Z (characteristic 0) each step is Bareiss's fraction-free update:
-    entries stay minors of the coded rows, the division by the previous
-    pivot is exact, and in reduced form every pivot equals the last one.
-    Mod p the pivot row is scaled to 1.  ``reduced`` clears above each pivot
-    as well as below.  Returns (rows, pivot columns, den, det, scale): pivot
-    rows decode entrywise by ``field.decode(x, den)``, and with a pivot in
-    every row the determinant of ``data`` is ``field.decode(det, scale)``.
+    Returns found, pivot column -> pivot row in the order found (x in a row
+    decodes as ``field.decode(x, row[col])``), num, the product of the row
+    divisors, and den, that of the row multipliers and coding scales.
+    ``reduced`` also clears each pivot row at the other pivot columns.
     """
-    m, scale = field.encode_rows(data)
+    coded, den = field.encode_rows(rows)
     p = field.characteristic
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    sign = d = 1  # d: determinant of the pivot block so far (over Z, the last pivot)
-    for pc in range(n_cols):
-        pr = len(pivots)
-        if pr == n_rows:
-            break
-        pivot = next((r for r in range(pr, n_rows) if m[r][pc]), None)
-        if pivot is None:
-            continue
-        if pivot != pr:
-            m[pr], m[pivot] = m[pivot], m[pr]
-            sign = -sign
-        prow = m[pr]
-        piv = prow[pc]
-        others = [r for r in range(0 if reduced else pr + 1, n_rows) if r != pr]
+    found, num = {}, 1
+    for row in coded:
+        while row:
+            c = min(row)
+            if c not in found:
+                num *= _normalize(row, c, p)
+                found[c] = row
+                break
+            den *= _clear(row, found[c], c, p)
+    if reduced:
+        for c in sorted(found, reverse=True):
+            row = found[c]
+            for other in [j for j in row if j != c and j in found]:
+                _clear(row, found[other], other, p)
+    return found, num, den
+
+
+def _clear(row: dict, prow: dict, c: int, p: int) -> int:
+    """Clear column c of row in place by its pivot row; returns row's multiplier."""
+    g = math.gcd(row[c], prow[c])
+    a, b = prow[c] // g, row[c] // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, y in prow.items():
+        x = row.get(j, 0) - b * y
         if p:
-            d = d * piv % p
-            inv = pow(piv, -1, p)
-            prow = m[pr] = [x * inv % p for x in prow]
-            for r in others:
-                f = m[r][pc]
-                if f:
-                    m[r] = [(x - f * y) % p for x, y in zip(m[r], prow)]
+            x %= p
+        if x:
+            row[j] = x
         else:
-            for r in others:
-                f = m[r][pc]
-                m[r] = [(x * piv - f * y) // d for x, y in zip(m[r], prow)]
-            d = piv
-        pivots.append(pc)
-    return m, pivots, 1 if p else d, sign * d, scale
+            del row[j]
+    return a
+
+
+def _normalize(row: dict, c: int, p: int) -> int:
+    """Divide row in place by its content over Z, by row[c] mod p; returns the divisor."""
+    d = row[c] if p else math.gcd(*row.values())
+    inv = pow(d, -1, p) if p else None
+    for j, x in row.items():
+        row[j] = x * inv % p if p else x // d
+    return d
 
 
 class Subspace:
@@ -275,8 +289,7 @@ class Subspace:
     def from_rows(cls, field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
         mat = Matrix.from_rows(field, rows, cols=ambient_dim)
         red, pivots = mat.rref()
-        keep = [red.data[i] for i in range(len(pivots))]
-        return cls(field, ambient_dim, Matrix.from_rows(field, keep, cols=ambient_dim))
+        return cls(field, ambient_dim, red.submatrix(range(len(pivots)), range(ambient_dim)))
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -291,18 +304,18 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(min(row) for row in self.basis.nonzero_rows())
+        return tuple(min(row) for row in self.basis._entries)
 
     def contains_vector(self, v: Sequence) -> bool:
         """v lies in the subspace: appending it to the basis keeps the rank."""
-        return self.basis.rows == Matrix.from_rows(
-            self.field, [*self.basis.data, v], self.ambient_dim
-        ).rank()
+        return self._spans(Matrix.from_rows(self.field, [v], self.ambient_dim))
 
     def contains(self, other: "Subspace") -> bool:
-        return self.basis.rows == Matrix.from_rows(
-            self.field, self.basis.data + other.basis.data, self.ambient_dim
-        ).rank()
+        return self._spans(other.basis)
+
+    def _spans(self, m: Matrix) -> bool:
+        stacked = self.basis._entries + m._entries
+        return self.dim == Matrix.from_nonzero_rows(self.field, self.ambient_dim, stacked).rank()
 
     def annihilator(self) -> "Subspace":
         """Functionals (in dual coordinates) vanishing on this subspace."""

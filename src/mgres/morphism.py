@@ -44,7 +44,7 @@ def coeff_data_from_matrix(c: Matrix) -> CoeffData:
     """Coefficient data of a bare scalar matrix."""
     image = column_space_basis(c)
     r = image.dim
-    uv = Matrix(c.field, r, c.cols, [c.data[p] for p in image.pivots()])
+    uv = c.submatrix(image.pivots(), range(c.cols))
     return CoeffData(c, r, image, uv, uses_target_dual=(r == c.rows))
 
 
@@ -148,12 +148,7 @@ class Morphism:
         idx = sorted(set(face))
         if any(not 1 <= i <= self.e for i in idx):
             raise DimensionError(f"face {idx} has indices outside 1..{self.e}")
-        cols = Matrix(
-            self.field,
-            len(idx),
-            cd.r,
-            [[cd.uv.data[t][j - 1] for t in range(cd.r)] for j in idx],
-        )
+        cols = cd.uv.submatrix(range(cd.r), [j - 1 for j in idx]).transpose()
         return Subspace.from_rows(self.field, cd.r, cols.kernel_rows())
 
     def is_uniform_rank(self) -> bool:

@@ -185,7 +185,7 @@ def coordinates_on(c: Matrix, vsub: Subspace) -> Matrix:
     """
     if not all(vsub.contains_vector(c.col(j)) for j in range(c.cols)):
         raise DimensionError("column space is not contained in the given subspace")
-    return Matrix(c.field, vsub.dim, c.cols, [c.data[p] for p in vsub.pivots()])
+    return c.submatrix(vsub.pivots(), range(c.cols))
 
 
 def build_A_complex(cd: CoeffData, vsub: Subspace, m: int, k: int) -> VectorComplex:

@@ -242,7 +242,7 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     for p in range(r + 1, system.max_face_size() + 1):
         prev_offsets, offsets = offsets, {}
         gens: list[Generator] = []
-        cols: list[list] = []
+        rows: list[dict] = [{} for _ in levels[-1]]  # the new differential's nonzero rows
         for face in system.faces_of_size(p):
             emb = system.spaces[face]
             offsets[face] = len(gens)
@@ -251,12 +251,13 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
             if p == r + 1:
                 base = splice_column(cd.uv, face)
             for t in range(emb.cols):
+                k, w = len(gens), emb.col(t)
                 gens.append(Generator(degree, f"e{label_face}#{t + 1}"))
                 if p == r + 1:
-                    cols.append([emb.data[0][t] * x for x in base])
+                    for i, x in enumerate(base):
+                        rows[i][k] = w[0] * x
                     continue
-                col = [field.zero] * len(levels[-1])
-                for sub, v in contract(cd.uv, face, emb.col(t), p - r - 1):
+                for sub, v in contract(cd.uv, face, w, p - r - 1):
                     target = system.spaces.get(sub)
                     if target is None:
                         if any(v):
@@ -272,9 +273,9 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
                             f"image of face {face} does not lie in the span "
                             f"assigned to facet {sub}",
                         )
-                    col[prev_offsets[sub] : prev_offsets[sub] + len(coords)] = coords
-                cols.append(col)
-        diffs.append(Matrix.from_columns(field, len(levels[-1]), cols))
+                    for i, x in enumerate(coords, start=prev_offsets[sub]):
+                        rows[i][k] = x
+        diffs.append(Matrix.from_nonzero_rows(field, len(gens), rows))
         levels.append(gens)
     # drop trailing empty levels (possible when the top faces vanish)
     while len(levels) > 2 and not levels[-1]:

@@ -65,10 +65,10 @@ def check_d2(x: GradedComplex) -> bool:
 def strand(x: GradedComplex, a: Iterable[int]) -> VectorComplex:
     """The degree-a component: generators of degree at most a, scalar maps."""
     a = tuple(a)
-    keep = [
-        [i for i, gen in enumerate(level) if deg.leq(gen.degree, a)]
-        for level in x.levels
-    ]
+    keep = []
+    for level in x.levels:
+        inside = {d: deg.leq(d, a) for d in {gen.degree for gen in level}}
+        keep.append([i for i, gen in enumerate(level) if inside[gen.degree]])
     dims = tuple(len(k) for k in keep)
     diffs = tuple(
         x.diffs[i].submatrix(keep[i], keep[i + 1]) for i in range(len(x.diffs))

@@ -227,6 +227,10 @@ def test_cli_output_to_file(tmp_path, capsys):
         '{"field": "Q", "n": 2, "vars": 5, "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[2,1]}]]}',
         '{"field": "Q", "n": 2, "vars": ["x"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[2,1]}]]}',
         '{"field": "Q", "n": 2, "vars": "xy", "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[2,1]}]]}',
+        '{"field": "Q", "n": 2, "vars": ["", "y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
+        '{"field": "Q", "n": 2, "vars": [null, "y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
+        '{"field": "Q", "n": 2, "vars": [1, 2], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
+        '{"field": "Q", "n": 2, "vars": ["x", "x"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"3","shift":[2,1]}]]}',
     ],
 )
 def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):

@@ -173,6 +173,27 @@ def test_rationals_lowest_terms():
         QQ.parse("not-a-number")
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF(7)"])
+def test_sparse_storage_is_canonical_and_private(field):
+    """Any column order and explicit zeros store as the dense-built matrix,
+    and no mapping handed in or out is the stored row."""
+    a, b, c, z = field.of(3), field.of(-2), field.of(5), field.zero
+    dense = Matrix.from_rows(field, [[a, z, b], [z, z, z], [z, c, z]])
+    given = [{2: b, 1: z, 0: a}, {0: z}, {1: c}]
+    m = Matrix.from_nonzero_rows(field, 3, given)
+    assert m == dense and hash(m) == hash(dense)
+    assert m.data == dense.data == ((a, z, b), (z, z, z), (z, c, z))
+    rows = m.nonzero_rows()
+    assert rows == [{0: a, 2: b}, {}, {1: c}]
+    assert all(list(row) == sorted(row) for row in rows)
+    rows[0][1] = c
+    rows[2].clear()
+    given[0][1] = c
+    given[1][2] = a
+    assert m == dense and hash(m) == hash(dense)
+    assert m.nonzero_rows() == [{0: a, 2: b}, {}, {1: c}]
+
+
 def test_primality_matches_trial_division():
     for n in range(10**4):
         expected = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -221,6 +242,26 @@ def _leibniz_det(rows, p):
     return total % p if p else total
 
 
+def _reference_det(rows, p):
+    """The signed product of the pivots of a Gaussian elimination with row swaps."""
+    m = [list(r) for r in rows]
+    det = 1
+    for c in range(len(m)):
+        r = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if r is None:
+            return 0
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = pow(m[c][c], -1, p) if p else 1 / m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] * inv
+            if f != 0:
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[c])]
+    return det % p if p else det
+
+
 def _random_matrix(rng, rows, cols, draw):
     kind = rng.choice(["dense", "low rank", "zero lines"])
     if kind == "low rank" and rows and cols:
@@ -239,31 +280,65 @@ def _random_matrix(rng, rows, cols, draw):
     return m
 
 
-def _seeded_matrices(p, count):
+def _strand_matrix(rng, rows, cols, draw):
+    """5-10% nonzero like a strand; a square one also gets a nonzero entry on
+    a random permutation, so that it is usually invertible."""
+    density = rng.uniform(0.05, 0.10)
+    m = [[draw() if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    if rows == cols:
+        for i, j in enumerate(rng.sample(range(cols), cols)):
+            m[i][j] = draw()
+    return m
+
+
+def _seeded_matrices(p, count, band="small"):
     """(field, draw, plain, reduce, rng) and `count` seeded (r, c, ref, m) draws.
 
     draw gives a plain value (Fraction or int mod p), plain reads an element
-    back as one, and ref is the plain form of the matrix m.
+    back as one, and ref is the plain form of the matrix m.  The "small"
+    band has shapes 0x0..6x6 and small entries.  The "strand" band has a
+    square, a wide and then tall matrices, 30-200 rows (30-40 over Q or in
+    the first two) and 30-60 columns, 5-10% of the entries nonzero, over Q
+    numerators up to 10^6 over denominators up to 9, so that elimination
+    meets coefficient growth; its draws are never zero.
     """
     rng = random.Random(20261017 + p)
     if p:
         field = PrimeField(p)
-        draw = lambda: rng.randrange(p)  # noqa: E731
+        draw = lambda: rng.randrange(0 if band == "small" else 1, p)  # noqa: E731
         plain = lambda x: x.v  # noqa: E731
-    else:
+    elif band == "small":
         field = QQ
         draw = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))  # noqa: E731
         plain = Fraction
+    else:
+        field = QQ
+        plain = Fraction
+
+        def draw():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 9))
 
     def reduce(x):
         return x % p if p else x
 
     def matrices():
-        for _ in range(count):
-            r, c = rng.randint(0, 6), rng.randint(0, 6)
-            if rng.random() < 0.3:
-                c = r
-            ref = [[reduce(x) for x in row] for row in _random_matrix(rng, r, c, draw)]
+        for i in range(count):
+            if band == "small":
+                r, c = rng.randint(0, 6), rng.randint(0, 6)
+                if rng.random() < 0.3:
+                    c = r
+                plain_rows = _random_matrix(rng, r, c, draw)
+            else:
+                # square, wide, then tall; the dense references bound the sizes
+                r = rng.randint(30, 40 if i < 2 or not p else 200)
+                if i == 0:
+                    c = r
+                elif i == 1:
+                    c = rng.randint(r + 1, 60)
+                else:
+                    c = rng.randint(30, 60 if p else 40)
+                plain_rows = _strand_matrix(rng, r, c, draw)
+            ref = [[reduce(x) for x in row] for row in plain_rows]
             m = Matrix.from_rows(field, [[field.of(x) for x in row] for row in ref], cols=c)
             yield r, c, ref, m
 
@@ -272,7 +347,19 @@ def _seeded_matrices(p, count):
 
 @pytest.mark.parametrize("p", [0, 2, 7, 32003])
 def test_elimination_kernel_matches_independent_references(p):
-    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)
+    _check_elimination_kernel(p, 150, "small", _leibniz_det)
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_elimination_kernel_matches_references_at_strand_size(p):
+    """The sparse kernel on strand-sized sparse matrices, where rows are
+    cleared many times over and (over Q) numerators grow between content
+    divisions."""
+    _check_elimination_kernel(p, 4, "strand", _reference_det)
+
+
+def _check_elimination_kernel(p, count, band, reference_det):
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, count, band)
     lift = field.of
 
     for r, c, ref, m in matrices:
@@ -284,7 +371,7 @@ def test_elimination_kernel_matches_independent_references(p):
         assert [[plain(x) for x in row] for row in got.data] == red
 
         if r == c:
-            assert plain(m.det()) == _leibniz_det(ref, p)
+            assert plain(m.det()) == reference_det(ref, p)
 
         kernel = [[plain(x) for x in v] for v in m.kernel_rows()]
         expected = []

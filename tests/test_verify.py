@@ -22,7 +22,7 @@ from mgres import (
     strand,
     taylor_complex,
 )
-from mgres.formats import load_morphism
+from mgres.formats import complex_to_dict, load_morphism
 from helpers import (
     DATA,
     mod_p,
@@ -276,3 +276,14 @@ def test_report_serialization():
     assert d["failures"] == []
     # target degrees participate in the tested set
     assert [0, 0] in d["tested_degrees"]
+
+
+@pytest.mark.parametrize("name", ["ex4.mmor", "ex7_prime.mmor"])
+def test_readers_leave_the_complex_unchanged(name):
+    """minimize updates row dicts in place, so it must work on copies."""
+    x = taylor_complex(load_morphism(DATA / name))
+    before = complex_to_dict(x)
+    minimize(x)
+    is_resolution(x)
+    complex_to_dict(x)
+    assert complex_to_dict(x) == before
