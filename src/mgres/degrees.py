@@ -9,9 +9,14 @@ variables x_1, ..., x_n.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Sequence
 
-from .errors import DimensionError
+from .errors import ClosureTooLarge, DimensionError
+
+# Budget on the join closure: the lattice, strand and maximal-rank checks all
+# walk it, and 2^20 is as many subsets as a 20-column enumeration could give.
+MAX_CLOSURE_ELEMENTS = 2**20
 
 Multidegree = tuple[int, ...]
 
@@ -35,13 +40,13 @@ def _same_length(a: Sequence[int], b: Sequence[int]) -> None:
 def leq(a: Sequence[int], b: Sequence[int]) -> bool:
     """Componentwise a <= b."""
     _same_length(a, b)
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def join(a: Sequence[int], b: Sequence[int]) -> Multidegree:
     """Componentwise maximum (the lcm of the two monomials)."""
     _same_length(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def join_all(degrees: Iterable[Sequence[int]]) -> Multidegree:
@@ -71,18 +76,21 @@ def join_closure(degrees: Iterable[Sequence[int]]) -> set[Multidegree]:
     """All joins of nonempty subsets of the given degrees.
 
     Computed as the fixpoint of joining against the atoms; associativity of
-    join makes this equal to the full subset-join closure.
+    join makes this equal to the full subset-join closure.  Raises
+    ClosureTooLarge as soon as the closure passes MAX_CLOSURE_ELEMENTS.
     """
     atoms = [tuple(d) for d in degrees]
     closure = set(atoms)
-    frontier = set(atoms)
+    frontier = list(closure)
     while frontier:
-        fresh = set()
+        fresh = []
         for a in frontier:
+            if len(closure) > MAX_CLOSURE_ELEMENTS:
+                raise ClosureTooLarge(f"join closure over {MAX_CLOSURE_ELEMENTS} degrees")
             for b in atoms:
                 j = join(a, b)
                 if j not in closure:
-                    fresh.add(j)
-        closure |= fresh
+                    closure.add(j)
+                    fresh.append(j)
         frontier = fresh
     return closure

@@ -40,6 +40,10 @@ class TooManyColumns(MgresError):
     """Subset enumeration guard tripped (see MAX_ENUM_COLUMNS)."""
 
 
+class ClosureTooLarge(MgresError):
+    """A join closure passed its budget (see degrees.MAX_CLOSURE_ELEMENTS)."""
+
+
 class DegreeNotInLattice(MgresError):
     """Face data was requested at a degree that no face realizes."""
 

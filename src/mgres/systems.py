@@ -30,12 +30,15 @@ from typing import Mapping, Sequence
 from . import degrees as deg
 from . import lattice as lat
 from .degrees import Multidegree
-from .errors import DimensionError, RestrictionError
+from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism
 from .multilinear import contract, divided_dim, divided_embed, splice_column
 
 Face = tuple[int, ...]
+
+# The full system has a face per column subset; refuse past this many columns.
+MAX_ENUM_COLUMNS = 20
 
 
 class Generator:
@@ -158,9 +161,12 @@ class FaceSystem:
         return True
 
 
-def full_system(phi: Morphism, max_columns: int = lat.MAX_ENUM_COLUMNS) -> FaceSystem:
+def full_system(phi: Morphism, max_columns: int = MAX_ENUM_COLUMNS) -> FaceSystem:
     """Every face of size above the rank gets the whole divided power."""
-    lat.ensure_enumerable(phi.e, max_columns)
+    if phi.e > max_columns:
+        raise TooManyColumns(
+            f"{phi.e} columns would need {2**phi.e - 1} subsets; raise max_columns to force"
+        )
     r = phi.coeff_data.r
     field = phi.field
     spaces = {}
@@ -174,7 +180,7 @@ def full_system(phi: Morphism, max_columns: int = lat.MAX_ENUM_COLUMNS) -> FaceS
     return FaceSystem(r, spaces)
 
 
-def scarf_system(phi: Morphism, max_columns: int = lat.MAX_ENUM_COLUMNS) -> FaceSystem:
+def scarf_system(phi: Morphism) -> FaceSystem:
     """Full divided powers on Scarf faces; kernel divided powers on closed faces.
 
     A non-Scarf face contributes only when it equals I_a for its own degree
@@ -184,7 +190,7 @@ def scarf_system(phi: Morphism, max_columns: int = lat.MAX_ENUM_COLUMNS) -> Face
     cd = phi.coeff_data
     r = cd.r
     spaces: dict[Face, Matrix] = {}
-    lattice = lat.lcm_lattice(phi, max_columns)
+    lattice = lat.lcm_lattice(phi)
     for face in lattice.scarf_faces:
         if len(face) >= r + 1:
             spaces[face] = Matrix.identity(phi.field, divided_dim(r, len(face) - r - 1))

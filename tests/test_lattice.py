@@ -1,20 +1,31 @@
-"""LCM-lattice enumeration, Scarf faces, and per-degree face data."""
+"""LCM-lattice, Scarf faces and per-degree face data, against the subset walk."""
 
+import itertools
+import json
 import random
 
 import pytest
 
 from mgres import (
     QQ,
+    ClosureTooLarge,
     DegreeNotInLattice,
     Morphism,
+    PrimeField,
     TooManyColumns,
+    cli,
+    degrees,
     face_data,
+    formats,
+    graded_ranks,
     join_all,
     lcm_lattice,
     leq,
+    minimize,
     scarf_faces,
+    taylor_complex,
 )
+from mgres.lattice import faces_by_degree
 from helpers import random_generic_minimal, xy_example
 
 
@@ -153,6 +164,8 @@ def test_lattice_realization_and_size_bounds():
 
 
 def test_enumeration_cap():
+    # only the full system enumerates column subsets; the chain x, ..., x^21
+    # has (1) as its one Scarf face
     e = 21
     phi = Morphism(
         1,
@@ -162,4 +175,114 @@ def test_enumeration_cap():
         {(1, j): QQ.one for j in range(1, e + 1)},
     ).validate()
     with pytest.raises(TooManyColumns):
-        scarf_faces(phi)
+        taylor_complex(phi)
+    assert scarf_faces(phi) == {(1,)}
+
+
+def _oracle_draw(rng, field):
+    """A small morphism whose source degrees repeat, compare, vanish in some
+    coordinates, lie in N^1, or are a monomial ideal's (g = 1, coefficients 1)."""
+    kind = rng.choice(["generic", "repeated", "comparable", "zeros", "monomial", "n1"])
+    n = 1 if kind == "n1" else rng.randint(2, 4)
+    e = rng.randint(1, 12) if kind != "generic" else rng.randint(3, 10)
+    top = 3 if kind in ("repeated", "zeros", "n1") else 6
+    low = 0 if kind in ("zeros", "monomial", "n1") else 1
+    sources = [tuple(rng.randint(low, top) for _ in range(n)) for _ in range(e)]
+    if kind == "repeated":
+        sources = [rng.choice(sources[: j + 1]) for j in range(e)]
+    elif kind == "comparable":
+        for j in range(1, e):
+            if rng.random() < 0.5:
+                sources[j] = tuple(c + rng.randint(0, 2) for c in rng.choice(sources[:j]))
+    elif kind == "generic":
+        first = sorted(rng.sample(range(1, 4 * e), e))
+        second = sorted(rng.sample(range(1, 4 * e), e), reverse=True)
+        sources = [(first[j], second[j]) + sources[j][2:] for j in range(e)]
+    g = 1 if kind == "monomial" else rng.randint(1, 3)
+    entries = {
+        (i, j): field.of(1 if kind == "monomial" else rng.choice([-2, -1, 1, 2, 3]))
+        for i in range(1, g + 1)
+        for j in range(1, e + 1)
+    }
+    return Morphism(n, field, sources, [(0,) * n] * g, entries).validate()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF(32003)"])
+def test_closure_lattice_matches_subset_walk(field):
+    rng = random.Random(83)
+    for _ in range(40):
+        phi = _oracle_draw(rng, field)
+        by_degree = faces_by_degree(phi)
+        scarf = {a for a, faces in by_degree.items() if len(faces) == 1}
+        lat = lcm_lattice(phi)
+        assert lat.elements == set(by_degree)
+        assert lat.scarf_part == scarf
+        assert lat.nonscarf_part == set(by_degree) - scarf
+        assert lat.scarf_faces == {by_degree[a][0] for a in scarf}
+        # face data exactly on the lattice, DegreeNotInLattice off it: probe
+        # each lattice degree, its neighbours one step along each coordinate,
+        # and random degrees up to one past the largest coordinates
+        tops = [max(d[k] for d in phi.source_degrees) + 1 for k in range(phi.n)]
+        probes = {tuple(rng.randint(0, t) for t in tops) for _ in range(50)}
+        for a in by_degree:
+            for k, step in itertools.product(range(phi.n), (-1, 0, 1)):
+                probes.add(a[:k] + (max(a[k] + step, 0),) + a[k + 1:])
+        for a in sorted(probes):
+            if a not in by_degree:
+                with pytest.raises(DegreeNotInLattice):
+                    face_data(phi, a)
+                continue
+            fd = face_data(phi, a)
+            i_a = {j for j, d in enumerate(phi.source_degrees, 1) if leq(d, a)}
+            i_of_a = set.intersection(*(set(f) for f in by_degree[a]))
+            assert (fd.degree, fd.i_a, fd.i_of_a, fd.i_upper_a) == (a, i_a, i_of_a, i_a - i_of_a)
+
+
+def _unit_vector_morphism(n):
+    """n = e unit-vector degrees: the closure is all 2^n - 1 nonzero 0/1 vectors."""
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return Morphism(n, QQ, units, [(0,) * n], {(1, j): QQ.one for j in range(1, n + 1)}).validate()
+
+
+def test_closure_budget(tmp_path, monkeypatch, capsys):
+    phi = _unit_vector_morphism(8)
+    path = tmp_path / "units.mmor"
+    path.write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
+    complex_path = tmp_path / "units.json"
+    complex_path.write_text(formats.canonical_dumps(formats.complex_to_dict(taylor_complex(phi))))
+    assert len(lcm_lattice(phi).elements) == 255
+    monkeypatch.setattr(degrees, "MAX_CLOSURE_ELEMENTS", 100)
+    with pytest.raises(ClosureTooLarge):
+        lcm_lattice(phi)
+    capsys.readouterr()
+    for argv in (["analyze", str(path)], ["scarf", str(path)], ["verify", str(complex_path)]):
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mgres: ") and err.count("\n") == 1
+    monkeypatch.setattr(degrees, "MAX_CLOSURE_ELEMENTS", 255)
+    assert cli.run(["analyze", str(path), "--output", "json"]) == 0
+
+
+def test_wide_generic_scarf_cli(tmp_path, capsys):
+    # generic at e = 24, past the full system's column cap: incomparable
+    # degrees with distinct values per coordinate, coefficient columns (1, k)
+    e = 24
+    rng = random.Random(24)
+    first = sorted(rng.sample(range(1, 4 * e), e))
+    second = sorted(rng.sample(range(1, 4 * e), e), reverse=True)
+    third = rng.sample(range(1, 4 * e), e)
+    entries = {(1, k): QQ.one for k in range(1, e + 1)}
+    entries.update({(2, k): QQ.of(k) for k in range(1, e + 1)})
+    phi = Morphism(
+        3, QQ, list(zip(first, second, third)), [(0, 0, 0)] * 2, entries
+    ).validate()
+    path = tmp_path / "wide.mmor"
+    path.write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
+    scarf_path = tmp_path / "scarf.json"
+    assert cli.run(["scarf", str(path), "--output", "json", "--out", str(scarf_path)]) == 0
+    capsys.readouterr()
+    assert cli.run(["analyze", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generic"] is True
+    assert cli.run(["verify", "--minimal", str(scarf_path)]) == 0
+    x = formats.load_complex(scarf_path)
+    assert graded_ranks(minimize(x)) == graded_ranks(x)
