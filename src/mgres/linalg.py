@@ -4,20 +4,22 @@ A ``Matrix`` stores only its nonzero rows: one ``{col: value}`` dict per
 row, columns ascending, zeros absent.  ``from_nonzero_rows`` copies what it
 is handed and ``nonzero_rows`` hands out copies, so no caller holds the
 stored dicts.  ``data``, the dense rows, is a read-only view built on each
-access for display and tests.  Products, transposes and strands
-(``submatrix``) cost the number of nonzeros.
+access for display and tests.  Products, transposes and strands cost the
+number of nonzeros.
 
 Everything downstream (kernels of dual maps, complex homology, resolution
 minimization) reduces to ranks, reduced row echelon forms, determinants and
-small linear solves, all computed exactly by one elimination, ``_echelon``.
-It runs row by row on the sparse int rows of ``field.encode_rows``: each
-row is cleared at its first nonzero by the pivot row of that column, so it
-meets only the pivot rows of its own nonzero columns, and is normalized
-(over Z divided by its content, mod p scaled to a leading 1).  Rank is the
-pivot count, the reduced form decodes each pivot row by its own pivot, and
-the determinant is read off the pivots and the row multipliers.
+small linear solves, all computed exactly by one elimination, ``_echelon``,
+on the sparse int rows of ``field.encode_rows``: each row is cleared at its
+first nonzero by the pivot row of that column, so it meets only the pivot
+rows of its own nonzero columns, and is normalized (over Z divided by its
+content, mod p scaled to a leading 1).  Rank is the pivot count, the reduced
+form decodes each pivot row by its own pivot, and the determinant is read
+off the pivots and the row multipliers.  ``mul_is_zero`` (the d^2 check)
+sums int codes: D_L A (A by rows) times B D_R (B by columns), invertible
+diagonal scales, is 0 over Z or mod p exactly when A B = 0.
 
-Subspaces are stored as reduced row echelon bases, so subspace equality is
+Subspaces are stored as reduced row echelon bases; subspace equality is
 literal equality of the stored rows.
 """
 
@@ -86,11 +88,7 @@ class Matrix:
         return tuple(row.get(j, z) for row in self._entries)
 
     def transpose(self) -> "Matrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._entries):
-            for j, x in row.items():
-                out[j][i] = x
-        return Matrix.from_nonzero_rows(self.field, self.rows, out)
+        return Matrix.from_nonzero_rows(self.field, self.rows, _columns(self._entries, self.cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """The rows row_idx and the distinct columns col_idx, in the order given."""
@@ -102,12 +100,15 @@ class Matrix:
         """Per row, its nonzero entries as {col: value}, columns ascending (copies)."""
         return [dict(row) for row in self._entries]
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        """The product, summed over the nonzero entries of both factors only."""
+    def _check_product(self, other: "Matrix") -> None:
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+
+    def mul(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the nonzero entries of both factors only."""
+        self._check_product(other)
         right = other._entries
         out = []
         for entries in self._entries:
@@ -117,6 +118,20 @@ class Matrix:
                     acc[j] = acc[j] + a * b if j in acc else a * b
             out.append(acc)
         return Matrix.from_nonzero_rows(self.field, other.cols, out)
+
+    def mul_is_zero(self, other: "Matrix") -> bool:
+        """self @ other == 0, tested on int codes (see the module docstring)."""
+        self._check_product(other)
+        field, p = self.field, self.field.characteristic
+        right = _columns(field.encode_rows(_columns(other._entries, other.cols))[0], other.rows)
+        for row in self._entries:
+            acc = {}
+            for k, x in field.encode_rows((row,))[0][0].items():
+                for j, y in right[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            if any(v % p if p else v for v in acc.values()):
+                return False
+        return True
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector."""
@@ -212,6 +227,15 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
+
+
+def _columns(rows, cols: int) -> list[dict]:
+    # the cols columns of sparse rows, each as a sparse row
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def _echelon(field, rows, reduced: bool):

@@ -82,9 +82,9 @@ class VectorComplex:
                 )
 
     def composes_to_zero(self) -> bool:
+        """Every d_i d_{i+1} vanishes, tested on int codes (``Matrix.mul_is_zero``)."""
         return all(
-            self.diffs[i].mul(self.diffs[i + 1]).is_zero()
-            for i in range(len(self.diffs) - 1)
+            self.diffs[i].mul_is_zero(self.diffs[i + 1]) for i in range(len(self.diffs) - 1)
         )
 
 
@@ -233,13 +233,6 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     return VectorComplex(tuple(dims), tuple(diffs))
 
 
-def _power(x, n: int):
-    out = x
-    for _ in range(n - 1):
-        out = out * x
-    return out
-
-
 def _linear_form_power(field, coeffs: Sequence, c: int) -> dict[DividedIndex, object]:
     """Divided power of a linear form: exponent tuple -> product of coefficients."""
     rk = len(coeffs)
@@ -250,7 +243,7 @@ def _linear_form_power(field, coeffs: Sequence, c: int) -> dict[DividedIndex, ob
         term = field.one
         for lam, pw in zip(coeffs, d):
             if pw:
-                term = term * _power(lam, pw)
+                term = math.prod([lam] * pw, start=term)
         if term:
             out[d] = term
     return out

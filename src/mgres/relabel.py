@@ -25,7 +25,9 @@ from .errors import (
     MissingKey,
     NegativeShift,
     RankMismatch,
+    TooManyColumns,
 )
+from . import systems
 from .linalg import kernel_basis
 from .morphism import Morphism
 from .systems import GradedComplex, Generator
@@ -106,8 +108,10 @@ def check_join_preserving(
 ):
     """f commutes with joins of every column subset of at least min_size.
 
-    Returns (ok, first offending subset).
+    Returns (ok, first offending subset); TooManyColumns past MAX_ENUM_COLUMNS.
     """
+    if phi.e > systems.MAX_ENUM_COLUMNS:
+        raise TooManyColumns(f"{phi.e} columns would need up to {2**phi.e - 1} subsets")
     corr = _correspondence(phi.e, correspondence)
     for size in range(min_size, phi.e + 1):
         for subset in itertools.combinations(range(1, phi.e + 1), size):

@@ -223,9 +223,9 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     power of its own degree.  Differential entries out of a face generator
     are the signed maximal minors (size r + 1) or the contraction of its
     divided vector against each removable column (size r + 2 and up),
-    solved against the facet's stored basis columns.  A malformed face, or
-    an image that fails to decompose, raises RestrictionError naming the
-    face: the system was not closed.
+    in the facet's basis: itself on an identity facet, else solved for.  A
+    malformed face, or an image that fails to decompose, raises
+    RestrictionError naming the face: the system was not closed.
     """
     cd = phi.coeff_data
     r = cd.r
@@ -239,6 +239,10 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
                 face, f"face {face} is not assigned a subspace of D_{len(face) - r - 1}"
             )
     field = phi.field
+    # every full-system facet and Scarf face is assigned the identity, which
+    # spans its whole divided power: a vector there is its own coordinates
+    eye = {d: Matrix.identity(field, d) for d in {emb.rows for emb in system.spaces.values()}}
+    identity = {face for face, emb in system.spaces.items() if emb == eye[emb.rows]}
     levels: list[list[Generator]] = [
         [Generator(d, f"g{i}") for i, d in enumerate(phi.target_degrees, start=1)],
         [Generator(d, f"e{j}") for j, d in enumerate(phi.source_degrees, start=1)],
@@ -272,7 +276,7 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
                                 f"image of face {face} has a component at missing facet {sub}",
                             )
                         continue
-                    coords = target.solve(v)
+                    coords = v if sub in identity else target.solve(v)
                     if coords is None:
                         raise RestrictionError(
                             face,

@@ -309,3 +309,39 @@ def rescan_minimize(x: GradedComplex) -> GradedComplex:
         ],
         var_names=x.var_names,
     )
+
+
+def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
+    """Slow-path oracle for ``build_complex`` above the splice: per face size
+    p >= r + 2, the differential out of the faces of size p with every
+    contracted vector solved on its facet by ``Matrix.solve``, whatever the
+    facet's embedding.  Raises RestrictionError naming the first face (in
+    build order) whose image does not decompose."""
+    from mgres import RestrictionError
+    from mgres.multilinear import contract
+
+    cd, field = phi.coeff_data, phi.field
+    r = cd.r
+    out = {}
+    for p in range(r + 2, system.max_face_size() + 1):
+        below, n = {}, 0
+        for face in system.faces_of_size(p - 1):
+            below[face] = n
+            n += system.spaces[face].cols
+        cols = []
+        for face in system.faces_of_size(p):
+            emb = system.spaces[face]
+            for t in range(emb.cols):
+                col = [field.zero] * n
+                for sub, v in contract(cd.uv, face, emb.col(t), p - r - 1):
+                    if sub not in below:
+                        if any(v):
+                            raise RestrictionError(face, f"image of {face} at missing facet {sub}")
+                        continue
+                    coords = system.spaces[sub].solve(v)
+                    if coords is None:
+                        raise RestrictionError(face, f"image of {face} outside facet {sub}")
+                    col[below[sub] : below[sub] + len(coords)] = coords
+                cols.append(col)
+        out[p] = Matrix.from_columns(field, n, cols)
+    return out

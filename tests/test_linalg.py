@@ -14,6 +14,7 @@ from mgres import (
     Matrix,
     PrimeField,
     Subspace,
+    VectorComplex,
     annihilator_basis,
     column_space_basis,
     kernel_basis,
@@ -435,3 +436,56 @@ def test_sparse_product_matches_naive_references(p):
         assert all(x == field.zero for row in zero.data for x in row)
         assert zero.is_zero()
         assert zero.nonzero_rows() == [{} for _ in range(r)]
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_coded_zero_product_matches_mul(p):
+    """mul_is_zero and composes_to_zero against the boxed product's is_zero,
+    on products that vanish only by cancellation and on ones that do not."""
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)
+    outcomes, cancelled = set(), 0
+    for r, c, ref, m in matrices:
+        k = rng.randint(1, 4)
+        rows = [[field.of(draw()) if rng.random() < 0.5 else field.zero for _ in range(k)]
+                for _ in range(c)]
+        rand = Matrix.from_rows(field, rows, k)
+        # columns in the kernel of m, combined with drawn (over Q fractional) weights
+        kernel = m.kernel_rows()
+        weights = [[field.of(draw()) for _ in kernel] for _ in range(k)]
+        cols = [[sum((a * v[t] for a, v in zip(w, kernel)), field.zero) for t in range(c)]
+                for w in weights]
+        killed = Matrix.from_columns(field, c, cols)
+        for b in (rand, killed):
+            want = m.mul(b).is_zero()
+            assert m.mul_is_zero(b) == want
+            assert VectorComplex((r, c, k), (m, b)).composes_to_zero() == want
+            outcomes.add(want)
+            cancelled += want and not m.is_zero() and not b.is_zero()
+    assert outcomes == {True, False} and cancelled >= 20
+
+
+@pytest.mark.parametrize(
+    "p, left, right, zero",
+    [
+        # 1/3 against 2/6: cancels only as fractions
+        (0, [[Fraction(1, 3), Fraction(-2, 6)]], [[1], [1]], True),
+        # right rows over 2 and 3: zero only when the right factor is coded by columns
+        (0, [[1, Fraction(3, 2)]], [[Fraction(1, 2)], [Fraction(-1, 3)]], True),
+        # left columns over 2 and 3: zero only when the left factor is coded by rows
+        (0, [[Fraction(1, 2), Fraction(1, 3)]], [[2], [-3]], True),
+        (0, [[Fraction(1, 3), Fraction(2, 6)]], [[1], [1]], False),
+        # zero mod p, but not over Z
+        (2, [[1, 1]], [[1], [1]], True),
+        (7, [[1, 6], [2, 5]], [[1], [1]], True),
+        (32003, [[1, 32002]], [[5], [5]], True),
+        # a row zero only mod p, then a nonzero entry: the scan goes on to it
+        (7, [[1, 6], [3, 0]], [[1, 0], [1, 0]], False),
+        (7, [[1, 6], [3, 0]], [[0, 2], [0, 5]], False),
+    ],
+)
+def test_coded_zero_product_worked_cases(p, left, right, zero):
+    field = PrimeField(p) if p else QQ
+    a = Matrix.from_rows(field, [[field.of(x) for x in row] for row in left])
+    b = Matrix.from_rows(field, [[field.of(x) for x in row] for row in right])
+    assert a.mul(b).is_zero() == zero
+    assert a.mul_is_zero(b) == zero

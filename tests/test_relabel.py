@@ -12,6 +12,7 @@ from mgres import (
     NegativeShift,
     RankMismatch,
     RelabelMap,
+    TooManyColumns,
     check_join_preserving,
     check_qe_compatible,
     check_quasi_equivalent,
@@ -94,6 +95,19 @@ def test_join_preserving_violation():
     table = [(k, v) for k, v in F_TABLE if k != (3, 3)] + [((3, 3), (2, 2, 2))]
     ok, witness = check_join_preserving(RelabelMap(table), xy_example(), uvw_example(), 3)
     assert not ok and witness == (1, 2, 4)
+
+
+def test_join_preserving_refuses_past_the_column_cap(monkeypatch):
+    # the subset walk is 2^e; it shares full_system's cap, read at call time
+    from mgres import systems
+
+    sources = [(5 - j, j) for j in range(5)]
+    phi = Morphism(2, QQ, sources, [(0, 0)], {(1, j): QQ.one for j in range(1, 6)}).validate()
+    identity = RelabelMap({d: d for d in sources + [(5, 4)]})
+    assert check_join_preserving(identity, phi, phi, 5) == (True, None)
+    monkeypatch.setattr(systems, "MAX_ENUM_COLUMNS", 4)
+    with pytest.raises(TooManyColumns):
+        check_join_preserving(identity, phi, phi, 5)
 
 
 def test_relabel_scarf_golden():

@@ -19,7 +19,15 @@ from mgres import (
     scarf_system,
     taylor_complex,
 )
-from helpers import classical_taylor, monomial_ideal_morphism, random_generic_minimal, xy_example
+from helpers import (
+    classical_taylor,
+    mod_p,
+    monomial_ideal_morphism,
+    random_generic_minimal,
+    random_morphism,
+    solved_differentials,
+    xy_example,
+)
 
 TAYLOR_D2 = [
     [1, -2, -3, 0],
@@ -387,3 +395,81 @@ def test_minimize_zero_morphism():
     phi = Morphism(2, QQ, [(1, 1)], [(0, 0)], {}).validate(allow_zero_columns=True)
     m = minimize(taylor_complex(phi))
     assert m.ranks() == (1,)
+
+
+def assert_matches_solved_route(phi, system):
+    """build_complex's differentials above the splice equal the ones with
+    every contracted vector solved on its facet."""
+    x = build_complex(phi, system)
+    r = phi.coeff_data.r
+    for p, m in solved_differentials(phi, system).items():
+        if p - r < len(x.diffs):
+            assert x.diffs[p - r] == m, (phi, p)
+        else:  # trailing empty levels are dropped
+            assert m.cols == 0
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+def test_facet_read_matches_solve_on_every_facet(p):
+    rng = random.Random(8101)
+    solved_facets = 0
+    for k in range(24):
+        phi = random_morphism(rng) if k % 2 else random_generic_minimal(rng)
+        if p:
+            phi = mod_p(phi, p)
+        for system in (full_system(phi), scarf_system(phi)):
+            assert_matches_solved_route(phi, system)
+            solved_facets += sum(
+                emb != Matrix.identity(phi.field, emb.rows) for emb in system.spaces.values()
+            )
+    assert solved_facets  # closed non-Scarf faces take the solve route
+
+
+def _wide_rank_two(seed):
+    """A generic minimal morphism of rank 2 with at least 5 columns, so
+    that facets of size 4 carry a 2-dimensional divided power."""
+    rng = random.Random(seed)
+    while True:
+        phi = random_generic_minimal(rng)
+        if phi.coeff_data.r == 2 and phi.e >= 5:
+            return phi
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+def test_invertible_non_identity_facets_decompose_through_solve(p):
+    phi = _wide_rank_two(8102)
+    if p:
+        phi = mod_p(phi, p)
+    field = phi.field
+    two = field.of(2)
+
+    def skewed(d):  # 2 on the diagonal, 1 just above it: invertible, not the identity
+        rows = [
+            [two if j == i else field.one if j == i + 1 else field.zero for j in range(d)]
+            for i in range(d)
+        ]
+        return Matrix.from_rows(field, rows, d)
+
+    spaces = {face: skewed(emb.rows) for face, emb in full_system(phi).spaces.items()}
+    system = FaceSystem(phi.coeff_data.r, spaces)
+    assert_matches_solved_route(phi, system)
+    x, t = build_complex(phi, system), taylor_complex(phi)
+    from mgres.verify import check_d2, is_resolution
+
+    assert x.ranks() == t.ranks() and check_d2(x)
+    assert is_resolution(x).exact == is_resolution(t).exact
+
+
+def test_singular_facet_fails_at_the_face_of_the_solve_route():
+    phi = _wide_rank_two(8103)
+    field = phi.field
+    spaces = dict(full_system(phi).spaces)
+    facet = (1, 2, 3, 4)
+    spaces[facet] = Matrix.from_rows(field, [[field.one, field.one], [field.one, field.one]])
+    system = FaceSystem(2, spaces)
+    with pytest.raises(RestrictionError) as built:
+        build_complex(phi, system)
+    with pytest.raises(RestrictionError) as solved:
+        solved_differentials(phi, system)
+    assert built.value.face == solved.value.face
+    assert set(facet) < set(built.value.face)

@@ -51,6 +51,30 @@ def test_check_d2_detects_corruption():
     assert not check_d2(corrupt_entry(taylor_complex(xy_example()), 1, 0, 0))
 
 
+def test_check_d2_detects_each_corrupted_entry_with_fractional_uv():
+    # denominators in the coefficients give V-coordinates with denominators,
+    # so the differentials' rows and columns are coded with different scales
+    coeffs = [[1, 1, 1, 1, 1], ["1/2", "2/3", "-3/5", "7/4", "0"]]
+    entries = {
+        (i, j): QQ.parse(c)
+        for i, row in enumerate(coeffs, start=1)
+        for j, c in enumerate(row, start=1)
+        if c != "0"
+    }
+    sources = [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+    phi = Morphism(2, QQ, sources, [(0, 0), (0, 0)], entries).validate()
+    assert any(x.denominator > 1 for row in phi.coeff_data.uv.data for x in row)
+    t = taylor_complex(phi)
+    assert check_d2(t)
+    corrupted = 0
+    for i in range(1, len(t.diffs)):
+        for row, nonzero in enumerate(t.diffs[i].nonzero_rows()):
+            for col in nonzero:
+                assert not check_d2(corrupt_entry(t, i, row, col))
+                corrupted += 1
+    assert corrupted > 50
+
+
 def test_strand_dims():
     t = taylor_complex(xy_example())
     assert strand(t, (3, 2)).dims == (2, 3, 1, 0)
