@@ -105,13 +105,13 @@ def _emit(args, payload: dict, text: str) -> None:
 def _analyze_payload(phi) -> dict:
     lat = lattice.lcm_lattice(phi)
     maxrank = phi.is_maximal_rank_everywhere()
+    uniform, comb_generic = phi.is_uniform_rank(), phi.is_combinatorially_generic()
     face_data = []
-    for a in sorted(lat.nonscarf_part):
-        fd = lattice.face_data(phi, a)
+    for fd in lat.nonscarf_data:
         k = phi.k_space(fd.i_upper_a)
         face_data.append(
             {
-                "degree": list(a),
+                "degree": list(fd.degree),
                 "I_a": sorted(fd.i_a),
                 "I_of_a": sorted(fd.i_of_a),
                 "I_upper_a": sorted(fd.i_upper_a),
@@ -123,9 +123,9 @@ def _analyze_payload(phi) -> dict:
     return {
         "format_version": formats.FORMAT_VERSION,
         "rank": phi.coeff_data.r,
-        "uniform_rank": phi.is_uniform_rank(),
-        "combinatorially_generic": phi.is_combinatorially_generic(),
-        "generic": phi.is_generic(),
+        "uniform_rank": uniform,
+        "combinatorially_generic": comb_generic,
+        "generic": comb_generic and uniform,
         "maximal_rank_everywhere": maxrank.ok,
         "max_rank_witness": list(maxrank.witness) if maxrank.witness else None,
         "lcm_lattice": [list(a) for a in sorted(lat.elements)],

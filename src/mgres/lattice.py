@@ -31,20 +31,21 @@ Face = tuple[int, ...]
 
 
 @dataclass(frozen=True)
+class FaceData:
+    degree: Multidegree
+    i_a: frozenset[int]        # all columns of degree <= a
+    i_of_a: frozenset[int]     # intersection of all faces of degree a
+    i_upper_a: frozenset[int]  # i_a minus i_of_a
+
+
+@dataclass(frozen=True)
 class LcmLattice:
     atoms: tuple[Multidegree, ...]
     elements: frozenset[Multidegree]
     scarf_part: frozenset[Multidegree]
     nonscarf_part: frozenset[Multidegree]
     scarf_faces: frozenset[Face]
-
-
-@dataclass(frozen=True)
-class FaceData:
-    degree: Multidegree
-    i_a: frozenset[int]        # all columns of degree <= a
-    i_of_a: frozenset[int]     # intersection of all faces of degree a
-    i_upper_a: frozenset[int]  # i_a minus i_of_a
+    nonscarf_data: tuple[FaceData, ...]  # face data of nonscarf_part, by degree
 
 
 def faces_by_degree(phi: Morphism) -> dict[Multidegree, list[Face]]:
@@ -64,12 +65,18 @@ def scarf_faces(phi: Morphism) -> frozenset[Face]:
 
 def lcm_lattice(phi: Morphism) -> LcmLattice:
     """The join closure of the source degrees, partitioned into Scarf and
-    non-Scarf parts, and the Scarf faces: a is Scarf iff I(a) = I_a."""
+    non-Scarf parts, the Scarf faces (a is Scarf iff I(a) = I_a) and the
+    face data of the non-Scarf degrees; a Scarf degree keeps only its face."""
     elements = frozenset(deg.join_closure(phi.source_degrees))
-    scarf = {a: fd.i_a for a in elements if not (fd := face_data(phi, a)).i_upper_a}
-    part = frozenset(scarf)
-    faces = frozenset(tuple(sorted(i_a)) for i_a in scarf.values())
-    return LcmLattice(phi.source_degrees, elements, part, elements - part, faces)
+    scarf, other = {}, []
+    for a in sorted(elements):
+        fd = face_data(phi, a)
+        if fd.i_upper_a:
+            other.append(fd)
+        else:
+            scarf[a] = tuple(sorted(fd.i_a))
+    part, faces = frozenset(scarf), frozenset(scarf.values())
+    return LcmLattice(phi.source_degrees, elements, part, elements - part, faces, tuple(other))
 
 
 def face_data(phi: Morphism, a: Iterable[int]) -> FaceData:

@@ -100,6 +100,15 @@ class Matrix:
         """Per row, its nonzero entries as {col: value}, columns ascending (copies)."""
         return [dict(row) for row in self._entries]
 
+    def place_into(self, rows: Sequence[dict], row0: int, col0: int) -> None:
+        """Write the nonzero entries into the sparse rows ``rows`` at offset (row0, col0)."""
+        for i, entries in enumerate(self._entries, start=row0):
+            rows[i].update({col0 + j: x for j, x in entries.items()})
+
+    def __neg__(self) -> "Matrix":
+        rows = [{j: -x for j, x in row.items()} for row in self._entries]
+        return Matrix.from_nonzero_rows(self.field, self.cols, rows)
+
     def _check_product(self, other: "Matrix") -> None:
         if self.cols != other.rows:
             raise DimensionError(
@@ -190,27 +199,23 @@ class Matrix:
 
     def solve(self, b: Sequence) -> list | None:
         """One solution x of self @ x = b (free variables set to 0), or None."""
-        if len(b) != self.rows:
-            raise DimensionError("right-hand side length does not match row count")
-        n = self.cols
-        aug = [{**row, n: bv} if bv else row for row, bv in zip(self._entries, b)]
-        found, _, _ = _echelon(self.field, aug, reduced=True)
-        if n in found:
-            return None
-        x = [self.field.zero] * n
-        for c, row in found.items():
-            x[c] = self.field.decode(row.get(n, 0), row[c])
-        return x
+        x = self.solve_matrix(Matrix(self.field, len(b), 1, [[v] for v in b]))
+        return None if x is None else list(x.col(0))
 
     def solve_matrix(self, b: "Matrix") -> "Matrix | None":
-        """Columnwise solve of self @ X = b, or None if any column fails."""
-        cols = []
-        for j in range(b.cols):
-            x = self.solve(b.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_columns(self.field, self.cols, cols)
+        """self @ X = b by one elimination of [self | b], free variables set to
+        0; None when a column of b is outside the column space."""
+        if b.rows != self.rows:
+            raise DimensionError("right-hand side length does not match row count")
+        n = self.cols
+        aug = [a | {n + j: x for j, x in r.items()} for a, r in zip(self._entries, b._entries)]
+        found, _, _ = _echelon(self.field, aug, reduced=True)
+        if max(found, default=-1) >= n:
+            return None
+        out = [{}] * n
+        for c, row in found.items():
+            out[c] = {j - n: self.field.decode(x, row[c]) for j, x in row.items() if j >= n}
+        return Matrix.from_nonzero_rows(self.field, b.cols, out)
 
     def __eq__(self, other):
         return (
@@ -330,15 +335,9 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return tuple(min(row) for row in self.basis._entries)
 
-    def contains_vector(self, v: Sequence) -> bool:
-        """v lies in the subspace: appending it to the basis keeps the rank."""
-        return self._spans(Matrix.from_rows(self.field, [v], self.ambient_dim))
-
     def contains(self, other: "Subspace") -> bool:
-        return self._spans(other.basis)
-
-    def _spans(self, m: Matrix) -> bool:
-        stacked = self.basis._entries + m._entries
+        """other lies in the subspace: stacking the two bases keeps the rank."""
+        stacked = self.basis._entries + other.basis._entries
         return self.dim == Matrix.from_nonzero_rows(self.field, self.ambient_dim, stacked).rank()
 
     def annihilator(self) -> "Subspace":

@@ -7,13 +7,15 @@ is v_1, v_2), and the k-th exterior power of an e-dimensional space is
 indexed by k-subsets of {1, ..., e} in lexicographic order.  Mixed bases
 are ordered with the exterior index as the major key.
 
-The boundary maps pair a divided-power derivative against the exterior
-contraction: the sign of removing l from a face I is (-1)^(position of l
-in I, counted from 0), which is the standard comultiplication sign on the
-exterior algebra.  The splice map replaces the divided derivative by
-maximal minors of the coordinate matrix.  Divided powers are handled by
-their characteristic-free laws (binomial coefficients, never division by
-factorials), so everything works verbatim over GF(p).
+Each boundary D_m (x) Wedge^p -> D_{m-1} (x) Wedge^{p-1} is the block
+matrix of signed contractions: the block from face I to facet I - {l} is
+(-1)^(position of l in I, from 0) Delta_l, the standard comultiplication
+sign, where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided
+exponent j by one with weight uv[j][l].  Delta_l depends on l and m only,
+so it is built once and placed at every face it leaves.  The splice map
+replaces Delta_l by maximal minors of the coordinate matrix.  Divided
+powers obey characteristic-free laws (binomial coefficients, never division
+by factorials), so everything works verbatim over GF(p).
 """
 
 from __future__ import annotations
@@ -95,44 +97,58 @@ def _divided_index(r: int, m: int) -> tuple[tuple[DividedIndex, ...], dict[Divid
     return basis, {b: i for i, b in enumerate(basis)}
 
 
-def contract(uv: Matrix, face: ExteriorIndex, w: Sequence, m: int) -> list:
-    """Boundary of w (x) e_face: one (facet, signed image in D_{m-1}) per position.
+def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
+    """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv.
 
-    w is a vector over the basis of D_m (dimension uv.rows).  Removing the
-    column l at position pos of the face lowers each divided exponent j by
-    one, weighted by the pairing value uv[j][l], and signs the result by
-    removal_sign(pos).
+    Basis vector b goes to the sum of uv[j][l] (b - e_j) over the j with
+    b_j > 0: row c holds uv[j][l] at column c + e_j.  The only contraction
+    kernel; every boundary is assembled from signed blocks of it.
     """
-    zero = uv.field.zero
-    rk = uv.rows
-    dom, _ = _divided_index(rk, m)
-    _, cod_index = _divided_index(rk, m - 1)
-    terms = [(wi, b) for wi, b in zip(w, dom) if wi]
-    out = []
-    for pos, l in enumerate(face):
-        ucol = uv.col(l - 1)
-        v = [zero] * len(cod_index)
-        for wi, b in terms:
-            for j, u in enumerate(ucol):
-                if b[j] and u:
-                    row = cod_index[b[:j] + (b[j] - 1,) + b[j + 1 :]]
-                    v[row] = v[row] + wi * u
-        if removal_sign(pos) < 0:
-            v = [-x for x in v]
-        out.append((face[:pos] + face[pos + 1 :], v))
-    return out
+    cod, _ = _divided_index(uv.rows, m - 1)
+    _, dom_index = _divided_index(uv.rows, m)
+    weights = [(j, u) for j, u in enumerate(uv.col(l - 1)) if u]
+    rows = [{dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]]: u for j, u in weights} for c in cod]
+    return Matrix.from_nonzero_rows(uv.field, len(dom_index), rows)
 
 
-def splice_column(uv: Matrix, face: ExteriorIndex) -> list:
+def boundary_blocks(uv: Matrix, m: int):
+    """face -> [(facet, removal_sign(pos) Delta_l)], one per position pos of
+    l in the face: the blocks of the boundary out of D_m (x) e_face.  Each
+    Delta_l is built on first use and shared by every face of the caller."""
+    blocks: dict[tuple[int, int], Matrix] = {}
+
+    def boundary(face: ExteriorIndex) -> list[tuple[ExteriorIndex, Matrix]]:
+        out = []
+        for pos, l in enumerate(face):
+            key = (l, removal_sign(pos))
+            if key not in blocks:
+                delta = contraction_matrix(uv, l, m)
+                blocks[(l, 1)], blocks[(l, -1)] = delta, -delta
+            out.append((face[:pos] + face[pos + 1 :], blocks[key]))
+        return out
+
+    return boundary
+
+
+def contract(uv: Matrix, face: ExteriorIndex, w: Sequence, m: int) -> list:
+    """Boundary of w (x) e_face: one (facet, signed image in D_{m-1}) per
+    position, each image the signed Delta_l applied to w (a dense vector
+    over the basis of D_m)."""
+    return [(sub, block.apply(w)) for sub, block in boundary_blocks(uv, m)(face)]
+
+
+def splice_column(uv: Matrix, face: ExteriorIndex) -> dict[int, object]:
     """Splice image of a (uv.rows + 1)-face in the source space.
 
-    Entry l is the signed maximal minor of uv on the face without l.
+    Entry l - 1 (0-based) is the signed maximal minor of uv on the face
+    without l; only the nonzero minors are returned.
     """
     rows = range(uv.rows)
-    out = [uv.field.zero] * uv.cols
+    out = {}
     for pos, l in enumerate(face):
         minor = uv.submatrix(rows, [j - 1 for j in face[:pos] + face[pos + 1 :]]).det()
-        out[l - 1] = minor if removal_sign(pos) > 0 else -minor
+        if minor:
+            out[l - 1] = minor if removal_sign(pos) > 0 else -minor
     return out
 
 
@@ -140,31 +156,27 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
     """Boundary D_{m+i} (x) Wedge^{k+i} -> D_{m+i-1} (x) Wedge^{k+i-1}.
 
     The coordinate matrix uv gives the pairing values: its (j, l) entry is
-    the j-th dual coordinate of the image of basis vector l.
+    the j-th dual coordinate of the image of basis vector l.  The block from
+    face F to facet F - {l} is the signed Delta_l.
     """
     if i < 1:
         raise DimensionError("boundary index must be at least 1")
-    field = uv.field
     n_dom = divided_dim(uv.rows, m + i)
     n_cod = divided_dim(uv.rows, m + i - 1)
     facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
-    cols = []
-    for face in exterior_basis(e, k + i):
-        for t in range(n_dom):
-            unit = [field.zero] * n_dom
-            unit[t] = field.one
-            col = [field.zero] * (len(facet_offset) * n_cod)
-            for sub, v in contract(uv, face, unit, m + i):
-                col[facet_offset[sub] : facet_offset[sub] + n_cod] = v
-            cols.append(col)
-    return Matrix.from_columns(field, len(facet_offset) * n_cod, cols)
+    faces = exterior_basis(e, k + i)
+    boundary = boundary_blocks(uv, m + i)
+    rows: list[dict] = [{} for _ in range(len(facet_offset) * n_cod)]
+    for s, face in enumerate(faces):
+        for sub, block in boundary(face):
+            block.place_into(rows, facet_offset[sub], s * n_dom)
+    return Matrix.from_nonzero_rows(uv.field, len(faces) * n_dom, rows)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors."""
-    return Matrix.from_columns(
-        uv.field, e, [splice_column(uv, face) for face in exterior_basis(e, rk + 1)]
-    )
+    cols = [splice_column(uv, face) for face in exterior_basis(e, rk + 1)]
+    return Matrix.from_nonzero_rows(uv.field, e, cols).transpose()
 
 
 def sigma_matrix(cd: CoeffData, m: int, k: int, i: int) -> Matrix:
@@ -177,15 +189,15 @@ def splice_matrix(cd: CoeffData) -> Matrix:
     return splice_matrix_on(cd.uv, cd.uv.cols, cd.r)
 
 
-def coordinates_on(c: Matrix, vsub: Subspace) -> Matrix:
-    """Columns of c rewritten in the echelon basis of vsub.
+def coordinates_on(cd: CoeffData, vsub: Subspace) -> Matrix:
+    """The coefficient matrix in the echelon coordinates of vsub.
 
-    Requires every column of c to lie in vsub; with a reduced echelon basis
-    the coordinates are read off at the pivot positions.
+    vsub must contain the image of the map (one rank test); with a reduced
+    echelon basis the coordinates are read off at the pivot positions.
     """
-    if not all(vsub.contains_vector(c.col(j)) for j in range(c.cols)):
-        raise DimensionError("column space is not contained in the given subspace")
-    return c.submatrix(vsub.pivots(), range(c.cols))
+    if not vsub.contains(cd.image):
+        raise DimensionError("vsub must contain the image of the map")
+    return cd.matrix.submatrix(vsub.pivots(), range(cd.matrix.cols))
 
 
 def build_A_complex(cd: CoeffData, vsub: Subspace, m: int, k: int) -> VectorComplex:
@@ -194,12 +206,10 @@ def build_A_complex(cd: CoeffData, vsub: Subspace, m: int, k: int) -> VectorComp
     vsub must contain the image of the coefficient matrix; the boundary
     maps are computed in vsub-coordinates.
     """
-    if not vsub.contains(cd.image):
-        raise DimensionError("vsub must contain the image of the map")
+    uv = coordinates_on(cd, vsub)
     e = cd.matrix.cols
     if k > e:
         return VectorComplex((), ())
-    uv = coordinates_on(cd.matrix, vsub)
     rk = vsub.dim
     dims = tuple(
         divided_dim(rk, m + i) * math.comb(e, k + i) for i in range(e - k + 1)
@@ -215,12 +225,10 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     is D_{i-2} (x) Wedge^{rk+i-1} where rk is the dimension of vsub.  The
     top position is e - rk + 1 (just the map itself when rk >= e).
     """
-    if not vsub.contains(cd.image):
-        raise DimensionError("vsub must contain the image of the map")
+    uv = coordinates_on(cd, vsub)
     e = cd.matrix.cols
     g = cd.matrix.rows
     rk = vsub.dim
-    uv = coordinates_on(cd.matrix, vsub)
     top = max(e - rk + 1, 1)
     dims = [g, e]
     diffs = [cd.matrix]
@@ -283,8 +291,5 @@ def divided_embed(subspace: Subspace, m: int) -> Matrix:
         for coeffs, power in zip(subspace.basis.data, b):
             if power:
                 elem = _divided_product(field, elem, _linear_form_power(field, coeffs, power))
-        col = [field.zero] * len(rows_idx)
-        for key, val in elem.items():
-            col[rows_idx[key]] = val
-        cols.append(col)
-    return Matrix.from_columns(field, len(rows_idx), cols)
+        cols.append({rows_idx[key]: val for key, val in elem.items()})
+    return Matrix.from_nonzero_rows(field, len(rows_idx), cols).transpose()

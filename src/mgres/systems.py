@@ -33,7 +33,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism
-from .multilinear import contract, divided_dim, divided_embed, splice_column
+from .multilinear import boundary_blocks, divided_dim, divided_embed, splice_column
 
 Face = tuple[int, ...]
 
@@ -141,9 +141,6 @@ class FaceSystem:
                 continue
             self.spaces[key] = emb
 
-    def space(self, face: Sequence[int]) -> Matrix | None:
-        return self.spaces.get(tuple(sorted(face)))
-
     def faces_of_size(self, p: int) -> list[Face]:
         return sorted(face for face in self.spaces if len(face) == p)
 
@@ -161,11 +158,13 @@ class FaceSystem:
         return True
 
 
-def full_system(phi: Morphism, max_columns: int = MAX_ENUM_COLUMNS) -> FaceSystem:
-    """Every face of size above the rank gets the whole divided power."""
-    if phi.e > max_columns:
+def full_system(phi: Morphism) -> FaceSystem:
+    """Every face of size above the rank gets the whole divided power;
+    TooManyColumns past MAX_ENUM_COLUMNS (read at call time)."""
+    if phi.e > MAX_ENUM_COLUMNS:
         raise TooManyColumns(
-            f"{phi.e} columns would need {2**phi.e - 1} subsets; raise max_columns to force"
+            f"{phi.e} columns would need {2**phi.e - 1} subsets; "
+            f"the full system is capped at {MAX_ENUM_COLUMNS} columns"
         )
     r = phi.coeff_data.r
     field = phi.field
@@ -194,8 +193,7 @@ def scarf_system(phi: Morphism) -> FaceSystem:
     for face in lattice.scarf_faces:
         if len(face) >= r + 1:
             spaces[face] = Matrix.identity(phi.field, divided_dim(r, len(face) - r - 1))
-    for a in lattice.nonscarf_part:
-        fd = lat.face_data(phi, a)
+    for fd in lattice.nonscarf_data:
         face = tuple(sorted(fd.i_a))
         if len(face) < r + 1:
             continue
@@ -220,12 +218,14 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
 
     Faces are taken in build order (size, then lexicographic).  Every face
     must index columns of phi and be assigned a subspace of the divided
-    power of its own degree.  Differential entries out of a face generator
-    are the signed maximal minors (size r + 1) or the contraction of its
-    divided vector against each removable column (size r + 2 and up),
-    in the facet's basis: itself on an identity facet, else solved for.  A
-    malformed face, or an image that fails to decompose, raises
-    RestrictionError naming the face: the system was not closed.
+    power of its own degree.  A face of size r + 1 maps to the source by
+    its splice column (signed maximal minors) times its one-row embedding.
+    Above that, the block from face F (embedding emb) to facet F - {l} is
+    the signed contraction Delta_l of ``multilinear.boundary_blocks`` times
+    emb (Delta_l itself on an identity face), in the facet's basis: read
+    directly on an identity facet, else solved for.  A malformed face, or
+    an image that fails to decompose, raises RestrictionError naming the
+    face: the system was not closed.
     """
     cd = phi.coeff_data
     r = cd.r
@@ -253,38 +253,30 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
         prev_offsets, offsets = offsets, {}
         gens: list[Generator] = []
         rows: list[dict] = [{} for _ in levels[-1]]  # the new differential's nonzero rows
+        boundary = boundary_blocks(cd.uv, p - r - 1)
         for face in system.faces_of_size(p):
             emb = system.spaces[face]
-            offsets[face] = len(gens)
+            k = offsets[face] = len(gens)
             degree = phi.face_degree(face)
             label_face = "{" + ",".join(map(str, face)) + "}"
+            gens.extend(Generator(degree, f"e{label_face}#{t + 1}") for t in range(emb.cols))
             if p == r + 1:
-                base = splice_column(cd.uv, face)
-            for t in range(emb.cols):
-                k, w = len(gens), emb.col(t)
-                gens.append(Generator(degree, f"e{label_face}#{t + 1}"))
-                if p == r + 1:
-                    for i, x in enumerate(base):
-                        rows[i][k] = w[0] * x
+                (emb_row,) = emb.nonzero_rows()
+                for i, x in splice_column(cd.uv, face).items():
+                    rows[i].update({k + t: x * w for t, w in emb_row.items()})
+                continue
+            for sub, block in boundary(face):
+                image = block if face in identity else block.mul(emb)
+                target = system.spaces.get(sub)  # absent: the zero space
+                if target is None and image.is_zero():
                     continue
-                for sub, v in contract(cd.uv, face, w, p - r - 1):
-                    target = system.spaces.get(sub)
-                    if target is None:
-                        if any(v):
-                            raise RestrictionError(
-                                face,
-                                f"image of face {face} has a component at missing facet {sub}",
-                            )
-                        continue
-                    coords = v if sub in identity else target.solve(v)
-                    if coords is None:
-                        raise RestrictionError(
-                            face,
-                            f"image of face {face} does not lie in the span "
-                            f"assigned to facet {sub}",
-                        )
-                    for i, x in enumerate(coords, start=prev_offsets[sub]):
-                        rows[i][k] = x
+                coords = (
+                    image if sub in identity else target.solve_matrix(image) if target else None
+                )
+                if coords is None:
+                    where = "the span assigned to facet" if target else "the missing facet"
+                    raise RestrictionError(face, f"image of face {face} is not in {where} {sub}")
+                coords.place_into(rows, prev_offsets[sub], k)
         diffs.append(Matrix.from_nonzero_rows(field, len(gens), rows))
         levels.append(gens)
     # drop trailing empty levels (possible when the top faces vanish)

@@ -26,7 +26,7 @@ from mgres import (
     taylor_complex,
 )
 from mgres.lattice import faces_by_degree
-from helpers import random_generic_minimal, xy_example
+from helpers import random_generic_minimal, random_morphism, xy_example
 
 
 def test_lattice_example():
@@ -286,3 +286,28 @@ def test_wide_generic_scarf_cli(tmp_path, capsys):
     assert cli.run(["verify", "--minimal", str(scarf_path)]) == 0
     x = formats.load_complex(scarf_path)
     assert graded_ranks(minimize(x)) == graded_ranks(x)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF(32003)"])
+def test_lattice_keeps_the_face_data_of_its_nonscarf_degrees(field):
+    rng = random.Random(89)
+    kept = 0
+    for _ in range(40):
+        phi = _oracle_draw(rng, field)
+        lat = lcm_lattice(phi)
+        assert lat.nonscarf_data == tuple(face_data(phi, a) for a in sorted(lat.nonscarf_part))
+        kept += len(lat.nonscarf_data)
+    assert kept
+
+
+def test_analyze_generic_is_the_two_criteria_together():
+    rng = random.Random(97)
+    split = 0
+    for k in range(60):
+        phi = random_generic_minimal(rng) if k % 3 == 0 else random_morphism(rng)
+        payload = cli._analyze_payload(phi)
+        assert payload["generic"] == phi.is_generic()
+        assert payload["uniform_rank"] == phi.is_uniform_rank()
+        assert payload["combinatorially_generic"] == phi.is_combinatorially_generic()
+        split += payload["uniform_rank"] != payload["combinatorially_generic"]
+    assert split  # some draw meets exactly one criterion

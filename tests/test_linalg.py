@@ -399,6 +399,40 @@ def _check_elimination_kernel(p, count, band, reference_det):
 
 
 @pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_solve_matrix_matches_reference_solve_per_column(p):
+    """One elimination of [A | B] gives each column's reference solution
+    (free variables 0), and None as soon as one column has none."""
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 120)
+    outcomes = set()
+    for r, c, ref, m in matrices:
+        rhs = []
+        for _ in range(rng.randint(0, 3)):
+            x0 = [draw() for _ in range(c)]
+            rhs.append([reduce(sum(a * b for a, b in zip(row, x0))) for row in ref])
+        if rng.random() < 0.5:
+            rhs.insert(rng.randint(0, len(rhs)), [reduce(draw()) for _ in range(r)])
+        want = []
+        for b in rhs:
+            aug, aug_pivots = _reference_rref([row + [bv] for row, bv in zip(ref, b)], c + 1, p)
+            if c in aug_pivots:
+                want = None
+                break
+            x = [0] * c
+            for i, q in enumerate(aug_pivots):
+                x[q] = aug[i][c]
+            want.append(x)
+        b = Matrix.from_rows(field, [[field.of(v[i]) for v in rhs] for i in range(r)], len(rhs))
+        got = m.solve_matrix(b)
+        outcomes.add(want is None)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.rows, got.cols) == (c, len(rhs))
+            assert [[plain(x) for x in got.col(j)] for j in range(len(rhs))] == want
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
 def test_sparse_product_matches_naive_references(p):
     """mul, apply, nonzero_rows and pivots against loops over every entry."""
     field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)

@@ -3,6 +3,9 @@ families and their exactness laws, and divided-power embeddings."""
 
 import math
 import random
+from fractions import Fraction
+
+import pytest
 
 from mgres import (
     QQ,
@@ -19,7 +22,13 @@ from mgres import (
     sigma_matrix,
     splice_matrix,
 )
-from mgres.multilinear import sigma_matrix_on
+from mgres.errors import DimensionError
+from mgres.multilinear import (
+    contract,
+    contraction_matrix,
+    removal_sign,
+    sigma_matrix_on,
+)
 from mgres.verify import homology_dims, is_exact, is_split_exact
 from helpers import enlarged_subspace, random_coeff_matrix, xy_example
 
@@ -239,3 +248,105 @@ def test_divided_laws_over_prime_field():
     b = build_B_complex(cd, cd.image)
     assert b.composes_to_zero()
     assert is_exact(b)
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+FIELD_IDS = ["Q", "GF(2)", "GF(7)", "GF(32003)"]
+
+
+def _random_uv(rng, field, r, e):
+    """An r x e pairing matrix with fractional entries over Q and at least
+    one zero column."""
+    def draw():
+        if rng.random() < 0.3:
+            return field.zero
+        if field == QQ:
+            return QQ.of(Fraction(rng.randint(-7, 7), rng.randint(1, 5)))
+        return field.of(rng.randrange(field.characteristic))
+
+    cols = [[draw() for _ in range(r)] for _ in range(e)]
+    cols[rng.randrange(e)] = [field.zero] * r
+    return Matrix.from_columns(field, r, cols)
+
+
+def _naive_contraction(uv, l, m, w):
+    """(Delta_l w)[c] = sum_j uv[j][l] w[c + e_j], over the basis of D_{m-1}."""
+    r = uv.rows
+    at = dict(zip(divided_basis(r, m), w))
+    u = uv.col(l - 1)
+    return [
+        sum((u[j] * at[c[:j] + (c[j] + 1,) + c[j + 1 :]] for j in range(r)), uv.field.zero)
+        for c in divided_basis(r, m - 1)
+    ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_contraction_matrix_matches_naive_formula(field):
+    rng = random.Random(9001 + field.characteristic)
+    zero_columns = 0
+    for r in range(1, 4):
+        for m in range(1, 5):
+            e = rng.randint(2, 5)
+            uv = _random_uv(rng, field, r, e)
+            n_dom = divided_dim(r, m)
+            for l in range(1, e + 1):
+                delta = contraction_matrix(uv, l, m)
+                assert (delta.rows, delta.cols) == (divided_dim(r, m - 1), n_dom)
+                units = [[field.one if i == t else field.zero for i in range(n_dom)]
+                         for t in range(n_dom)]
+                naive = [_naive_contraction(uv, l, m, unit) for unit in units]
+                assert delta == Matrix.from_columns(field, delta.rows, naive)
+                w = [field.of(rng.randint(-9, 9)) for _ in range(n_dom)]
+                assert delta.apply(w) == _naive_contraction(uv, l, m, w)
+                zero_columns += delta.is_zero()
+                # contract is the signed kernel applied to w, one facet per position
+                face = tuple(sorted(rng.sample(range(1, e + 1), rng.randint(1, e))))
+                got = contract(uv, face, w, m)
+                assert [sub for sub, _ in got] == [
+                    face[:pos] + face[pos + 1 :] for pos in range(len(face))
+                ]
+                for pos, (_, v) in enumerate(got):
+                    want = _naive_contraction(uv, face[pos], m, w)
+                    assert v == [x if removal_sign(pos) > 0 else -x for x in want]
+    assert zero_columns  # a zero column gives the zero block
+
+
+def _sigma_from_contract(uv, e, m, k, i):
+    """The boundary with one column per basis vector: contract of a dense
+    unit vector, each facet's image placed at its offset."""
+    field = uv.field
+    n_dom, n_cod = divided_dim(uv.rows, m + i), divided_dim(uv.rows, m + i - 1)
+    facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
+    cols = []
+    for face in exterior_basis(e, k + i):
+        for t in range(n_dom):
+            unit = [field.one if j == t else field.zero for j in range(n_dom)]
+            col = [field.zero] * (len(facet_offset) * n_cod)
+            for sub, v in contract(uv, face, unit, m + i):
+                col[facet_offset[sub] : facet_offset[sub] + n_cod] = v
+            cols.append(col)
+    return Matrix.from_columns(field, len(facet_offset) * n_cod, cols)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_sigma_blocks_match_contract_of_unit_vectors(field):
+    rng = random.Random(9002 + field.characteristic)
+    for _ in range(30):
+        r, e = rng.randint(1, 3), rng.randint(2, 5)
+        uv = _random_uv(rng, field, r, e)
+        m, k = rng.randint(0, 2), rng.randint(0, e - 1)
+        i = rng.randint(1, e - k)
+        assert sigma_matrix_on(uv, e, m, k, i) == _sigma_from_contract(uv, e, m, k, i)
+
+
+def test_complexes_require_vsub_to_contain_the_image():
+    c = Matrix.from_int_rows(QQ, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    cd = coeff_data_from_matrix(c)
+    line = Subspace.from_rows(QQ, 3, [[QQ.one, QQ.zero, QQ.zero]])
+    for build in (
+        lambda: build_A_complex(cd, line, 0, 1),
+        lambda: build_A_complex(cd, line, 0, 5),  # k > e: still checked first
+        lambda: build_B_complex(cd, line),
+    ):
+        with pytest.raises(DimensionError):
+            build()

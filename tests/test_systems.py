@@ -11,6 +11,7 @@ from mgres import (
     Matrix,
     Morphism,
     RestrictionError,
+    TooManyColumns,
     build_complex,
     divided_dim,
     full_system,
@@ -473,3 +474,70 @@ def test_singular_facet_fails_at_the_face_of_the_solve_route():
         solved_differentials(phi, system)
     assert built.value.face == solved.value.face
     assert set(facet) < set(built.value.face)
+
+
+def test_taylor_complex_reads_the_column_cap_at_call_time(monkeypatch):
+    from mgres import systems
+
+    phi = monomial_ideal_morphism([(5 - j, j) for j in range(5)])
+    assert taylor_complex(phi).ranks()[1] == 5
+    monkeypatch.setattr(systems, "MAX_ENUM_COLUMNS", 4)
+    with pytest.raises(TooManyColumns):
+        taylor_complex(phi)
+
+
+def _fails_at_the_same_face(phi, system):
+    with pytest.raises(RestrictionError) as built:
+        build_complex(phi, system)
+    with pytest.raises(RestrictionError) as solved:
+        solved_differentials(phi, system)
+    assert built.value.face == solved.value.face
+    assert not is_compatible_system(phi, system)[0]
+    return built.value.face
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+def test_missing_facet_fails_at_the_face_of_the_solve_route(p):
+    phi = _wide_rank_two(8104)
+    if p:
+        phi = mod_p(phi, p)
+    spaces = dict(full_system(phi).spaces)
+    del spaces[(1, 2, 3, 4)]
+    face = _fails_at_the_same_face(phi, FaceSystem(2, spaces))
+    assert set(face) > {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+def test_non_identity_face_outside_non_identity_facet_fails_on_both_routes(p):
+    phi = _wide_rank_two(8105)
+    if p:
+        phi = mod_p(phi, p)
+    field = phi.field
+    z, o = field.zero, field.one
+    spaces = {f: emb for f, emb in full_system(phi).spaces.items() if len(f) <= 5}
+    # a line in D_1 on one facet, and on every face above it a line in D_2
+    # whose contraction leaves that facet's line
+    spaces[(1, 2, 3, 4)] = Matrix.from_rows(field, [[o], [z]])
+    for face in [f for f in spaces if len(f) == 5]:
+        spaces[face] = Matrix.from_rows(field, [[z], [o], [z]])
+    face = _fails_at_the_same_face(phi, FaceSystem(2, spaces))
+    assert len(face) == 5 and set(face) > {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+def test_splice_columns_scale_by_the_face_embedding(p):
+    """A face of size r + 1 assigned the line c in D_0 maps to c times its
+    splice column."""
+    rng = random.Random(8106)
+    for _ in range(6):
+        phi = _wide_rank_two(rng.randrange(10**6))
+        if p:
+            phi = mod_p(phi, p)
+        field = phi.field
+        spaces = dict(full_system(phi).spaces)
+        scale = {f: field.of(rng.choice([-3, -1, 2, 5])) for f in spaces if len(f) == 3}
+        for f, c in scale.items():
+            spaces[f] = Matrix.from_rows(field, [[c]])
+        x, t = build_complex(phi, FaceSystem(2, spaces)), taylor_complex(phi)
+        for j, f in enumerate(sorted(scale)):
+            assert x.diffs[1].col(j) == tuple(scale[f] * v for v in t.diffs[1].col(j))
