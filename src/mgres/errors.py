@@ -37,7 +37,8 @@ class ZeroColumnError(MgresError):
 
 
 class TooManyColumns(MgresError):
-    """Subset enumeration guard tripped (see MAX_ENUM_COLUMNS)."""
+    """Subset enumeration guard tripped (see systems.MAX_ENUM_COLUMNS and
+    systems.MAX_GENERATORS)."""
 
 
 class ClosureTooLarge(MgresError):

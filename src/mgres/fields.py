@@ -4,9 +4,10 @@ Two fields are supported behind one small protocol: the rationals (elements
 are ``fractions.Fraction``, so lowest terms and positive denominators come
 for free) and prime fields GF(p) with canonical representatives in [0, p).
 A field handle knows how to build, parse and format its elements, and it
-owns the integer coding that elimination runs on: ``encode_rows`` turns
-sparse rows ``{col: element}`` into new sparse rows of ints (a rational row
-scaled by the lcm of its denominators, a GF(p) row as its representatives),
+owns the integer coding that elimination and products run on:
+``encode_rows`` turns sparse rows ``{col: element}`` into new sparse rows of
+ints and one scale per row (a rational row scaled by the lcm of its
+denominators, a GF(p) row as its representatives with scale 1),
 ``characteristic`` says whether they are eliminated over Z (0) or mod p,
 and ``decode`` turns an integer numerator over a pivot back into an
 element.  All other arithmetic goes through the elements' own operators.
@@ -20,6 +21,7 @@ only as a value (a fill, a default or the start of a sum).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import FormatError
@@ -32,6 +34,22 @@ MAX_DIGITS = 4300
 # bases up to 37 is deterministic for every n < 3.1e23, far beyond it.
 MAX_MODULUS = 2**64
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Coefficient grammars, ASCII digits only ([0-9] never matches other scripts'
+# digits): an integer, and over Q also a fraction or a plain decimal.
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _coefficient(s, grammar: re.Pattern, kind: str) -> str:
+    """str(s) if it matches grammar with at most MAX_DIGITS characters a part
+    (a decimal point counts: 10^k, the denominator of k decimals, has k + 1
+    digits), checked before any integer is built; else FormatError."""
+    s = str(s)
+    if grammar.fullmatch(s) and all(len(part.lstrip("-")) <= MAX_DIGITS for part in s.split("/")):
+        return s
+    raise FormatError(f"bad {kind} coefficient {s[:40]!r}: expected {grammar.pattern}, "
+                      f"ASCII digits only, at most {MAX_DIGITS} a part")
 
 
 def _is_prime(n: int) -> bool:
@@ -108,35 +126,23 @@ class RationalField:
     def of(self, n) -> Fraction:
         return Fraction(n)
 
-    def encode_rows(self, rows) -> tuple[list[dict[int, int]], int]:
-        """Sparse rows scaled to ints by their denominators' lcm, and the product of the scales."""
-        out, scale = [], 1
+    def encode_rows(self, rows) -> tuple[list[dict[int, int]], list[int]]:
+        """Sparse rows scaled to ints by their denominators' lcm, and each row's scale."""
+        out, scales = [], []
         for row in rows:
             lcm = math.lcm(*(x.denominator for x in row.values()))
             out.append({j: x.numerator * (lcm // x.denominator) for j, x in row.items()})
-            scale *= lcm
-        return out, scale
+            scales.append(lcm)
+        return out, scales
 
     def decode(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
 
     def parse(self, s: str) -> Fraction:
-        s = str(s)
         try:
-            # checked on the string: Fraction("1e999999999") builds a huge
-            # integer; a decimal point counts as a digit because 10^k, the
-            # denominator of k decimals, has k + 1 digits
-            if "e" in s.lower() or any(
-                sum(c.isdigit() or c == "." for c in part) > MAX_DIGITS
-                for part in s.split("/")
-            ):
-                raise ValueError("exponent notation or too many digits")
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(
-                f"cannot parse rational coefficient {s[:40]!r}: expected an integer, "
-                f"fraction or decimal without exponent, at most {MAX_DIGITS} digits a part"
-            ) from exc
+            return Fraction(_coefficient(s, _RATIONAL, "rational"))
+        except ZeroDivisionError as exc:
+            raise FormatError(f"rational coefficient {str(s)[:40]!r} has denominator 0") from exc
 
     def format(self, x: Fraction) -> str:
         return str(x)
@@ -170,18 +176,16 @@ class PrimeField:
     def of(self, n) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, int(n))
 
-    def encode_rows(self, rows) -> tuple[list[dict[int, int]], int]:
-        """Sparse rows of the canonical representatives; no scaling is needed."""
-        return [{j: x.v for j, x in row.items()} for row in rows], 1
+    def encode_rows(self, rows) -> tuple[list[dict[int, int]], list[int]]:
+        """Sparse rows of the canonical representatives; every scale is 1."""
+        rows = [{j: x.v for j, x in row.items()} for row in rows]
+        return rows, [1] * len(rows)
 
     def decode(self, num: int, den: int) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, num * pow(den, -1, self.p))
 
     def parse(self, s: str) -> PrimeFieldElement:
-        try:
-            return PrimeFieldElement(self.p, int(str(s), 10))
-        except ValueError as exc:
-            raise FormatError(f"cannot parse GF({self.p}) coefficient {s!r}") from exc
+        return PrimeFieldElement(self.p, int(_coefficient(s, _INTEGER, f"GF({self.p})")))
 
     def format(self, x: PrimeFieldElement) -> str:
         return str(x.v)

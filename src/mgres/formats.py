@@ -67,6 +67,14 @@ def _int_list(v) -> list[int]:
     return v
 
 
+def _coeff(field, rec: dict):
+    """The record's coefficient, which must be a JSON string."""
+    c = rec.get("coeff")
+    if not isinstance(c, str):
+        raise FormatError(f"record {repr(rec)[:80]} needs a string 'coeff'")
+    return field.parse(c)
+
+
 def _var_names(vars_, n: int) -> list[str]:
     names = vars_ if isinstance(vars_, list) else []
     if not all(isinstance(v, str) and v for v in names) or not n == len(names) == len(set(names)):
@@ -97,7 +105,7 @@ def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
             raise FormatError(f"entry record {rec!r} needs integer 'row' and 'col'")
         if (i, j) in entries:
             raise FormatError(f"duplicate entry at ({i}, {j})")
-        entries[(i, j)] = field.parse(str(rec.get("coeff", "0")))
+        entries[(i, j)] = _coeff(field, rec)
     phi = Morphism(n, field, sources, targets, entries, var_names=vars_)
     return phi.validate(allow_zero_columns=allow_zero_columns)
 
@@ -188,7 +196,7 @@ def complex_from_dict(d: dict) -> GradedComplex:
                     f"duplicate entry ({row}, {col}) in differential {i + 1}"
                 )
             seen.add((row, col))
-            coeff = field.parse(str(rec.get("coeff", "0")))
+            coeff = _coeff(field, rec)
             shift = deg.sub(levels[i + 1][col - 1].degree, levels[i][row - 1].degree)
             declared = tuple(_int_list(_require(rec, "shift", "complex")))
             if declared != shift:

@@ -8,16 +8,21 @@ access for display and tests.  Products, transposes and strands cost the
 number of nonzeros.
 
 Everything downstream (kernels of dual maps, complex homology, resolution
-minimization) reduces to ranks, reduced row echelon forms, determinants and
-small linear solves, all computed exactly by one elimination, ``_echelon``,
-on the sparse int rows of ``field.encode_rows``: each row is cleared at its
+minimization) reduces to ranks, reduced row echelon forms, determinants,
+small linear solves and products, all computed exactly on the sparse int
+rows of ``field.encode_rows``, which codes row i as s_i times the row (s_i
+= 1 over GF(p)).  One elimination, ``_echelon``, clears each row at its
 first nonzero by the pivot row of that column, so it meets only the pivot
-rows of its own nonzero columns, and is normalized (over Z divided by its
+rows of its own nonzero columns, and normalizes it (over Z divided by its
 content, mod p scaled to a leading 1).  Rank is the pivot count, the reduced
 form decodes each pivot row by its own pivot, and the determinant is read
-off the pivots and the row multipliers.  ``mul_is_zero`` (the d^2 check)
-sums int codes: D_L A (A by rows) times B D_R (B by columns), invertible
-diagonal scales, is 0 over Z or mod p exactly when A B = 0.
+off the pivots, the row multipliers and the scales.  One product, ``mul``
+(``apply`` is its one-column case), codes A by rows (a'_i = s_i a_i) and B
+by rows (b'_k = t_k b_k) and weighs b'_k by L / t_k, L = lcm of the t_k:
+sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij is an integer over Q, and
+over GF(p), where all scales are 1, an integer congruent to (A B)_ij.  So
+(A B)_ij is ``decode(sum, s_i L)``, zero exactly when the sum is 0 over Z
+or mod p; only nonzero sums are decoded.
 
 Subspaces are stored as reduced row echelon bases; subspace equality is
 literal equality of the stored rows.
@@ -64,9 +69,14 @@ class Matrix:
     @classmethod
     def from_nonzero_rows(cls, field, cols: int, rows: Sequence[Mapping[int, object]]):
         """One row per {col: value} mapping (copied; any column order, zeros dropped)."""
+        return cls._wrap(field, cols, [{j: row[j] for j in sorted(row) if row[j]} for row in rows])
+
+    @classmethod
+    def _wrap(cls, field, cols: int, rows: Sequence[dict]):
+        # stores rows as they are: new dicts, columns ascending, no zeros
         m = cls.__new__(cls)
         m.field, m.rows, m.cols = field, len(rows), cols
-        m._entries = tuple({j: row[j] for j in sorted(row) if row[j]} for row in rows)
+        m._entries = tuple(rows)
         return m
 
     @classmethod
@@ -109,45 +119,32 @@ class Matrix:
         rows = [{j: -x for j, x in row.items()} for row in self._entries]
         return Matrix.from_nonzero_rows(self.field, self.cols, rows)
 
-    def _check_product(self, other: "Matrix") -> None:
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-
     def mul(self, other: "Matrix") -> "Matrix":
-        """The product, summed over the nonzero entries of both factors only."""
-        self._check_product(other)
-        right = other._entries
-        out = []
-        for entries in self._entries:
-            acc = {}
-            for k, a in entries.items():
-                for j, b in right[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append(acc)
-        return Matrix.from_nonzero_rows(self.field, other.cols, out)
-
-    def mul_is_zero(self, other: "Matrix") -> bool:
-        """self @ other == 0, tested on int codes (see the module docstring)."""
-        self._check_product(other)
+        """The product, summed as ints over the nonzero codes of both factors
+        and decoded where nonzero (see the module docstring)."""
+        if self.cols != other.rows:
+            shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            raise DimensionError(f"cannot multiply {shapes}")
         field, p = self.field, self.field.characteristic
-        right = _columns(field.encode_rows(_columns(other._entries, other.cols))[0], other.rows)
-        for row in self._entries:
+        left, scales = field.encode_rows(self._entries)
+        right, weights = field.encode_rows(other._entries)
+        lcm = math.lcm(*weights)
+        if lcm != 1:
+            right = [{j: y * (lcm // t) for j, y in row.items()} for row, t in zip(right, weights)]
+        out = []
+        for entries, s in zip(left, scales):
             acc = {}
-            for k, x in field.encode_rows((row,))[0][0].items():
+            for k, x in entries.items():
                 for j, y in right[k].items():
                     acc[j] = acc.get(j, 0) + x * y
-            if any(v % p if p else v for v in acc.values()):
-                return False
-        return True
+            den = s * lcm
+            nonzero = sorted(j for j, v in acc.items() if (v % p if p else v))
+            out.append({j: field.decode(acc[j], den) for j in nonzero})
+        return Matrix._wrap(field, other.cols, out)
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        zero = self.field.zero
-        return [sum((a * vec[j] for j, a in row.items()), zero) for row in self._entries]
+        """Matrix times column vector: the one-column case of ``mul``."""
+        return list(self.mul(Matrix(self.field, len(vec), 1, [[v] for v in vec])).col(0))
 
     def is_zero(self) -> bool:
         return not any(self._entries)
@@ -251,9 +248,9 @@ def _echelon(field, rows, reduced: bool):
     divisors, and den, that of the row multipliers and coding scales.
     ``reduced`` also clears each pivot row at the other pivot columns.
     """
-    coded, den = field.encode_rows(rows)
+    coded, scales = field.encode_rows(rows)
     p = field.characteristic
-    found, num = {}, 1
+    found, num, den = {}, 1, math.prod(scales)
     for row in coded:
         while row:
             c = min(row)

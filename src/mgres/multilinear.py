@@ -84,9 +84,9 @@ class VectorComplex:
                 )
 
     def composes_to_zero(self) -> bool:
-        """Every d_i d_{i+1} vanishes, tested on int codes (``Matrix.mul_is_zero``)."""
+        """Every product d_i d_{i+1} (``Matrix.mul``, summed on int codes) is zero."""
         return all(
-            self.diffs[i].mul_is_zero(self.diffs[i + 1]) for i in range(len(self.diffs) - 1)
+            self.diffs[i].mul(self.diffs[i + 1]).is_zero() for i in range(len(self.diffs) - 1)
         )
 
 

@@ -25,6 +25,7 @@ kernel functionals that survive.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Mapping, Sequence
 
 from . import degrees as deg
@@ -39,6 +40,10 @@ Face = tuple[int, ...]
 
 # The full system has a face per column subset; refuse past this many columns.
 MAX_ENUM_COLUMNS = 20
+
+# Refuse a full-system complex with more generators than this: 180,258 at
+# r = 2, e = 15 take about 5 s and 250 MB, and memory doubles per column.
+MAX_GENERATORS = 2**18
 
 
 class Generator:
@@ -160,17 +165,22 @@ class FaceSystem:
 
 def full_system(phi: Morphism) -> FaceSystem:
     """Every face of size above the rank gets the whole divided power;
-    TooManyColumns past MAX_ENUM_COLUMNS (read at call time)."""
+    TooManyColumns past MAX_ENUM_COLUMNS, or when its complex would have
+    more than MAX_GENERATORS generators (both read at call time)."""
     if phi.e > MAX_ENUM_COLUMNS:
         raise TooManyColumns(
             f"{phi.e} columns would need {2**phi.e - 1} subsets; "
             f"the full system is capped at {MAX_ENUM_COLUMNS} columns"
         )
     r = phi.coeff_data.r
+    dims = {p: divided_dim(r, p - r - 1) for p in range(r + 1, phi.e + 1)}
+    count = phi.g + phi.e + sum(math.comb(phi.e, p) * dim for p, dim in dims.items())
+    if count > MAX_GENERATORS:
+        raise TooManyColumns(f"the full-system complex would have {count} generators, "
+                             f"over the budget of {MAX_GENERATORS}")
     field = phi.field
     spaces = {}
-    for p in range(r + 1, phi.e + 1):
-        dim = divided_dim(r, p - r - 1)
+    for p, dim in dims.items():
         if dim == 0:
             continue
         ident = Matrix.identity(field, dim)

@@ -17,6 +17,7 @@ from the first unit after each one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -80,16 +81,9 @@ def homology_dims(vc: VectorComplex, check: bool = True) -> tuple[int, ...]:
     """Homology dimension at each position, by exact ranks."""
     if check and not vc.composes_to_zero():
         raise NotAComplex("consecutive differentials do not compose to zero")
-    n = len(vc.dims)
-    if n == 0:
-        return ()
-    ranks = [d.rank() for d in vc.diffs]
-    out = []
-    for i in range(n):
-        kernel = vc.dims[i] - (ranks[i - 1] if i >= 1 else 0)
-        image = ranks[i] if i < len(ranks) else 0
-        out.append(kernel - image)
-    return tuple(out)
+    # position i: kernel dims[i] - rank d_{i-1}, image rank d_i (0 past either end)
+    ranks = [0, *(d.rank() for d in vc.diffs), 0]
+    return tuple(dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(vc.dims))
 
 
 def is_exact(vc: VectorComplex) -> bool:
@@ -118,9 +112,7 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
     failures = []
     for a in degrees:
         h = homology_dims(strand(x, a), check=False)
-        for i in range(1, len(h)):
-            if h[i] != 0:
-                failures.append((a, i, h[i]))
+        failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 
 
@@ -197,10 +189,4 @@ def minimize(x: GradedComplex) -> GradedComplex:
 
 def graded_ranks(x: GradedComplex) -> list[dict[Multidegree, int]]:
     """Per level, the multiset of generator degrees (degree -> multiplicity)."""
-    out = []
-    for level in x.levels:
-        counts: dict[Multidegree, int] = {}
-        for gen in level:
-            counts[gen.degree] = counts.get(gen.degree, 0) + 1
-        out.append(counts)
-    return out
+    return [dict(Counter(gen.degree for gen in level)) for level in x.levels]

@@ -321,3 +321,80 @@ def test_cli_prime_field_moduli(tmp_path, capsys, modulus, code):
     path.write_text(json.dumps(raw))
     assert cli.run(["validate", str(path)]) == code
     capsys.readouterr()
+
+
+def _with_coeff(tmp_path, raw: dict, record: dict, literal: str | None) -> str:
+    """raw written to a file, record's coeff the JSON text literal (None: no coeff)."""
+    del record["coeff"]
+    if literal is not None:
+        record["coeff"] = "@COEFF@"
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps(raw).replace('"@COEFF@"', str(literal)))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF(7)"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1.0000000000000001",  # a JSON number, read through a float
+        "1",
+        "null",
+        '["1"]',
+        '"１２"',  # fullwidth digits
+        '"\\u0663"',  # an Arabic-Indic digit
+        '" 7"',
+        '"7 "',
+        '"7\\n"',
+        '"1_000"',
+        '"+7"',
+        '"1e5"',
+        '".5"',
+        '""',
+        None,
+    ],
+)
+def test_cli_coefficients_must_be_ascii_strings(tmp_path, capsys, field, literal):
+    from mgres import taylor_complex
+
+    raw = formats.load_json(DATA / "ex4.mmor")
+    raw["field"] = field
+    d = formats.complex_to_dict(taylor_complex(formats.morphism_from_dict(raw)))
+    assert cli.run(["validate", _with_coeff(tmp_path, raw, raw["entries"][0], literal)]) == 2
+    assert cli.run(["verify", _with_coeff(tmp_path, d, d["differentials"][0][0], literal)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, literal, code",
+    [
+        ("Q", '"0/5"', 0),
+        ("Q", '"-3/4"', 0),
+        ("Q", '"0.0"', 0),
+        ("Q", '"-0"', 0),
+        ("Q", '"1/0"', 2),
+        ("Q", '"1/-2"', 2),
+        ("GF(7)", '"-0"', 0),
+        ("GF(7)", '"-15"', 0),
+        ("GF(7)", '"1/2"', 2),
+        ("GF(7)", '"0.0"', 2),
+    ],
+)
+def test_cli_coefficient_grammar(tmp_path, capsys, field, literal, code):
+    raw = formats.load_json(DATA / "ex4.mmor")
+    raw["field"] = field
+    assert cli.run(["validate", _with_coeff(tmp_path, raw, raw["entries"][0], literal)]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget, code", [(11, 2), (12, 0)])
+def test_taylor_generator_budget_is_read_at_call_time(monkeypatch, capsys, budget, code):
+    from mgres import systems
+
+    # the Taylor complex of ex4 has ranks (2, 4, 4, 2): 12 generators
+    monkeypatch.setattr(systems, "MAX_GENERATORS", budget)
+    for command in ("taylor", "verify", "minimize"):
+        assert cli.run([command, str(DATA / "ex4.mmor")]) == code
+    err = capsys.readouterr().err
+    assert err.count("mgres: ") == (3 if code else 0)
+    assert ("12 generators" in err) == bool(code)

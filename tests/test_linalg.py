@@ -474,8 +474,9 @@ def test_sparse_product_matches_naive_references(p):
 
 @pytest.mark.parametrize("p", [0, 2, 7, 32003])
 def test_coded_zero_product_matches_mul(p):
-    """mul_is_zero and composes_to_zero against the boxed product's is_zero,
-    on products that vanish only by cancellation and on ones that do not."""
+    """mul (every entry) and composes_to_zero against a naive product of the
+    plain values, on products that vanish only by cancellation and on ones
+    that do not."""
     field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)
     outcomes, cancelled = set(), 0
     for r, c, ref, m in matrices:
@@ -490,11 +491,19 @@ def test_coded_zero_product_matches_mul(p):
                 for w in weights]
         killed = Matrix.from_columns(field, c, cols)
         for b in (rand, killed):
-            want = m.mul(b).is_zero()
-            assert m.mul_is_zero(b) == want
-            assert VectorComplex((r, c, k), (m, b)).composes_to_zero() == want
-            outcomes.add(want)
-            cancelled += want and not m.is_zero() and not b.is_zero()
+            other = [[plain(x) for x in row] for row in b.data]
+            want = [
+                [reduce(sum((ref[i][t] * other[t][j] for t in range(c)), 0)) for j in range(k)]
+                for i in range(r)
+            ]
+            zero = all(x == 0 for row in want for x in row)
+            product = m.mul(b)
+            assert (product.rows, product.cols) == (r, k)
+            assert [[plain(x) for x in row] for row in product.data] == want
+            assert product.is_zero() == zero
+            assert VectorComplex((r, c, k), (m, b)).composes_to_zero() == zero
+            outcomes.add(zero)
+            cancelled += zero and not m.is_zero() and not b.is_zero()
     assert outcomes == {True, False} and cancelled >= 20
 
 
@@ -522,4 +531,34 @@ def test_coded_zero_product_worked_cases(p, left, right, zero):
     a = Matrix.from_rows(field, [[field.of(x) for x in row] for row in left])
     b = Matrix.from_rows(field, [[field.of(x) for x in row] for row in right])
     assert a.mul(b).is_zero() == zero
-    assert a.mul_is_zero(b) == zero
+    assert VectorComplex((a.rows, a.cols, b.cols), (a, b)).composes_to_zero() == zero
+
+
+@pytest.mark.parametrize(
+    "p, left, right, product",
+    [
+        # row scales 2 and 3: decoded over both
+        (0, [[Fraction(1, 2)]], [[Fraction(1, 3)]], [[Fraction(1, 6)]]),
+        # right rows over 3 and 1: the first weighs 1, the second 3
+        (0, [[Fraction(1, 2), 1]], [[Fraction(1, 3)], [1]], [[Fraction(7, 6)]]),
+        (0, [[Fraction(1, 2), Fraction(1, 4)], [Fraction(-2, 3), 0]],
+         [[Fraction(1, 5), 0, 3], [Fraction(2, 7), Fraction(-1, 9), 0]],
+         [[Fraction(1, 10) + Fraction(1, 14), Fraction(-1, 36), Fraction(3, 2)],
+          [Fraction(-2, 15), 0, -2]]),
+        # a nonzero row beside one that cancels only as fractions
+        (0, [[Fraction(1, 3), Fraction(-1, 6)], [1, 1]], [[1], [2]], [[0], [3]]),
+        # sums past p wrap around
+        (2, [[1, 1, 1]], [[1], [1], [1]], [[1]]),
+        (7, [[3, 4]], [[5], [6]], [[4]]),
+        (7, [[6, 6], [1, 6]], [[6, 1], [6, 1]], [[2, 5], [0, 0]]),
+        (32003, [[32002, 32002]], [[32002], [2]], [[32002]]),
+    ],
+)
+def test_coded_product_values(p, left, right, product):
+    """Entries that decode only with both scales, and mod-p sums that wrap."""
+    field = PrimeField(p) if p else QQ
+    a = Matrix.from_rows(field, [[field.of(x) for x in row] for row in left])
+    b = Matrix.from_rows(field, [[field.of(x) for x in row] for row in right])
+    want = Matrix.from_rows(field, [[field.of(x) for x in row] for row in product])
+    assert a.mul(b) == want
+    assert [a.apply(list(col)) for col in zip(*b.data)] == [list(c) for c in zip(*want.data)]
