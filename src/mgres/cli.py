@@ -91,8 +91,9 @@ def _load_complex(args):
     )
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    body = formats.canonical_dumps(payload) if args.output == "json" else text + "\n"
+def _emit(args, payload: dict, text) -> None:
+    """Write the payload as JSON, or ``text()`` (built only for text output)."""
+    body = formats.canonical_dumps(payload) if args.output == "json" else text() + "\n"
     if args.out:
         try:
             Path(args.out).write_text(body)
@@ -173,31 +174,32 @@ def run(argv) -> int:
                 "rows": phi.g,
                 "rank": phi.coeff_data.r,
             }
-            _emit(args, payload, f"valid morphism: {phi.g}x{phi.e}, rank {phi.coeff_data.r}")
+            text = f"valid morphism: {phi.g}x{phi.e}, rank {phi.coeff_data.r}"
+            _emit(args, payload, lambda: text)
             return 0
 
         if args.command == "analyze":
             payload = _analyze_payload(_load_morphism(args))
-            _emit(args, payload, _analyze_text(payload))
+            _emit(args, payload, lambda: _analyze_text(payload))
             return 0
 
         if args.command in ("taylor", "scarf"):
             phi = _load_morphism(args)
             x = taylor_complex(phi) if args.command == "taylor" else scarf_complex(phi)
-            _emit(args, formats.complex_to_dict(x), formats.complex_text(x))
+            _emit(args, formats.complex_to_dict(x), lambda: formats.complex_text(x))
             return 0
 
         if args.command == "verify":
             report = verify.is_resolution(_load_complex(args))
             payload = {"format_version": formats.FORMAT_VERSION, **report.to_dict()}
             text = f"exact: {str(report.exact).lower()}, minimal: {str(report.minimal).lower()}"
-            _emit(args, payload, text)
+            _emit(args, payload, lambda: text)
             ok = report.exact and (report.minimal or not args.minimal)
             return 0 if ok else 1
 
         if args.command == "minimize":
             y = verify.minimize(_load_complex(args))
-            _emit(args, formats.complex_to_dict(y), formats.complex_text(y))
+            _emit(args, formats.complex_to_dict(y), lambda: formats.complex_text(y))
             return 0
 
         if args.command == "relabel":
@@ -205,7 +207,7 @@ def run(argv) -> int:
             x = formats.load_complex(args.src_complex)
             phi2 = formats.load_morphism(args.target_morphism)
             y = apply_relabel(f, x, phi2)
-            _emit(args, formats.complex_to_dict(y), formats.complex_text(y))
+            _emit(args, formats.complex_to_dict(y), lambda: formats.complex_text(y))
             return 0
 
         raise FormatError(f"unknown command {args.command!r}")

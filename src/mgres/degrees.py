@@ -50,15 +50,13 @@ def join(a: Sequence[int], b: Sequence[int]) -> Multidegree:
 
 
 def join_all(degrees: Iterable[Sequence[int]]) -> Multidegree:
-    """Join of a nonempty family of multidegrees."""
-    it = iter(degrees)
-    try:
-        acc = tuple(next(it))
-    except StopIteration:
-        raise ValueError("join of an empty family is undefined") from None
-    for d in it:
-        acc = join(acc, d)
-    return acc
+    """Join of a nonempty family of multidegrees, in one pass."""
+    ds = list(degrees)
+    if not ds:
+        raise ValueError("join of an empty family is undefined")
+    for d in ds:
+        _same_length(ds[0], d)
+    return tuple(map(max, zip(*ds)))
 
 
 def sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:

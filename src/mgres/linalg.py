@@ -24,8 +24,10 @@ over GF(p), where all scales are 1, an integer congruent to (A B)_ij.  So
 (A B)_ij is ``decode(sum, s_i L)``, zero exactly when the sum is 0 over Z
 or mod p; only nonzero sums are decoded.
 
-Subspaces are stored as reduced row echelon bases; subspace equality is
-literal equality of the stored rows.
+A ``Subspace`` is only its reduced echelon basis, so equality is equality
+of the stored rows.  Every subspace comes from one row-space reduction,
+``Subspace.row_space``, and every kernel from ``kernel_basis`` (one ``rref``,
+a sparse vector per free column, then ``row_space``).
 """
 
 from __future__ import annotations
@@ -180,20 +182,6 @@ class Matrix:
         num *= math.prod(row[c] for c, row in found.items())
         return self.field.decode(-num if inversions % 2 else num, den)
 
-    def kernel_rows(self) -> list[list]:
-        """A spanning set of the right kernel {v : self @ v = 0}."""
-        z, o = self.field.zero, self.field.one
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = [z] * self.cols
-            v[f] = o
-            for row, p in zip(red._entries, pivots):
-                v[p] = -row.get(f, z)
-            basis.append(v)
-        return basis
-
     def solve(self, b: Sequence) -> list | None:
         """One solution x of self @ x = b (free variables set to 0), or None."""
         x = self.solve_matrix(Matrix(self.field, len(b), 1, [[v] for v in b]))
@@ -295,35 +283,43 @@ def _normalize(row: dict, c: int, p: int) -> int:
 
 
 class Subspace:
-    """A subspace of a coordinate space, canonically a reduced echelon basis.
-
-    Two subspaces are equal exactly when their stored bases are identical,
-    which makes equality of kernels decidable by inspection; containment is
-    a rank test.
+    """A subspace of a coordinate space, stored only as its basis: the nonzero
+    rows of a reduced row echelon form, built by ``row_space`` (or, for a
+    kernel, ``kernel_basis``).  The basis is canonical, so two subspaces are
+    equal exactly when their stored bases are identical; containment is a
+    rank test; field, ambient dimension and dimension are read off the basis.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("basis",)
 
-    def __init__(self, field, ambient_dim: int, basis: Matrix):
-        self.field = field
-        self.ambient_dim = ambient_dim
+    def __init__(self, basis: Matrix):
         self.basis = basis
-        if basis.cols != ambient_dim:
-            raise DimensionError("basis width does not match ambient dimension")
+
+    @classmethod
+    def row_space(cls, m: Matrix) -> "Subspace":
+        """The span of the rows of m."""
+        red, pivots = m.rref()
+        return cls(Matrix._wrap(m.field, m.cols, red._entries[: len(pivots)]))
 
     @classmethod
     def from_rows(cls, field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
-        mat = Matrix.from_rows(field, rows, cols=ambient_dim)
-        red, pivots = mat.rref()
-        return cls(field, ambient_dim, red.submatrix(range(len(pivots)), range(ambient_dim)))
+        return cls.row_space(Matrix.from_rows(field, rows, cols=ambient_dim))
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.from_rows(field, [], cols=ambient_dim))
+        return cls(Matrix.zeros(field, 0, ambient_dim))
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
+        return cls(Matrix.identity(field, ambient_dim))
+
+    @property
+    def field(self):
+        return self.basis.field
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
@@ -339,18 +335,13 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Functionals (in dual coordinates) vanishing on this subspace."""
-        return Subspace.from_rows(self.field, self.ambient_dim, self.basis.kernel_rows())
+        return kernel_basis(self.basis)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and other.field == self.field
-            and other.ambient_dim == self.ambient_dim
-            and other.basis == self.basis
-        )
+        return isinstance(other, Subspace) and other.basis == self.basis
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
         rows = [list(r) for r in self.basis.data]
@@ -363,13 +354,20 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """The right kernel {v : m @ v = 0} in canonical echelon form."""
-    return Subspace.from_rows(m.field, m.cols, m.kernel_rows())
+    """The right kernel {v : m @ v = 0} in canonical echelon form: from one
+    ``rref``, e_f - sum_p red[p][f] e_p per free column f, then ``row_space``."""
+    red, pivots = m.rref()
+    vecs = [
+        {f: m.field.one} | {p: -row[f] for p, row in zip(pivots, red._entries) if f in row}
+        for f in range(m.cols)
+        if f not in pivots
+    ]
+    return Subspace.row_space(Matrix.from_nonzero_rows(m.field, m.cols, vecs))
 
 
 def column_space_basis(m: Matrix) -> Subspace:
     """Canonical basis of the column space."""
-    return Subspace.from_rows(m.field, m.rows, [list(r) for r in m.transpose().data])
+    return Subspace.row_space(m.transpose())
 
 
 def annihilator_basis(s: Subspace) -> Subspace:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 from . import degrees as deg
 from .degrees import Multidegree
 from .errors import DimensionError, HomogeneityError, ZeroColumnError
-from .linalg import Matrix, Subspace, column_space_basis
+from .linalg import Matrix, Subspace, column_space_basis, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ class Morphism:
         self.target_degrees = tuple(deg.as_degree(d, n) for d in target_degrees)
         self.entries = {(int(i), int(j)): v for (i, j), v in entries.items() if v}
         self.var_names = tuple(var_names) if var_names is not None else default_var_names(n)
+        self._k_spaces: dict[frozenset[int], Subspace] = {}
 
     @property
     def e(self) -> int:
@@ -120,13 +121,10 @@ class Morphism:
     @cached_property
     def coeff_data(self) -> CoeffData:
         """Coefficient matrix, rank, image subspace and V-coordinates."""
-        c = Matrix(
-            self.field,
-            self.g,
-            self.e,
-            [[self.entry(i, j) for j in range(1, self.e + 1)] for i in range(1, self.g + 1)],
-        )
-        return coeff_data_from_matrix(c)
+        rows = [{} for _ in range(self.g)]
+        for (i, j), v in self.entries.items():
+            rows[i - 1][j - 1] = v
+        return coeff_data_from_matrix(Matrix.from_nonzero_rows(self.field, self.e, rows))
 
     def columns_leq(self, a: Sequence[int]) -> frozenset[int]:
         """Indices of the columns whose degree is componentwise at most a."""
@@ -142,14 +140,18 @@ class Morphism:
         """Kernel of the restriction map V* -> V_I*, in V-coordinates.
 
         These are the functionals on V that kill the images of the columns
-        indexed by the face; for the empty face this is all of V*.
+        indexed by the face; for the empty face this is all of V*.  Computed
+        once per column set (many degrees share their I^a).
         """
-        cd = self.coeff_data
-        idx = sorted(set(face))
-        if any(not 1 <= i <= self.e for i in idx):
-            raise DimensionError(f"face {idx} has indices outside 1..{self.e}")
-        cols = cd.uv.submatrix(range(cd.r), [j - 1 for j in idx]).transpose()
-        return Subspace.from_rows(self.field, cd.r, cols.kernel_rows())
+        key = frozenset(face)
+        if key not in self._k_spaces:
+            idx = sorted(key)
+            if any(not 1 <= i <= self.e for i in idx):
+                raise DimensionError(f"face {idx} has indices outside 1..{self.e}")
+            cd = self.coeff_data
+            cols = cd.uv.submatrix(range(cd.r), [j - 1 for j in idx]).transpose()
+            self._k_spaces[key] = kernel_basis(cols)
+        return self._k_spaces[key]
 
     def is_uniform_rank(self) -> bool:
         """Every r-element column subset of C is linearly independent."""

@@ -29,6 +29,25 @@ def test_join_empty_family_rejected():
         join_all([])
 
 
+def test_join_all_dimension_mismatch():
+    for family in ([(1, 2), (1, 2, 3)], [(1, 2, 3), (1, 2)], [(1, 2), (0, 1), (3,)]):
+        with pytest.raises(DimensionError):
+            join_all(family)
+
+
+def test_join_all_matches_pairwise_joins():
+    rng = random.Random(13)
+    assert join_all([(4, 0, 2)]) == (4, 0, 2)
+    assert join_all(iter([(), ()])) == ()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        family = [tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        want = family[0]
+        for d in family[1:]:
+            want = join(want, d)
+        assert join_all(iter(family)) == want
+
+
 def test_support():
     assert support((1, 0, 2)) == {1, 3}
     assert support(sub((3, 0), (2, 1))) == {1, 2}

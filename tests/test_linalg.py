@@ -374,15 +374,18 @@ def _check_elimination_kernel(p, count, band, reference_det):
         if r == c:
             assert plain(m.det()) == reference_det(ref, p)
 
-        kernel = [[plain(x) for x in v] for v in m.kernel_rows()]
-        expected = []
+        kernel = [[plain(x) for x in v] for v in kernel_basis(m).basis.data]
+        spanning = []
         for f in (j for j in range(c) if j not in pivots):
             v = [0] * c
-            v[f] = 1
+            v[f] = 1 if p else Fraction(1)
             for i, q in enumerate(pivots):
                 v[q] = reduce(-red[i][f])
-            expected.append(v)
-        assert kernel == expected
+            spanning.append(v)
+        expected, kernel_pivots = _reference_rref(spanning, c, p)
+        assert kernel == expected[: len(kernel_pivots)]
+        assert len(kernel) == c - len(pivots)
+        assert all(reduce(sum(a * b for a, b in zip(row, v))) == 0 for row in ref for v in kernel)
 
         x0 = [draw() for _ in range(c)]
         solvable = [reduce(sum(a * b for a, b in zip(row, x0))) for row in ref]
@@ -464,9 +467,9 @@ def test_sparse_product_matches_naive_references(p):
         assert product.is_zero() == all(x == 0 for row in want for x in row)
 
         # a product that cancels: m times a basis of its own kernel
-        kernel = m.kernel_rows()
-        zero = m.mul(Matrix.from_columns(field, c, kernel))
-        assert (zero.rows, zero.cols) == (r, len(kernel))
+        kernel = kernel_basis(m).basis
+        zero = m.mul(kernel.transpose())
+        assert (zero.rows, zero.cols) == (r, kernel.rows)
         assert all(x == field.zero for row in zero.data for x in row)
         assert zero.is_zero()
         assert zero.nonzero_rows() == [{} for _ in range(r)]
@@ -485,7 +488,7 @@ def test_coded_zero_product_matches_mul(p):
                 for _ in range(c)]
         rand = Matrix.from_rows(field, rows, k)
         # columns in the kernel of m, combined with drawn (over Q fractional) weights
-        kernel = m.kernel_rows()
+        kernel = kernel_basis(m).basis.data
         weights = [[field.of(draw()) for _ in kernel] for _ in range(k)]
         cols = [[sum((a * v[t] for a, v in zip(w, kernel)), field.zero) for t in range(c)]
                 for w in weights]

@@ -1,12 +1,15 @@
 """Morphism validation, coefficient data, degree-restricted columns,
 kernel functionals, and the genericity/rank predicates."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from mgres import (
     QQ,
+    DimensionError,
     HomogeneityError,
     Matrix,
     Morphism,
@@ -129,6 +132,90 @@ def test_k_space_kills_restricted_images():
             for j in face:
                 col = [cd.uv.data[t][j - 1] for t in range(cd.r)]
                 assert sum((x * y for x, y in zip(v, col)), QQ.zero) == QQ.zero
+
+
+def _gauss_jordan(rows, cols, p):
+    """Nonzero rows of the reduced row echelon form and the pivot columns,
+    one column at a time (entries are Fractions, or ints mod p)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        i = next((i for i in range(k, len(m)) if m[i][c] != 0), None)
+        if i is None:
+            continue
+        m[k], m[i] = m[i], m[k]
+        inv = pow(m[k][c], -1, p) if p else 1 / m[k][c]
+        m[k] = [x * inv % p if p else x * inv for x in m[k]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != k and f != 0:
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[k])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _naive_kernel(rows, cols, p):
+    """Canonical basis of {v : rows @ v = 0}: one vector per free column,
+    then reduced again."""
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    red, pivots = _gauss_jordan(rows, cols, p)
+    spanning = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [zero] * cols
+        v[f] = one
+        for row, q in zip(red, pivots):
+            v[q] = -row[f] % p if p else -row[f]
+        spanning.append(v)
+    return _gauss_jordan(spanning, cols, p)[0]
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_k_space_matches_naive_gauss_jordan(p):
+    """k_space(I) is the kernel of uv[:, I]^T, against a plain Gauss-Jordan,
+    on every face of small random morphisms (some columns multiples of
+    others), each face given in a shuffled order and as a set; the empty face
+    gives all of V*, and an out-of-range index raises on every call."""
+    rng = random.Random(20261018 + p)
+    field = PrimeField(p) if p else QQ
+
+    def plain(x):
+        return x.v if p else Fraction(x)
+
+    def draw():
+        return rng.randrange(p) if p else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    kernel_dims = set()
+    for _ in range(25):
+        g, e = rng.randint(1, 3), rng.randint(1, 6)
+        cols = []
+        for _ in range(e):
+            if cols and rng.random() < 0.3:
+                c = rng.randrange(1, p) if p else rng.choice([-2, -1, 1, 3])
+                cols.append([c * x % p if p else c * x for x in rng.choice(cols)])
+            else:
+                cols.append([draw() for _ in range(g)])
+        entries = {
+            (i, j): field.of(x) for j, col in enumerate(cols, 1) for i, x in enumerate(col, 1)
+        }
+        phi = Morphism(1, field, [(1,)] * e, [(0,)] * g, entries)
+        cd = phi.coeff_data
+        uv = [[plain(x) for x in row] for row in cd.uv.data]
+        for size in range(e + 1):
+            for face in itertools.combinations(range(1, e + 1), size):
+                want = _naive_kernel([[uv[t][j - 1] for t in range(cd.r)] for j in face], cd.r, p)
+                shuffled = list(face)
+                rng.shuffle(shuffled)
+                k = phi.k_space(shuffled)
+                assert [[plain(x) for x in v] for v in k.basis.data] == want
+                assert phi.k_space(set(face)) == k
+                kernel_dims.add(len(want))
+        assert phi.k_space(()) == Subspace.full(field, cd.r)
+        for bad in ([0], [e + 1], [e + 1, 1]):
+            for _ in range(2):
+                with pytest.raises(DimensionError):
+                    phi.k_space(bad)
+    assert {0, 1, 2} <= kernel_dims
 
 
 def test_uniform_rank_examples():
