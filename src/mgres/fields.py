@@ -39,6 +39,9 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # digits): an integer, and over Q also a fraction or a plain decimal.
 _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+# Field tags: exactly "Q", or "GF(p)" with p in ASCII decimal, no sign, no
+# leading zero and at most 20 digits (every modulus below 2^64 fits).
+_FIELD_TAG = re.compile(r"Q|GF\(([1-9][0-9]{0,19})\)")
 
 
 def _coefficient(s, grammar: re.Pattern, kind: str) -> str:
@@ -204,14 +207,9 @@ QQ = RationalField()
 
 
 def field_by_name(name: str):
-    """Resolve a field tag such as "Q" or "GF(7)" to a field handle."""
-    name = name.strip()
-    if name == "Q":
-        return QQ
-    if name.startswith("GF(") and name.endswith(")"):
-        try:
-            p = int(name[3:-1])
-        except ValueError as exc:
-            raise FormatError(f"bad field tag {name!r}") from exc
-        return PrimeField(p)
-    raise FormatError(f"unknown field tag {name!r}")
+    """Resolve a field tag, "Q" or "GF(p)" in the grammar of _FIELD_TAG, to a
+    field handle; FormatError for any other string."""
+    m = _FIELD_TAG.fullmatch(name)
+    if m is None:
+        raise FormatError(f"bad field tag {name[:40]!r}: expected {_FIELD_TAG.pattern}")
+    return PrimeField(int(m[1])) if m[1] else QQ

@@ -1,19 +1,20 @@
 """The LCM-lattice of a morphism and its Scarf combinatorics.
 
 The lattice consists of all joins of nonempty subsets of the source
-degrees: ``degrees.join_closure`` of the atoms.  A face (nonempty set of
-column indices) is a Scarf face when no other face realizes its degree; the
-lattice splits accordingly into the degrees of Scarf faces and the rest.
-For a lattice degree ``a`` the face data records I_a (all columns of degree
-at most a), the intersection I(a) of all faces of degree a, and the
-difference set.
+degrees.  It is one table per morphism, ``Morphism.lattice_columns``: each
+element a of ``degrees.join_closure`` with I_a (the columns of degree at
+most a), built once under the closure budget and read by ``lcm_lattice``,
+``face_data`` (a lookup) and ``Morphism.is_maximal_rank_everywhere``.  A
+face (nonempty set of columns) is a Scarf face when no other face realizes
+its degree.  The face data of a records I_a, I(a) and I^a = I_a - I(a).
 
 Every face of degree a lies in I_a and reaches a in every coordinate, so a
 column lies in I(a) exactly when it is the sole column of I_a reaching a in
-some coordinate, and a is realized exactly when every coordinate is
-reached.  If I(a) = I_a, then I_a is the only face of degree a: a is Scarf,
-with Scarf face I_a.  Otherwise I_a and I_a minus a column outside I(a) are
-two faces of degree a.  This costs O(|L| e n), not 2^e subsets.
+some coordinate, and a degree is in the closure exactly when it is realized
+(I_a then reaches every coordinate of a, whose join it is).  If I(a) = I_a,
+then I_a is the only face of degree a: a is Scarf, with Scarf face I_a.
+Otherwise I_a and I_a minus a column outside I(a) are two faces of degree
+a.  This costs O(|L| e n), not 2^e subsets.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def lcm_lattice(phi: Morphism) -> LcmLattice:
     """The join closure of the source degrees, partitioned into Scarf and
     non-Scarf parts, the Scarf faces (a is Scarf iff I(a) = I_a) and the
     face data of the non-Scarf degrees; a Scarf degree keeps only its face."""
-    elements = frozenset(deg.join_closure(phi.source_degrees))
+    elements = frozenset(phi.lattice_columns)
     scarf, other = {}, []
-    for a in sorted(elements):
+    for a in phi.lattice_columns:
         fd = face_data(phi, a)
         if fd.i_upper_a:
             other.append(fd)
@@ -80,13 +81,13 @@ def lcm_lattice(phi: Morphism) -> LcmLattice:
 
 
 def face_data(phi: Morphism, a: Iterable[int]) -> FaceData:
-    """I_a, I(a) and I^a for a lattice degree a, by the sole-reacher rule of
-    the module docstring; DegreeNotInLattice for a degree no face realizes."""
+    """I_a, I(a) and I^a for a lattice degree a: I_a from the lattice table,
+    I(a) by the sole-reacher rule; DegreeNotInLattice for any other degree."""
     a = deg.as_degree(tuple(a), phi.n)
-    i_a = phi.columns_leq(a)
+    i_a = phi.lattice_columns.get(a)
+    if i_a is None:
+        raise DegreeNotInLattice(f"no face has degree {a}")
     src = phi.source_degrees
     reach = [[j for j in i_a if src[j - 1][k] == c] for k, c in enumerate(a)]
-    if not all(reach):
-        raise DegreeNotInLattice(f"no face has degree {a}")
     i_of_a = frozenset(r[0] for r in reach if len(r) == 1)
     return FaceData(a, i_a, i_of_a, i_a - i_of_a)

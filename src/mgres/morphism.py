@@ -132,6 +132,11 @@ class Morphism:
             j for j, d in enumerate(self.source_degrees, start=1) if deg.leq(d, a)
         )
 
+    @cached_property
+    def lattice_columns(self) -> dict[Multidegree, frozenset[int]]:
+        """The LCM-lattice table: maps each closure degree a, in sorted order, to I_a."""
+        return {a: self.columns_leq(a) for a in sorted(deg.join_closure(self.source_degrees))}
+
     def face_degree(self, face: Iterable[int]) -> Multidegree:
         """Join of the source degrees over a nonempty index set."""
         return deg.join_all(self.source_degrees[i - 1] for i in sorted(face))
@@ -178,15 +183,14 @@ class Morphism:
     def is_maximal_rank_everywhere(self) -> MaxRankResult:
         """Check rank C_a = min(r, #columns of C_a) for every multidegree a.
 
-        The quantifier over all of N^n reduces to the join-closure of the
+        The quantifier over all of N^n reduces to the join closure of the
         source degrees: for any a, the column set I_a is reproduced at the
         join of the degrees it contains, so only closure points can witness
-        a failure.
-        """
+        a failure.  Runs over ``lattice_columns``; the witness is the first
+        failing lattice degree in sorted order."""
         cd = self.coeff_data
-        for a in sorted(deg.join_closure(self.source_degrees)):
-            cols = sorted(self.columns_leq(a))
-            sub = cd.matrix.submatrix(range(self.g), [j - 1 for j in cols])
+        for a, cols in self.lattice_columns.items():
+            sub = cd.matrix.submatrix(range(self.g), [j - 1 for j in sorted(cols)])
             if sub.rank() != min(cd.r, len(cols)):
                 return MaxRankResult(False, a)
         return MaxRankResult(True, None)

@@ -323,6 +323,32 @@ def test_cli_prime_field_moduli(tmp_path, capsys, modulus, code):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "tag, code",
+    [
+        ("Q", 0),
+        ("GF(7)", 0),
+        ("GF(18446744073709551557)", 0),  # 2^64 - 59, twenty digits
+        ("GF(\u0667)", 2),  # an Arabic-Indic digit
+        ("GF(\uff17)", 2),  # a fullwidth digit
+        ("GF(1_0007)", 2),
+        ("GF( 7 )", 2),
+        ("GF(+7)", 2),
+        ("GF(07)", 2),
+        (" GF(7)", 2),
+        ("Q ", 2),
+    ],
+)
+def test_cli_field_tag_grammar(tmp_path, capsys, tag, code):
+    # exactly Q or GF(p), p in ASCII decimal without sign or leading zero
+    raw = formats.load_json(DATA / "ex4.mmor")
+    raw["field"] = tag
+    path = tmp_path / "tag.mmor"
+    path.write_text(json.dumps(raw))
+    assert cli.run(["validate", str(path)]) == code
+    capsys.readouterr()
+
+
 def _with_coeff(tmp_path, raw: dict, record: dict, literal: str | None) -> str:
     """raw written to a file, record's coeff the JSON text literal (None: no coeff)."""
     del record["coeff"]

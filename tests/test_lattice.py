@@ -26,7 +26,7 @@ from mgres import (
     taylor_complex,
 )
 from mgres.lattice import faces_by_degree
-from helpers import random_generic_minimal, random_morphism, xy_example
+from helpers import DATA, random_generic_minimal, random_morphism, xy_example
 
 
 def test_lattice_example():
@@ -252,8 +252,13 @@ def test_closure_budget(tmp_path, monkeypatch, capsys):
     complex_path.write_text(formats.canonical_dumps(formats.complex_to_dict(taylor_complex(phi))))
     assert len(lcm_lattice(phi).elements) == 255
     monkeypatch.setattr(degrees, "MAX_CLOSURE_ELEMENTS", 100)
+    # the lattice table is cached on phi, so each budget check needs a fresh morphism
     with pytest.raises(ClosureTooLarge):
-        lcm_lattice(phi)
+        lcm_lattice(_unit_vector_morphism(8))
+    with pytest.raises(ClosureTooLarge):
+        face_data(_unit_vector_morphism(8), (1,) * 8)
+    with pytest.raises(ClosureTooLarge):
+        _unit_vector_morphism(8).is_maximal_rank_everywhere()
     capsys.readouterr()
     for argv in (["analyze", str(path)], ["scarf", str(path)], ["verify", str(complex_path)]):
         assert cli.run(argv) == 2
@@ -261,6 +266,22 @@ def test_closure_budget(tmp_path, monkeypatch, capsys):
         assert err.startswith("mgres: ") and err.count("\n") == 1
     monkeypatch.setattr(degrees, "MAX_CLOSURE_ELEMENTS", 255)
     assert cli.run(["analyze", str(path), "--output", "json"]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "scarf"])
+def test_one_closure_walk_per_command(monkeypatch, capsys, command):
+    # lcm_lattice, face_data and the maximal-rank check share one lattice table
+    calls = []
+    walk = degrees.join_closure
+
+    def counting(atoms):
+        calls.append(1)
+        return walk(atoms)
+
+    monkeypatch.setattr(degrees, "join_closure", counting)
+    assert cli.run([command, str(DATA / "ex4.mmor"), "--output", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_wide_generic_scarf_cli(tmp_path, capsys):
