@@ -13,6 +13,14 @@ import random
 from pathlib import Path
 
 from mgres import QQ, GradedComplex, Generator, Matrix, Morphism, PrimeField, Subspace
+from mgres.verify import (
+    ExactnessReport,
+    check_d2,
+    homology_dims,
+    is_minimal,
+    strand,
+    strand_degrees,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -309,6 +317,20 @@ def rescan_minimize(x: GradedComplex) -> GradedComplex:
         ],
         var_names=x.var_names,
     )
+
+
+def strandwise_is_resolution(x: GradedComplex) -> ExactnessReport:
+    """Slow-path oracle for ``is_resolution``: every strand's homology taken
+    on x itself, with no minimization first."""
+    minimal = is_minimal(x)
+    if not check_d2(x):
+        return ExactnessReport(False, (), (), minimal)
+    degrees = strand_degrees(x)
+    failures = []
+    for a in degrees:
+        h = homology_dims(strand(x, a), check=False)
+        failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
+    return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 
 
 def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:

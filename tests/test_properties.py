@@ -1,4 +1,6 @@
-"""Property tests of the LCM-lattice table against the 2^e subset walk.
+"""Property tests of the LCM-lattice table against the 2^e subset walk, and
+of ``minimize`` on the Taylor complex against its rescanning oracle and the
+strand homology of the complex it came from.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
 repeated and comparable degrees are common) over Q and three prime fields.
@@ -19,11 +21,16 @@ from mgres import (  # noqa: E402
     PrimeField,
     face_data,
     formats,
+    homology_dims,
     lcm_lattice,
     leq,
+    minimize,
+    strand,
+    taylor_complex,
 )
 from mgres.lattice import faces_by_degree  # noqa: E402
-from helpers import brute_minor_rank  # noqa: E402
+from mgres.verify import strand_degrees  # noqa: E402
+from helpers import brute_minor_rank, rescan_minimize  # noqa: E402
 
 FIELDS = (QQ, PrimeField(2), PrimeField(7), PrimeField(32003))
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -100,3 +107,15 @@ def test_morphism_json_fixed_point(phi):
     text = formats.canonical_dumps(formats.morphism_to_dict(phi))
     again = formats.morphism_to_dict(formats.morphism_from_dict(json.loads(text)))
     assert formats.canonical_dumps(again) == text
+
+
+@settings(PROPERTY, max_examples=100)
+@given(morphisms())
+def test_minimize_keeps_every_strand_homology(phi):
+    x = taylor_complex(phi)
+    m = minimize(x)
+    assert m == rescan_minimize(x)
+    for a in strand_degrees(x):
+        h = homology_dims(strand(x, a))
+        # minimize drops trailing levels only once they are all cancelled
+        assert h == homology_dims(strand(m, a)) + (0,) * (len(h) - len(m.levels))

@@ -1,12 +1,14 @@
 """Complex verification: composition, strands, homology, exactness,
 minimality, and the unit-entry cancellation oracle."""
 
+import itertools
 import random
 
 import pytest
 
 from mgres import (
     QQ,
+    Generator,
     GradedComplex,
     Matrix,
     Morphism,
@@ -25,11 +27,13 @@ from mgres import (
 from mgres.formats import complex_to_dict, load_morphism
 from helpers import (
     DATA,
+    ROOT,
     mod_p,
     monomial_ideal_morphism,
     random_generic_minimal,
     random_morphism,
     rescan_minimize,
+    strandwise_is_resolution,
     xy_example,
 )
 
@@ -120,10 +124,10 @@ def test_is_resolution_goldens():
     assert s.exact and s.minimal
 
 
-def test_is_resolution_failure_witness():
-    # columns 1 and 2 are parallel but live at incomparable degrees, so the
-    # restricted matrix at their join drops rank
-    phi = Morphism(
+def _cloned_column_morphism() -> Morphism:
+    """Columns 1 and 2 are parallel but live at incomparable degrees, so the
+    restricted matrix at their join drops rank."""
+    return Morphism(
         2,
         QQ,
         [(1, 0), (0, 1), (2, 0)],
@@ -136,6 +140,10 @@ def test_is_resolution_failure_witness():
             (2, 3): QQ.one,
         },
     ).validate()
+
+
+def test_is_resolution_failure_witness():
+    phi = _cloned_column_morphism()
     assert phi.coeff_data.r == 2
     res = phi.is_maximal_rank_everywhere()
     assert not res.ok and res.witness == (1, 1)
@@ -226,17 +234,86 @@ def test_minimize_matches_rescan_oracle(field_name):
         assert minimize(s) == s
 
 
+def _first_non_exact_draw(field_name):
+    """The Taylor complex of the first _draws morphism with two parallel
+    nonzero coefficient columns and a strand with homology."""
+    for phi in _draws(field_name, 4129, 30):
+        cols = phi.coeff_data.matrix.transpose().nonzero_rows()
+        cloned = any(
+            a and b and a.keys() == b.keys() and len({a[k] / b[k] for k in a}) == 1
+            for a, b in itertools.combinations(cols, 2)
+        )
+        t = taylor_complex(phi)
+        if cloned and strandwise_is_resolution(t).failures:
+            return t
+    raise AssertionError("no non-exact clone draw")
+
+
 def test_minimize_preserves_strand_euler_characteristics():
+    # and the full homology vector, on an exact and a non-exact complex
     from mgres.verify import strand_degrees
 
-    t = taylor_complex(xy_example())
-    m = minimize(t)
-    for a in strand_degrees(t):
-        before = strand(t, a).dims
-        after = strand(m, a).dims
-        euler_b = sum((-1) ** i * d for i, d in enumerate(before))
-        euler_a = sum((-1) ** i * d for i, d in enumerate(after))
-        assert euler_b == euler_a
+    exact = taylor_complex(xy_example())
+    for t in (exact, _first_non_exact_draw("Q"), _first_non_exact_draw("GF(32003)")):
+        m = minimize(t)
+        failures = 0
+        for a in strand_degrees(t):
+            before = strand(t, a).dims
+            after = strand(m, a).dims
+            euler_b = sum((-1) ** i * d for i, d in enumerate(before))
+            euler_a = sum((-1) ** i * d for i, d in enumerate(after))
+            assert euler_b == euler_a
+            h = homology_dims(strand(t, a))
+            # minimize drops trailing levels only once they are all cancelled
+            assert h == homology_dims(strand(m, a)) + (0,) * (len(h) - len(m.levels))
+            failures += any(h[1:])
+        assert (failures == 0) == (t is exact)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "GF(32003)"])
+def test_is_resolution_matches_strandwise_oracle(field_name):
+    examples = [
+        load_morphism(DATA / "ex4.mmor"),
+        load_morphism(DATA / "ex7_prime.mmor"),
+        _cloned_column_morphism(),
+    ]
+    if field_name != "Q":
+        examples = [mod_p(phi) for phi in examples]
+    reports = []
+    for phi in examples + list(_draws(field_name, 4127, 15)):
+        for x in (taylor_complex(phi), scarf_complex(phi)):
+            report = is_resolution(x)
+            assert report == strandwise_is_resolution(x)
+            reports.append(report)
+    assert sum(1 for r in reports if r.failures) >= 2  # the cloned column, both complexes
+    assert sum(1 for r in reports if not r.minimal) > len(reports) // 3
+
+
+def test_is_resolution_matches_strandwise_oracle_on_files():
+    from mgres import relabel
+    from mgres.formats import load_complex, load_relabel_map
+
+    names = [f"{c}_{ex}.json" for c in ("taylor", "scarf", "minimize") for ex in ("ex4", "ex7_prime")]
+    loaded = [load_complex(ROOT / "tests" / "golden" / name) for name in names]
+    f = load_relabel_map(DATA / "ex7_relabel.json")
+    phi2 = load_morphism(DATA / "ex7_prime.mmor")
+    relabeled = [relabel(f, x, phi2) for name, x in zip(names, loaded) if "ex4" in name]
+    for x in loaded + relabeled:
+        assert is_resolution(x) == strandwise_is_resolution(x)
+    assert not all(is_minimal(x) for x in loaded + relabeled)
+
+
+def test_is_resolution_matches_strandwise_oracle_off_complexes():
+    # hand-built, homogeneous and not a complex: d1 d2 = 1
+    g = [[Generator((0, 0), "a")], [Generator((1, 0), "b")], [Generator((1, 0), "c")]]
+    x = GradedComplex(QQ, 2, g, [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)])
+    assert x.is_homogeneous()
+    report = is_resolution(x)
+    assert report == strandwise_is_resolution(x)
+    assert not report.is_complex and not report.minimal and report.tested_degrees == ()
+    corrupted = corrupt_entry(taylor_complex(xy_example()), 1, 0, 0)
+    assert is_resolution(corrupted) == strandwise_is_resolution(corrupted)
+    assert not is_resolution(corrupted).is_complex
 
 
 def test_minimize_monomial_taylor_gives_scarf_ranks():
