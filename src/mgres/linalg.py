@@ -24,6 +24,11 @@ over GF(p), where all scales are 1, an integer congruent to (A B)_ij.  So
 (A B)_ij is ``decode(sum, s_i L)``, zero exactly when the sum is 0 over Z
 or mod p; only nonzero sums are decoded.
 
+The row updates ``_normalize`` and ``_clear`` serve two passes: ``_echelon``
+and ``cancel``, the unit cancellation of ``verify.minimize``, which
+normalizes each pivot row its caller names, clears that column in every other
+row (its scale times ``_clear``'s multiplier) and decodes each row left once.
+
 A ``Subspace`` is only its reduced echelon basis, so equality is equality
 of the stored rows.  Every subspace comes from one row-space reduction,
 ``Subspace.row_space``, and every kernel from ``kernel_basis`` (one ``rref``,
@@ -182,6 +187,32 @@ class Matrix:
         num *= math.prod(row[c] for c, row in found.items())
         return self.field.decode(-num if inversions % 2 else num, den)
 
+    def cancel(self, rows: Sequence[int], pivot) -> tuple["Matrix", list[tuple[int, int]]]:
+        """One forward pass over the given rows: ``pivot(i, cols)`` names one of
+        row i's current nonzero columns or None; a pivot row is dropped and
+        clears its column in every other given row.  Returns the rows left,
+        in order and with all columns, and the (row, column) pivots taken."""
+        field, p = self.field, self.field.characteristic
+        coded, scales = field.encode_rows([self._entries[i] for i in rows])
+        # per column, the rows nonzero there and some no longer (checked on use)
+        where = [set(col) for col in _columns(coded, self.cols)]
+        pairs = []
+        for k, i in enumerate(rows):
+            q = pivot(i, coded[k].keys())
+            if q is None:
+                continue
+            pairs.append((i, q))
+            prow, coded[k] = coded[k], None  # dropped
+            _normalize(prow, q, p)
+            for r in list(where[q]):
+                if coded[r] is not None and q in coded[r]:
+                    scales[r] *= _clear(coded[r], prow, q, p)
+                    for j in prow:
+                        where[j].add(r)
+        out = [{j: field.decode(r[j], s) for j in sorted(r)}
+               for r, s in zip(coded, scales) if r is not None]
+        return Matrix._wrap(field, self.cols, out), pairs
+
     def solve(self, b: Sequence) -> list | None:
         """One solution x of self @ x = b (free variables set to 0), or None."""
         x = self.solve_matrix(Matrix(self.field, len(b), 1, [[v] for v in b]))
@@ -333,10 +364,6 @@ class Subspace:
         stacked = self.basis._entries + other.basis._entries
         return self.dim == Matrix.from_nonzero_rows(self.field, self.ambient_dim, stacked).rank()
 
-    def annihilator(self) -> "Subspace":
-        """Functionals (in dual coordinates) vanishing on this subspace."""
-        return kernel_basis(self.basis)
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and other.basis == self.basis
 
@@ -372,4 +399,4 @@ def column_space_basis(m: Matrix) -> Subspace:
 
 def annihilator_basis(s: Subspace) -> Subspace:
     """Functionals vanishing on s; dimension = ambient - dim(s)."""
-    return s.annihilator()
+    return kernel_basis(s.basis)

@@ -26,7 +26,6 @@ from .degrees import Multidegree
 from .errors import NotAComplex
 from .multilinear import VectorComplex
 from .systems import GradedComplex
-from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -144,56 +143,34 @@ def minimize(x: GradedComplex) -> GradedComplex:
     No earlier differential gains a unit, and in a homogeneous complex a
     pivot of degree a changes a zero-shift entry (r, c) only when d[r, q]
     already was one (deg r = deg c = a), so no row already passed gains a
-    unit.  One pass over the sparse rows of d_0, d_1, ..., each pivoting at
-    its first zero-shift nonzero column and updating only the rows nonzero
-    in that column, thus makes the cancellations of restarting after each.
+    unit.  One pass over the rows of d_0, d_1, ..., each pivoting at its
+    first zero-shift nonzero column, thus makes the cancellations of
+    restarting after each.  ``minimize`` chooses the pivots by degree;
+    ``Matrix.cancel`` does the arithmetic.
     """
-    field, zero, levels = x.field, x.field.zero, x.levels
-    sparse = []  # per differential, its surviving rows
+    levels = x.levels
+    cut, keep = [], []  # per differential, its surviving rows and their indices
     dead = set()  # generators of the current level cancelled as columns
-    for i, d in enumerate(x.diffs):
-        rows, cols = {}, [set() for _ in levels[i + 1]]
-        for p, row in enumerate(d.nonzero_rows()):
-            if p not in dead:
-                rows[p] = row
-                for q in row:
-                    cols[q].add(p)
-        dead = set()
-        for p in list(rows):
-            a = levels[i][p].degree
-            q = min((q for q in rows[p] if levels[i + 1][q].degree == a), default=None)
-            if q is None:
-                continue
-            pivot = rows.pop(p)
-            for c in pivot:
-                cols[c].discard(p)
-            u_inv = field.one / pivot.pop(q)
-            for r in cols[q]:
-                target = rows[r]
-                f = target.pop(q) * u_inv
-                for c, v in pivot.items():
-                    w = target.get(c, zero) - f * v
-                    if w:
-                        target[c] = w
-                        cols[c].add(r)
-                    else:
-                        del target[c]
-                        cols[c].discard(r)
-            dead.add(q)
-        sparse.append(rows)
-    keep = [list(rows) for rows in sparse]
+    for d, src, dst in zip(x.diffs, levels, levels[1:]):
+
+        def pivot(p, cols):
+            a = src[p].degree
+            return min((q for q in cols if dst[q].degree == a), default=None)
+
+        rows = [p for p in range(d.rows) if p not in dead]
+        m, pairs = d.cancel(rows, pivot)
+        gone = {p for p, _ in pairs}
+        cut.append(m)
+        keep.append([p for p in rows if p not in gone])
+        dead = {q for _, q in pairs}
     keep += [[q for q in range(len(level)) if q not in dead] for level in levels[-1:]]
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
-    diffs = []
-    for i, (ps, qs) in enumerate(zip(keep, keep[1:])):
-        # a row may still be nonzero at a generator cancelled as a pivot row
-        # of the next differential; that column is split off, not kept
-        new_col = {q: c for c, q in enumerate(qs)}
-        rows = [{new_col[q]: v for q, v in sparse[i][p].items() if q in new_col} for p in ps]
-        diffs.append(Matrix.from_nonzero_rows(field, len(qs), rows))
+    # a row may still be nonzero at a generator cancelled as a pivot row of
+    # the next differential; that column is split off, not kept
+    diffs = [m.submatrix(range(m.rows), qs) for m, qs in zip(cut, keep[1:])]
     kept = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
-    return GradedComplex(field, x.n, kept, diffs, var_names=x.var_names)
+    return GradedComplex(x.field, x.n, kept, diffs, var_names=x.var_names)
 
 
 def graded_ranks(x: GradedComplex) -> list[dict[Multidegree, int]]:

@@ -565,3 +565,35 @@ def test_coded_product_values(p, left, right, product):
     want = Matrix.from_rows(field, [[field.of(x) for x in row] for row in product])
     assert a.mul(b) == want
     assert [a.apply(list(col)) for col in zip(*b.data)] == [list(c) for c in zip(*want.data)]
+
+
+@pytest.mark.parametrize("band,count", [("small", 150), ("strand", 4)])
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_cancel_matches_naive_row_operations(p, band, count):
+    """Matrix.cancel against the same pivots taken on plain rows: each pivot
+    row is dropped and every other row r becomes r - (r[q] / pivot[q]) pivot."""
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, count, band)
+
+    def rule(i, cols):
+        # a pivot that depends on the current support: the last nonzero column
+        return max(cols) if cols and i % 3 else None
+
+    for r, c, ref, m in matrices:
+        order = [i for i in range(r) if rng.random() < 0.8]
+        rng.shuffle(order)
+        live = {i: list(ref[i]) for i in order}
+        want_pairs = []
+        for i in order:
+            q = rule(i, [j for j, x in enumerate(live[i]) if x])
+            if q is None:
+                continue
+            want_pairs.append((i, q))
+            prow = live.pop(i)
+            for row in live.values():
+                f = row[q] * pow(prow[q], -1, p) if p else row[q] / prow[q]
+                row[:] = [reduce(x - f * y) for x, y in zip(row, prow)]
+        got, pairs = m.cancel(order, rule)
+        assert pairs == want_pairs
+        assert (got.rows, got.cols) == (len(live), c)
+        assert [[plain(x) for x in row] for row in got.data] == list(live.values())
+        assert got == Matrix.from_nonzero_rows(field, c, got.nonzero_rows())
