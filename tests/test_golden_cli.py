@@ -4,7 +4,10 @@ Each case runs one subcommand with ``--output json`` and with ``--output
 text`` on a file in ``data/`` and compares stdout and the exit code with
 ``tests/golden/<case>.json`` and ``tests/golden/<case>.txt``.  The golden
 files were written by the CLI itself; a refactor that changes any of them
-changes user-visible output and must say so.
+changes user-visible output and must say so.  ``ex4_gfp`` is ``ex4`` over
+GF(32003) and ``ex4_frac`` is ``ex4`` with fractional coefficients, so the
+goldens also pin prime-field output and rational rows whose denominators
+are not 1.
 """
 
 import pytest
@@ -17,7 +20,7 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = [
     (f"{command}_{example}", [command, str(DATA / f"{example}.mmor")], 0)
     for command in ("validate", "analyze", "taylor", "scarf", "verify", "minimize")
-    for example in ("ex4", "ex7_prime")
+    for example in ("ex4", "ex7_prime", "ex4_gfp", "ex4_frac")
 ] + [("verify_minimal_ex4", ["verify", str(DATA / "ex4.mmor"), "--minimal"], 1)]
 
 
