@@ -37,8 +37,8 @@ class ZeroColumnError(MgresError):
 
 
 class TooManyColumns(MgresError):
-    """Subset enumeration guard tripped (see systems.MAX_ENUM_COLUMNS and
-    systems.MAX_GENERATORS)."""
+    """Subset enumeration guard tripped (see systems.MAX_ENUM_COLUMNS,
+    systems.MAX_GENERATORS and morphism.MAX_RANK_SUBSETS)."""
 
 
 class ClosureTooLarge(MgresError):

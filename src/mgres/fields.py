@@ -3,14 +3,14 @@
 Two fields are supported behind one small protocol: the rationals (elements
 are ``fractions.Fraction``, so lowest terms and positive denominators come
 for free) and prime fields GF(p) with canonical representatives in [0, p).
-A field handle knows how to build, parse and format its elements, and it
-owns the integer coding that elimination and products run on:
-``encode_rows`` turns sparse rows ``{col: element}`` into new sparse rows of
-ints and one scale per row (a rational row scaled by the lcm of its
-denominators, a GF(p) row as its representatives with scale 1),
-``characteristic`` says whether they are eliminated over Z (0) or mod p,
-and ``decode`` turns an integer numerator over a pivot back into an
-element.  All other arithmetic goes through the elements' own operators.
+A field handle builds, parses and formats its elements and owns the
+integer coding that ``linalg.Matrix`` stores: ``encode_rows`` turns sparse
+rows ``{col: element}`` into (codes, scale) pairs (a rational row times the
+lcm of its denominators, and that lcm; a GF(p) row's representatives, and
+1), ``characteristic`` says whether codes live in Z (0) or mod p, and
+``decode`` turns a code over a scale back into an element.  Both run only
+where a matrix meets elements.  All other arithmetic goes through the
+elements' own operators.
 
 Zero protocol: an element is zero exactly when it is falsy (``Fraction``
 and ``PrimeFieldElement`` both define ``__bool__`` that way), so code tests
@@ -129,14 +129,13 @@ class RationalField:
     def of(self, n) -> Fraction:
         return Fraction(n)
 
-    def encode_rows(self, rows) -> tuple[list[dict[int, int]], list[int]]:
-        """Sparse rows scaled to ints by their denominators' lcm, and each row's scale."""
-        out, scales = [], []
+    def encode_rows(self, rows) -> list[tuple[dict[int, int], int]]:
+        """Per sparse row, (its entries times the lcm of their denominators, that lcm)."""
+        out = []
         for row in rows:
             lcm = math.lcm(*(x.denominator for x in row.values()))
-            out.append({j: x.numerator * (lcm // x.denominator) for j, x in row.items()})
-            scales.append(lcm)
-        return out, scales
+            out.append(({j: x.numerator * (lcm // x.denominator) for j, x in row.items()}, lcm))
+        return out
 
     def decode(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
@@ -179,10 +178,9 @@ class PrimeField:
     def of(self, n) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, int(n))
 
-    def encode_rows(self, rows) -> tuple[list[dict[int, int]], list[int]]:
-        """Sparse rows of the canonical representatives; every scale is 1."""
-        rows = [{j: x.v for j, x in row.items()} for row in rows]
-        return rows, [1] * len(rows)
+    def encode_rows(self, rows) -> list[tuple[dict[int, int], int]]:
+        """Per sparse row, (its canonical representatives, scale 1)."""
+        return [({j: x.v for j, x in row.items()}, 1) for row in rows]
 
     def decode(self, num: int, den: int) -> PrimeFieldElement:
         return PrimeFieldElement(self.p, num * pow(den, -1, self.p))

@@ -1,52 +1,41 @@
-"""Exact linear algebra over Q or GF(p).
+"""Exact linear algebra over Q or GF(p), on integer codes.
 
-A ``Matrix`` stores only its nonzero rows: one ``{col: value}`` dict per
-row, columns ascending, zeros absent.  ``from_nonzero_rows`` copies what it
-is handed and ``nonzero_rows`` hands out copies, so no caller holds the
-stored dicts.  ``data``, the dense rows, is a read-only view built on each
-access for display and tests.  Products, transposes and strands cost the
-number of nonzeros.
+A ``Matrix`` stores its rows as pairs (codes, scale): codes a ``{col: int}``
+dict, columns ascending, zeros absent, the row being codes / scale.  Over
+GF(p) the codes are canonical representatives and every scale is 1; over Q
+the scale is the lcm of the row's denominators, so gcd(codes, scale) = 1,
+a row has one coding only, and equality and hashing compare the pairs.
+Stored dicts are never handed out or mutated.  Field elements exist only
+at the edges: ``field.encode_rows`` codes them in the constructors and
+``from_nonzero_rows``; ``field.decode`` builds them in ``nonzero_rows``,
+``data``, ``col`` and ``det``.  All else reads codes and returns a coded
+matrix, so products, transposes and strands cost the number of nonzeros.
 
-Everything downstream (kernels of dual maps, complex homology, resolution
-minimization) reduces to ranks, reduced row echelon forms, determinants,
-small linear solves and products, all computed exactly on the sparse int
-rows of ``field.encode_rows``, which codes row i as s_i times the row (s_i
-= 1 over GF(p)).  One elimination, ``_echelon``, clears each row at its
-first nonzero by the pivot row of that column, so it meets only the pivot
-rows of its own nonzero columns, and normalizes it (over Z divided by its
-content, mod p scaled to a leading 1).  Rank is the pivot count, the reduced
-form decodes each pivot row by its own pivot, and the determinant is read
-off the pivots, the row multipliers and the scales.  One product, ``mul``
-(``apply`` is its one-column case), codes A by rows (a'_i = s_i a_i) and B
-by rows (b'_k = t_k b_k) and weighs b'_k by L / t_k, L = lcm of the t_k:
-sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij is an integer over Q, and
-over GF(p), where all scales are 1, an integer congruent to (A B)_ij.  So
-(A B)_ij is ``decode(sum, s_i L)``, zero exactly when the sum is 0 over Z
-or mod p; only nonzero sums are decoded.
-
-The row updates ``_normalize`` and ``_clear`` serve two passes: ``_echelon``
-and ``cancel``, the unit cancellation of ``verify.minimize``, which
-normalizes each pivot row its caller names, clears that column in every other
-row (its scale times ``_clear``'s multiplier) and decodes each row left once.
-
-A ``Subspace`` is only its reduced echelon basis, so equality is equality
-of the stored rows.  Every subspace comes from one row-space reduction,
-``Subspace.row_space``, and every kernel from ``kernel_basis`` (one ``rref``,
-a sparse vector per free column, then ``row_space``).
+``_echelon``, the one elimination, clears each row at its first nonzero by
+that column's pivot row and normalizes it (over Z by its content, mod p to
+a leading 1); ``rank``, ``rref``, ``det`` and ``solve_matrix`` read it off.
+``mul`` weighs row k of B (codes b'_k, scale t_k) by L / t_k, L = lcm of the
+t_k, so for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L
+(A B)_ij is an integer (mod p, where all scales are 1).  ``_reduce`` brings
+a row over any scale to its canonical coding.  ``cancel``, the unit
+cancellation of ``verify.minimize``, shares the row updates ``_normalize``
+and ``_clear`` with ``_echelon``.  A ``Subspace`` is its reduced echelon
+basis, from ``Subspace.row_space``; every kernel comes from ``kernel_basis``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 
 
 class Matrix:
-    """An immutable sparse matrix over a fixed exact field."""
+    """An immutable sparse matrix over a fixed exact field, stored as integer codes."""
 
-    __slots__ = ("field", "rows", "cols", "_entries")
+    __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field, rows: int, cols: int, data):
         """The matrix of the dense rows ``data``."""
@@ -54,7 +43,7 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionError(f"matrix data does not have shape {rows}x{cols}")
         self.field, self.rows, self.cols = field, rows, cols
-        self._entries = tuple({j: x for j, x in enumerate(row) if x} for row in data)
+        self._rows = tuple(field.encode_rows([{j: x for j, x in enumerate(r) if x} for r in data]))
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence], cols: int | None = None):
@@ -75,116 +64,136 @@ class Matrix:
 
     @classmethod
     def from_nonzero_rows(cls, field, cols: int, rows: Sequence[Mapping[int, object]]):
-        """One row per {col: value} mapping (copied; any column order, zeros dropped)."""
-        return cls._wrap(field, cols, [{j: row[j] for j in sorted(row) if row[j]} for row in rows])
+        """One row per {col: value} mapping (any column order, zeros dropped)."""
+        return cls._coded(field, cols, field.encode_rows(
+            [{j: row[j] for j in sorted(row) if row[j]} for row in rows]))
 
     @classmethod
-    def _wrap(cls, field, cols: int, rows: Sequence[dict]):
-        # stores rows as they are: new dicts, columns ascending, no zeros
+    def _coded(cls, field, cols: int, rows: Sequence[tuple[dict, int]]):
+        # stores (codes, scale) rows as they are: canonical, columns ascending
         m = cls.__new__(cls)
-        m.field, m.rows, m.cols = field, len(rows), cols
-        m._entries = tuple(rows)
+        m.field, m.rows, m.cols, m._rows = field, len(rows), cols, tuple(rows)
         return m
 
     @classmethod
+    def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
+        """rows x cols, each (row0, col0, block) at its corner, no overlaps; a
+        row's pieces go to the lcm of their scales, which keeps them canonical."""
+        out = [({}, 1) for _ in range(rows)]
+        for row0, col0, block in blocks:
+            for i, (row, s) in enumerate(block._rows, start=row0):
+                codes, t = out[i]
+                lcm = math.lcm(s, t)
+                codes = codes if lcm == t else {j: x * (lcm // t) for j, x in codes.items()}
+                codes.update({col0 + j: x * (lcm // s) for j, x in row.items()})
+                out[i] = codes, lcm
+        return cls._coded(field, cols, [(dict(sorted(r.items())), s) for r, s in out])
+
+    @classmethod
     def zeros(cls, field, rows: int, cols: int):
-        return cls.from_nonzero_rows(field, cols, [{}] * rows)
+        return cls._coded(field, cols, [({}, 1)] * rows)
 
     @classmethod
     def identity(cls, field, n: int):
-        return cls.from_nonzero_rows(field, n, [{i: field.one} for i in range(n)])
+        return cls._coded(field, n, [({i: 1}, 1) for i in range(n)])
 
     @property
     def data(self) -> tuple:
         """The dense rows as tuples, built on each access."""
         z = self.field.zero
-        return tuple(tuple(row.get(j, z) for j in range(self.cols)) for row in self._entries)
+        return tuple(tuple(row.get(j, z) for j in range(self.cols)) for row in self.nonzero_rows())
 
     def col(self, j: int) -> tuple:
-        z = self.field.zero
-        return tuple(row.get(j, z) for row in self._entries)
+        decode, z = self.field.decode, self.field.zero
+        return tuple(decode(row[j], s) if j in row else z for row, s in self._rows)
+
+    def nonzero_rows(self) -> list[dict[int, object]]:
+        """Per row, {col: value} of its nonzero entries (new dicts, equal codes decoded once)."""
+        decode = functools.lru_cache(maxsize=None)(self.field.decode)
+        return [{j: decode(x, s) for j, x in row.items()} for row, s in self._rows]
+
+    def supports(self) -> list[tuple[int, ...]]:
+        """Per row, its nonzero columns, ascending."""
+        return [tuple(row) for row, _ in self._rows]
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_nonzero_rows(self.field, self.rows, _columns(self._entries, self.cols))
+        p, scales, out = self.field.characteristic, [s for _, s in self._rows], []
+        for col in _columns([row for row, _ in self._rows], self.cols):
+            lcm = math.lcm(*(scales[i] for i in col))
+            out.append(_reduce({i: x * (lcm // scales[i]) for i, x in col.items()}, lcm, p))
+        return Matrix._coded(self.field, self.rows, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """The rows row_idx and the distinct columns col_idx, in the order given."""
         new = {j: k for k, j in enumerate(col_idx)}
-        rows = [{new[j]: x for j, x in self._entries[i].items() if j in new} for i in row_idx]
-        return Matrix.from_nonzero_rows(self.field, len(new), rows)
-
-    def nonzero_rows(self) -> list[dict[int, object]]:
-        """Per row, its nonzero entries as {col: value}, columns ascending (copies)."""
-        return [dict(row) for row in self._entries]
-
-    def place_into(self, rows: Sequence[dict], row0: int, col0: int) -> None:
-        """Write the nonzero entries into the sparse rows ``rows`` at offset (row0, col0)."""
-        for i, entries in enumerate(self._entries, start=row0):
-            rows[i].update({col0 + j: x for j, x in entries.items()})
+        ordered = all(a < b for a, b in zip(col_idx, col_idx[1:]))
+        p, out = self.field.characteristic, []
+        for i in row_idx:
+            row, s = self._rows[i]
+            row = {new[j]: x for j, x in row.items() if j in new}
+            out.append(_reduce(row if ordered else dict(sorted(row.items())), s, p))
+        return Matrix._coded(self.field, len(new), out)
 
     def __neg__(self) -> "Matrix":
-        rows = [{j: -x for j, x in row.items()} for row in self._entries]
-        return Matrix.from_nonzero_rows(self.field, self.cols, rows)
+        p = self.field.characteristic
+        rows = [({j: p - x if p else -x for j, x in row.items()}, s) for row, s in self._rows]
+        return Matrix._coded(self.field, self.cols, rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """The product, summed as ints over the nonzero codes of both factors
-        and decoded where nonzero (see the module docstring)."""
+        """The product, summed as ints over both factors' codes (module docstring)."""
         if self.cols != other.rows:
             shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
             raise DimensionError(f"cannot multiply {shapes}")
-        field, p = self.field, self.field.characteristic
-        left, scales = field.encode_rows(self._entries)
-        right, weights = field.encode_rows(other._entries)
-        lcm = math.lcm(*weights)
-        if lcm != 1:
-            right = [{j: y * (lcm // t) for j, y in row.items()} for row, t in zip(right, weights)]
+        p, lcm = self.field.characteristic, math.lcm(*(t for _, t in other._rows))
+        right = [row if t == lcm else {j: y * (lcm // t) for j, y in row.items()}
+                 for row, t in other._rows]
         out = []
-        for entries, s in zip(left, scales):
+        for entries, s in self._rows:
             acc = {}
             for k, x in entries.items():
                 for j, y in right[k].items():
                     acc[j] = acc.get(j, 0) + x * y
-            den = s * lcm
-            nonzero = sorted(j for j, v in acc.items() if (v % p if p else v))
-            out.append({j: field.decode(acc[j], den) for j in nonzero})
-        return Matrix._wrap(field, other.cols, out)
+            sums = {j: v for j in sorted(acc) if (v := acc[j] % p if p else acc[j])}
+            out.append(_reduce(sums, s * lcm, p))
+        return Matrix._coded(self.field, other.cols, out)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix times column vector: the one-column case of ``mul``."""
         return list(self.mul(Matrix(self.field, len(vec), 1, [[v] for v in vec])).col(0))
 
     def is_zero(self) -> bool:
-        return not any(self._entries)
+        return not any(row for row, _ in self._rows)
 
     def rank(self) -> int:
         """Exact rank of the matrix."""
-        return len(_echelon(self.field, self._entries, reduced=False)[0])
+        return len(_echelon(self.field.characteristic, self._rows, reduced=False)[0])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        found, _, _ = _echelon(self.field, self._entries, reduced=True)
-        decode = self.field.decode
+        p = self.field.characteristic
+        found, _, _ = _echelon(p, self._rows, reduced=True)
         pivots = sorted(found)
-        out = [{j: decode(x, found[c][c]) for j, x in found[c].items()} for c in pivots]
-        out += [{}] * (self.rows - len(pivots))
-        return Matrix.from_nonzero_rows(self.field, self.cols, out), tuple(pivots)
+        out = [_reduce(found[c], found[c][c], p) for c in pivots]
+        out += [({}, 1)] * (self.rows - len(pivots))
+        return Matrix._coded(self.field, self.cols, out), tuple(pivots)
 
     def det(self):
         """Determinant of a square matrix."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        found, num, den = _echelon(self.field, self._entries, reduced=False)
+        found, num, den = _echelon(self.field.characteristic, self._rows, reduced=False)
         if len(found) < self.rows:
             return self.field.zero
         # Pivot row k is coded row k times its multipliers over its divisor,
         # plus multiples of earlier rows, and coded row k is row k times its
-        # scale, so det = det(pivot rows) * num / den (den starts as the
-        # scales' product).  Sorted by pivot column the pivot rows are upper
-        # triangular: their det is the pivots' product, signed by the
-        # inversions of the found order.
+        # scale, so det = det(pivot rows) * num / (den * the scales' product).
+        # Sorted by pivot column the pivot rows are upper triangular: their
+        # det is the pivots' product, signed by the inversions of the found
+        # order.
         order = list(found)
         inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
         num *= math.prod(row[c] for c, row in found.items())
+        den *= math.prod(s for _, s in self._rows)
         return self.field.decode(-num if inversions % 2 else num, den)
 
     def cancel(self, rows: Sequence[int], pivot) -> tuple["Matrix", list[tuple[int, int]]]:
@@ -192,8 +201,9 @@ class Matrix:
         row i's current nonzero columns or None; a pivot row is dropped and
         clears its column in every other given row.  Returns the rows left,
         in order and with all columns, and the (row, column) pivots taken."""
-        field, p = self.field, self.field.characteristic
-        coded, scales = field.encode_rows([self._entries[i] for i in rows])
+        p = self.field.characteristic
+        coded = [dict(self._rows[i][0]) for i in rows]
+        scales = [self._rows[i][1] for i in rows]
         # per column, the rows nonzero there and some no longer (checked on use)
         where = [set(col) for col in _columns(coded, self.cols)]
         pairs = []
@@ -209,9 +219,8 @@ class Matrix:
                     scales[r] *= _clear(coded[r], prow, q, p)
                     for j in prow:
                         where[j].add(r)
-        out = [{j: field.decode(r[j], s) for j in sorted(r)}
-               for r, s in zip(coded, scales) if r is not None]
-        return Matrix._wrap(field, self.cols, out), pairs
+        left = [(dict(sorted(r.items())), s) for r, s in zip(coded, scales) if r is not None]
+        return Matrix._coded(self.field, self.cols, [_reduce(r, s, p) for r, s in left]), pairs
 
     def solve(self, b: Sequence) -> list | None:
         """One solution x of self @ x = b (free variables set to 0), or None."""
@@ -219,19 +228,19 @@ class Matrix:
         return None if x is None else list(x.col(0))
 
     def solve_matrix(self, b: "Matrix") -> "Matrix | None":
-        """self @ X = b by one elimination of [self | b], free variables set to
-        0; None when a column of b is outside the column space."""
+        """self @ X = b by one elimination of [self | b], free variables set
+        to 0; None when a column of b is outside the column space."""
         if b.rows != self.rows:
             raise DimensionError("right-hand side length does not match row count")
-        n = self.cols
-        aug = [a | {n + j: x for j, x in r.items()} for a, r in zip(self._entries, b._entries)]
-        found, _, _ = _echelon(self.field, aug, reduced=True)
+        p, n = self.field.characteristic, self.cols
+        aug = Matrix.from_blocks(self.field, self.rows, n + b.cols, [(0, 0, self), (0, n, b)])
+        found, _, _ = _echelon(p, aug._rows, reduced=True)
         if max(found, default=-1) >= n:
             return None
-        out = [{}] * n
+        out = [({}, 1)] * n
         for c, row in found.items():
-            out[c] = {j - n: self.field.decode(x, row[c]) for j, x in row.items() if j >= n}
-        return Matrix.from_nonzero_rows(self.field, b.cols, out)
+            out[c] = _reduce({j - n: x for j, x in row.items() if j >= n}, row[c], p)
+        return Matrix._coded(self.field, b.cols, out)
 
     def __eq__(self, other):
         return (
@@ -239,18 +248,18 @@ class Matrix:
             and other.field == self.field
             and other.rows == self.rows
             and other.cols == self.cols
-            and other._entries == self._entries
+            and other._rows == self._rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r.items()) for r in self._entries)))
+        return hash((self.rows, self.cols, tuple((tuple(r.items()), s) for r, s in self._rows)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
 
 
-def _columns(rows, cols: int) -> list[dict]:
+def _columns(rows: Sequence[dict], cols: int) -> list[dict]:
     # the cols columns of sparse rows, each as a sparse row
     out = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
@@ -259,18 +268,27 @@ def _columns(rows, cols: int) -> list[dict]:
     return out
 
 
-def _echelon(field, rows, reduced: bool):
-    """The one elimination, row by row on the sparse int rows of ``field.encode_rows``.
+def _reduce(row: dict, s: int, p: int) -> tuple[dict, int]:
+    """The canonical (codes, scale) of row / s (row nonzero mod p, ascending):
+    over Z divided by gcd(s, row), scale positive; mod p times 1 / s."""
+    if s == 1:
+        return row, 1
+    if p:
+        inv = pow(s, -1, p)
+        return {j: x * inv % p for j, x in row.items()}, 1
+    g = math.gcd(s, *row.values()) * (1 if s > 0 else -1)
+    return ({j: x // g for j, x in row.items()} if g != 1 else row), s // g
 
-    Returns found, pivot column -> pivot row in the order found (x in a row
-    decodes as ``field.decode(x, row[col])``), num, the product of the row
-    divisors, and den, that of the row multipliers and coding scales.
-    ``reduced`` also clears each pivot row at the other pivot columns.
-    """
-    coded, scales = field.encode_rows(rows)
-    p = field.characteristic
-    found, num, den = {}, 1, math.prod(scales)
-    for row in coded:
+
+def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
+    """The one elimination, on copies of the codes of (codes, scale) rows,
+    over Z when p is 0, else mod p.  Returns found, pivot column -> pivot
+    row in the order found (x in it stands for x / row[col]), num, the
+    product of the row divisors, and den, that of the row multipliers.
+    ``reduced`` also clears each pivot row at the other pivot columns."""
+    found, num, den = {}, 1, 1
+    for row, _ in rows:
+        row = dict(row)
         while row:
             c = min(row)
             if c not in found:
@@ -284,7 +302,6 @@ def _echelon(field, rows, reduced: bool):
             for other in [j for j in row if j != c and j in found]:
                 _clear(row, found[other], other, p)
     return found, num, den
-
 
 def _clear(row: dict, prow: dict, c: int, p: int) -> int:
     """Clear column c of row in place by its pivot row; returns row's multiplier."""
@@ -330,7 +347,7 @@ class Subspace:
     def row_space(cls, m: Matrix) -> "Subspace":
         """The span of the rows of m."""
         red, pivots = m.rref()
-        return cls(Matrix._wrap(m.field, m.cols, red._entries[: len(pivots)]))
+        return cls(Matrix._coded(m.field, m.cols, red._rows[: len(pivots)]))
 
     @classmethod
     def from_rows(cls, field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
@@ -357,12 +374,12 @@ class Subspace:
         return self.basis.rows
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(min(row) for row in self.basis._entries)
+        return tuple(min(row) for row, _ in self.basis._rows)
 
     def contains(self, other: "Subspace") -> bool:
         """other lies in the subspace: stacking the two bases keeps the rank."""
-        stacked = self.basis._entries + other.basis._entries
-        return self.dim == Matrix.from_nonzero_rows(self.field, self.ambient_dim, stacked).rank()
+        stacked = Matrix._coded(self.field, self.ambient_dim, self.basis._rows + other.basis._rows)
+        return self.dim == stacked.rank()
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and other.basis == self.basis
@@ -382,14 +399,15 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """The right kernel {v : m @ v = 0} in canonical echelon form: from one
-    ``rref``, e_f - sum_p red[p][f] e_p per free column f, then ``row_space``."""
+    ``rref``, e_f - sum_q red[q][f] e_q per free column f, the rows of
+    [I | -R^T] with the columns put back in order, then ``row_space``."""
     red, pivots = m.rref()
-    vecs = [
-        {f: m.field.one} | {p: -row[f] for p, row in zip(pivots, red._entries) if f in row}
-        for f in range(m.cols)
-        if f not in pivots
-    ]
-    return Subspace.row_space(Matrix.from_nonzero_rows(m.field, m.cols, vecs))
+    free = sorted(set(range(m.cols)) - set(pivots))
+    r_t = red.submatrix(range(len(pivots)), free).transpose()
+    blocks = [(0, 0, Matrix.identity(m.field, len(free))), (0, len(free), -r_t)]
+    where = {c: i for i, c in enumerate(free + list(pivots))}
+    vecs = Matrix.from_blocks(m.field, len(free), m.cols, blocks)
+    return Subspace.row_space(vecs.submatrix(range(len(free)), [where[c] for c in range(m.cols)]))
 
 
 def column_space_basis(m: Matrix) -> Subspace:

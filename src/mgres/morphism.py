@@ -19,14 +19,19 @@ standard one).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import degrees as deg
 from .degrees import Multidegree
-from .errors import DimensionError, HomogeneityError, ZeroColumnError
+from .errors import DimensionError, HomogeneityError, TooManyColumns, ZeroColumnError
 from .linalg import Matrix, Subspace, column_space_basis, kernel_basis
+
+# Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
+# one rank test takes about 80 us, so the walk stays within about 5 s.
+MAX_RANK_SUBSETS = 2**16
 
 
 @dataclass(frozen=True)
@@ -159,23 +164,20 @@ class Morphism:
         return self._k_spaces[key]
 
     def is_uniform_rank(self) -> bool:
-        """Every r-element column subset of C is linearly independent."""
-        cd = self.coeff_data
-        rows = range(self.g)
-        for cols in itertools.combinations(range(self.e), cd.r):
-            if cd.matrix.submatrix(rows, cols).rank() != cd.r:
-                return False
-        return True
+        """Every r-element column subset of C is linearly independent;
+        TooManyColumns, before any rank test, past MAX_RANK_SUBSETS subsets."""
+        cd, rows = self.coeff_data, range(self.g)
+        count = math.comb(self.e, cd.r)
+        if count > MAX_RANK_SUBSETS:
+            raise TooManyColumns(f"the uniform-rank check would test {count} column subsets, "
+                                 f"over the budget of {MAX_RANK_SUBSETS}")
+        return all(cd.matrix.submatrix(rows, cols).rank() == cd.r
+                   for cols in itertools.combinations(range(self.e), cd.r))
 
     def is_combinatorially_generic(self) -> bool:
         """Supports of pairwise degree differences swallow both supports."""
-        for i in range(self.e):
-            for j in range(i + 1, self.e):
-                a, b = self.source_degrees[i], self.source_degrees[j]
-                wanted = deg.support(a) | deg.support(b)
-                if not wanted <= deg.support(deg.sub(a, b)):
-                    return False
-        return True
+        return all(deg.support(a) | deg.support(b) <= deg.support(deg.sub(a, b))
+                   for a, b in itertools.combinations(self.source_degrees, 2))
 
     def is_generic(self) -> bool:
         return self.is_combinatorially_generic() and self.is_uniform_rank()

@@ -130,26 +130,25 @@ def boundary_blocks(uv: Matrix, m: int):
     return boundary
 
 
-def contract(uv: Matrix, face: ExteriorIndex, w: Sequence, m: int) -> list:
-    """Boundary of w (x) e_face: one (facet, signed image in D_{m-1}) per
-    position, each image the signed Delta_l applied to w (a dense vector
-    over the basis of D_m)."""
-    return [(sub, block.apply(w)) for sub, block in boundary_blocks(uv, m)(face)]
+def splice_columns(uv: Matrix):
+    """face -> splice image of a (uv.rows + 1)-face in the source space, a
+    uv.cols x 1 matrix: entry l - 1 is the signed maximal minor of uv on the
+    face without l.  Each minor and its negative are computed once per
+    r-subset and shared by every face of the caller."""
+    rows, minors = range(uv.rows), {}
 
+    def column(face: ExteriorIndex) -> Matrix:
+        out = [{} for _ in range(uv.cols)]
+        for pos, l in enumerate(face):
+            sub = face[:pos] + face[pos + 1 :]
+            if sub not in minors:
+                minor = uv.submatrix(rows, [j - 1 for j in sub]).det()
+                minors[sub] = (minor, -minor)
+            plus, minus = minors[sub]  # a zero minor is dropped below
+            out[l - 1] = {0: plus if removal_sign(pos) > 0 else minus}
+        return Matrix.from_nonzero_rows(uv.field, 1, out)
 
-def splice_column(uv: Matrix, face: ExteriorIndex) -> dict[int, object]:
-    """Splice image of a (uv.rows + 1)-face in the source space.
-
-    Entry l - 1 (0-based) is the signed maximal minor of uv on the face
-    without l; only the nonzero minors are returned.
-    """
-    rows = range(uv.rows)
-    out = {}
-    for pos, l in enumerate(face):
-        minor = uv.submatrix(rows, [j - 1 for j in face[:pos] + face[pos + 1 :]]).det()
-        if minor:
-            out[l - 1] = minor if removal_sign(pos) > 0 else -minor
-    return out
+    return column
 
 
 def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
@@ -166,17 +165,19 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
     facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
     faces = exterior_basis(e, k + i)
     boundary = boundary_blocks(uv, m + i)
-    rows: list[dict] = [{} for _ in range(len(facet_offset) * n_cod)]
-    for s, face in enumerate(faces):
-        for sub, block in boundary(face):
-            block.place_into(rows, facet_offset[sub], s * n_dom)
-    return Matrix.from_nonzero_rows(uv.field, len(faces) * n_dom, rows)
+    blocks = [
+        (facet_offset[sub], s * n_dom, block)
+        for s, face in enumerate(faces)
+        for sub, block in boundary(face)
+    ]
+    return Matrix.from_blocks(uv.field, len(facet_offset) * n_cod, len(faces) * n_dom, blocks)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors."""
-    cols = [splice_column(uv, face) for face in exterior_basis(e, rk + 1)]
-    return Matrix.from_nonzero_rows(uv.field, e, cols).transpose()
+    column, faces = splice_columns(uv), exterior_basis(e, rk + 1)
+    blocks = [(0, s, column(face)) for s, face in enumerate(faces)]
+    return Matrix.from_blocks(uv.field, e, len(faces), blocks)
 
 
 def sigma_matrix(cd: CoeffData, m: int, k: int, i: int) -> Matrix:

@@ -34,7 +34,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism
-from .multilinear import boundary_blocks, divided_dim, divided_embed, splice_column
+from .multilinear import boundary_blocks, divided_dim, divided_embed, splice_columns
 
 Face = tuple[int, ...]
 
@@ -105,8 +105,8 @@ class GradedComplex:
     def homogeneity_violation(self) -> tuple[int, int, int] | None:
         """(diff index, row, col) of the first negative-shift nonzero entry."""
         for i, d in enumerate(self.diffs):
-            for row, entries in enumerate(d.nonzero_rows()):
-                for col in entries:
+            for row, cols in enumerate(d.supports()):
+                for col in cols:
                     if any(c < 0 for c in self.shift(i, row, col)):
                         return (i, row, col)
         return None
@@ -154,13 +154,10 @@ class FaceSystem:
 
     def contains(self, other: "FaceSystem") -> bool:
         """Entrywise containment of the assigned subspaces."""
-        if other.r != self.r:
-            return False
-        for face, emb in other.spaces.items():
-            mine = self.spaces.get(face)
-            if mine is None or mine.solve_matrix(emb) is None:
-                return False
-        return True
+        return other.r == self.r and all(
+            face in self.spaces and self.spaces[face].solve_matrix(emb) is not None
+            for face, emb in other.spaces.items()
+        )
 
 
 def full_system(phi: Morphism) -> FaceSystem:
@@ -259,10 +256,11 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     ]
     diffs: list[Matrix] = [cd.matrix]
     offsets: dict[Face, int] = {}  # first generator of each face in its level
+    splice = splice_columns(cd.uv)
     for p in range(r + 1, system.max_face_size() + 1):
         prev_offsets, offsets = offsets, {}
         gens: list[Generator] = []
-        rows: list[dict] = [{} for _ in levels[-1]]  # the new differential's nonzero rows
+        blocks = []  # the new differential's blocks: (row0, col0, Matrix)
         boundary = boundary_blocks(cd.uv, p - r - 1)
         for face in system.faces_of_size(p):
             emb = system.spaces[face]
@@ -271,9 +269,7 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
             label_face = "{" + ",".join(map(str, face)) + "}"
             gens.extend(Generator(degree, f"e{label_face}#{t + 1}") for t in range(emb.cols))
             if p == r + 1:
-                (emb_row,) = emb.nonzero_rows()
-                for i, x in splice_column(cd.uv, face).items():
-                    rows[i].update({k + t: x * w for t, w in emb_row.items()})
+                blocks.append((0, k, splice(face) if face in identity else splice(face).mul(emb)))
                 continue
             for sub, block in boundary(face):
                 image = block if face in identity else block.mul(emb)
@@ -286,8 +282,8 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
                 if coords is None:
                     where = "the span assigned to facet" if target else "the missing facet"
                     raise RestrictionError(face, f"image of face {face} is not in {where} {sub}")
-                coords.place_into(rows, prev_offsets[sub], k)
-        diffs.append(Matrix.from_nonzero_rows(field, len(gens), rows))
+                blocks.append((prev_offsets[sub], k, coords))
+        diffs.append(Matrix.from_blocks(field, len(levels[-1]), len(gens), blocks))
         levels.append(gens)
     # drop trailing empty levels (possible when the top faces vanish)
     while len(levels) > 2 and not levels[-1]:

@@ -129,8 +129,8 @@ def is_minimal(x: GradedComplex) -> bool:
     return not any(
         x.levels[i + 1][q].degree == x.levels[i][p].degree
         for i, d in enumerate(x.diffs)
-        for p, row in enumerate(d.nonzero_rows())
-        for q in row
+        for p, cols in enumerate(d.supports())
+        for q in cols
     )
 
 

@@ -333,6 +333,15 @@ def strandwise_is_resolution(x: GradedComplex) -> ExactnessReport:
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 
 
+def contract(uv: Matrix, face, w, m: int) -> list:
+    """Slow-path boundary of w (x) e_face: one (facet, signed image in
+    D_{m-1}) per position of the face, each image the signed Delta_l of
+    ``boundary_blocks`` applied to w, a dense vector over the basis of D_m."""
+    from mgres.multilinear import boundary_blocks
+
+    return [(sub, block.apply(w)) for sub, block in boundary_blocks(uv, m)(face)]
+
+
 def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
     """Slow-path oracle for ``build_complex`` above the splice: per face size
     p >= r + 2, the differential out of the faces of size p with every
@@ -340,7 +349,6 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
     facet's embedding.  Raises RestrictionError naming the first face (in
     build order) whose image does not decompose."""
     from mgres import RestrictionError
-    from mgres.multilinear import contract
 
     cd, field = phi.coeff_data, phi.field
     r = cd.r

@@ -424,3 +424,16 @@ def test_taylor_generator_budget_is_read_at_call_time(monkeypatch, capsys, budge
     err = capsys.readouterr().err
     assert err.count("mgres: ") == (3 if code else 0)
     assert ("12 generators" in err) == bool(code)
+
+
+@pytest.mark.parametrize("budget, code", [(5, 2), (6, 0)])
+def test_uniform_rank_budget_is_read_at_call_time(monkeypatch, capsys, budget, code):
+    from mgres import morphism
+
+    # ex4 has e = 4 columns of rank 2: C(4, 2) = 6 subsets to test
+    monkeypatch.setattr(morphism, "MAX_RANK_SUBSETS", budget)
+    assert cli.run(["analyze", str(DATA / "ex4.mmor")]) == code
+    err = capsys.readouterr().err
+    assert err.count("mgres: ") == (1 if code else 0)
+    assert ("6 column subsets" in err) == bool(code)
+    assert "Traceback" not in err

@@ -24,13 +24,12 @@ from mgres import (
 )
 from mgres.errors import DimensionError
 from mgres.multilinear import (
-    contract,
     contraction_matrix,
     removal_sign,
     sigma_matrix_on,
 )
 from mgres.verify import homology_dims, is_exact, is_split_exact
-from helpers import enlarged_subspace, random_coeff_matrix, xy_example
+from helpers import contract, enlarged_subspace, random_coeff_matrix, xy_example
 
 
 def test_divided_basis_goldens():
