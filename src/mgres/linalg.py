@@ -79,15 +79,15 @@ class Matrix:
     def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
         """rows x cols, each (row0, col0, block) at its corner, no overlaps; a
         row's pieces go to the lcm of their scales, which keeps them canonical."""
-        out = [({}, 1) for _ in range(rows)]
+        codes, scales = [{} for _ in range(rows)], [1] * rows
         for row0, col0, block in blocks:
             for i, (row, s) in enumerate(block._rows, start=row0):
-                codes, t = out[i]
-                lcm = math.lcm(s, t)
-                codes = codes if lcm == t else {j: x * (lcm // t) for j, x in codes.items()}
-                codes.update({col0 + j: x * (lcm // s) for j, x in row.items()})
-                out[i] = codes, lcm
-        return cls._coded(field, cols, [(dict(sorted(r.items())), s) for r, s in out])
+                if s != scales[i]:
+                    lcm, t = math.lcm(s, scales[i]), scales[i]
+                    codes[i], scales[i] = {j: x * (lcm // t) for j, x in codes[i].items()}, lcm
+                    row = {j: x * (lcm // s) for j, x in row.items()}
+                codes[i].update({col0 + j: x for j, x in row.items()})
+        return cls._coded(field, cols, [(dict(sorted(r.items())), s) for r, s in zip(codes, scales)])
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
@@ -173,7 +173,7 @@ class Matrix:
         p = self.field.characteristic
         found, _, _ = _echelon(p, self._rows, reduced=True)
         pivots = sorted(found)
-        out = [_reduce(found[c], found[c][c], p) for c in pivots]
+        out = [_reduce(dict(sorted(found[c].items())), found[c][c], p) for c in pivots]
         out += [({}, 1)] * (self.rows - len(pivots))
         return Matrix._coded(self.field, self.cols, out), tuple(pivots)
 
@@ -239,7 +239,7 @@ class Matrix:
             return None
         out = [({}, 1)] * n
         for c, row in found.items():
-            out[c] = _reduce({j - n: x for j, x in row.items() if j >= n}, row[c], p)
+            out[c] = _reduce({j - n: row[j] for j in sorted(row) if j >= n}, row[c], p)
         return Matrix._coded(self.field, b.cols, out)
 
     def __eq__(self, other):

@@ -101,14 +101,15 @@ def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
     """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv.
 
     Basis vector b goes to the sum of uv[j][l] (b - e_j) over the j with
-    b_j > 0: row c holds uv[j][l] at column c + e_j.  The only contraction
-    kernel; every boundary is assembled from signed blocks of it.
+    b_j > 0: row c holds uv[j][l], a 1 x 1 block of uv, at column c + e_j.
+    The only contraction kernel; every boundary uses signed blocks of it.
     """
     cod, _ = _divided_index(uv.rows, m - 1)
     _, dom_index = _divided_index(uv.rows, m)
-    weights = [(j, u) for j, u in enumerate(uv.col(l - 1)) if u]
-    rows = [{dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]]: u for j, u in weights} for c in cod]
-    return Matrix.from_nonzero_rows(uv.field, len(dom_index), rows)
+    weights = [(j, u) for j in range(uv.rows) if not (u := uv.submatrix([j], [l - 1])).is_zero()]
+    blocks = [(i, dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]], u)
+              for i, c in enumerate(cod) for j, u in weights]
+    return Matrix.from_blocks(uv.field, len(cod), len(dom_index), blocks)
 
 
 def boundary_blocks(uv: Matrix, m: int):
@@ -138,15 +139,14 @@ def splice_columns(uv: Matrix):
     rows, minors = range(uv.rows), {}
 
     def column(face: ExteriorIndex) -> Matrix:
-        out = [{} for _ in range(uv.cols)]
+        blocks = []
         for pos, l in enumerate(face):
             sub = face[:pos] + face[pos + 1 :]
             if sub not in minors:
-                minor = uv.submatrix(rows, [j - 1 for j in sub]).det()
+                minor = Matrix.from_rows(uv.field, [[uv.submatrix(rows, [j - 1 for j in sub]).det()]])
                 minors[sub] = (minor, -minor)
-            plus, minus = minors[sub]  # a zero minor is dropped below
-            out[l - 1] = {0: plus if removal_sign(pos) > 0 else minus}
-        return Matrix.from_nonzero_rows(uv.field, 1, out)
+            blocks.append((l - 1, 0, minors[sub][0 if removal_sign(pos) > 0 else 1]))
+        return Matrix.from_blocks(uv.field, uv.cols, 1, blocks)
 
     return column
 

@@ -9,6 +9,7 @@ property suites need both sides of every equivalence.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -375,3 +376,126 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
                 cols.append(col)
         out[p] = Matrix.from_columns(field, n, cols)
     return out
+
+
+def per_face_splice(uv: Matrix, e: int, rk: int) -> Matrix:
+    """Oracle for ``multilinear.splice_matrix_on``: one column per
+    (rk + 1)-face, entry l - 1 the maximal minor of uv on the face without
+    l, signed by the position of l, every minor computed afresh by
+    ``Matrix.det``."""
+    field, cols = uv.field, []
+    for face in itertools.combinations(range(1, e + 1), rk + 1):
+        col = [field.zero] * e
+        for pos, l in enumerate(face):
+            minor = uv.submatrix(range(uv.rows), [j - 1 for j in face if j != l]).det()
+            col[l - 1] = -minor if pos % 2 else minor
+        cols.append(col)
+    return Matrix.from_columns(field, e, cols)
+
+
+# ----------------------------------------------- naive boxed linear algebra
+# Dense lists of field elements and their own operators only: the oracles
+# for the integer-coded kernel in ``mgres.linalg``.
+
+
+def naive_rref(field, rows: list[list]) -> tuple[list[list], tuple[int, ...]]:
+    """Gauss-Jordan on dense boxed rows: the reduced rows (zero rows last)
+    and the pivot columns."""
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(a)) if a[i][c]), None)
+        if hit is None:
+            continue
+        a[top], a[hit] = a[hit], a[top]
+        inv = field.one / a[top][c]
+        a[top] = [x * inv for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+def naive_det(field, rows: list[list]):
+    """Determinant by elimination with row swaps, on boxed elements."""
+    a, det = [list(r) for r in rows], field.one
+    for c in range(len(a)):
+        hit = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if hit is None:
+            return field.zero
+        if hit != c:
+            a[c], a[hit], det = a[hit], a[c], -det
+        det = det * a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def naive_mul(field, a: list[list], b: list[list], cols: int) -> list[list]:
+    """Dense product of boxed rows, b having ``cols`` columns."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), field.zero) for j in range(cols)]
+            for row in a]
+
+
+def naive_solve(field, a: list[list], b: list[list], n: int, c: int):
+    """a @ X = b (a with n columns, b with c) from the reduced form of
+    [a | b], free variables 0; None when b is outside the column space."""
+    red, pivots = naive_rref(field, [ra + rb for ra, rb in zip(a, b)])
+    if any(p >= n for p in pivots):
+        return None
+    x = [[field.zero] * c for _ in range(n)]
+    for row, p in zip(red, pivots):
+        x[p] = row[n:]
+    return x
+
+
+def naive_kernel(field, rows: list[list], n: int) -> list[list]:
+    """Reduced echelon basis of {v : rows @ v = 0}, from e_f minus the
+    pivot entries of each free column f."""
+    red, pivots = naive_rref(field, rows)
+    vecs = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [field.zero] * n
+        v[f] = field.one
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        vecs.append(v)
+    basis, ps = naive_rref(field, vecs)
+    return basis[: len(ps)]
+
+
+def naive_cancel(field, rows: list[list], pivot) -> tuple[list[list], list[tuple[int, int]]]:
+    """``Matrix.cancel`` over all rows on boxed elements: in row order, a
+    row pivot(i, its nonzero columns) names is dropped after clearing its
+    column in every other row."""
+    a, alive, pairs = [list(r) for r in rows], list(range(len(rows))), []
+    for i in range(len(rows)):
+        q = pivot(i, [j for j, x in enumerate(a[i]) if x])
+        if q is None:
+            continue
+        pairs.append((i, q))
+        alive.remove(i)
+        for k in alive:
+            if a[k][q]:
+                f = a[k][q] / a[i][q]
+                a[k] = [x - f * y for x, y in zip(a[k], a[i])]
+    return [a[k] for k in alive], pairs
+
+
+def coding_is_canonical(m: Matrix) -> bool:
+    """Every stored row (codes, scale) of m is the one coding of its values:
+    columns ascending, no zero code, and over Q a positive scale prime to
+    the codes, over GF(p) representatives in [1, p) and scale 1."""
+    p = m.field.characteristic
+    for codes, scale in m._rows:
+        if list(codes) != sorted(codes) or not all(codes.values()):
+            return False
+        if p and (scale != 1 or not all(0 < x < p for x in codes.values())):
+            return False
+        if not p and (scale < 1 or math.gcd(scale, *codes.values()) != 1):
+            return False
+    return True

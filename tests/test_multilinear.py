@@ -27,9 +27,16 @@ from mgres.multilinear import (
     contraction_matrix,
     removal_sign,
     sigma_matrix_on,
+    splice_matrix_on,
 )
 from mgres.verify import homology_dims, is_exact, is_split_exact
-from helpers import contract, enlarged_subspace, random_coeff_matrix, xy_example
+from helpers import (
+    contract,
+    enlarged_subspace,
+    per_face_splice,
+    random_coeff_matrix,
+    xy_example,
+)
 
 
 def test_divided_basis_goldens():
@@ -349,3 +356,16 @@ def test_complexes_require_vsub_to_contain_the_image():
     ):
         with pytest.raises(DimensionError):
             build()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF(32003)"])
+def test_splice_matches_per_face_minors(field):
+    """splice_matrix_on shares each maximal minor among the faces holding
+    its r-subset; the oracle takes every (face, position) minor afresh."""
+    rng = random.Random(9003 + field.characteristic)
+    for r in (1, 2, 3):
+        for e in range(r, 7):
+            uv = _random_uv(rng, field, r, e)
+            got = splice_matrix_on(uv, e, r)
+            assert (got.rows, got.cols) == (e, math.comb(e, r + 1))
+            assert got == per_face_splice(uv, e, r)

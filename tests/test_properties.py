@@ -1,6 +1,7 @@
-"""Property tests of the LCM-lattice table against the 2^e subset walk, and
-of ``minimize`` on the Taylor complex against its rescanning oracle and the
-strand homology of the complex it came from.
+"""Property tests of the LCM-lattice table against the 2^e subset walk, of
+``minimize`` on the Taylor complex against its rescanning oracle and the
+strand homology of the complex it came from, and of the integer-coded
+``linalg`` kernel against naive Gauss-Jordan on boxed field elements.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
 repeated and comparable degrees are common) over Q and three prime fields.
@@ -8,6 +9,7 @@ repeated and comparable degrees are common) over Q and three prime fields.
 
 import functools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -17,11 +19,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from mgres import (  # noqa: E402
     QQ,
     DegreeNotInLattice,
+    Matrix,
     Morphism,
     PrimeField,
     face_data,
     formats,
     homology_dims,
+    kernel_basis,
     lcm_lattice,
     leq,
     minimize,
@@ -30,7 +34,17 @@ from mgres import (  # noqa: E402
 )
 from mgres.lattice import faces_by_degree  # noqa: E402
 from mgres.verify import strand_degrees  # noqa: E402
-from helpers import brute_minor_rank, rescan_minimize  # noqa: E402
+from helpers import (  # noqa: E402
+    brute_minor_rank,
+    coding_is_canonical,
+    naive_cancel,
+    naive_det,
+    naive_kernel,
+    naive_mul,
+    naive_rref,
+    naive_solve,
+    rescan_minimize,
+)
 
 FIELDS = (QQ, PrimeField(2), PrimeField(7), PrimeField(32003))
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -119,3 +133,93 @@ def test_minimize_keeps_every_strand_homology(phi):
         h = homology_dims(strand(x, a))
         # minimize drops trailing levels only once they are all cancelled
         assert h == homology_dims(strand(m, a)) + (0,) * (len(h) - len(m.levels))
+
+
+# ------------------------------------------------- the integer-coded kernel
+
+def _entries(draw, field, rows: int, cols: int) -> list[list]:
+    """Dense boxed rows, zeros common; over Q with denominators up to 6, so
+    row scales other than 1 are common."""
+    def entry():
+        num = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5)))
+        den = draw(st.sampled_from((1, 2, 3, 4, 6)))
+        if field == QQ:
+            return QQ.of(Fraction(num, den))
+        return field.of(num) / field.of(den) if den % field.characteristic else field.of(num)
+
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _dense(m: Matrix) -> list[list]:
+    return [list(row) for row in m.data]
+
+
+def _pivot(i, cols):
+    # a fixed rule naming one of the current columns, or None
+    return (min(cols) if i % 2 else max(cols)) if cols and i % 3 else None
+
+
+@PROPERTY
+@given(st.data())
+def test_coded_elimination_matches_naive_gauss_jordan(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    a = _entries(data.draw, field, r, c)
+    m = Matrix.from_rows(field, a, cols=c)
+    red, pivots = naive_rref(field, a)
+    assert m.rank() == len(pivots)
+    got, got_pivots = m.rref()
+    assert (_dense(got), got_pivots) == (red, pivots)
+    assert _dense(kernel_basis(m).basis) == naive_kernel(field, a, c)
+    k = min(r, c)
+    assert m.submatrix(range(k), range(k)).det() == naive_det(field, [row[:k] for row in a[:k]])
+    left, pairs = m.cancel(range(r), _pivot)
+    want_left, want_pairs = naive_cancel(field, a, _pivot)
+    assert (_dense(left), pairs) == (want_left, want_pairs)
+    for out in (got, kernel_basis(m).basis, left, m.transpose()):
+        assert coding_is_canonical(out)
+
+
+@PROPERTY
+@given(st.data())
+def test_coded_product_and_solve_match_naive(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    r, n, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = _entries(data.draw, field, r, n), _entries(data.draw, field, n, c)
+    ma, mb = Matrix.from_rows(field, a, cols=n), Matrix.from_rows(field, b, cols=c)
+    prod = ma.mul(mb)
+    assert _dense(prod) == naive_mul(field, a, b, c) and coding_is_canonical(prod)
+    # a right-hand side in the column space, or any at all
+    rhs = naive_mul(field, a, b, c) if data.draw(st.booleans()) else _entries(data.draw, field, r, c)
+    x = ma.solve_matrix(Matrix.from_rows(field, rhs, cols=c))
+    want = naive_solve(field, a, rhs, n, c)
+    assert (None if x is None else _dense(x)) == want
+    assert x is None or coding_is_canonical(x)
+
+
+@PROPERTY
+@given(st.data())
+def test_every_route_to_a_matrix_stores_one_coding(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    m = Matrix.from_rows(field, _entries(data.draw, field, r, c), cols=c)
+    u = field.of(3) / field.of(5)
+    scale = Matrix.from_rows(field, [[u if i == j else field.zero for j in range(c)]
+                                     for i in range(c)], cols=c)
+    unscale = Matrix.from_rows(field, [[field.one / u if i == j else field.zero
+                                        for j in range(c)] for i in range(c)], cols=c)
+    routes = [
+        m.mul(Matrix.identity(field, c)),
+        Matrix.identity(field, r).mul(m),
+        m.mul(scale).mul(unscale),
+        m.submatrix(range(r), range(c)),
+        -(-m),
+        m.cancel(range(r), lambda i, cols: None)[0],
+        Matrix.from_nonzero_rows(field, c, m.nonzero_rows()),
+        m.transpose().transpose(),
+        Matrix.from_blocks(field, r, c, [(0, 0, m)]),
+    ]
+    assert coding_is_canonical(m)
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+        assert coding_is_canonical(other)

@@ -1,6 +1,7 @@
 """Face systems and the complexes they span: worked-example goldens,
 closure checking, classical monomial-ideal degeneration, containment."""
 
+import math
 import random
 
 import pytest
@@ -541,3 +542,31 @@ def test_splice_columns_scale_by_the_face_embedding(p):
         x, t = build_complex(phi, FaceSystem(2, spaces)), taylor_complex(phi)
         for j, f in enumerate(sorted(scale)):
             assert x.diffs[1].col(j) == tuple(scale[f] * v for v in t.diffs[1].col(j))
+
+
+@pytest.mark.parametrize("p", [None, 32003])
+def test_taylor_complex_takes_each_maximal_minor_once(monkeypatch, p):
+    """The splice level computes one determinant per r-subset of the
+    columns, C(e, r), not one per (face, position) pair."""
+    calls = []
+    det = Matrix.det
+
+    def counting(self):
+        calls.append((self.rows, self.cols))
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counting)
+    rng = random.Random(8107)
+    seen = set()
+    for _ in range(12):
+        phi = random_morphism(rng)
+        phi = mod_p(phi, p) if p else phi
+        r = phi.coeff_data.r
+        if phi.e <= r:
+            continue
+        calls.clear()
+        taylor_complex(phi)
+        assert len(calls) == math.comb(phi.e, r)
+        assert set(calls) == {(r, r)}
+        seen.add(r)
+    assert len(seen) > 1
