@@ -15,12 +15,11 @@ matrix, so products, transposes and strands cost the number of nonzeros.
 that column's pivot row and normalizes it (over Z by its content, mod p to
 a leading 1); ``rank``, ``rref``, ``det`` and ``solve_matrix`` read it off.
 ``mul`` weighs row k of B (codes b'_k, scale t_k) by L / t_k, L = lcm of the
-t_k, so for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L
-(A B)_ij is an integer (mod p, where all scales are 1).  ``_reduce`` brings
-a row over any scale to its canonical coding.  ``cancel``, the unit
-cancellation of ``verify.minimize``, shares the row updates ``_normalize``
-and ``_clear`` with ``_echelon``.  A ``Subspace`` is its reduced echelon
-basis, from ``Subspace.row_space``; every kernel comes from ``kernel_basis``.
+t_k: for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij
+is an integer (mod p, where all scales are 1).  ``_reduce`` brings a row
+over any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s
+unit cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.
+A ``Subspace`` is its reduced echelon basis, from ``Subspace.row_space``.
 """
 
 from __future__ import annotations
@@ -77,8 +76,10 @@ class Matrix:
 
     @classmethod
     def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
-        """rows x cols, each (row0, col0, block) at its corner, no overlaps; a
-        row's pieces go to the lcm of their scales, which keeps them canonical."""
+        """rows x cols with each (row0, col0, block) at that corner, none overlapping."""
+        # a row's pieces go to the lcm of their scales: canonical pieces
+        # make a canonical row (a prime's top power in the lcm divides some
+        # piece's scale, and that piece has a code it does not divide)
         codes, scales = [{} for _ in range(rows)], [1] * rows
         for row0, col0, block in blocks:
             for i, (row, s) in enumerate(block._rows, start=row0):
@@ -87,7 +88,8 @@ class Matrix:
                     codes[i], scales[i] = {j: x * (lcm // t) for j, x in codes[i].items()}, lcm
                     row = {j: x * (lcm // s) for j, x in row.items()}
                 codes[i].update({col0 + j: x for j, x in row.items()})
-        return cls._coded(field, cols, [(dict(sorted(r.items())), s) for r, s in zip(codes, scales)])
+        out = [(dict(sorted(r.items())), s) for r, s in zip(codes, scales)]
+        return cls._coded(field, cols, out)
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
@@ -128,8 +130,7 @@ class Matrix:
         new = {j: k for k, j in enumerate(col_idx)}
         ordered = all(a < b for a, b in zip(col_idx, col_idx[1:]))
         p, out = self.field.characteristic, []
-        for i in row_idx:
-            row, s = self._rows[i]
+        for row, s in (self._rows[i] for i in row_idx):
             row = {new[j]: x for j, x in row.items() if j in new}
             out.append(_reduce(row if ordered else dict(sorted(row.items())), s, p))
         return Matrix._coded(self.field, len(new), out)
@@ -144,10 +145,9 @@ class Matrix:
         if self.cols != other.rows:
             shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
             raise DimensionError(f"cannot multiply {shapes}")
-        p, lcm = self.field.characteristic, math.lcm(*(t for _, t in other._rows))
+        p, lcm, out = self.field.characteristic, math.lcm(*(t for _, t in other._rows)), []
         right = [row if t == lcm else {j: y * (lcm // t) for j, y in row.items()}
                  for row, t in other._rows]
-        out = []
         for entries, s in self._rows:
             acc = {}
             for k, x in entries.items():
@@ -186,14 +186,13 @@ class Matrix:
             return self.field.zero
         # Pivot row k is coded row k times its multipliers over its divisor,
         # plus multiples of earlier rows, and coded row k is row k times its
-        # scale, so det = det(pivot rows) * num / (den * the scales' product).
-        # Sorted by pivot column the pivot rows are upper triangular: their
-        # det is the pivots' product, signed by the inversions of the found
-        # order.
+        # scale, so det = det(pivot rows) * num / den (den starts as the
+        # scales' product).  Sorted by pivot column the pivot rows are upper
+        # triangular: their det is the pivots' product, signed by the
+        # inversions of the found order.
         order = list(found)
         inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
         num *= math.prod(row[c] for c, row in found.items())
-        den *= math.prod(s for _, s in self._rows)
         return self.field.decode(-num if inversions % 2 else num, den)
 
     def cancel(self, rows: Sequence[int], pivot) -> tuple["Matrix", list[tuple[int, int]]]:
@@ -202,8 +201,7 @@ class Matrix:
         clears its column in every other given row.  Returns the rows left,
         in order and with all columns, and the (row, column) pivots taken."""
         p = self.field.characteristic
-        coded = [dict(self._rows[i][0]) for i in rows]
-        scales = [self._rows[i][1] for i in rows]
+        coded, scales = [dict(self._rows[i][0]) for i in rows], [self._rows[i][1] for i in rows]
         # per column, the rows nonzero there and some no longer (checked on use)
         where = [set(col) for col in _columns(coded, self.cols)]
         pairs = []
@@ -281,12 +279,12 @@ def _reduce(row: dict, s: int, p: int) -> tuple[dict, int]:
 
 
 def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
-    """The one elimination, on copies of the codes of (codes, scale) rows,
-    over Z when p is 0, else mod p.  Returns found, pivot column -> pivot
-    row in the order found (x in it stands for x / row[col]), num, the
-    product of the row divisors, and den, that of the row multipliers.
-    ``reduced`` also clears each pivot row at the other pivot columns."""
-    found, num, den = {}, 1, 1
+    """The one elimination, on copies of the codes of (codes, scale) rows, over
+    Z when p is 0, else mod p.  Returns found, pivot column -> pivot row in
+    the order found, num, the product of the row divisors, and den, that of
+    the row multipliers and scales.  ``reduced`` also clears each pivot row
+    at the other pivot columns."""
+    found, num, den = {}, 1, math.prod(s for _, s in rows)
     for row, _ in rows:
         row = dict(row)
         while row:
@@ -398,9 +396,8 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """The right kernel {v : m @ v = 0} in canonical echelon form: from one
-    ``rref``, e_f - sum_q red[q][f] e_q per free column f, the rows of
-    [I | -R^T] with the columns put back in order, then ``row_space``."""
+    """The right kernel {v : m @ v = 0} in canonical echelon form: the rows
+    e_f - sum_q red[q][f] e_q of [I | -R^T], columns put back, reduced."""
     red, pivots = m.rref()
     free = sorted(set(range(m.cols)) - set(pivots))
     r_t = red.submatrix(range(len(pivots)), free).transpose()

@@ -132,10 +132,9 @@ def boundary_blocks(uv: Matrix, m: int):
 
 
 def splice_columns(uv: Matrix):
-    """face -> splice image of a (uv.rows + 1)-face in the source space, a
-    uv.cols x 1 matrix: entry l - 1 is the signed maximal minor of uv on the
-    face without l.  Each minor and its negative are computed once per
-    r-subset and shared by every face of the caller."""
+    """face -> splice image of a (uv.rows + 1)-face, a uv.cols x 1 matrix:
+    entry l - 1 is the signed maximal minor of uv on the face without l,
+    computed once per r-subset and shared by every face of the caller."""
     rows, minors = range(uv.rows), {}
 
     def column(face: ExteriorIndex) -> Matrix:
@@ -143,7 +142,7 @@ def splice_columns(uv: Matrix):
         for pos, l in enumerate(face):
             sub = face[:pos] + face[pos + 1 :]
             if sub not in minors:
-                minor = Matrix.from_rows(uv.field, [[uv.submatrix(rows, [j - 1 for j in sub]).det()]])
+                minor = Matrix(uv.field, 1, 1, [[uv.submatrix(rows, [j - 1 for j in sub]).det()]])
                 minors[sub] = (minor, -minor)
             blocks.append((l - 1, 0, minors[sub][0 if removal_sign(pos) > 0 else 1]))
         return Matrix.from_blocks(uv.field, uv.cols, 1, blocks)

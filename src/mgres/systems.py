@@ -154,10 +154,13 @@ class FaceSystem:
 
     def contains(self, other: "FaceSystem") -> bool:
         """Entrywise containment of the assigned subspaces."""
-        return other.r == self.r and all(
-            face in self.spaces and self.spaces[face].solve_matrix(emb) is not None
-            for face, emb in other.spaces.items()
-        )
+        if other.r != self.r:
+            return False
+        for face, emb in other.spaces.items():
+            mine = self.spaces.get(face)
+            if mine is None or mine.solve_matrix(emb) is None:
+                return False
+        return True
 
 
 def full_system(phi: Morphism) -> FaceSystem:

@@ -190,7 +190,10 @@ def test_coded_product_and_solve_match_naive(data):
     prod = ma.mul(mb)
     assert _dense(prod) == naive_mul(field, a, b, c) and coding_is_canonical(prod)
     # a right-hand side in the column space, or any at all
-    rhs = naive_mul(field, a, b, c) if data.draw(st.booleans()) else _entries(data.draw, field, r, c)
+    if data.draw(st.booleans()):
+        rhs = naive_mul(field, a, b, c)
+    else:
+        rhs = _entries(data.draw, field, r, c)
     x = ma.solve_matrix(Matrix.from_rows(field, rhs, cols=c))
     want = naive_solve(field, a, rhs, n, c)
     assert (None if x is None else _dense(x)) == want
