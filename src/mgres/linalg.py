@@ -63,7 +63,7 @@ class Matrix:
 
     @classmethod
     def from_nonzero_rows(cls, field, cols: int, rows: Sequence[Mapping[int, object]]):
-        """One row per {col: value} mapping (any column order, zeros dropped)."""
+        """One row per {col: value} mapping (copied; any column order, zeros dropped)."""
         return cls._coded(field, cols, field.encode_rows(
             [{j: row[j] for j in sorted(row) if row[j]} for row in rows]))
 
@@ -226,8 +226,8 @@ class Matrix:
         return None if x is None else list(x.col(0))
 
     def solve_matrix(self, b: "Matrix") -> "Matrix | None":
-        """self @ X = b by one elimination of [self | b], free variables set
-        to 0; None when a column of b is outside the column space."""
+        """self @ X = b by one elimination of [self | b], free variables set to
+        0; None when a column of b is outside the column space."""
         if b.rows != self.rows:
             raise DimensionError("right-hand side length does not match row count")
         p, n = self.field.characteristic, self.cols
@@ -300,6 +300,7 @@ def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
             for other in [j for j in row if j != c and j in found]:
                 _clear(row, found[other], other, p)
     return found, num, den
+
 
 def _clear(row: dict, prow: dict, c: int, p: int) -> int:
     """Clear column c of row in place by its pivot row; returns row's multiplier."""

@@ -143,8 +143,8 @@ def splice_columns(uv: Matrix):
             sub = face[:pos] + face[pos + 1 :]
             if sub not in minors:
                 minor = Matrix(uv.field, 1, 1, [[uv.submatrix(rows, [j - 1 for j in sub]).det()]])
-                minors[sub] = (minor, -minor)
-            blocks.append((l - 1, 0, minors[sub][0 if removal_sign(pos) > 0 else 1]))
+                minors[sub] = {1: minor, -1: -minor}
+            blocks.append((l - 1, 0, minors[sub][removal_sign(pos)]))
         return Matrix.from_blocks(uv.field, uv.cols, 1, blocks)
 
     return column
