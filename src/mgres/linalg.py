@@ -1,30 +1,29 @@
 """Exact linear algebra over Q or GF(p), on integer codes.
 
-A ``Matrix`` stores its rows as pairs (codes, scale): codes a ``{col: int}``
-dict, columns ascending, zeros absent, the row being codes / scale.  Over
-GF(p) the codes are canonical representatives and every scale is 1; over Q
-the scale is the lcm of the row's denominators, so gcd(codes, scale) = 1,
-a row has one coding only, and equality and hashing compare the pairs.
-Stored dicts are never handed out or mutated.  Field elements exist only
-at the edges: ``field.encode_rows`` codes them in the constructors and
-``from_nonzero_rows``; ``field.decode`` builds them in ``nonzero_rows``,
-``data``, ``col`` and ``det``.  All else reads codes and returns a coded
-matrix, so products, transposes and strands cost the number of nonzeros.
+A ``Matrix`` stores its rows as pairs (codes, scale), codes a ``{col: int}``
+dict (columns ascending, no zeros) and the row codes / scale.  Over GF(p)
+codes are canonical representatives and scales 1; over Q a scale is the
+lcm of its row's denominators, so gcd(codes, scale) = 1, each row has one
+coding, and equality and hashing compare the pairs.  Stored dicts are never
+handed out or mutated.  Field elements exist only at the edges:
+``field.encode_rows`` codes them in the constructors and
+``from_nonzero_rows``, ``field.decode`` builds them in ``nonzero_rows``,
+``data``, ``col`` and ``det``; all else reads and returns codes, so
+products, transposes and strands cost the number of nonzeros.
 
 ``_echelon``, the one elimination, clears each row at its first nonzero by
 that column's pivot row and normalizes it (over Z by its content, mod p to
 a leading 1); ``rank``, ``rref``, ``det`` and ``solve_matrix`` read it off.
 ``mul`` weighs row k of B (codes b'_k, scale t_k) by L / t_k, L = lcm of the
 t_k: for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij
-is an integer (mod p, where all scales are 1).  ``_reduce`` brings a row
-over any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s
-unit cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.
-A ``Subspace`` is its reduced echelon basis, from ``Subspace.row_space``.
+is an integer (mod p, where all scales are 1).  ``_reduce`` brings a row over
+any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s unit
+cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.  A
+``Subspace`` is its reduced echelon basis, from ``Subspace.row_space``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -111,8 +110,9 @@ class Matrix:
 
     def nonzero_rows(self) -> list[dict[int, object]]:
         """Per row, {col: value} of its nonzero entries (new dicts, equal codes decoded once)."""
-        decode = functools.lru_cache(maxsize=None)(self.field.decode)
-        return [{j: decode(x, s) for j, x in row.items()} for row, s in self._rows]
+        decode, memo = self.field.decode, {}
+        return [{j: memo.get((x, s)) or memo.setdefault((x, s), decode(x, s))
+                 for j, x in row.items()} for row, s in self._rows]
 
     def supports(self) -> list[tuple[int, ...]]:
         """Per row, its nonzero columns, ascending."""
@@ -121,8 +121,9 @@ class Matrix:
     def transpose(self) -> "Matrix":
         p, scales, out = self.field.characteristic, [s for _, s in self._rows], []
         for col in _columns([row for row, _ in self._rows], self.cols):
-            lcm = math.lcm(*(scales[i] for i in col))
-            out.append(_reduce({i: x * (lcm // scales[i]) for i, x in col.items()}, lcm, p))
+            lcm = math.lcm(*map(scales.__getitem__, col))
+            col = col if lcm == 1 else {i: x * (lcm // scales[i]) for i, x in col.items()}
+            out.append(_reduce(col, lcm, p))
         return Matrix._coded(self.field, self.rows, out)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
@@ -282,8 +283,7 @@ def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
     """The one elimination, on copies of the codes of (codes, scale) rows, over
     Z when p is 0, else mod p.  Returns found, pivot column -> pivot row in
     the order found, num, the product of the row divisors, and den, that of
-    the row multipliers and scales.  ``reduced`` also clears each pivot row
-    at the other pivot columns."""
+    the row multipliers and scales; ``reduced`` also clears above pivots."""
     found, num, den = {}, 1, math.prod(s for _, s in rows)
     for row, _ in rows:
         row = dict(row)
@@ -397,15 +397,16 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """The right kernel {v : m @ v = 0} in canonical echelon form: the rows
-    e_f - sum_q red[q][f] e_q of [I | -R^T], columns put back, reduced."""
+    """The right kernel {v : m @ v = 0} in canonical echelon form: e_f minus
+    sum_q red[q][f] e_q per free column f of one ``rref``, reduced again."""
     red, pivots = m.rref()
-    free = sorted(set(range(m.cols)) - set(pivots))
-    r_t = red.submatrix(range(len(pivots)), free).transpose()
-    blocks = [(0, 0, Matrix.identity(m.field, len(free))), (0, len(free), -r_t)]
-    where = {c: i for i, c in enumerate(free + list(pivots))}
-    vecs = Matrix.from_blocks(m.field, len(free), m.cols, blocks)
-    return Subspace.row_space(vecs.submatrix(range(len(free)), [where[c] for c in range(m.cols)]))
+    p, vecs = m.field.characteristic, []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        hits = [(q, row[f], s) for q, (row, s) in zip(pivots, red._rows) if f in row]
+        lcm = math.lcm(*(s for _, _, s in hits))
+        vec = {f: lcm} | {q: -x * (lcm // s) % p if p else -x * (lcm // s) for q, x, s in hits}
+        vecs.append(_reduce(dict(sorted(vec.items())), lcm, p))
+    return Subspace.row_space(Matrix._coded(m.field, m.cols, vecs))
 
 
 def column_space_basis(m: Matrix) -> Subspace:
