@@ -168,7 +168,7 @@ class Morphism:
         TooManyColumns, before any rank test, past MAX_RANK_SUBSETS subsets."""
         cd, rows = self.coeff_data, range(self.g)
         if (count := math.comb(self.e, cd.r)) > MAX_RANK_SUBSETS:
-            raise TooManyColumns(f"{count} column subsets for uniform rank exceed {MAX_RANK_SUBSETS}")
+            raise TooManyColumns(f"uniform rank: {count} column subsets, over {MAX_RANK_SUBSETS}")
         return all(cd.matrix.submatrix(rows, cols).rank() == cd.r
                    for cols in itertools.combinations(range(self.e), cd.r))
 
