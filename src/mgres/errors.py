@@ -37,8 +37,9 @@ class ZeroColumnError(MgresError):
 
 
 class TooManyColumns(MgresError):
-    """Subset enumeration guard tripped (see systems.MAX_ENUM_COLUMNS,
-    systems.MAX_GENERATORS and morphism.MAX_RANK_SUBSETS)."""
+    """Subset enumeration budget passed: the full system's generator count
+    (systems.MAX_GENERATORS) or the uniform-rank walk's r-subset count
+    (morphism.MAX_RANK_SUBSETS)."""
 
 
 class ClosureTooLarge(MgresError):

@@ -53,10 +53,6 @@ class Matrix:
         return cls(field, len(rows), cols, rows)
 
     @classmethod
-    def from_columns(cls, field, rows: int, cols: Sequence[Sequence]):
-        return cls(field, len(cols), rows, cols).transpose()
-
-    @classmethod
     def from_int_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
         return cls.from_rows(field, [[field.of(x) for x in r] for r in rows], cols)
 
@@ -157,10 +153,6 @@ class Matrix:
             sums = {j: v for j in sorted(acc) if (v := acc[j] % p if p else acc[j])}
             out.append(_reduce(sums, s * lcm, p))
         return Matrix._coded(self.field, other.cols, out)
-
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector: the one-column case of ``mul``."""
-        return list(self.mul(Matrix(self.field, len(vec), 1, [[v] for v in vec])).col(0))
 
     def is_zero(self) -> bool:
         return not any(row for row, _ in self._rows)
@@ -351,14 +343,6 @@ class Subspace:
     @classmethod
     def from_rows(cls, field, ambient_dim: int, rows: Sequence[Sequence]) -> "Subspace":
         return cls.row_space(Matrix.from_rows(field, rows, cols=ambient_dim))
-
-    @classmethod
-    def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.zeros(field, 0, ambient_dim))
-
-    @classmethod
-    def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.identity(field, ambient_dim))
 
     @property
     def field(self):

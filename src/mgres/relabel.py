@@ -6,7 +6,9 @@ same kernel: the induced surjections onto the images then agree up to a
 choice of bases.  A degree map between the two lattices is compatible with
 the pair when it sends each column degree to the corresponding one, and it
 can transport a complex when it preserves the joins that actually occur as
-generator degrees: coefficients stay untouched, the degrees of generators
+generator degrees (``check_join_preserving`` reads that off the LCM-lattice
+table ``Morphism.lattice_columns``, not off the 2^e column subsets):
+coefficients stay untouched, the degrees of generators
 above level 0 are pushed through the map, level 0 and the presentation map
 are replaced by the target morphism's, and homogeneity of the recomputed
 shifts is verified.
@@ -14,20 +16,11 @@ shifts is verified.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
 from . import degrees as deg
 from .degrees import Multidegree
-from .errors import (
-    DimensionError,
-    FormatError,
-    MissingKey,
-    NegativeShift,
-    RankMismatch,
-    TooManyColumns,
-)
-from . import systems
+from .errors import DimensionError, FormatError, MissingKey, NegativeShift, RankMismatch
 from .linalg import kernel_basis
 from .morphism import Morphism
 from .systems import GradedComplex, Generator
@@ -63,12 +56,14 @@ class RelabelMap:
         return len(self.table)
 
 
-def _correspondence(e: int, correspondence: Sequence[int] | None) -> list[int]:
+def _correspondence(phi: Morphism, phi2: Morphism, correspondence) -> list[int]:
+    if phi.e != phi2.e:
+        raise RankMismatch(f"source ranks differ: {phi.e} vs {phi2.e}")
     if correspondence is None:
-        return list(range(1, e + 1))
+        return list(range(1, phi.e + 1))
     corr = [int(c) for c in correspondence]
-    if sorted(corr) != list(range(1, e + 1)):
-        raise DimensionError(f"correspondence {corr} is not a permutation of 1..{e}")
+    if sorted(corr) != list(range(1, phi.e + 1)):
+        raise DimensionError(f"correspondence {corr} is not a permutation of 1..{phi.e}")
     return corr
 
 
@@ -76,9 +71,7 @@ def check_quasi_equivalent(
     phi: Morphism, phi2: Morphism, correspondence: Sequence[int] | None = None
 ) -> bool:
     """Equal coefficient kernels under the column correspondence."""
-    if phi.e != phi2.e:
-        raise RankMismatch(f"source ranks differ: {phi.e} vs {phi2.e}")
-    corr = _correspondence(phi.e, correspondence)
+    corr = _correspondence(phi, phi2, correspondence)
     c1 = phi.coeff_data.matrix
     c2 = phi2.coeff_data.matrix
     permuted = c2.submatrix(range(c2.rows), [corr[j] - 1 for j in range(phi.e)])
@@ -92,7 +85,7 @@ def check_qe_compatible(
     correspondence: Sequence[int] | None = None,
 ) -> bool:
     """f sends each column degree of phi to the corresponding one of phi2."""
-    corr = _correspondence(phi.e, correspondence)
+    corr = _correspondence(phi, phi2, correspondence)
     return all(
         f.apply(phi.source_degrees[i]) == phi2.source_degrees[corr[i] - 1]
         for i in range(phi.e)
@@ -108,17 +101,26 @@ def check_join_preserving(
 ):
     """f commutes with joins of every column subset of at least min_size.
 
-    Returns (ok, first offending subset); TooManyColumns past MAX_ENUM_COLUMNS.
-    """
-    if phi.e > systems.MAX_ENUM_COLUMNS:
-        raise TooManyColumns(f"{phi.e} columns would need up to {2**phi.e - 1} subsets")
-    corr = _correspondence(phi.e, correspondence)
-    for size in range(min_size, phi.e + 1):
-        for subset in itertools.combinations(range(1, phi.e + 1), size):
-            src = deg.join_all(phi.source_degrees[i - 1] for i in subset)
-            dst = deg.join_all(phi2.source_degrees[corr[i - 1] - 1] for i in subset)
-            if f.apply(src) != dst:
-                return False, subset
+    Read off ``phi.lattice_columns``: the subsets of join a lie in I_a, one
+    of them I_a, so only degrees with |I_a| >= min_size matter, and there
+    f(a) must be b, the join of phi2's corresponding degrees over I_a.  A
+    subset of join a whose image misses b_k lies in T_k, the columns of I_a
+    below b_k in phi2's coordinate k, so (joins being monotone) one exists
+    iff some T_k has min_size columns and join a.  Returns (True, None) or
+    (False, the first failing degree in lattice order); MissingKey at the
+    first degree needed that f lacks."""
+    corr = _correspondence(phi, phi2, correspondence)
+    d2 = [phi2.source_degrees[c - 1] for c in corr]
+    for a, cols in phi.lattice_columns.items():
+        if len(cols) < min_size:
+            continue
+        b = deg.join_all(d2[j - 1] for j in cols)
+        if f.apply(a) != b:
+            return False, a
+        for k, top in enumerate(b):
+            low = [j for j in cols if d2[j - 1][k] < top]
+            if len(low) >= min_size and phi.face_degree(low) == a:
+                return False, a
     return True, None
 
 

@@ -38,9 +38,6 @@ from .multilinear import boundary_blocks, divided_dim, divided_embed, splice_col
 
 Face = tuple[int, ...]
 
-# The full system has a face per column subset; refuse past this many columns.
-MAX_ENUM_COLUMNS = 20
-
 # Refuse a full-system complex with more generators than this: 180,258 at
 # r = 2, e = 15 take about 5 s and 250 MB, and memory doubles per column.
 MAX_GENERATORS = 2**18
@@ -152,32 +149,22 @@ class FaceSystem:
     def max_face_size(self) -> int:
         return max((len(face) for face in self.spaces), default=self.r)
 
-    def contains(self, other: "FaceSystem") -> bool:
-        """Entrywise containment of the assigned subspaces."""
-        if other.r != self.r:
-            return False
-        for face, emb in other.spaces.items():
-            mine = self.spaces.get(face)
-            if mine is None or mine.solve_matrix(emb) is None:
-                return False
-        return True
-
 
 def full_system(phi: Morphism) -> FaceSystem:
     """Every face of size above the rank gets the whole divided power;
-    TooManyColumns past MAX_ENUM_COLUMNS, or when its complex would have
-    more than MAX_GENERATORS generators (both read at call time)."""
-    if phi.e > MAX_ENUM_COLUMNS:
-        raise TooManyColumns(
-            f"{phi.e} columns would need {2**phi.e - 1} subsets; "
-            f"the full system is capped at {MAX_ENUM_COLUMNS} columns"
-        )
+    TooManyColumns when its complex would have more than MAX_GENERATORS
+    generators (read at call time), counted by face size before anything is
+    built and refused as soon as the running count passes the budget."""
     r = phi.coeff_data.r
-    dims = {p: divided_dim(r, p - r - 1) for p in range(r + 1, phi.e + 1)}
-    count = phi.g + phi.e + sum(math.comb(phi.e, p) * dim for p, dim in dims.items())
+    count, dims = phi.g + phi.e, {}
+    for p in range(r + 1, phi.e + 1):
+        dims[p] = divided_dim(r, p - r - 1)
+        count += math.comb(phi.e, p) * dims[p]
+        if count > MAX_GENERATORS:
+            break
     if count > MAX_GENERATORS:
-        raise TooManyColumns(f"the full-system complex would have {count} generators, "
-                             f"over the budget of {MAX_GENERATORS}")
+        raise TooManyColumns(f"the full-system complex would have at least {count} "
+                             f"generators, over the budget of {MAX_GENERATORS}")
     field = phi.field
     spaces = {}
     for p, dim in dims.items():

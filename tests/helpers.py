@@ -13,7 +13,7 @@ import math
 import random
 from pathlib import Path
 
-from mgres import QQ, GradedComplex, Generator, Matrix, Morphism, PrimeField, Subspace
+from mgres import QQ, GradedComplex, Generator, Matrix, Morphism, PrimeField, Subspace, join_all
 from mgres.verify import (
     ExactnessReport,
     check_d2,
@@ -61,6 +61,29 @@ def uvw_example() -> Morphism:
         entries,
         var_names=("u", "v", "w"),
     ).validate()
+
+
+def wide_generic_morphism(e: int) -> Morphism:
+    """A generic morphism with e columns over k[x, y, z], g = 2: pairwise
+    incomparable degrees with distinct values per coordinate, coefficient
+    columns (1, k)."""
+    rng = random.Random(e)
+    first = sorted(rng.sample(range(1, 4 * e), e))
+    second = sorted(rng.sample(range(1, 4 * e), e), reverse=True)
+    third = rng.sample(range(1, 4 * e), e)
+    entries = {(1, k): QQ.one for k in range(1, e + 1)}
+    entries.update({(2, k): QQ.of(k) for k in range(1, e + 1)})
+    return Morphism(3, QQ, list(zip(first, second, third)), [(0, 0, 0)] * 2, entries).validate()
+
+
+def tall_morphism() -> Morphism:
+    """g = 19, e = 21, rank 19 over k[x, y]: identity columns, then (1, ..., 1)
+    and (1, ..., 19).  Its Taylor complex has ranks (19, 21, 21, 19)."""
+    g, e = 19, 21
+    entries = {(i, i): QQ.one for i in range(1, g + 1)}
+    entries.update({(i, g + 1): QQ.one for i in range(1, g + 1)})
+    entries.update({(i, g + 2): QQ.of(i) for i in range(1, g + 1)})
+    return Morphism(2, QQ, [(j, e - j) for j in range(1, e + 1)], [(0, 0)] * g, entries).validate()
 
 
 def monomial_ideal_morphism(monomials, field=QQ) -> Morphism:
@@ -340,7 +363,42 @@ def contract(uv: Matrix, face, w, m: int) -> list:
     ``boundary_blocks`` applied to w, a dense vector over the basis of D_m."""
     from mgres.multilinear import boundary_blocks
 
-    return [(sub, block.apply(w)) for sub, block in boundary_blocks(uv, m)(face)]
+    return [(sub, mat_vec(block, w)) for sub, block in boundary_blocks(uv, m)(face)]
+
+
+def from_columns(field, rows: int, cols: list[list]) -> Matrix:
+    """The rows x len(cols) matrix with the given dense columns."""
+    return Matrix.from_rows(field, cols, rows).transpose()
+
+
+def mat_vec(m: Matrix, vec: list) -> list:
+    """m times the dense column vector vec, through ``Matrix.mul``."""
+    return list(m.mul(Matrix.from_rows(m.field, [[v] for v in vec], 1)).col(0))
+
+
+def system_contains(big, small) -> bool:
+    """Entrywise containment of the subspaces two face systems assign."""
+    if big.r != small.r:
+        return False
+    for face, emb in small.spaces.items():
+        mine = big.spaces.get(face)
+        if mine is None or mine.solve_matrix(emb) is None:
+            return False
+    return True
+
+
+def join_preserving_walk(f, phi: Morphism, phi2: Morphism, min_size: int, correspondence=None):
+    """Oracle for ``relabel.check_join_preserving``: f against the joins of
+    every column subset of at least min_size, in (size, lex) order, all
+    2^e of them.  (True, None), or (False, the first offending subset)."""
+    corr = list(correspondence or range(1, phi.e + 1))
+    for size in range(min_size, phi.e + 1):
+        for subset in itertools.combinations(range(1, phi.e + 1), size):
+            src = join_all(phi.source_degrees[i - 1] for i in subset)
+            dst = join_all(phi2.source_degrees[corr[i - 1] - 1] for i in subset)
+            if f.apply(src) != dst:
+                return False, subset
+    return True, None
 
 
 def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
@@ -374,7 +432,7 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
                         raise RestrictionError(face, f"image of {face} outside facet {sub}")
                     col[below[sub] : below[sub] + len(coords)] = coords
                 cols.append(col)
-        out[p] = Matrix.from_columns(field, n, cols)
+        out[p] = from_columns(field, n, cols)
     return out
 
 
@@ -390,7 +448,7 @@ def per_face_splice(uv: Matrix, e: int, rk: int) -> Matrix:
             minor = uv.submatrix(range(uv.rows), [j - 1 for j in face if j != l]).det()
             col[l - 1] = -minor if pos % 2 else minor
         cols.append(col)
-    return Matrix.from_columns(field, e, cols)
+    return from_columns(field, e, cols)
 
 
 # ----------------------------------------------- naive boxed linear algebra

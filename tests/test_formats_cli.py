@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mgres import QQ, cli, formats
+from mgres import QQ, Morphism, cli, formats
 from mgres.errors import FormatError
 from helpers import DATA, xy_example
 
@@ -424,6 +424,30 @@ def test_taylor_generator_budget_is_read_at_call_time(monkeypatch, capsys, budge
     err = capsys.readouterr().err
     assert err.count("mgres: ") == (3 if code else 0)
     assert ("12 generators" in err) == bool(code)
+
+
+def test_taylor_has_no_column_cap(tmp_path, capsys):
+    from helpers import tall_morphism
+
+    path = tmp_path / "tall.mmor"
+    path.write_text(formats.canonical_dumps(formats.morphism_to_dict(tall_morphism())))
+    assert cli.run(["taylor", str(path), "--output", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    assert [len(level) for level in levels] == [19, 21, 21, 19]
+
+
+def test_wide_chain_is_refused_by_the_generator_count(tmp_path, capsys):
+    # x, x^2, ..., x^20000: the count stops at the first face size past the
+    # budget instead of summing 20,000 binomials
+    e = 20000
+    chain = Morphism(1, QQ, [(i,) for i in range(1, e + 1)], [(0,)],
+                     {(1, j): QQ.one for j in range(1, e + 1)}).validate()
+    path = tmp_path / "chain.mmor"
+    path.write_text(formats.canonical_dumps(formats.morphism_to_dict(chain)))
+    assert cli.run(["taylor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.count("\n") == 1 and "over the budget" in captured.err
 
 
 @pytest.mark.parametrize("budget, code", [(5, 2), (6, 0)])

@@ -26,7 +26,13 @@ from mgres import (
     taylor_complex,
 )
 from mgres.lattice import faces_by_degree
-from helpers import DATA, random_generic_minimal, random_morphism, xy_example
+from helpers import (
+    DATA,
+    random_generic_minimal,
+    random_morphism,
+    wide_generic_morphism,
+    xy_example,
+)
 
 
 def test_lattice_example():
@@ -285,18 +291,8 @@ def test_one_closure_walk_per_command(monkeypatch, capsys, command):
 
 
 def test_wide_generic_scarf_cli(tmp_path, capsys):
-    # generic at e = 24, past the full system's column cap: incomparable
-    # degrees with distinct values per coordinate, coefficient columns (1, k)
-    e = 24
-    rng = random.Random(24)
-    first = sorted(rng.sample(range(1, 4 * e), e))
-    second = sorted(rng.sample(range(1, 4 * e), e), reverse=True)
-    third = rng.sample(range(1, 4 * e), e)
-    entries = {(1, k): QQ.one for k in range(1, e + 1)}
-    entries.update({(2, k): QQ.of(k) for k in range(1, e + 1)})
-    phi = Morphism(
-        3, QQ, list(zip(first, second, third)), [(0, 0, 0)] * 2, entries
-    ).validate()
+    # generic at e = 24, past the Taylor generator budget
+    phi = wide_generic_morphism(24)
     path = tmp_path / "wide.mmor"
     path.write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
     scarf_path = tmp_path / "scarf.json"

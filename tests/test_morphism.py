@@ -77,7 +77,7 @@ def test_coeff_data_example():
     cd = xy_example().coeff_data
     assert cd.matrix == Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
     assert cd.r == 2
-    assert cd.image == Subspace.full(QQ, 2)
+    assert cd.image == Subspace(Matrix.identity(QQ, 2))
     assert cd.uses_target_dual
     assert cd.uv == cd.matrix
 
@@ -104,7 +104,7 @@ def test_k_space_examples():
     assert phi.k_space({2}) == Subspace.from_rows(QQ, 2, [[QQ.of(2), QQ.of(-1)]])
     assert phi.k_space({3}) == Subspace.from_rows(QQ, 2, [[QQ.of(3), QQ.of(-1)]])
     assert phi.k_space({2, 3}).dim == 0
-    assert phi.k_space(set()) == Subspace.full(QQ, 2)
+    assert phi.k_space(set()) == Subspace(Matrix.identity(QQ, 2))
 
 
 def test_k_space_antitone():
@@ -210,7 +210,7 @@ def test_k_space_matches_naive_gauss_jordan(p):
                 assert [[plain(x) for x in v] for v in k.basis.data] == want
                 assert phi.k_space(set(face)) == k
                 kernel_dims.add(len(want))
-        assert phi.k_space(()) == Subspace.full(field, cd.r)
+        assert phi.k_space(()) == Subspace(Matrix.identity(field, cd.r))
         for bad in ([0], [e + 1], [e + 1, 1]):
             for _ in range(2):
                 with pytest.raises(DimensionError):

@@ -1,13 +1,15 @@
-"""Property tests of the LCM-lattice table against the 2^e subset walk, of
-``minimize`` on the Taylor complex against its rescanning oracle and the
-strand homology of the complex it came from, and of the integer-coded
-``linalg`` kernel against naive Gauss-Jordan on boxed field elements.
+"""Property tests of the LCM-lattice table and the join-preserving check
+against the 2^e subset walk, of ``minimize`` on the Taylor complex against
+its rescanning oracle and the strand homology of the complex it came from,
+and of the integer-coded ``linalg`` kernel against naive Gauss-Jordan on
+boxed field elements.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
 repeated and comparable degrees are common) over Q and three prime fields.
 """
 
 import functools
+import itertools
 import json
 from fractions import Fraction
 
@@ -20,11 +22,15 @@ from mgres import (  # noqa: E402
     QQ,
     DegreeNotInLattice,
     Matrix,
+    MissingKey,
     Morphism,
     PrimeField,
+    RelabelMap,
+    check_join_preserving,
     face_data,
     formats,
     homology_dims,
+    join_all,
     kernel_basis,
     lcm_lattice,
     leq,
@@ -37,6 +43,7 @@ from mgres.verify import strand_degrees  # noqa: E402
 from helpers import (  # noqa: E402
     brute_minor_rank,
     coding_is_canonical,
+    join_preserving_walk,
     naive_cancel,
     naive_det,
     naive_kernel,
@@ -51,10 +58,12 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 @st.composite
-def morphisms(draw):
-    """A valid morphism: each column gets a unit-like entry in a row whose
-    target degree its source degree dominates, other entries where allowed."""
-    n, g, e = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+def morphisms(draw, e=None):
+    """A valid morphism (with e columns if given): each column gets a
+    unit-like entry in a row whose target degree its source degree
+    dominates, other entries where allowed."""
+    n, g = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    e = draw(st.integers(1, 6)) if e is None else e
     field = draw(st.sampled_from(FIELDS))
     point = st.tuples(*[st.integers(0, 3)] * n)
     targets = [draw(point) for _ in range(g)]
@@ -133,6 +142,46 @@ def test_minimize_keeps_every_strand_homology(phi):
         h = homology_dims(strand(x, a))
         # minimize drops trailing levels only once they are all cancelled
         assert h == homology_dims(strand(m, a)) + (0,) * (len(h) - len(m.levels))
+
+
+@PROPERTY
+@given(st.data())
+def test_join_preserving_matches_subset_walk(data):
+    phi = data.draw(morphisms())
+    phi2 = data.draw(morphisms(e=phi.e))
+    corr = data.draw(st.permutations(range(1, phi.e + 1)))
+    size = data.draw(st.integers(1, phi.e))
+    d2 = [phi2.source_degrees[c - 1] for c in corr]
+    # the lattice map a -> join of the corresponding degrees over I_a
+    table = {a: join_all(d2[j - 1] for j in cols) for a, cols in phi.lattice_columns.items()}
+    key = data.draw(st.sampled_from(sorted(table)))
+    change = data.draw(st.sampled_from(("exact", "corrupt", "drop")))
+    if change == "corrupt":
+        table[key] = tuple(x + 1 for x in table[key])
+    elif change == "drop":
+        del table[key]
+    f = RelabelMap(table)
+
+    def outcome(check):
+        try:
+            return check(f, phi, phi2, size, corr)
+        except MissingKey:
+            return "missing"
+
+    got, walk = outcome(check_join_preserving), outcome(join_preserving_walk)
+    assert (got == (True, None)) == (walk == (True, None))
+    if "missing" in (got, walk):
+        assert got in ("missing", walk) or not got[0]
+        assert walk in ("missing", got) or not walk[0]
+    if got not in ("missing", (True, None)):
+        a = got[1]
+        cols = sorted(phi.lattice_columns[a])
+        assert len(cols) >= size
+        assert any(
+            phi.face_degree(sub) == a and f.apply(a) != join_all(d2[j - 1] for j in sub)
+            for k in range(size, len(cols) + 1)
+            for sub in itertools.combinations(cols, k)
+        )
 
 
 # ------------------------------------------------- the integer-coded kernel

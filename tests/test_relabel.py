@@ -12,7 +12,6 @@ from mgres import (
     NegativeShift,
     RankMismatch,
     RelabelMap,
-    TooManyColumns,
     check_join_preserving,
     check_qe_compatible,
     check_quasi_equivalent,
@@ -22,7 +21,7 @@ from mgres import (
     scarf_complex,
     taylor_complex,
 )
-from helpers import uvw_example, xy_example
+from helpers import join_preserving_walk, uvw_example, wide_generic_morphism, xy_example
 
 F_TABLE = [
     ((3, 0), (2, 1, 0)),
@@ -33,6 +32,11 @@ F_TABLE = [
     ((3, 3), (2, 1, 2)),
     ((2, 3), (2, 1, 2)),
 ]
+
+
+def _one_column():
+    """A one-column morphism over k[x, y], to compare against four columns."""
+    return Morphism(2, QQ, [(1, 0)], [(0, 0)], {(1, 1): QQ.one}).validate()
 
 
 def test_quasi_equivalent_example_pair():
@@ -56,10 +60,8 @@ def test_quasi_equivalence_broken_by_scaling():
 
 
 def test_quasi_equivalence_rank_mismatch():
-    phi = xy_example()
-    small = Morphism(2, QQ, [(1, 0)], [(0, 0)], {(1, 1): QQ.one}).validate()
     with pytest.raises(RankMismatch):
-        check_quasi_equivalent(phi, small)
+        check_quasi_equivalent(xy_example(), _one_column())
 
 
 def test_qe_compatible_example():
@@ -92,22 +94,35 @@ def test_join_preserving_example():
 
 
 def test_join_preserving_violation():
+    # the witness is the first failing lattice degree; the subset walk
+    # finds (1, 2, 4), whose join is that degree
     table = [(k, v) for k, v in F_TABLE if k != (3, 3)] + [((3, 3), (2, 2, 2))]
-    ok, witness = check_join_preserving(RelabelMap(table), xy_example(), uvw_example(), 3)
-    assert not ok and witness == (1, 2, 4)
+    f, phi, phi2 = RelabelMap(table), xy_example(), uvw_example()
+    assert check_join_preserving(f, phi, phi2, 3) == (False, (3, 3))
+    assert join_preserving_walk(f, phi, phi2, 3) == (False, (1, 2, 4))
+    assert phi.face_degree((1, 2, 4)) == (3, 3)
 
 
-def test_join_preserving_refuses_past_the_column_cap(monkeypatch):
-    # the subset walk is 2^e; it shares full_system's cap, read at call time
-    from mgres import systems
+def test_join_preserving_has_no_column_cap():
+    # the subset walk would take 2^24 subsets; the lattice table is small
+    phi = wide_generic_morphism(24)
+    identity = RelabelMap({a: a for a in phi.lattice_columns})
+    assert check_join_preserving(identity, phi, phi, phi.coeff_data.r + 1) == (True, None)
 
-    sources = [(5 - j, j) for j in range(5)]
-    phi = Morphism(2, QQ, sources, [(0, 0)], {(1, j): QQ.one for j in range(1, 6)}).validate()
-    identity = RelabelMap({d: d for d in sources + [(5, 4)]})
-    assert check_join_preserving(identity, phi, phi, 5) == (True, None)
-    monkeypatch.setattr(systems, "MAX_ENUM_COLUMNS", 4)
-    with pytest.raises(TooManyColumns):
-        check_join_preserving(identity, phi, phi, 5)
+
+@pytest.mark.parametrize("swap", [False, True], ids=["wide-narrow", "narrow-wide"])
+def test_join_preserving_rank_mismatch(swap):
+    phi, small = xy_example(), _one_column()
+    f = RelabelMap({a: a for a in phi.lattice_columns} | {(1, 0): (1, 0)})
+    pair = (small, phi) if swap else (phi, small)
+    with pytest.raises(RankMismatch):
+        check_join_preserving(f, *pair, 1)
+
+
+def test_qe_compatible_rank_mismatch():
+    f = RelabelMap({(1, 0): (1, 0)})
+    with pytest.raises(RankMismatch):
+        check_qe_compatible(f, xy_example(), _one_column())
 
 
 def test_relabel_scarf_golden():

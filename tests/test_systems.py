@@ -28,6 +28,8 @@ from helpers import (
     random_generic_minimal,
     random_morphism,
     solved_differentials,
+    system_contains,
+    tall_morphism,
     xy_example,
 )
 
@@ -94,8 +96,8 @@ def test_scarf_system_table():
 
 def test_full_contains_scarf():
     phi = xy_example()
-    assert full_system(phi).contains(scarf_system(phi))
-    assert not scarf_system(phi).contains(full_system(phi))
+    assert system_contains(full_system(phi), scarf_system(phi))
+    assert not system_contains(scarf_system(phi), full_system(phi))
 
 
 def test_scarf_system_is_compatible():
@@ -236,7 +238,7 @@ def test_scarf_system_compatible_on_random_generic():
         phi = random_generic_minimal(rng)
         ok, violation = is_compatible_system(phi, scarf_system(phi))
         assert ok, violation
-        assert full_system(phi).contains(scarf_system(phi))
+        assert system_contains(full_system(phi), scarf_system(phi))
 
 
 def test_scarf_system_compatible_unconditionally():
@@ -477,14 +479,27 @@ def test_singular_facet_fails_at_the_face_of_the_solve_route():
     assert set(facet) < set(built.value.face)
 
 
-def test_taylor_complex_reads_the_column_cap_at_call_time(monkeypatch):
+@pytest.mark.parametrize("budget, refused", [(31, True), (32, False)])
+def test_taylor_complex_reads_the_generator_budget_at_call_time(monkeypatch, budget, refused):
     from mgres import systems
 
+    # the chain x^5, x^4 y, ..., y^5 has Taylor ranks (1, 5, 10, 10, 5, 1): 32
     phi = monomial_ideal_morphism([(5 - j, j) for j in range(5)])
-    assert taylor_complex(phi).ranks()[1] == 5
-    monkeypatch.setattr(systems, "MAX_ENUM_COLUMNS", 4)
-    with pytest.raises(TooManyColumns):
-        taylor_complex(phi)
+    monkeypatch.setattr(systems, "MAX_GENERATORS", budget)
+    if refused:
+        with pytest.raises(TooManyColumns):
+            taylor_complex(phi)
+    else:
+        assert sum(taylor_complex(phi).ranks()) == 32
+
+
+def test_taylor_complex_has_no_column_cap():
+    from mgres.verify import is_resolution
+
+    # 21 columns, but at rank 19 only 80 generators
+    x = taylor_complex(tall_morphism())
+    assert x.ranks() == (19, 21, 21, 19)
+    assert is_resolution(x).exact
 
 
 def _fails_at_the_same_face(phi, system):
