@@ -73,22 +73,25 @@ def support(a: Sequence[int]) -> frozenset[int]:
 def join_closure(degrees: Iterable[Sequence[int]]) -> set[Multidegree]:
     """All joins of nonempty subsets of the given degrees.
 
-    Computed as the fixpoint of joining against the atoms; associativity of
-    join makes this equal to the full subset-join closure.  Raises
-    ClosureTooLarge as soon as the closure passes MAX_CLOSURE_ELEMENTS.
+    Grown one atom at a time, in order of total degree: an atom a adds a
+    and its join with every element so far.  An atom already in the
+    closure is the join of atoms before it (smaller ones, so they come
+    first) and adds nothing, so only the join-irreducible atoms do any
+    work.  Raises ClosureTooLarge once the closure passes
+    MAX_CLOSURE_ELEMENTS, checked before each atom, so the set never grows
+    past twice that.
     """
     atoms = [tuple(d) for d in degrees]
-    closure = set(atoms)
-    frontier = list(closure)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            if len(closure) > MAX_CLOSURE_ELEMENTS:
-                raise ClosureTooLarge(f"join closure over {MAX_CLOSURE_ELEMENTS} degrees")
-            for b in atoms:
-                j = join(a, b)
-                if j not in closure:
-                    closure.add(j)
-                    fresh.append(j)
-        frontier = fresh
+    for d in atoms:
+        _same_length(atoms[0], d)
+    closure: set[Multidegree] = set()
+    for a in sorted(set(atoms), key=lambda d: (sum(d), d)):
+        if a in closure:
+            continue
+        if len(closure) > MAX_CLOSURE_ELEMENTS:
+            break
+        closure |= {tuple(map(max, a, c)) for c in closure}
+        closure.add(a)
+    if len(closure) > MAX_CLOSURE_ELEMENTS:
+        raise ClosureTooLarge(f"join closure over {MAX_CLOSURE_ELEMENTS} degrees")
     return closure

@@ -10,6 +10,9 @@ handed out or mutated.  Field elements exist only at the edges:
 ``from_nonzero_rows``, ``field.decode`` builds them in ``nonzero_rows``,
 ``data``, ``col`` and ``det``; all else reads and returns codes, so
 products, transposes and strands cost the number of nonzeros.
+``from_blocks``, the one assembler (every differential, ``solve_matrix``'s
+augmented matrix), streams: one pass writes each block's codes into their
+rows, and only a row whose blocks came out of column order is sorted.
 
 ``_echelon``, the one elimination, clears each row at its first nonzero by
 that column's pivot row and normalizes it (over Z by its content, mod p to
@@ -71,20 +74,41 @@ class Matrix:
 
     @classmethod
     def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
-        """rows x cols with each (row0, col0, block) at that corner, none overlapping."""
+        """rows x cols with each (row0, col0, block) at that corner, none overlapping.
+
+        One pass over the blocks' nonzeros, each code written straight into
+        its row; only a row that got a block left of an earlier one is
+        sorted at the end."""
         # a row's pieces go to the lcm of their scales: canonical pieces
         # make a canonical row (a prime's top power in the lcm divides some
         # piece's scale, and that piece has a code it does not divide)
-        codes, scales = [{} for _ in range(rows)], [1] * rows
+        codes, scales, ends, unsorted = [{} for _ in range(rows)], [1] * rows, [0] * rows, set()
         for row0, col0, block in blocks:
+            end = col0 + block.cols
             for i, (row, s) in enumerate(block._rows, start=row0):
-                if s != scales[i]:
-                    lcm, t = math.lcm(s, scales[i]), scales[i]
-                    codes[i], scales[i] = {j: x * (lcm // t) for j, x in codes[i].items()}, lcm
-                    row = {j: x * (lcm // s) for j, x in row.items()}
-                codes[i].update({col0 + j: x for j, x in row.items()})
-        out = [(dict(sorted(r.items())), s) for r, s in zip(codes, scales)]
-        return cls._coded(field, cols, out)
+                if not row:
+                    continue
+                target, t = codes[i], scales[i]
+                if s != t:
+                    lcm = math.lcm(s, t)
+                    if lcm != t:
+                        for j in target:
+                            target[j] *= lcm // t
+                        scales[i] = lcm
+                    if lcm != s:
+                        row = {j: x * (lcm // s) for j, x in row.items()}
+                if col0 < ends[i]:
+                    unsorted.add(i)
+                else:
+                    ends[i] = end
+                if col0:
+                    for j, x in row.items():
+                        target[col0 + j] = x
+                else:
+                    target.update(row)
+        for i in unsorted:
+            codes[i] = dict(sorted(codes[i].items()))
+        return cls._coded(field, cols, list(zip(codes, scales)))
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):

@@ -173,13 +173,15 @@ class Morphism:
                    for cols in itertools.combinations(range(self.e), cd.r))
 
     def is_combinatorially_generic(self) -> bool:
-        """Supports of pairwise degree differences swallow both supports."""
-        for i in range(self.e):
-            for j in range(i + 1, self.e):
-                a, b = self.source_degrees[i], self.source_degrees[j]
-                wanted = deg.support(a) | deg.support(b)
-                if not wanted <= deg.support(deg.sub(a, b)):
-                    return False
+        """Supports of pairwise degree differences swallow both supports.
+
+        A pair fails exactly at a coordinate where both degrees are equal
+        and nonzero, so this reads each coordinate's nonzero values once:
+        no value may repeat."""
+        for k in range(self.n):
+            values = [d[k] for d in self.source_degrees if d[k]]
+            if len(set(values)) != len(values):
+                return False
         return True
 
     def is_generic(self) -> bool:
@@ -192,12 +194,19 @@ class Morphism:
         source degrees: for any a, the column set I_a is reproduced at the
         join of the degrees it contains, so only closure points can witness
         a failure.  Runs over ``lattice_columns``; the witness is the first
-        failing lattice degree in sorted order."""
-        cd = self.coeff_data
+        failing lattice degree in sorted order.  Sorted order is a linear
+        extension of <=, and rank is monotone in the column set, so a degree
+        whose I_a contains an I_b of exactly r columns that already passed
+        has rank r without a rank call."""
+        cd, bases = self.coeff_data, []
         for a, cols in self.lattice_columns.items():
+            if len(cols) > cd.r and any(b <= cols for b in bases):
+                continue
             sub = cd.matrix.submatrix(range(self.g), [j - 1 for j in sorted(cols)])
             if sub.rank() != min(cd.r, len(cols)):
                 return MaxRankResult(False, a)
+            if len(cols) == cd.r:
+                bases.append(cols)
         return MaxRankResult(True, None)
 
     def __repr__(self):

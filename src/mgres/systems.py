@@ -215,14 +215,19 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
 
     Faces are taken in build order (size, then lexicographic).  Every face
     must index columns of phi and be assigned a subspace of the divided
-    power of its own degree.  A face of size r + 1 maps to the source by
-    its splice column (signed maximal minors) times its one-row embedding.
-    Above that, the block from face F (embedding emb) to facet F - {l} is
-    the signed contraction Delta_l of ``multilinear.boundary_blocks`` times
-    emb (Delta_l itself on an identity face), in the facet's basis: read
-    directly on an identity facet, else solved for.  A malformed face, or
-    an image that fails to decompose, raises RestrictionError naming the
-    face: the system was not closed.
+    power of its own degree.  A face's degree is the join of its prefix
+    face's degree (the face without its last column, kept from the level
+    before, or joined once when the prefix is not in the system) with its
+    last column's.  A face of size r + 1 maps to the source by its splice
+    column (signed maximal minors) times its one-row embedding.  Above
+    that, the block from face F (embedding emb) to facet F - {l} is the
+    signed contraction Delta_l of ``multilinear.boundary_blocks`` times emb
+    (Delta_l itself on an identity face), in the facet's basis: read
+    directly on an identity facet, else solved for.  Faces, and so blocks,
+    come in column order, and ``Matrix.from_blocks`` assembles each
+    differential in one pass with no row to sort.  A malformed face, or an
+    image that fails to decompose, raises RestrictionError naming the face:
+    the system was not closed.
     """
     cd = phi.coeff_data
     r = cd.r
@@ -246,16 +251,21 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     ]
     diffs: list[Matrix] = [cd.matrix]
     offsets: dict[Face, int] = {}  # first generator of each face in its level
-    splice = splice_columns(cd.uv)
+    degrees: dict[Face, Multidegree] = {(): (0,) * phi.n}  # per face of a level; () has 0
+    splice, src = splice_columns(cd.uv), phi.source_degrees
     for p in range(r + 1, system.max_face_size() + 1):
         prev_offsets, offsets = offsets, {}
+        prefix_degrees, degrees = degrees, {}
         gens: list[Generator] = []
         blocks = []  # the new differential's blocks: (row0, col0, Matrix)
         boundary = boundary_blocks(cd.uv, p - r - 1)
         for face in system.faces_of_size(p):
             emb = system.spaces[face]
             k = offsets[face] = len(gens)
-            degree = phi.face_degree(face)
+            prefix = face[:-1]
+            if prefix not in prefix_degrees:  # not a face of the system
+                prefix_degrees[prefix] = phi.face_degree(prefix)
+            degree = degrees[face] = deg.join(prefix_degrees[prefix], src[face[-1] - 1])
             label_face = "{" + ",".join(map(str, face)) + "}"
             gens.extend(Generator(degree, f"e{label_face}#{t + 1}") for t in range(emb.cols))
             if p == r + 1:

@@ -13,7 +13,19 @@ import math
 import random
 from pathlib import Path
 
-from mgres import QQ, GradedComplex, Generator, Matrix, Morphism, PrimeField, Subspace, join_all
+from mgres import (
+    QQ,
+    GradedComplex,
+    Generator,
+    Matrix,
+    Morphism,
+    PrimeField,
+    Subspace,
+    join,
+    join_all,
+    sub,
+    support,
+)
 from mgres.verify import (
     ExactnessReport,
     check_d2,
@@ -383,6 +395,35 @@ def system_contains(big, small) -> bool:
     for face, emb in small.spaces.items():
         mine = big.spaces.get(face)
         if mine is None or mine.solve_matrix(emb) is None:
+            return False
+    return True
+
+
+def fixpoint_join_closure(degrees) -> set:
+    """Oracle for ``degrees.join_closure``: the fixpoint of joining every
+    element found against every atom (no budget).  Associativity of join
+    makes it the full subset-join closure; ``join`` rejects mixed lengths."""
+    atoms = [tuple(d) for d in degrees]
+    closure = set(atoms)
+    frontier = list(closure)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in atoms:
+                j = join(a, b)
+                if j not in closure:
+                    closure.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return closure
+
+
+def pairwise_combinatorially_generic(phi: Morphism) -> bool:
+    """Oracle for ``Morphism.is_combinatorially_generic``, by its definition:
+    for every pair of columns, the support of the difference of their degrees
+    contains both degrees' supports."""
+    for a, b in itertools.combinations(phi.source_degrees, 2):
+        if not support(a) | support(b) <= support(sub(a, b)):
             return False
     return True
 

@@ -19,7 +19,7 @@ from mgres import (
     join_closure,
     leq,
 )
-from helpers import random_morphism, uvw_example, xy_example
+from helpers import random_morphism, uvw_example, wide_generic_morphism, xy_example
 
 
 @pytest.mark.parametrize("p", [0, 7])
@@ -326,3 +326,22 @@ def test_uniform_rank_implies_maximal_rank_everywhere():
         if phi.is_uniform_rank():
             assert phi.is_maximal_rank_everywhere().ok
             checked += 1
+
+
+def test_maximal_rank_skips_implied_ranks(monkeypatch):
+    """A lattice degree whose I_a contains the r columns of an earlier
+    (smaller) lattice degree of full rank has rank r without a rank call."""
+    calls = []
+    rank = Matrix.rank
+
+    def counting(self):
+        calls.append(self.cols)
+        return rank(self)
+
+    phi = wide_generic_morphism(14)
+    r, table = phi.coeff_data.r, phi.lattice_columns
+    bases = [cols for cols in table.values() if len(cols) == r]  # all rank r: uniform rank
+    implied = [a for a, cols in table.items() if len(cols) > r and any(b <= cols for b in bases)]
+    monkeypatch.setattr(Matrix, "rank", counting)
+    assert phi.is_maximal_rank_everywhere().ok
+    assert len(calls) == len(table) - len(implied) < len(table) // 4

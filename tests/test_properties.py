@@ -1,8 +1,10 @@
-"""Property tests of the LCM-lattice table and the join-preserving check
-against the 2^e subset walk, of ``minimize`` on the Taylor complex against
-its rescanning oracle and the strand homology of the complex it came from,
-and of the integer-coded ``linalg`` kernel against naive Gauss-Jordan on
-boxed field elements.
+"""Property tests of the join closure against its fixpoint oracle, of the
+LCM-lattice table and the join-preserving check against the 2^e subset
+walk, of combinatorial genericity against its pairwise definition, of
+``minimize`` on the Taylor complex against its rescanning oracle and the
+strand homology of the complex it came from, and of the integer-coded
+``linalg`` kernel (and the contraction and splice kernels built on its
+codes) against naive Gauss-Jordan and dense builds on boxed field elements.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
 repeated and comparable degrees are common) over Q and three prime fields.
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from mgres import (  # noqa: E402
     QQ,
     DegreeNotInLattice,
+    DimensionError,
     Matrix,
     MissingKey,
     Morphism,
@@ -31,6 +34,7 @@ from mgres import (  # noqa: E402
     formats,
     homology_dims,
     join_all,
+    join_closure,
     kernel_basis,
     lcm_lattice,
     leq,
@@ -39,10 +43,17 @@ from mgres import (  # noqa: E402
     taylor_complex,
 )
 from mgres.lattice import faces_by_degree  # noqa: E402
+from mgres.multilinear import (  # noqa: E402
+    contraction_matrix,
+    divided_basis,
+    removal_sign,
+    splice_columns,
+)
 from mgres.verify import strand_degrees  # noqa: E402
 from helpers import (  # noqa: E402
     brute_minor_rank,
     coding_is_canonical,
+    fixpoint_join_closure,
     join_preserving_walk,
     naive_cancel,
     naive_det,
@@ -50,6 +61,7 @@ from helpers import (  # noqa: E402
     naive_mul,
     naive_rref,
     naive_solve,
+    pairwise_combinatorially_generic,
     rescan_minimize,
 )
 
@@ -78,6 +90,54 @@ def morphisms(draw, e=None):
             if leq(targets[i - 1], src) and v:
                 entries[(i, j)] = field.of(v)
     return Morphism(n, field, sources, targets, entries).validate()
+
+
+@st.composite
+def degree_families(draw):
+    """Up to 9 degrees in [0,4]^n, n = 1..4: random, a chain or an antichain
+    (one total degree), with some repeated, in any order."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 4)] * n)
+    shape = draw(st.sampled_from(("random", "chain", "antichain")))
+    family = draw(st.lists(point, max_size=6))
+    if shape == "chain" and family:
+        family = [family[0]]
+        for _ in range(draw(st.integers(0, 5))):
+            family.append(tuple(x + draw(st.integers(0, 2)) for x in family[-1]))
+    elif shape == "antichain" and family:
+        top = max(map(sum, family))
+        family = [d[:-1] + (d[-1] + top - sum(d),) for d in family]
+    if family:
+        family += draw(st.lists(st.sampled_from(family), max_size=3))
+    return draw(st.permutations(family))
+
+
+@PROPERTY
+@given(degree_families())
+def test_join_closure_matches_fixpoint(family):
+    closure = join_closure(family)
+    assert closure == fixpoint_join_closure(family)
+    assert set(map(tuple, family)) <= closure
+
+
+@PROPERTY
+@given(st.data())
+def test_join_closure_rejects_mixed_lengths(data):
+    family = data.draw(degree_families().filter(bool))
+    n = len(family[0])
+    odd = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1)))
+    odd = data.draw(st.sampled_from((odd, odd[: n - 1])))
+    family.insert(data.draw(st.integers(0, len(family))), odd)
+    with pytest.raises(DimensionError):
+        join_closure(family)
+    with pytest.raises(DimensionError):
+        fixpoint_join_closure(family)
+
+
+@PROPERTY
+@given(morphisms())
+def test_combinatorial_genericity_matches_pairwise_definition(phi):
+    assert phi.is_combinatorially_generic() == pairwise_combinatorially_generic(phi)
 
 
 @PROPERTY
@@ -271,7 +331,46 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
         m.transpose().transpose(),
         Matrix.from_blocks(field, r, c, [(0, 0, m)]),
     ]
+    # m cut into a grid of blocks (zero blocks and empty rows included,
+    # each block at its own Q scales), assembled in a drawn order: out of
+    # column order and interleaved across rows
+    row_cuts = sorted(set(data.draw(st.lists(st.integers(0, r), max_size=3)) + [0, r]))
+    col_cuts = sorted(set(data.draw(st.lists(st.integers(0, c), max_size=3)) + [0, c]))
+    grid = [(i0, j0, m.submatrix(range(i0, i1), range(j0, j1)))
+            for i0, i1 in zip(row_cuts, row_cuts[1:]) for j0, j1 in zip(col_cuts, col_cuts[1:])]
+    routes.append(Matrix.from_blocks(field, r, c, data.draw(st.permutations(grid))))
     assert coding_is_canonical(m)
     for other in routes:
         assert other == m and hash(other) == hash(m)
         assert coding_is_canonical(other)
+
+
+@PROPERTY
+@given(st.data())
+def test_contraction_and_splice_store_one_coding(data):
+    """Delta_l read off the coded transpose of uv, and a splice column of
+    cached minors, against dense builds, on uv with fractional entries."""
+    field = data.draw(st.sampled_from(FIELDS))
+    r, e, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    dense = _entries(data.draw, field, r, e)
+    uv = Matrix.from_rows(field, dense, cols=e)
+    cod, dom = divided_basis(r, m - 1), divided_basis(r, m)
+    dom_index = {b: i for i, b in enumerate(dom)}
+    for l in range(1, e + 1):
+        want = [[field.zero] * len(dom) for _ in cod]
+        for i, c in enumerate(cod):
+            for j in range(r):
+                want[i][dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]]] = dense[j][l - 1]
+        delta = contraction_matrix(uv, l, m)
+        assert delta == Matrix.from_rows(field, want, cols=len(dom))
+        assert coding_is_canonical(delta)
+    if e <= r:
+        return  # no splice face
+    face = tuple(sorted(data.draw(st.permutations(range(1, e + 1)))[: r + 1]))
+    column = splice_columns(uv)(face)
+    want = [[field.zero] for _ in range(e)]
+    for pos, l in enumerate(face):
+        minor = naive_det(field, [[row[j - 1] for j in face if j != l] for row in dense])
+        want[l - 1][0] = minor if removal_sign(pos) > 0 else -minor
+    assert column == Matrix.from_rows(field, want, cols=1)
+    assert coding_is_canonical(column)
