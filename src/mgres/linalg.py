@@ -13,6 +13,8 @@ products, transposes and strands cost the number of nonzeros.
 ``from_blocks``, the one assembler (every differential, ``solve_matrix``'s
 augmented matrix), streams: one pass writes each block's codes into their
 rows, and only a row whose blocks came out of column order is sorted.
+``column_copies`` (the rows of a contraction) and ``stack`` (a splice
+column) build from stored rows without re-coding them.
 
 ``_echelon``, the one elimination, clears each row at its first nonzero by
 that column's pivot row and normalizes it (over Z by its content, mod p to
@@ -91,24 +93,25 @@ class Matrix:
                 target, t = codes[i], scales[i]
                 if s != t:
                     lcm = math.lcm(s, t)
-                    if lcm != t:
-                        for j in target:
-                            target[j] *= lcm // t
-                        scales[i] = lcm
-                    if lcm != s:
-                        row = {j: x * (lcm // s) for j, x in row.items()}
+                    for j in target:
+                        target[j] *= lcm // t
+                    scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
                 if col0 < ends[i]:
                     unsorted.add(i)
                 else:
                     ends[i] = end
-                if col0:
-                    for j, x in row.items():
-                        target[col0 + j] = x
-                else:
-                    target.update(row)
+                for j, x in row.items():
+                    target[col0 + j] = x
         for i in unsorted:
             codes[i] = dict(sorted(codes[i].items()))
         return cls._coded(field, cols, list(zip(codes, scales)))
+
+    @classmethod
+    def stack(cls, field, cols: int, blocks: Sequence["Matrix"]):
+        """The blocks, each cols wide, one above the other (rows shared as stored)."""
+        if any(b.cols != cols for b in blocks):
+            raise DimensionError(f"cannot stack blocks into {cols} columns")
+        return cls._coded(field, cols, [row for b in blocks for row in b._rows])
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int):
@@ -145,6 +148,16 @@ class Matrix:
             col = col if lcm == 1 else {i: x * (lcm // scales[i]) for i, x in col.items()}
             out.append(_reduce(col, lcm, p))
         return Matrix._coded(self.field, self.rows, out)
+
+    def column_copies(self, j: int, cols: int, targets: Sequence[Sequence[int]]) -> "Matrix":
+        """len(targets) x cols: row k is column j of self with its entry from
+        row i moved to column targets[k][i].  Column j is coded once, as in
+        ``transpose``; each targets[k] must ascend, so every row keeps that
+        one coding."""
+        hits = [(i, row[j], s) for i, (row, s) in enumerate(self._rows) if j in row]
+        lcm = math.lcm(*(s for _, _, s in hits))
+        col, t = _reduce({i: x * (lcm // s) for i, x, s in hits}, lcm, self.field.characteristic)
+        return Matrix._coded(self.field, cols, [({k[i]: x for i, x in col.items()}, t) for k in targets])
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """The rows row_idx and the distinct columns col_idx, in the order given."""

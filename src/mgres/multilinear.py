@@ -12,11 +12,10 @@ matrix of signed contractions: the block from face I to facet I - {l} is
 (-1)^(position of l in I, from 0) Delta_l, the standard comultiplication
 sign, where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided
 exponent j by one with weight uv[j][l].  Each row of Delta_l is column l of
-uv, read off uv's coded transpose at its one scale and relabeled, so it is
-stored as built.  Delta_l depends on l and m only, so it is built once (from
-one transpose per boundary) and placed at every face it leaves.  The splice
-map replaces Delta_l by maximal minors of the coordinate matrix, each coded
-once and shared by every face it meets.  Divided
+uv, coded once and relabeled (``Matrix.column_copies``).  Delta_l depends on
+l and m only, so it is built once and placed at every face it leaves.  The
+splice map replaces Delta_l by maximal minors of the coordinate matrix, each
+a 1 x 1 matrix built once and stacked into every face's column.  Divided
 powers obey characteristic-free laws (binomial coefficients, never division
 by factorials), so everything works verbatim over GF(p).
 """
@@ -100,38 +99,38 @@ def _divided_index(r: int, m: int) -> tuple[tuple[DividedIndex, ...], dict[Divid
     return basis, {b: i for i, b in enumerate(basis)}
 
 
-def contraction_matrix(uv: Matrix, l: int, m: int, uv_t: Matrix | None = None) -> Matrix:
+@functools.lru_cache(maxsize=None)
+def _raised_index(r: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Per basis vector c of D_{m-1}, the positions in D_m of c + e_j for
+    j = 0, ..., r - 1, ascending in j (shared, read-only)."""
+    cod, _ = _divided_index(r, m - 1)
+    _, dom_index = _divided_index(r, m)
+    return tuple(tuple(dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]] for j in range(r)) for c in cod)
+
+
+def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
     """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv.
 
     Basis vector b goes to the sum of uv[j][l] (b - e_j) over the j with
-    b_j > 0: row c is {c + e_j: uv[j][l]}, read off row l - 1 of the coded
-    transpose uv_t (taken here unless given) at its one scale.  The columns
-    c + e_j ascend with j and the codes are those of a canonical row, so
-    each row is stored as built.  The only contraction kernel; every
+    b_j > 0: row c is column l of uv with entry j moved to c + e_j, one
+    ``Matrix.column_copies`` of it.  The only contraction kernel; every
     boundary uses signed blocks of it.
     """
-    cod, _ = _divided_index(uv.rows, m - 1)
-    _, dom_index = _divided_index(uv.rows, m)
-    weights, s = (uv.transpose() if uv_t is None else uv_t)._rows[l - 1]
-    rows = [({dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]]: x for j, x in weights.items()}, s)
-            for c in cod]
-    return Matrix._coded(uv.field, len(dom_index), rows)
+    return uv.column_copies(l - 1, divided_dim(uv.rows, m), _raised_index(uv.rows, m))
 
 
 def boundary_blocks(uv: Matrix, m: int):
     """face -> [(facet, removal_sign(pos) Delta_l)], one per position pos of
     l in the face: the blocks of the boundary out of D_m (x) e_face.  Each
-    Delta_l is built on first use, from one transpose of uv, and shared by
-    every face of the caller."""
+    Delta_l is built on first use and shared by every face of the caller."""
     blocks: dict[tuple[int, int], Matrix] = {}
-    uv_t = uv.transpose()
 
     def boundary(face: ExteriorIndex) -> list[tuple[ExteriorIndex, Matrix]]:
         out = []
         for pos, l in enumerate(face):
             key = (l, removal_sign(pos))
             if key not in blocks:
-                delta = contraction_matrix(uv, l, m, uv_t)
+                delta = contraction_matrix(uv, l, m)
                 blocks[(l, 1)], blocks[(l, -1)] = delta, -delta
             out.append((face[:pos] + face[pos + 1 :], blocks[key]))
         return out
@@ -141,20 +140,20 @@ def boundary_blocks(uv: Matrix, m: int):
 
 def splice_columns(uv: Matrix):
     """face -> splice image of a (uv.rows + 1)-face, a uv.cols x 1 matrix:
-    row l - 1 is the signed maximal minor of uv on the face without l, its
-    coded row computed once per r-subset and shared by every face of the
-    caller."""
-    rows, minors, empty = range(uv.rows), {}, ({}, 1)
+    row l - 1 is the signed maximal minor of uv on the face without l, a
+    1 x 1 matrix computed once per r-subset and shared by every face of the
+    caller, stacked under ``Matrix.stack``."""
+    rows, minors, zero = range(uv.rows), {}, Matrix.zeros(uv.field, 1, 1)
 
     def column(face: ExteriorIndex) -> Matrix:
-        out = [empty] * uv.cols
+        out = [zero] * uv.cols
         for pos, l in enumerate(face):
             sub = face[:pos] + face[pos + 1 :]
             if sub not in minors:
                 minor = Matrix(uv.field, 1, 1, [[uv.submatrix(rows, [j - 1 for j in sub]).det()]])
-                minors[sub] = {1: minor._rows[0], -1: (-minor)._rows[0]}
+                minors[sub] = {1: minor, -1: -minor}
             out[l - 1] = minors[sub][removal_sign(pos)]
-        return Matrix._coded(uv.field, 1, out)
+        return Matrix.stack(uv.field, 1, out)
 
     return column
 

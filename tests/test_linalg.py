@@ -20,7 +20,7 @@ from mgres import (
     kernel_basis,
     rank,
 )
-from mgres.errors import FormatError
+from mgres.errors import DimensionError, FormatError
 from helpers import brute_minor_rank, from_columns, mat_vec
 
 C_EX = Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
@@ -136,6 +136,18 @@ def test_subspace_equality_is_canonical():
     b = Subspace.from_rows(QQ, 3, [[QQ.of(1), QQ.of(2), QQ.of(0)]])
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_stack_and_column_copies():
+    a = Matrix.from_rows(QQ, [[Fraction(1, 2), 0], [Fraction(3, 4), 2]])
+    assert Matrix.stack(QQ, 2, [a, -a]) == Matrix.from_rows(QQ, list(a.data) + list((-a).data))
+    with pytest.raises(DimensionError):
+        Matrix.stack(QQ, 3, [a])
+    # column 0 is (1/2, 3/4), coded once as (2, 3) / 4, written at columns 1 and 3, then 0 and 2
+    copies = a.column_copies(0, 4, [(1, 3), (0, 2)])
+    half, quarter = Fraction(1, 2), Fraction(3, 4)
+    assert copies == Matrix.from_rows(QQ, [[0, half, 0, quarter], [half, 0, quarter, 0]])
+    assert a.column_copies(1, 3, [(0, 2)]) == Matrix.from_rows(QQ, [[0, 0, 2]])
 
 
 def test_solve_and_failure():

@@ -330,6 +330,8 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
         Matrix.from_nonzero_rows(field, c, m.nonzero_rows()),
         m.transpose().transpose(),
         Matrix.from_blocks(field, r, c, [(0, 0, m)]),
+        # row i of m is column i of its transpose, copied once in place
+        Matrix.stack(field, c, [m.transpose().column_copies(i, c, [range(c)]) for i in range(r)]),
     ]
     # m cut into a grid of blocks (zero blocks and empty rows included,
     # each block at its own Q scales), assembled in a drawn order: out of
@@ -348,8 +350,8 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
 @PROPERTY
 @given(st.data())
 def test_contraction_and_splice_store_one_coding(data):
-    """Delta_l read off the coded transpose of uv, and a splice column of
-    cached minors, against dense builds, on uv with fractional entries."""
+    """Delta_l as copies of uv's coded column, and a splice column stacked
+    from cached minors, against dense builds, on uv with fractional entries."""
     field = data.draw(st.sampled_from(FIELDS))
     r, e, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
     dense = _entries(data.draw, field, r, e)
