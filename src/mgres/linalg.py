@@ -157,7 +157,8 @@ class Matrix:
         hits = [(i, row[j], s) for i, (row, s) in enumerate(self._rows) if j in row]
         lcm = math.lcm(*(s for _, _, s in hits))
         col, t = _reduce({i: x * (lcm // s) for i, x, s in hits}, lcm, self.field.characteristic)
-        return Matrix._coded(self.field, cols, [({k[i]: x for i, x in col.items()}, t) for k in targets])
+        rows = [({k[i]: x for i, x in col.items()}, t) for k in targets]
+        return Matrix._coded(self.field, cols, rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """The rows row_idx and the distinct columns col_idx, in the order given."""
@@ -398,7 +399,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         """other lies in the subspace: stacking the two bases keeps the rank."""
-        stacked = Matrix._coded(self.field, self.ambient_dim, self.basis._rows + other.basis._rows)
+        stacked = Matrix.stack(self.field, self.ambient_dim, [self.basis, other.basis])
         return self.dim == stacked.rank()
 
     def __eq__(self, other):
