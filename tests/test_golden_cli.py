@@ -7,7 +7,10 @@ files were written by the CLI itself; a refactor that changes any of them
 changes user-visible output and must say so.  ``ex4_gfp`` is ``ex4`` over
 GF(32003) and ``ex4_frac`` is ``ex4`` with fractional coefficients, so the
 goldens also pin prime-field output and rational rows whose denominators
-are not 1.
+are not 1.  ``ex_r3`` is a rank-3 map of five generators in four variables
+whose Scarf system gives the face {1, ..., 5} a 2-dimensional D_1(K), so
+its Scarf complex pins a divided-power embedding of a subspace of
+dimension 2.
 """
 
 import pytest
@@ -20,7 +23,7 @@ GOLDEN = ROOT / "tests" / "golden"
 CASES = [
     (f"{command}_{example}", [command, str(DATA / f"{example}.mmor")], 0)
     for command in ("validate", "analyze", "taylor", "scarf", "verify", "minimize")
-    for example in ("ex4", "ex7_prime", "ex4_gfp", "ex4_frac")
+    for example in ("ex4", "ex7_prime", "ex4_gfp", "ex4_frac", "ex_r3")
 ] + [("verify_minimal_ex4", ["verify", str(DATA / "ex4.mmor"), "--minimal"], 1)]
 
 
