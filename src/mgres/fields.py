@@ -9,8 +9,9 @@ rows ``{col: element}`` into (codes, scale) pairs (a rational row times the
 lcm of its denominators, and that lcm; a GF(p) row's representatives, and
 1), ``characteristic`` says whether codes live in Z (0) or mod p, and
 ``decode`` turns a code over a scale back into an element.  Both run only
-where a matrix meets elements.  All other arithmetic goes through the
-elements' own operators.
+where a matrix meets elements.  The package does no arithmetic on elements:
+they are built only by ``parse``, ``of`` and ``decode`` and read only by
+``format``; their operators are for callers.
 
 Zero protocol: an element is zero exactly when it is falsy (``Fraction``
 and ``PrimeFieldElement`` both define ``__bool__`` that way), so code tests

@@ -15,9 +15,11 @@ exponent j by one with weight uv[j][l].  Each row of Delta_l is column l of
 uv, coded once and relabeled (``Matrix.column_copies``).  Delta_l depends on
 l and m only, so it is built once and placed at every face it leaves.  The
 splice map replaces Delta_l by maximal minors of the coordinate matrix, each
-a 1 x 1 matrix built once and stacked into every face's column.  Divided
-powers obey characteristic-free laws (binomial coefficients, never division
-by factorials), so everything works verbatim over GF(p).
+a 1 x 1 matrix built once and stacked into every face's column.  D_m of a
+subspace W is the common kernel of the contractions by the functionals that
+vanish on W: the divided power algebra is the graded dual of the symmetric
+algebra, so this holds in every characteristic, and the embedding is one
+stack of Delta_l and one kernel, with no divided power expanded by hand.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DimensionError
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, annihilator_basis, kernel_basis
 from .morphism import CoeffData
 
 DividedIndex = tuple[int, ...]
@@ -51,6 +52,9 @@ def divided_basis(r: int, m: int) -> list[DividedIndex]:
 
 
 def divided_dim(r: int, m: int) -> int:
+    """len(divided_basis(r, m)), without listing it."""
+    if r < 0 or m < 0:
+        raise DimensionError("divided power parameters must be non-negative")
     if r == 0:
         return 1 if m == 0 else 0
     return math.comb(m + r - 1, r - 1)
@@ -249,55 +253,22 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     return VectorComplex(tuple(dims), tuple(diffs))
 
 
-def _linear_form_power(field, coeffs: Sequence, c: int) -> dict[DividedIndex, object]:
-    """Divided power of a linear form: exponent tuple -> product of coefficients."""
-    rk = len(coeffs)
-    if c == 0:
-        return {(0,) * rk: field.one}
-    out: dict[DividedIndex, object] = {}
-    for d in divided_basis(rk, c):
-        term = field.one
-        for lam, pw in zip(coeffs, d):
-            if pw:
-                term = math.prod([lam] * pw, start=term)
-        if term:
-            out[d] = term
-    return out
-
-
-def _divided_product(field, u: dict, v: dict) -> dict:
-    """Product in the divided power algebra: binomial structure constants."""
-    zero = field.zero
-    out: dict[DividedIndex, object] = {}
-    for d1, c1 in u.items():
-        for d2, c2 in v.items():
-            coef = c1 * c2
-            for a, b in zip(d1, d2):
-                if a and b:
-                    coef = coef * field.of(math.comb(a + b, a))
-            key = tuple(a + b for a, b in zip(d1, d2))
-            acc = out.pop(key, zero) + coef
-            if acc:
-                out[key] = acc
-    return out
-
-
 def divided_embed(subspace: Subspace, m: int) -> Matrix:
-    """Columns expressing the basis of D_m(subspace) inside D_m(ambient).
+    """Columns spanning D_m(subspace) inside D_m(ambient).
 
-    The basis of D_m of a t-dimensional subspace is indexed by weak
-    compositions of m into t parts; each basis element is the product of
-    divided powers of the echelon basis rows, expanded by the divided
-    power laws.  The columns are linearly independent.
+    D_m(W) is the common kernel of Delta_l for the functionals l in a basis
+    of the annihilator of W, so the columns are the reduced echelon kernel
+    basis of those contractions stacked.  They equal the product basis: for
+    the reduced echelon basis w_i of W, with pivot p_i, and b a weak
+    composition of m into dim W parts, prod w_i^(b_i) has a 1 at sum b_i
+    e_{p_i}, zeros at the other pivot monomials and nothing before its
+    pivot in the D_m order, so it is the unique reduced echelon basis.
     """
-    field = subspace.field
-    rk = subspace.ambient_dim
-    _, rows_idx = _divided_index(rk, m)
-    cols = []
-    for b in divided_basis(subspace.dim, m):
-        elem = {(0,) * rk: field.one}
-        for coeffs, power in zip(subspace.basis.data, b):
-            if power:
-                elem = _divided_product(field, elem, _linear_form_power(field, coeffs, power))
-        cols.append({rows_idx[key]: val for key, val in elem.items()})
-    return Matrix.from_nonzero_rows(field, len(rows_idx), cols).transpose()
+    field, ambient = subspace.field, subspace.ambient_dim
+    if m == 0:
+        return Matrix.identity(field, 1)
+    if subspace.dim == 0:
+        return Matrix.zeros(field, divided_dim(ambient, m), 0)
+    ann = annihilator_basis(subspace).basis.transpose()
+    deltas = [contraction_matrix(ann, l, m) for l in range(1, ann.cols + 1)]
+    return kernel_basis(Matrix.stack(field, divided_dim(ambient, m), deltas)).basis.transpose()

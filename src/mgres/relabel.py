@@ -106,9 +106,11 @@ def check_join_preserving(
     f(a) must be b, the join of phi2's corresponding degrees over I_a.  A
     subset of join a whose image misses b_k lies in T_k, the columns of I_a
     below b_k in phi2's coordinate k, so (joins being monotone) one exists
-    iff some T_k has min_size columns and join a.  Returns (True, None) or
+    iff some T_k has min_size columns and join a.  The empty subset has no
+    join, so a min_size below 1 answers as 1.  Returns (True, None) or
     (False, the first failing degree in lattice order); MissingKey at the
     first degree needed that f lacks."""
+    min_size = max(min_size, 1)
     corr = _correspondence(phi, phi2, correspondence)
     d2 = [phi2.source_degrees[c - 1] for c in corr]
     for a, cols in phi.lattice_columns.items():

@@ -21,6 +21,7 @@ from mgres import (
     Morphism,
     PrimeField,
     Subspace,
+    divided_basis,
     join,
     join_all,
     sub,
@@ -431,9 +432,10 @@ def pairwise_combinatorially_generic(phi: Morphism) -> bool:
 def join_preserving_walk(f, phi: Morphism, phi2: Morphism, min_size: int, correspondence=None):
     """Oracle for ``relabel.check_join_preserving``: f against the joins of
     every column subset of at least min_size, in (size, lex) order, all
-    2^e of them.  (True, None), or (False, the first offending subset)."""
+    2^e of them, the empty one (no join) never.  (True, None), or (False,
+    the first offending subset)."""
     corr = list(correspondence or range(1, phi.e + 1))
-    for size in range(min_size, phi.e + 1):
+    for size in range(max(min_size, 1), phi.e + 1):
         for subset in itertools.combinations(range(1, phi.e + 1), size):
             src = join_all(phi.source_degrees[i - 1] for i in subset)
             dst = join_all(phi2.source_degrees[corr[i - 1] - 1] for i in subset)
@@ -598,3 +600,54 @@ def coding_is_canonical(m: Matrix) -> bool:
         if not p and (scale < 1 or math.gcd(scale, *codes.values()) != 1):
             return False
     return True
+
+
+def _linear_form_power(field, coeffs, c: int) -> dict[tuple[int, ...], object]:
+    """Divided power of a linear form: exponent tuple -> product of coefficients."""
+    rk = len(coeffs)
+    if c == 0:
+        return {(0,) * rk: field.one}
+    out: dict[tuple[int, ...], object] = {}
+    for d in divided_basis(rk, c):
+        term = field.one
+        for lam, pw in zip(coeffs, d):
+            if pw:
+                term = math.prod([lam] * pw, start=term)
+        if term:
+            out[d] = term
+    return out
+
+
+def _divided_product(field, u: dict, v: dict) -> dict:
+    """Product in the divided power algebra: binomial structure constants."""
+    zero = field.zero
+    out: dict[tuple[int, ...], object] = {}
+    for d1, c1 in u.items():
+        for d2, c2 in v.items():
+            coef = c1 * c2
+            for a, b in zip(d1, d2):
+                if a and b:
+                    coef = coef * field.of(math.comb(a + b, a))
+            key = tuple(a + b for a, b in zip(d1, d2))
+            acc = out.pop(key, zero) + coef
+            if acc:
+                out[key] = acc
+    return out
+
+
+def product_divided_embed(subspace: Subspace, m: int) -> Matrix:
+    """Oracle for ``multilinear.divided_embed``: column b is the product of
+    the divided powers w_i^(b_i) of the subspace's echelon basis rows,
+    expanded on boxed field elements by the divided power laws (binomial
+    structure constants, never division by factorials)."""
+    field = subspace.field
+    rk = subspace.ambient_dim
+    rows_idx = {b: i for i, b in enumerate(divided_basis(rk, m))}
+    cols = []
+    for b in divided_basis(subspace.dim, m):
+        elem = {(0,) * rk: field.one}
+        for coeffs, power in zip(subspace.basis.data, b):
+            if power:
+                elem = _divided_product(field, elem, _linear_form_power(field, coeffs, power))
+        cols.append({rows_idx[key]: val for key, val in elem.items()})
+    return Matrix.from_nonzero_rows(field, len(rows_idx), cols).transpose()

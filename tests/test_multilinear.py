@@ -56,6 +56,23 @@ def test_divided_dim_formula():
             assert len(divided_basis(r, m)) == divided_dim(r, m)
 
 
+@pytest.mark.parametrize("r, m", [(1, -1), (-1, 2), (2, -1), (0, -1)])
+def test_divided_dim_rejects_negative_arguments(r, m):
+    # as divided_basis does: neither math.comb's ValueError nor a silent 0
+    with pytest.raises(DimensionError):
+        divided_basis(r, m)
+    with pytest.raises(DimensionError):
+        divided_dim(r, m)
+
+
+@pytest.mark.parametrize("rows", [[], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 0]]],
+                         ids=["zero", "full", "line"])
+def test_divided_embed_rejects_negative_degree(rows):
+    w = Subspace.from_rows(QQ, 3, [[QQ.of(x) for x in row] for row in rows])
+    with pytest.raises(DimensionError):
+        divided_embed(w, -1)
+
+
 def test_exterior_basis_goldens():
     assert exterior_basis(4, 3) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     assert exterior_basis(4, 4) == [(1, 2, 3, 4)]

@@ -4,7 +4,8 @@ walk, of combinatorial genericity against its pairwise definition, of
 ``minimize`` on the Taylor complex against its rescanning oracle and the
 strand homology of the complex it came from, and of the integer-coded
 ``linalg`` kernel (and the contraction and splice kernels built on its
-codes) against naive Gauss-Jordan and dense builds on boxed field elements.
+codes) against naive Gauss-Jordan and dense builds on boxed field elements,
+and of ``divided_embed`` against the product basis of divided powers.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
 repeated and comparable degrees are common) over Q and three prime fields.
@@ -29,6 +30,7 @@ from mgres import (  # noqa: E402
     Morphism,
     PrimeField,
     RelabelMap,
+    Subspace,
     check_join_preserving,
     face_data,
     formats,
@@ -46,6 +48,7 @@ from mgres.lattice import faces_by_degree  # noqa: E402
 from mgres.multilinear import (  # noqa: E402
     contraction_matrix,
     divided_basis,
+    divided_embed,
     removal_sign,
     splice_columns,
 )
@@ -62,6 +65,7 @@ from helpers import (  # noqa: E402
     naive_rref,
     naive_solve,
     pairwise_combinatorially_generic,
+    product_divided_embed,
     rescan_minimize,
 )
 
@@ -210,7 +214,7 @@ def test_join_preserving_matches_subset_walk(data):
     phi = data.draw(morphisms())
     phi2 = data.draw(morphisms(e=phi.e))
     corr = data.draw(st.permutations(range(1, phi.e + 1)))
-    size = data.draw(st.integers(1, phi.e))
+    size = data.draw(st.integers(0, phi.e))
     d2 = [phi2.source_degrees[c - 1] for c in corr]
     # the lattice map a -> join of the corresponding degrees over I_a
     table = {a: join_all(d2[j - 1] for j in cols) for a, cols in phi.lattice_columns.items()}
@@ -239,7 +243,7 @@ def test_join_preserving_matches_subset_walk(data):
         assert len(cols) >= size
         assert any(
             phi.face_degree(sub) == a and f.apply(a) != join_all(d2[j - 1] for j in sub)
-            for k in range(size, len(cols) + 1)
+            for k in range(max(size, 1), len(cols) + 1)
             for sub in itertools.combinations(cols, k)
         )
 
@@ -376,3 +380,42 @@ def test_contraction_and_splice_store_one_coding(data):
         want[l - 1][0] = minor if removal_sign(pos) > 0 else -minor
     assert column == Matrix.from_rows(field, want, cols=1)
     assert coding_is_canonical(column)
+
+
+# ------------------------------------------------- divided powers of subspaces
+
+@PROPERTY
+@given(st.data())
+def test_divided_embed_matches_product_basis(data):
+    """The kernel of the stacked contractions is, code for code, the product
+    basis prod w_i^(b_i) of the reduced echelon basis w_i, for W of every
+    dimension (fractional entries over Q) and m = 0..4."""
+    field = data.draw(st.sampled_from(FIELDS))
+    ambient = data.draw(st.integers(1, 5))
+    dim = data.draw(st.integers(0, ambient))
+    pivots = sorted(data.draw(st.permutations(range(ambient)))[:dim])
+    free = _entries(data.draw, field, dim, ambient)
+    rows = [
+        [field.one if j == p else field.zero if j < p or j in pivots else x
+         for j, x in enumerate(row)]
+        for p, row in zip(pivots, free)
+    ]
+    w = Subspace.from_rows(field, ambient, rows)
+    assert w.dim == dim
+    m = data.draw(st.integers(0, 4))
+    emb = divided_embed(w, m)
+    assert emb == product_divided_embed(w, m)
+    assert coding_is_canonical(emb)
+
+
+@PROPERTY
+@given(st.data())
+def test_divided_embed_of_k_space_is_killed_by_its_contractions(data):
+    """D_m(K_I) lies in the kernel of Delta_j for every column j in I."""
+    phi = data.draw(morphisms())
+    face = sorted(data.draw(st.sets(st.integers(1, phi.e), min_size=1)))
+    m = data.draw(st.integers(1, 4))
+    uv = phi.coeff_data.uv
+    emb = divided_embed(phi.k_space(face), m)
+    for j in face:
+        assert contraction_matrix(uv, j, m).mul(emb).is_zero()

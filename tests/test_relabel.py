@@ -103,6 +103,18 @@ def test_join_preserving_violation():
     assert phi.face_degree((1, 2, 4)) == (3, 3)
 
 
+@pytest.mark.parametrize("min_size", [0, -1])
+def test_join_preserving_min_size_below_one_answers_as_one(min_size):
+    # the empty subset has no join, so sizes below 1 add nothing to check
+    phi = xy_example()
+    identity = RelabelMap({a: a for a in phi.lattice_columns})
+    assert check_join_preserving(identity, phi, phi, min_size) == (True, None)
+    assert join_preserving_walk(identity, phi, phi, min_size) == (True, None)
+    f = RelabelMap({a: (a[0], a[1] + 1) if a == (3, 3) else a for a in phi.lattice_columns})
+    assert check_join_preserving(f, phi, phi, min_size) == (False, (3, 3))
+    assert join_preserving_walk(f, phi, phi, min_size) == join_preserving_walk(f, phi, phi, 1)
+
+
 def test_join_preserving_has_no_column_cap():
     # the subset walk would take 2^24 subsets; the lattice table is small
     phi = wide_generic_morphism(24)
