@@ -11,14 +11,14 @@ handed out or mutated.  Field elements exist only at the edges:
 ``data``, ``col`` and ``det``; all else reads and returns codes, so
 products, transposes and strands cost the number of nonzeros.
 ``from_blocks``, the one assembler (every differential, ``solve_matrix``'s
-augmented matrix), streams: one pass writes each block's codes into their
-rows, and only a row whose blocks came out of column order is sorted.
-``column_copies`` (the rows of a contraction) and ``stack`` (a splice
-column) build from stored rows without re-coding them.
+augmented matrix), writes each block's codes into their rows as its
+iterable yields the block.  ``column_copies`` (the rows of a contraction)
+builds from stored rows without re-coding them, and ``MaximalMinors``
+takes each maximal minor once, on codes, off one echelon form.
 
 ``_echelon``, the one elimination, clears each row at its first nonzero by
 that column's pivot row and normalizes it (over Z by its content, mod p to
-a leading 1); ``rank``, ``rref``, ``det`` and ``solve_matrix`` read it off.
+a leading 1); ``rank``, ``rref``, ``_det`` and ``solve_matrix`` read it off.
 ``mul`` weighs row k of B (codes b'_k, scale t_k) by L / t_k, L = lcm of the
 t_k: for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij
 is an integer (mod p, where all scales are 1).  ``_reduce`` brings a row over
@@ -76,34 +76,26 @@ class Matrix:
 
     @classmethod
     def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
-        """rows x cols with each (row0, col0, block) at that corner, none overlapping.
-
-        One pass over the blocks' nonzeros, each code written straight into
-        its row; only a row that got a block left of an earlier one is
-        sorted at the end."""
-        # a row's pieces go to the lcm of their scales: canonical pieces
-        # make a canonical row (a prime's top power in the lcm divides some
-        # piece's scale, and that piece has a code it does not divide)
-        codes, scales, ends, unsorted = [{} for _ in range(rows)], [1] * rows, [0] * rows, set()
+        """rows x cols with each (row0, col0, block) at that corner, none
+        overlapping, each block written into its rows as blocks yields it.
+        Rows are sorted only if some block came left of the one before."""
+        codes, scales, last, ordered = [{} for _ in range(rows)], [1] * rows, 0, True
         for row0, col0, block in blocks:
-            end = col0 + block.cols
-            for i, (row, s) in enumerate(block._rows, start=row0):
-                if not row:
-                    continue
-                target, t = codes[i], scales[i]
-                if s != t:
-                    lcm = math.lcm(s, t)
-                    for j in target:
-                        target[j] *= lcm // t
-                    scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
-                if col0 < ends[i]:
-                    unsorted.add(i)
-                else:
-                    ends[i] = end
-                for j, x in row.items():
-                    target[col0 + j] = x
-        for i in unsorted:
-            codes[i] = dict(sorted(codes[i].items()))
+            ordered, last = ordered and col0 >= last, col0
+            for i, (row, s) in enumerate(block._rows, row0):
+                if row:
+                    target = codes[i]
+                    # a row's pieces go to the lcm of their scales: canonical pieces
+                    # make a canonical row (a prime's top power in the lcm divides
+                    # some piece's scale, and that piece has a code it does not divide)
+                    if s != scales[i]:
+                        t, lcm = scales[i], math.lcm(s, scales[i])
+                        for j in target:
+                            target[j] *= lcm // t
+                        scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
+                    for j, x in row.items():
+                        target[col0 + j] = x
+        codes = codes if ordered else [dict(sorted(row.items())) for row in codes]
         return cls._coded(field, cols, list(zip(codes, scales)))
 
     @classmethod
@@ -212,19 +204,7 @@ class Matrix:
         """Determinant of a square matrix."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        found, num, den = _echelon(self.field.characteristic, self._rows, reduced=False)
-        if len(found) < self.rows:
-            return self.field.zero
-        # Pivot row k is coded row k times its multipliers over its divisor,
-        # plus multiples of earlier rows, and coded row k is row k times its
-        # scale, so det = det(pivot rows) * num / den (den starts as the
-        # scales' product).  Sorted by pivot column the pivot rows are upper
-        # triangular: their det is the pivots' product, signed by the
-        # inversions of the found order.
-        order = list(found)
-        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-        num *= math.prod(row[c] for c, row in found.items())
-        return self.field.decode(-num if inversions % 2 else num, den)
+        return self.field.decode(*_det(self.field.characteristic, self._rows))
 
     def cancel(self, rows: Sequence[int], pivot) -> tuple["Matrix", list[tuple[int, int]]]:
         """One forward pass over the given rows: ``pivot(i, cols)`` names one of
@@ -332,6 +312,23 @@ def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
     return found, num, den
 
 
+def _det(p: int, rows: Sequence[tuple[dict, int]]) -> tuple[int, int]:
+    """num / den, the det of coded rows on their pivot columns; (0, 1) if they are dependent."""
+    found, num, den = _echelon(p, rows, reduced=False)
+    if len(found) < len(rows):
+        return 0, 1
+    # Pivot row k is coded row k times its multipliers over its divisor,
+    # plus multiples of earlier rows, and coded row k is row k times its
+    # scale, so det = det(pivot rows) * num / den (den starts as the
+    # scales' product).  Sorted by pivot column the pivot rows are upper
+    # triangular: their det is the pivots' product, signed by the
+    # inversions of the found order.
+    order = list(found)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    num *= math.prod(row[c] for c, row in found.items())
+    return (-num if inversions % 2 else num), den
+
+
 def _clear(row: dict, prow: dict, c: int, p: int) -> int:
     """Clear column c of row in place by its pivot row; returns row's multiplier."""
     g = math.gcd(row[c], prow[c])
@@ -357,6 +354,47 @@ def _normalize(row: dict, c: int, p: int) -> int:
     for j, x in row.items():
         row[j] = x * inv % p if p else x // d
     return d
+
+
+class MaximalMinors:
+    """The maximal minors of an r x e matrix A, each computed on first use
+    and kept as its two signed coded 1 x 1 rows.  With R the reduced echelon
+    form of A and P its pivot columns, A = A_P R, so det A_S = det A_P det
+    R_S, and det A_P comes off the echelon form of A itself.  R_S has the
+    unit column of pivot row i at each position k with S[k] = P[i], so
+    det R_S = (-1)^(sum of those i and k) det R[the other rows, S - P], of
+    size |S - P| <= min(r, e - r)."""
+
+    __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivot_row", "_signed")
+
+    def __init__(self, a: Matrix):
+        p, (red, pivots) = a.field.characteristic, a.rref()
+        self.field, self.cols, self._p, self._red = a.field, a.cols, p, red
+        self._base = _det(p, a._rows)  # det A_P; (0, 1) when A has rank below r
+        self._pivot_row, self._signed = {c: i for i, c in enumerate(pivots)}, {}
+
+    def _minor(self, cols: tuple[int, ...]) -> tuple[tuple[dict, int], tuple[dict, int]]:
+        p, (num, den), where, pair = self._p, self._base, self._pivot_row, (({}, 1), ({}, 1))
+        if num:
+            hit = {where[c]: k for k, c in enumerate(cols) if c in where}
+            free = [c for c in cols if c not in where]
+            left = [i for i in range(len(cols)) if i not in hit]
+            n, d = _det(p, self._red.submatrix(left, free)._rows)
+            num = num * n * (-1) ** sum(i + k for i, k in hit.items())
+            if num := num % p if p else num:
+                row, s = _reduce({0: num}, den * d, p)
+                pair = ((row, s), ({0: p - row[0] if p else -row[0]}, s))
+        self._signed[cols] = pair
+        return pair
+
+    def column(self, cols: tuple[int, ...]) -> Matrix:
+        """e x 1, entry cols[k] the minor on cols without cols[k] times
+        (-1)^k, for an ascending (r + 1)-subset cols: its splice column."""
+        out, signed = [({}, 1)] * self.cols, self._signed
+        for k, c in enumerate(cols):
+            sub = cols[:k] + cols[k + 1 :]
+            out[c] = (signed.get(sub) or self._minor(sub))[k & 1]
+        return Matrix._coded(self.field, 1, out)
 
 
 class Subspace:

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 from . import degrees as deg
 from .degrees import Multidegree
 from .errors import DimensionError, HomogeneityError, TooManyColumns, ZeroColumnError
-from .linalg import Matrix, Subspace, column_space_basis, kernel_basis
+from .linalg import MaximalMinors, Matrix, Subspace, column_space_basis, kernel_basis
 
 # Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
 # one rank test takes about 80 us, so the walk stays within about 5 s.
@@ -43,6 +43,11 @@ class CoeffData:
     image: Subspace         # V = col(C) inside the target coordinate space
     uv: Matrix              # r x e matrix of the induced map U -> V in V-coordinates
     uses_target_dual: bool  # True when r = g and V-coordinates dualize the target basis
+
+    @cached_property
+    def minors(self) -> MaximalMinors:
+        """The maximal minors of uv, each taken once for every complex built."""
+        return MaximalMinors(self.uv)
 
 
 def coeff_data_from_matrix(c: Matrix) -> CoeffData:

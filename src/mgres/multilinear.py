@@ -14,8 +14,8 @@ sign, where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided
 exponent j by one with weight uv[j][l].  Each row of Delta_l is column l of
 uv, coded once and relabeled (``Matrix.column_copies``).  Delta_l depends on
 l and m only, so it is built once and placed at every face it leaves.  The
-splice map replaces Delta_l by maximal minors of the coordinate matrix, each
-a 1 x 1 matrix built once and stacked into every face's column.  D_m of a
+splice map replaces Delta_l by signed maximal minors of the coordinate
+matrix, each taken once by ``linalg.MaximalMinors``.  D_m of a
 subspace W is the common kernel of the contractions by the functionals that
 vanish on W: the divided power algebra is the graded dual of the symmetric
 algebra, so this holds in every characteristic, and the embedding is one
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .linalg import Matrix, Subspace, annihilator_basis, kernel_basis
+from .linalg import MaximalMinors, Matrix, Subspace, annihilator_basis, kernel_basis
 from .morphism import CoeffData
 
 DividedIndex = tuple[int, ...]
@@ -65,11 +65,6 @@ def exterior_basis(e: int, k: int) -> list[ExteriorIndex]:
     if not 0 <= k:
         raise DimensionError("exterior power degree must be non-negative")
     return list(itertools.combinations(range(1, e + 1), k))
-
-
-def removal_sign(position: int) -> int:
-    """Sign of contracting away a face entry at the given 0-based position."""
-    return -1 if position % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -123,43 +118,10 @@ def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
     return uv.column_copies(l - 1, divided_dim(uv.rows, m), _raised_index(uv.rows, m))
 
 
-def boundary_blocks(uv: Matrix, m: int):
-    """face -> [(facet, removal_sign(pos) Delta_l)], one per position pos of
-    l in the face: the blocks of the boundary out of D_m (x) e_face.  Each
-    Delta_l is built on first use and shared by every face of the caller."""
-    blocks: dict[tuple[int, int], Matrix] = {}
-
-    def boundary(face: ExteriorIndex) -> list[tuple[ExteriorIndex, Matrix]]:
-        out = []
-        for pos, l in enumerate(face):
-            key = (l, removal_sign(pos))
-            if key not in blocks:
-                delta = contraction_matrix(uv, l, m)
-                blocks[(l, 1)], blocks[(l, -1)] = delta, -delta
-            out.append((face[:pos] + face[pos + 1 :], blocks[key]))
-        return out
-
-    return boundary
-
-
-def splice_columns(uv: Matrix):
-    """face -> splice image of a (uv.rows + 1)-face, a uv.cols x 1 matrix:
-    row l - 1 is the signed maximal minor of uv on the face without l, a
-    1 x 1 matrix computed once per r-subset and shared by every face of the
-    caller, stacked under ``Matrix.stack``."""
-    rows, minors, zero = range(uv.rows), {}, Matrix.zeros(uv.field, 1, 1)
-
-    def column(face: ExteriorIndex) -> Matrix:
-        out = [zero] * uv.cols
-        for pos, l in enumerate(face):
-            sub = face[:pos] + face[pos + 1 :]
-            if sub not in minors:
-                minor = Matrix(uv.field, 1, 1, [[uv.submatrix(rows, [j - 1 for j in sub]).det()]])
-                minors[sub] = {1: minor, -1: -minor}
-            out[l - 1] = minors[sub][removal_sign(pos)]
-        return Matrix.stack(uv.field, 1, out)
-
-    return column
+def signed_contractions(uv: Matrix, m: int):
+    """l -> (Delta_l, -Delta_l) on D_m, each pair built on first use: the
+    block from face I to I - {l} is entry (position of l in I) % 2."""
+    return functools.cache(lambda l: (delta := contraction_matrix(uv, l, m), -delta))
 
 
 def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
@@ -174,20 +136,20 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
     n_dom = divided_dim(uv.rows, m + i)
     n_cod = divided_dim(uv.rows, m + i - 1)
     facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
-    faces = exterior_basis(e, k + i)
-    boundary = boundary_blocks(uv, m + i)
-    blocks = [
-        (facet_offset[sub], s * n_dom, block)
+    faces, deltas = exterior_basis(e, k + i), signed_contractions(uv, m + i)
+    blocks = (
+        (facet_offset[face[:pos] + face[pos + 1 :]], s * n_dom, deltas(l)[pos & 1])
         for s, face in enumerate(faces)
-        for sub, block in boundary(face)
-    ]
+        for pos, l in enumerate(face)
+    )
     return Matrix.from_blocks(uv.field, len(facet_offset) * n_cod, len(faces) * n_dom, blocks)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
-    """Splice Wedge^{rk+1} -> source space, entries signed maximal minors."""
-    column, faces = splice_columns(uv), exterior_basis(e, rk + 1)
-    blocks = [(0, s, column(face)) for s, face in enumerate(faces)]
+    """Splice Wedge^{rk+1} -> source space, entries signed maximal minors:
+    the column of face F is ``MaximalMinors.column`` of uv on F."""
+    minors, faces = MaximalMinors(uv), list(itertools.combinations(range(e), rk + 1))
+    blocks = ((0, s, minors.column(face)) for s, face in enumerate(faces))
     return Matrix.from_blocks(uv.field, e, len(faces), blocks)
 
 
@@ -218,14 +180,10 @@ def build_A_complex(cd: CoeffData, vsub: Subspace, m: int, k: int) -> VectorComp
     vsub must contain the image of the coefficient matrix; the boundary
     maps are computed in vsub-coordinates.
     """
-    uv = coordinates_on(cd, vsub)
-    e = cd.matrix.cols
+    uv, e, rk = coordinates_on(cd, vsub), cd.matrix.cols, vsub.dim
     if k > e:
         return VectorComplex((), ())
-    rk = vsub.dim
-    dims = tuple(
-        divided_dim(rk, m + i) * math.comb(e, k + i) for i in range(e - k + 1)
-    )
+    dims = tuple(divided_dim(rk, m + i) * math.comb(e, k + i) for i in range(e - k + 1))
     diffs = tuple(sigma_matrix_on(uv, e, m, k, i) for i in range(1, e - k + 1))
     return VectorComplex(dims, diffs)
 
@@ -237,19 +195,12 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     is D_{i-2} (x) Wedge^{rk+i-1} where rk is the dimension of vsub.  The
     top position is e - rk + 1 (just the map itself when rk >= e).
     """
-    uv = coordinates_on(cd, vsub)
-    e = cd.matrix.cols
-    g = cd.matrix.rows
-    rk = vsub.dim
-    top = max(e - rk + 1, 1)
-    dims = [g, e]
-    diffs = [cd.matrix]
-    for i in range(2, top + 1):
+    uv, e, rk = coordinates_on(cd, vsub), cd.matrix.cols, vsub.dim
+    dims, diffs = [cd.matrix.rows, e], [cd.matrix]
+    for i in range(2, max(e - rk + 1, 1) + 1):
         dims.append(divided_dim(rk, i - 2) * math.comb(e, rk + i - 1))
-        if i == 2:
-            diffs.append(splice_matrix_on(uv, e, rk))
-        else:
-            diffs.append(sigma_matrix_on(uv, e, 0, rk + 1, i - 2))
+        diffs.append(splice_matrix_on(uv, e, rk) if i == 2 else
+                     sigma_matrix_on(uv, e, 0, rk + 1, i - 2))
     return VectorComplex(tuple(dims), tuple(diffs))
 
 

@@ -131,9 +131,12 @@ def relabel(f: RelabelMap, x: GradedComplex, phi2: Morphism) -> GradedComplex:
 
     Level 0 becomes the target's free module and the presentation entries
     are the target morphism's; degrees at levels 1 and up are mapped
-    through f with coefficients unchanged.  Raises NegativeShift when a
-    nonzero entry ends up with a negative recomputed shift.
+    through f with coefficients unchanged (DimensionError across fields).
+    Raises NegativeShift when a nonzero entry ends up with a negative
+    recomputed shift.
     """
+    if x.field != phi2.field:
+        raise DimensionError(f"complex over {x.field.name}, target morphism over {phi2.field.name}")
     if len(x.levels) < 2 or len(x.levels[1]) != phi2.e:
         raise DimensionError(
             "level 1 of the complex does not match the target morphism's source rank"

@@ -34,7 +34,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism
-from .multilinear import boundary_blocks, divided_dim, divided_embed, splice_columns
+from .multilinear import divided_dim, divided_embed, signed_contractions
 
 Face = tuple[int, ...]
 
@@ -85,6 +85,8 @@ class GradedComplex:
         for i, d in enumerate(self.diffs):
             if d.rows != len(self.levels[i]) or d.cols != len(self.levels[i + 1]):
                 raise DimensionError(f"differential {i + 1} has the wrong shape")
+            if d.field != field:
+                raise DimensionError(f"differential {i + 1} over {d.field.name}, not {field.name}")
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
@@ -215,24 +217,17 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
 
     Faces are taken in build order (size, then lexicographic).  Every face
     must index columns of phi and be assigned a subspace of the divided
-    power of its own degree.  A face's degree is the join of its prefix
-    face's degree (the face without its last column, kept from the level
-    before, or joined once when the prefix is not in the system) with its
-    last column's.  A face of size r + 1 maps to the source by its splice
-    column (signed maximal minors) times its one-row embedding.  Above
-    that, the block from face F (embedding emb) to facet F - {l} is the
-    signed contraction Delta_l of ``multilinear.boundary_blocks`` times emb
-    (Delta_l itself on an identity face), in the facet's basis: read
-    directly on an identity facet, else solved for.  Faces, and so blocks,
-    come in column order, and ``Matrix.from_blocks`` assembles each
-    differential in one pass with no row to sort.  A malformed face, or an
-    image that fails to decompose, raises RestrictionError naming the face:
-    the system was not closed.
+    power of its own degree.  A face's degree joins its prefix's (the face
+    without its last column, from the level before, or joined once when not
+    in the system) with its last column's.  ``Matrix.from_blocks`` writes
+    each block as ``_blocks`` finds it.  A malformed face, or an image that
+    fails to decompose, raises RestrictionError naming the face: the system
+    was not closed.
     """
-    cd = phi.coeff_data
-    r = cd.r
+    r = phi.coeff_data.r
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
+    by_size: dict[int, list[Face]] = {}
     for face in sorted(system.spaces, key=lambda f: (len(f), f)):
         if face[0] < 1 or face[-1] > phi.e:
             raise RestrictionError(face, f"face {face} has an index outside 1..{phi.e}")
@@ -240,49 +235,31 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
             raise RestrictionError(
                 face, f"face {face} is not assigned a subspace of D_{len(face) - r - 1}"
             )
-    field = phi.field
+        by_size.setdefault(len(face), []).append(face)
+    field, src = phi.field, phi.source_degrees
     # every full-system facet and Scarf face is assigned the identity, which
     # spans its whole divided power: a vector there is its own coordinates
     eye = {d: Matrix.identity(field, d) for d in {emb.rows for emb in system.spaces.values()}}
     identity = {face for face, emb in system.spaces.items() if emb == eye[emb.rows]}
     levels: list[list[Generator]] = [
         [Generator(d, f"g{i}") for i, d in enumerate(phi.target_degrees, start=1)],
-        [Generator(d, f"e{j}") for j, d in enumerate(phi.source_degrees, start=1)],
+        [Generator(d, f"e{j}") for j, d in enumerate(src, start=1)],
     ]
-    diffs: list[Matrix] = [cd.matrix]
-    offsets: dict[Face, int] = {}  # first generator of each face in its level
-    degrees: dict[Face, Multidegree] = {(): (0,) * phi.n}  # per face of a level; () has 0
-    splice, src = splice_columns(cd.uv), phi.source_degrees
+    diffs: list[Matrix] = [phi.coeff_data.matrix]
+    # per face of a level: its first generator there, and its degree (() has 0)
+    offsets, degrees = {}, {(): (0,) * phi.n}
     for p in range(r + 1, system.max_face_size() + 1):
-        prev_offsets, offsets = offsets, {}
-        prefix_degrees, degrees = degrees, {}
-        gens: list[Generator] = []
-        blocks = []  # the new differential's blocks: (row0, col0, Matrix)
-        boundary = boundary_blocks(cd.uv, p - r - 1)
-        for face in system.faces_of_size(p):
-            emb = system.spaces[face]
-            k = offsets[face] = len(gens)
+        faces, below, prefix_degrees = by_size.get(p, []), offsets, degrees
+        offsets, degrees, gens = {}, {}, []
+        for face in faces:
+            offsets[face] = len(gens)
             prefix = face[:-1]
             if prefix not in prefix_degrees:  # not a face of the system
                 prefix_degrees[prefix] = phi.face_degree(prefix)
             degree = degrees[face] = deg.join(prefix_degrees[prefix], src[face[-1] - 1])
-            label_face = "{" + ",".join(map(str, face)) + "}"
-            gens.extend(Generator(degree, f"e{label_face}#{t + 1}") for t in range(emb.cols))
-            if p == r + 1:
-                blocks.append((0, k, splice(face) if face in identity else splice(face).mul(emb)))
-                continue
-            for sub, block in boundary(face):
-                image = block if face in identity else block.mul(emb)
-                target = system.spaces.get(sub)  # absent: the zero space
-                if target is None and image.is_zero():
-                    continue
-                coords = (
-                    image if sub in identity else target.solve_matrix(image) if target else None
-                )
-                if coords is None:
-                    where = "the span assigned to facet" if target else "the missing facet"
-                    raise RestrictionError(face, f"image of face {face} is not in {where} {sub}")
-                blocks.append((prev_offsets[sub], k, coords))
+            label = "e{" + ",".join(map(str, face)) + "}#"
+            gens += [Generator(degree, label + str(t + 1)) for t in range(system.spaces[face].cols)]
+        blocks = _blocks(phi.coeff_data, system, identity, faces, offsets, below, p - r - 1)
         diffs.append(Matrix.from_blocks(field, len(levels[-1]), len(gens), blocks))
         levels.append(gens)
     # drop trailing empty levels (possible when the top faces vanish)
@@ -290,6 +267,36 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
         levels.pop()
         diffs.pop()
     return GradedComplex(field, phi.n, levels, diffs, var_names=phi.var_names)
+
+
+def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):
+    """The blocks (row0, col0, block) of the differential out of faces, all of
+    size r + 1 + m, each face at its offset and each facet at below's.  For
+    m = 0 a face's block is its splice column (``CoeffData.minors``) times
+    its one-row embedding.  Above that, the block from face F (embedding
+    emb) to facet F - {l} is the signed Delta_l on D_m times emb (Delta_l
+    itself on an identity face), in the facet's basis: read directly on an
+    identity facet, else solved for."""
+    deltas = signed_contractions(cd.uv, m)
+    for face in faces:
+        emb, ident, k, p = system.spaces[face], face in identity, offsets[face], len(face)
+        if m == 0:
+            column = cd.minors.column(tuple(j - 1 for j in face))
+            yield 0, k, column if ident else column.mul(emb)
+            continue
+        # the facet without face[pos], for pos = p - 1, ..., 0
+        for pos, sub in zip(range(p - 1, -1, -1), itertools.combinations(face, p - 1)):
+            image = deltas(face[pos])[pos & 1]
+            image = image if ident else image.mul(emb)
+            if sub not in identity:
+                target = system.spaces.get(sub)  # absent: the zero space
+                if target is None and image.is_zero():
+                    continue
+                image = target.solve_matrix(image) if target else None
+                if image is None:
+                    where = "the span assigned to facet" if target else "the missing facet"
+                    raise RestrictionError(face, f"image of face {face} is not in {where} {sub}")
+            yield below[sub], k, image
 
 
 def taylor_complex(phi: Morphism) -> GradedComplex:

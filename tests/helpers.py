@@ -370,13 +370,20 @@ def strandwise_is_resolution(x: GradedComplex) -> ExactnessReport:
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 
 
+def removal_sign(position: int) -> int:
+    """Sign of contracting away a face entry at the given 0-based position."""
+    return -1 if position % 2 else 1
+
+
 def contract(uv: Matrix, face, w, m: int) -> list:
     """Slow-path boundary of w (x) e_face: one (facet, signed image in
     D_{m-1}) per position of the face, each image the signed Delta_l of
-    ``boundary_blocks`` applied to w, a dense vector over the basis of D_m."""
-    from mgres.multilinear import boundary_blocks
+    ``signed_contractions`` applied to w, a dense vector over the basis of D_m."""
+    from mgres.multilinear import signed_contractions
 
-    return [(sub, mat_vec(block, w)) for sub, block in boundary_blocks(uv, m)(face)]
+    deltas = signed_contractions(uv, m)
+    return [(face[:pos] + face[pos + 1 :], mat_vec(deltas(l)[pos % 2], w))
+            for pos, l in enumerate(face)]
 
 
 def from_columns(field, rows: int, cols: list[list]) -> Matrix:

@@ -193,6 +193,16 @@ def test_cli_relabel_missing_key_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_relabel_across_fields_is_input_error(tmp_path, capsys):
+    scarf_json = tmp_path / "scarf.json"
+    cli.run(["scarf", str(DATA / "ex4.mmor"), "--output", "json", "--out", str(scarf_json)])
+    gf7 = tmp_path / "ex7_gf7.mmor"
+    gf7.write_text(json.dumps({**formats.load_json(DATA / "ex7_prime.mmor"), "field": "GF(7)"}))
+    assert cli.run(["relabel", str(DATA / "ex7_relabel.json"), str(scarf_json), str(gf7)]) == 2
+    err = capsys.readouterr().err
+    assert "over Q" in err and "over GF(7)" in err and "internal" not in err
+
+
 def test_cli_output_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert (

@@ -25,7 +25,6 @@ from mgres import (
 from mgres.errors import DimensionError
 from mgres.multilinear import (
     contraction_matrix,
-    removal_sign,
     sigma_matrix_on,
     splice_matrix_on,
 )
@@ -37,6 +36,7 @@ from helpers import (
     mat_vec,
     per_face_splice,
     random_coeff_matrix,
+    removal_sign,
     xy_example,
 )
 
@@ -377,14 +377,26 @@ def test_complexes_require_vsub_to_contain_the_image():
             build()
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF(32003)"])
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)],
+    ids=["Q", "GF(2)", "GF(7)", "GF(32003)"],
+)
 def test_splice_matches_per_face_minors(field):
     """splice_matrix_on shares each maximal minor among the faces holding
-    its r-subset; the oracle takes every (face, position) minor afresh."""
+    its r-subset; the oracle takes every (face, position) minor afresh.
+    Small fields make singular and rank-short draws common."""
     rng = random.Random(9003 + field.characteristic)
-    for r in (1, 2, 3):
-        for e in range(r, 7):
-            uv = _random_uv(rng, field, r, e)
+    for r in range(5):
+        for e in range(r, 9):
+            uv = _random_uv(rng, field, r, e) if e else Matrix.zeros(field, r, e)
             got = splice_matrix_on(uv, e, r)
             assert (got.rows, got.cols) == (e, math.comb(e, r + 1))
             assert got == per_face_splice(uv, e, r)
+
+
+def test_splice_matches_per_face_minors_at_high_rank():
+    """A generic 18 x 20 matrix over GF(32003): every maximal minor comes off
+    the one echelon form through a determinant of size at most 2."""
+    field, rng = PrimeField(32003), random.Random(9004)
+    uv = Matrix.from_int_rows(field, [[rng.randrange(32003) for _ in range(20)] for _ in range(18)])
+    assert splice_matrix_on(uv, 20, 18) == per_face_splice(uv, 20, 18)

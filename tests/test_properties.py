@@ -1,8 +1,9 @@
 """Property tests of the join closure against its fixpoint oracle, of the
 LCM-lattice table and the join-preserving check against the 2^e subset
 walk, of combinatorial genericity against its pairwise definition, of
-``minimize`` on the Taylor complex against its rescanning oracle and the
-strand homology of the complex it came from, and of the integer-coded
+``minimize`` on the Taylor, Scarf and relabeled complexes against its
+rescanning oracle and the strand homology of the complex it came from,
+and of the integer-coded
 ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
 and of ``divided_embed`` against the product basis of divided powers.
@@ -41,6 +42,8 @@ from mgres import (  # noqa: E402
     lcm_lattice,
     leq,
     minimize,
+    relabel,
+    scarf_complex,
     strand,
     taylor_complex,
 )
@@ -49,9 +52,8 @@ from mgres.multilinear import (  # noqa: E402
     contraction_matrix,
     divided_basis,
     divided_embed,
-    removal_sign,
-    splice_columns,
 )
+from mgres.linalg import MaximalMinors  # noqa: E402
 from mgres.verify import strand_degrees  # noqa: E402
 from helpers import (  # noqa: E402
     brute_minor_rank,
@@ -66,6 +68,7 @@ from helpers import (  # noqa: E402
     naive_solve,
     pairwise_combinatorially_generic,
     product_divided_embed,
+    removal_sign,
     rescan_minimize,
 )
 
@@ -206,6 +209,29 @@ def test_minimize_keeps_every_strand_homology(phi):
         h = homology_dims(strand(x, a))
         # minimize drops trailing levels only once they are all cancelled
         assert h == homology_dims(strand(m, a)) + (0,) * (len(h) - len(m.levels))
+
+
+def _collapsed(phi):
+    """phi with every degree sent through c(a) = (max(a_1, a_2), a_3, ...)
+    (2a for n = 1), a monotone join-preserving map, and c itself."""
+    def c(a):
+        return (max(a[0], a[1]),) + a[2:] if len(a) > 1 else (2 * a[0],)
+
+    phi2 = Morphism(len(c(phi.source_degrees[0])), phi.field, map(c, phi.source_degrees),
+                    map(c, phi.target_degrees), phi.entries).validate()
+    return phi2, c
+
+
+@settings(PROPERTY, max_examples=100)
+@given(morphisms())
+def test_minimize_matches_rescan_on_scarf_and_relabeled_complexes(phi):
+    """The Scarf complex, and the Scarf and Taylor complexes relabeled along
+    a collapse of the lattice (which leaves units to cancel)."""
+    phi2, c = _collapsed(phi)
+    for x in (scarf_complex(phi), taylor_complex(phi)):
+        f = RelabelMap({g.degree: c(g.degree) for level in x.levels[1:] for g in level})
+        for y in (x, relabel(f, x, phi2)):
+            assert minimize(y) == rescan_minimize(y)
 
 
 @PROPERTY
@@ -354,8 +380,8 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
 @PROPERTY
 @given(st.data())
 def test_contraction_and_splice_store_one_coding(data):
-    """Delta_l as copies of uv's coded column, and a splice column stacked
-    from cached minors, against dense builds, on uv with fractional entries."""
+    """Delta_l as copies of uv's coded column, and a splice column written
+    from the minor table, against dense builds, on uv with fractional entries."""
     field = data.draw(st.sampled_from(FIELDS))
     r, e, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
     dense = _entries(data.draw, field, r, e)
@@ -373,7 +399,7 @@ def test_contraction_and_splice_store_one_coding(data):
     if e <= r:
         return  # no splice face
     face = tuple(sorted(data.draw(st.permutations(range(1, e + 1)))[: r + 1]))
-    column = splice_columns(uv)(face)
+    column = MaximalMinors(uv).column(tuple(j - 1 for j in face))
     want = [[field.zero] for _ in range(e)]
     for pos, l in enumerate(face):
         minor = naive_det(field, [[row[j - 1] for j in face if j != l] for row in dense])

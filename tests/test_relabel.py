@@ -4,12 +4,14 @@ import pytest
 
 from mgres import (
     QQ,
+    DimensionError,
     Generator,
     GradedComplex,
     Matrix,
     MissingKey,
     Morphism,
     NegativeShift,
+    PrimeField,
     RankMismatch,
     RelabelMap,
     check_join_preserving,
@@ -21,7 +23,7 @@ from mgres import (
     scarf_complex,
     taylor_complex,
 )
-from helpers import join_preserving_walk, uvw_example, wide_generic_morphism, xy_example
+from helpers import DATA, join_preserving_walk, uvw_example, wide_generic_morphism, xy_example
 
 F_TABLE = [
     ((3, 0), (2, 1, 0)),
@@ -262,3 +264,29 @@ def test_relabel_preserves_coefficients_randomized():
         assert list(out.diffs[1:]) == list(m.diffs[1:])
         assert out.diffs[0] == m.diffs[0]
         assert is_resolution(out).exact
+
+
+def _ex7_over_gf7():
+    """data/ex7_prime.mmor, its coefficients read over GF(7)."""
+    from mgres import formats
+
+    raw = formats.load_json(DATA / "ex7_prime.mmor")
+    return formats.morphism_from_dict({**raw, "field": "GF(7)"})
+
+
+def test_relabel_across_fields_is_refused():
+    from mgres import formats
+
+    x = scarf_complex(formats.load_morphism(DATA / "ex4.mmor"))
+    f = formats.load_relabel_map(DATA / "ex7_relabel.json")
+    with pytest.raises(DimensionError, match=r"over Q, .* over GF\(7\)"):
+        relabel(f, x, _ex7_over_gf7())
+
+
+def test_graded_complex_refuses_a_differential_over_another_field():
+    x = scarf_complex(xy_example())
+    gf7 = PrimeField(7)
+    levels = [[Generator(d, f"g{i}") for i, d in enumerate(x.level_degrees(0))], *x.levels[1:]]
+    diffs = [Matrix.from_int_rows(gf7, [[1] * 4, [1, 2, 3, 0]]), *x.diffs[1:]]
+    with pytest.raises(DimensionError, match=r"differential 2 over Q, not GF\(7\)"):
+        GradedComplex(gf7, x.n, levels, diffs)

@@ -1,6 +1,7 @@
 """Face systems and the complexes they span: worked-example goldens,
 closure checking, classical monomial-ideal degeneration, containment."""
 
+import itertools
 import math
 import random
 
@@ -413,7 +414,7 @@ def assert_matches_solved_route(phi, system):
             assert m.cols == 0
 
 
-@pytest.mark.parametrize("p", [None, 32003])
+@pytest.mark.parametrize("p", [None, 32003, 2, 7])
 def test_facet_read_matches_solve_on_every_facet(p):
     rng = random.Random(8101)
     solved_facets = 0
@@ -560,28 +561,46 @@ def test_splice_columns_scale_by_the_face_embedding(p):
 
 
 @pytest.mark.parametrize("p", [None, 32003])
-def test_taylor_complex_takes_each_maximal_minor_once(monkeypatch, p):
-    """The splice level computes one determinant per r-subset of the
-    columns, C(e, r), not one per (face, position) pair."""
-    calls = []
-    det = Matrix.det
+def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
+    """Across the Scarf and the Taylor build of one morphism, the minor
+    table computes each needed r-subset's minor once in total, C(e, r) in
+    all, and neither build takes a determinant of an r x r submatrix of uv:
+    no ``Matrix.det`` call has one, and the table's own determinants are its
+    one elimination of uv and those of size |S - P| <= min(r, e - r)."""
+    from mgres import linalg
 
-    def counting(self):
-        calls.append((self.rows, self.cols))
+    computed, dets, sizes = [], [], []
+    minor, det, coded_det = linalg.MaximalMinors._minor, Matrix.det, linalg._det
+
+    def counting_minor(self, cols):
+        computed.append(cols)
+        return minor(self, cols)
+
+    def recording_det(self):
+        dets.append(self)
         return det(self)
 
-    monkeypatch.setattr(Matrix, "det", counting)
+    def recording_coded_det(q, rows):
+        sizes.append(len(rows))
+        return coded_det(q, rows)
+
+    monkeypatch.setattr(linalg.MaximalMinors, "_minor", counting_minor)
+    monkeypatch.setattr(Matrix, "det", recording_det)
+    monkeypatch.setattr(linalg, "_det", recording_coded_det)
     rng = random.Random(8107)
     seen = set()
-    for _ in range(12):
+    for _ in range(16):
         phi = random_morphism(rng)
         phi = mod_p(phi, p) if p else phi
-        r = phi.coeff_data.r
-        if phi.e <= r:
+        r, e, uv = phi.coeff_data.r, phi.e, phi.coeff_data.uv
+        if e <= r:
             continue
-        calls.clear()
+        computed.clear(), dets.clear(), sizes.clear()
+        scarf_complex(phi)
         taylor_complex(phi)
-        assert len(calls) == math.comb(phi.e, r)
-        assert set(calls) == {(r, r)}
+        assert sorted(computed) == list(itertools.combinations(range(e), r))
+        minors = {uv.submatrix(range(r), c) for c in itertools.combinations(range(e), r)}
+        assert not [d for d in dets if d in minors]
+        assert sizes[0] == r and all(k <= min(r, e - r) for k in sizes[1:])
         seen.add(r)
     assert len(seen) > 1
