@@ -369,7 +369,7 @@ class MaximalMinors:
 
     def __init__(self, a: Matrix):
         p, (red, pivots) = a.field.characteristic, a.rref()
-        self.field, self.cols, self._p, self._red = a.field, a.cols, p, red
+        self.field, self.cols, self._p, self._red = a.field, a.cols, p, red._rows
         self._base = _det(p, a._rows)  # det A_P; (0, 1) when A has rank below r
         self._pivot_row, self._signed = {c: i for i, c in enumerate(pivots)}, {}
 
@@ -378,8 +378,10 @@ class MaximalMinors:
         if num:
             hit = {where[c]: k for k, c in enumerate(cols) if c in where}
             free = [c for c in cols if c not in where]
-            left = [i for i in range(len(cols)) if i not in hit]
-            n, d = _det(p, self._red.submatrix(left, free)._rows)
+            # det R[the other rows, S - P] is 1 for k = 0 and one entry for k = 1
+            sub = [({k: row[c] for k, c in enumerate(free) if c in row}, s)
+                   for i, (row, s) in enumerate(self._red) if i not in hit]
+            n, d = _det(p, sub) if sub[1:] else (sub[0][0].get(0, 0), sub[0][1]) if sub else (1, 1)
             num = num * n * (-1) ** sum(i + k for i, k in hit.items())
             if num := num % p if p else num:
                 row, s = _reduce({0: num}, den * d, p)

@@ -228,13 +228,12 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
     by_size: dict[int, list[Face]] = {}
-    for face in sorted(system.spaces, key=lambda f: (len(f), f)):
+    for face in sorted(sorted(system.spaces), key=len):  # by size, then lexicographic
         if face[0] < 1 or face[-1] > phi.e:
             raise RestrictionError(face, f"face {face} has an index outside 1..{phi.e}")
         if system.spaces[face].rows != divided_dim(r, len(face) - r - 1):
-            raise RestrictionError(
-                face, f"face {face} is not assigned a subspace of D_{len(face) - r - 1}"
-            )
+            raise RestrictionError(face, f"face {face} is not assigned a subspace of "
+                                         f"D_{len(face) - r - 1}")
         by_size.setdefault(len(face), []).append(face)
     field, src = phi.field, phi.source_degrees
     # every full-system facet and Scarf face is assigned the identity, which
