@@ -595,7 +595,8 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
         r, e, uv = phi.coeff_data.r, phi.e, phi.coeff_data.uv
         if e <= r:
             continue
-        computed.clear(), dets.clear(), sizes.clear()
+        for seen_calls in (computed, dets, sizes):
+            seen_calls.clear()
         scarf_complex(phi)
         taylor_complex(phi)
         assert sorted(computed) == list(itertools.combinations(range(e), r))
