@@ -21,7 +21,7 @@ from .fields import field_by_name
 from .linalg import Matrix
 from .morphism import Morphism
 from .relabel import RelabelMap
-from .systems import GradedComplex, Generator
+from .systems import GradedComplex
 
 FORMAT_VERSION = 1
 
@@ -151,8 +151,8 @@ def complex_to_dict(x: GradedComplex) -> dict:
         "n": x.n,
         "vars": list(x.var_names) if x.var_names else [f"x{i+1}" for i in range(x.n)],
         "levels": [
-            [{"degree": list(g.degree), "label": g.label} for g in level]
-            for level in x.levels
+            [{"degree": list(d), "label": label} for d, label in zip(level, labels)]
+            for level, labels in zip(x.levels, x.labels)
         ],
         "differentials": diffs,
     }
@@ -169,13 +169,16 @@ def complex_from_dict(d: dict) -> GradedComplex:
     raw_levels = _require(d, "levels", "complex")
     if not isinstance(raw_levels, list):
         raise FormatError("'levels' must be a JSON array")
-    levels = []
+    levels, labels = [], []
     for level in raw_levels:
-        gens = []
+        degrees, names = [], []
         for rec in _record_list(level, "generator"):
-            degree = deg.as_degree(_int_list(_require(rec, "degree", "complex")), n)
-            gens.append(Generator(degree, str(rec.get("label", ""))))
-        levels.append(gens)
+            degrees.append(deg.as_degree(_int_list(_require(rec, "degree", "complex")), n))
+            names.append(rec.get("label", ""))
+            if not isinstance(names[-1], str):
+                raise FormatError(f"generator record {repr(rec)[:80]} needs a string 'label'")
+        levels.append(degrees)
+        labels.append(names)
     raw_diffs = _require(d, "differentials", "complex")
     if not isinstance(raw_diffs, list) or len(raw_diffs) != max(len(levels) - 1, 0):
         raise FormatError("differential count does not match level count")
@@ -197,7 +200,7 @@ def complex_from_dict(d: dict) -> GradedComplex:
                 )
             seen.add((row, col))
             coeff = _coeff(field, rec)
-            shift = deg.sub(levels[i + 1][col - 1].degree, levels[i][row - 1].degree)
+            shift = deg.sub(levels[i + 1][col - 1], levels[i][row - 1])
             declared = tuple(_int_list(_require(rec, "shift", "complex")))
             if declared != shift:
                 raise FormatError(
@@ -211,7 +214,7 @@ def complex_from_dict(d: dict) -> GradedComplex:
                     )
                 data[row - 1][col - 1] = coeff
         diffs.append(Matrix.from_nonzero_rows(field, cols, data))
-    return GradedComplex(field, n, levels, diffs, var_names=vars_)
+    return GradedComplex(field, n, levels, diffs, labels, var_names=vars_)
 
 
 def load_complex(path) -> GradedComplex:
@@ -293,7 +296,7 @@ def matrix_text(x: GradedComplex, diff_index: int) -> str:
 def complex_text(x: GradedComplex) -> str:
     lines = [f"ranks: {' '.join(str(r) for r in x.ranks())}"]
     for i, level in enumerate(x.levels):
-        degs = " ".join("(" + ",".join(map(str, g.degree)) + ")" for g in level)
+        degs = " ".join("(" + ",".join(map(str, d)) + ")" for d in level)
         lines.append(f"level {i}: {degs}")
     for i in range(len(x.diffs)):
         lines.append(f"differential {i + 1} (level {i + 1} -> level {i}):")

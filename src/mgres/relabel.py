@@ -23,7 +23,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, FormatError, MissingKey, NegativeShift, RankMismatch
 from .linalg import kernel_basis
 from .morphism import Morphism
-from .systems import GradedComplex, Generator
+from .systems import GradedComplex, presentation_labels
 
 
 class RelabelMap:
@@ -131,7 +131,8 @@ def relabel(f: RelabelMap, x: GradedComplex, phi2: Morphism) -> GradedComplex:
 
     Level 0 becomes the target's free module and the presentation entries
     are the target morphism's; degrees at levels 1 and up are mapped
-    through f with coefficients unchanged (DimensionError across fields).
+    through f with coefficients unchanged and labels kept (DimensionError
+    across fields, or when an image is not a multidegree of phi2).
     Raises NegativeShift when a nonzero entry ends up with a negative
     recomputed shift.
     """
@@ -141,21 +142,18 @@ def relabel(f: RelabelMap, x: GradedComplex, phi2: Morphism) -> GradedComplex:
         raise DimensionError(
             "level 1 of the complex does not match the target morphism's source rank"
         )
-    levels = [
-        [Generator(d, f"g{i}") for i, d in enumerate(phi2.target_degrees, start=1)]
-    ]
-    for i in range(1, len(x.levels)):
-        levels.append(
-            [Generator(f.apply(g.degree), g.label) for g in x.levels[i]]
-        )
-    for j, gen in enumerate(levels[1]):
-        if gen.degree != phi2.source_degrees[j]:
+    seen = dict.fromkeys(d for level in x.levels[1:] for d in level)
+    image = {d: deg.as_degree(f.apply(d), phi2.n) for d in seen}
+    levels = [phi2.target_degrees, *([image[d] for d in level] for level in x.levels[1:])]
+    for j, d in enumerate(x.levels[1]):
+        if image[d] != phi2.source_degrees[j]:
             raise DimensionError(
-                f"f sends level-1 degree {x.levels[1][j].degree} to {gen.degree}, "
+                f"f sends level-1 degree {d} to {image[d]}, "
                 f"but the target column {j + 1} has degree {phi2.source_degrees[j]}"
             )
-    diffs = [phi2.coeff_data.matrix] + list(x.diffs[1:])
-    out = GradedComplex(phi2.field, phi2.n, levels, diffs, var_names=phi2.var_names)
+    labels = [presentation_labels(phi2)[0], *x.labels[1:]]
+    diffs = [phi2.coeff_data.matrix, *x.diffs[1:]]
+    out = GradedComplex(phi2.field, phi2.n, levels, diffs, labels, var_names=phi2.var_names)
     bad = out.homogeneity_violation()
     if bad is not None:
         i, row, col = bad

@@ -11,10 +11,13 @@ assigned to the facets.
 Such a system spans a complex of free multigraded modules: position 0 is
 the target, position 1 the source, and position i >= 2 collects the faces
 of size r + i - 1, each generator carrying the join of its column degrees.
-Every differential entry is a scalar together with the degree shift forced
-by homogeneity, so only the scalar matrices are stored; the shift of entry
-(row, col) is always the column generator degree minus the row generator
-degree.
+A ``GradedComplex`` keeps two columns per level: one tuple of generator
+degrees and one tuple of labels, g1, g2, ... at level 0 and e1, e2, ... at
+level 1 (``presentation_labels``), then e{i1,...,ip}#t for the t-th basis
+vector of the subspace assigned to face {i1,...,ip}.  Every differential
+entry is a scalar together with the degree shift forced by homogeneity, so
+only the scalar matrices are stored; the shift of entry (row, col) is
+always the column generator degree minus the row generator degree.
 
 The system with every divided power taken in full yields the familiar
 Taylor-style resolution; the Scarf system keeps only the faces with a
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import degrees as deg
 from . import lattice as lat
@@ -43,45 +46,33 @@ Face = tuple[int, ...]
 MAX_GENERATORS = 2**18
 
 
-class Generator:
-    """A free module generator: a multidegree plus a combinatorial label."""
-
-    __slots__ = ("degree", "label")
-
-    def __init__(self, degree: Sequence[int], label: str):
-        self.degree = tuple(degree)
-        self.label = label
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Generator)
-            and other.degree == self.degree
-            and other.label == self.label
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.label))
-
-    def __repr__(self):
-        return f"Generator({self.degree}, {self.label!r})"
+def presentation_labels(phi: Morphism) -> list[tuple[str, ...]]:
+    """Labels of levels 0 and 1: the target generators g1, g2, ... and the
+    source generators (the columns) e1, e2, ..."""
+    return [tuple(f"g{i}" for i in range(1, phi.g + 1)),
+            tuple(f"e{j}" for j in range(1, phi.e + 1))]
 
 
 class GradedComplex:
     """A finite complex of free multigraded modules with scalar matrices.
 
-    diffs[i] maps level i+1 to level i.  Nonzero entries carry the shift
-    (column degree) - (row degree), which homogeneity forces to be
-    componentwise non-negative.
+    levels[i] holds the degree of each generator of level i and labels[i]
+    its label.  diffs[i] maps level i+1 to level i.  Nonzero entries carry
+    the shift (column degree) - (row degree), which homogeneity forces to
+    be componentwise non-negative.
     """
 
-    def __init__(self, field, n: int, levels, diffs, var_names=None):
+    def __init__(self, field, n: int, levels, diffs, labels, var_names=None):
         self.field = field
         self.n = n
-        self.levels = tuple(tuple(level) for level in levels)
+        self.levels = tuple(tuple(map(tuple, level)) for level in levels)
+        self.labels = tuple(tuple(level) for level in labels)
         self.diffs = tuple(diffs)
         self.var_names = tuple(var_names) if var_names else None
         if len(self.diffs) != max(len(self.levels) - 1, 0):
             raise DimensionError("differential count does not match level count")
+        if list(map(len, self.labels)) != list(map(len, self.levels)):
+            raise DimensionError("label counts do not match the level ranks")
         for i, d in enumerate(self.diffs):
             if d.rows != len(self.levels[i]) or d.cols != len(self.levels[i + 1]):
                 raise DimensionError(f"differential {i + 1} has the wrong shape")
@@ -92,21 +83,18 @@ class GradedComplex:
         return tuple(len(level) for level in self.levels)
 
     def level_degrees(self, i: int) -> tuple[Multidegree, ...]:
-        return tuple(g.degree for g in self.levels[i])
+        return self.levels[i]
 
     def shift(self, diff_index: int, row: int, col: int) -> tuple[int, ...]:
         """Forced shift of entry (row, col) of diffs[diff_index], 0-based."""
-        return deg.sub(
-            self.levels[diff_index + 1][col].degree,
-            self.levels[diff_index][row].degree,
-        )
+        return deg.sub(self.levels[diff_index + 1][col], self.levels[diff_index][row])
 
     def homogeneity_violation(self) -> tuple[int, int, int] | None:
         """(diff index, row, col) of the first negative-shift nonzero entry."""
-        for i, d in enumerate(self.diffs):
+        for i, (d, src, dst) in enumerate(zip(self.diffs, self.levels, self.levels[1:])):
             for row, cols in enumerate(d.supports()):
                 for col in cols:
-                    if any(c < 0 for c in self.shift(i, row, col)):
+                    if not deg.leq(src[row], dst[col]):
                         return (i, row, col)
         return None
 
@@ -114,7 +102,7 @@ class GradedComplex:
         return self.homogeneity_violation() is None
 
     def all_degrees(self) -> set[Multidegree]:
-        return {g.degree for level in self.levels for g in level}
+        return set().union(*self.levels)
 
     def __eq__(self, other):
         return (
@@ -122,6 +110,7 @@ class GradedComplex:
             and other.field == self.field
             and other.n == self.n
             and other.levels == self.levels
+            and other.labels == self.labels
             and other.diffs == self.diffs
         )
 
@@ -240,32 +229,32 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
     # spans its whole divided power: a vector there is its own coordinates
     eye = {d: Matrix.identity(field, d) for d in {emb.rows for emb in system.spaces.values()}}
     identity = {face for face, emb in system.spaces.items() if emb == eye[emb.rows]}
-    levels: list[list[Generator]] = [
-        [Generator(d, f"g{i}") for i, d in enumerate(phi.target_degrees, start=1)],
-        [Generator(d, f"e{j}") for j, d in enumerate(src, start=1)],
-    ]
+    levels, labels = [phi.target_degrees, src], presentation_labels(phi)
     diffs: list[Matrix] = [phi.coeff_data.matrix]
     # per face of a level: its first generator there, and its degree (() has 0)
     offsets, degrees = {}, {(): (0,) * phi.n}
     for p in range(r + 1, system.max_face_size() + 1):
         faces, below, prefix_degrees = by_size.get(p, []), offsets, degrees
-        offsets, degrees, gens = {}, {}, []
+        offsets, degrees, level, names = {}, {}, [], []
         for face in faces:
-            offsets[face] = len(gens)
+            offsets[face] = len(level)
             prefix = face[:-1]
             if prefix not in prefix_degrees:  # not a face of the system
                 prefix_degrees[prefix] = phi.face_degree(prefix)
             degree = degrees[face] = deg.join(prefix_degrees[prefix], src[face[-1] - 1])
-            label = "e{" + ",".join(map(str, face)) + "}#"
-            gens += [Generator(degree, label + str(t + 1)) for t in range(system.spaces[face].cols)]
+            label, cols = "e{" + ",".join(map(str, face)) + "}#", system.spaces[face].cols
+            level += [degree] * cols
+            names += [label + str(t) for t in range(1, cols + 1)]
         blocks = _blocks(phi.coeff_data, system, identity, faces, offsets, below, p - r - 1)
-        diffs.append(Matrix.from_blocks(field, len(levels[-1]), len(gens), blocks))
-        levels.append(gens)
+        diffs.append(Matrix.from_blocks(field, len(levels[-1]), len(level), blocks))
+        levels.append(level)
+        labels.append(names)
     # drop trailing empty levels (possible when the top faces vanish)
     while len(levels) > 2 and not levels[-1]:
         levels.pop()
+        labels.pop()
         diffs.pop()
-    return GradedComplex(field, phi.n, levels, diffs, var_names=phi.var_names)
+    return GradedComplex(field, phi.n, levels, diffs, labels, var_names=phi.var_names)
 
 
 def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):

@@ -67,8 +67,8 @@ def strand(x: GradedComplex, a: Iterable[int]) -> VectorComplex:
     a = tuple(a)
     keep = []
     for level in x.levels:
-        inside = {d: deg.leq(d, a) for d in {gen.degree for gen in level}}
-        keep.append([i for i, gen in enumerate(level) if inside[gen.degree]])
+        inside = {d: deg.leq(d, a) for d in set(level)}
+        keep.append([i for i, d in enumerate(level) if inside[d]])
     dims = tuple(len(k) for k in keep)
     diffs = tuple(
         x.diffs[i].submatrix(keep[i], keep[i + 1]) for i in range(len(x.diffs))
@@ -127,8 +127,8 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
 def is_minimal(x: GradedComplex) -> bool:
     """No nonzero entry sits between generators of equal degree."""
     return not any(
-        x.levels[i + 1][q].degree == x.levels[i][p].degree
-        for i, d in enumerate(x.diffs)
+        dst[q] == src[p]
+        for d, src, dst in zip(x.diffs, x.levels, x.levels[1:])
         for p, cols in enumerate(d.supports())
         for q in cols
     )
@@ -154,8 +154,8 @@ def minimize(x: GradedComplex) -> GradedComplex:
     for d, src, dst in zip(x.diffs, levels, levels[1:]):
 
         def pivot(p, cols):
-            a = src[p].degree
-            return min((q for q in cols if dst[q].degree == a), default=None)
+            a = src[p]
+            return min((q for q in cols if dst[q] == a), default=None)
 
         rows = [p for p in range(d.rows) if p not in dead]
         m, pairs = d.cancel(rows, pivot)
@@ -169,10 +169,11 @@ def minimize(x: GradedComplex) -> GradedComplex:
     # a row may still be nonzero at a generator cancelled as a pivot row of
     # the next differential; that column is split off, not kept
     diffs = [m.submatrix(range(m.rows), qs) for m, qs in zip(cut, keep[1:])]
-    kept = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
-    return GradedComplex(x.field, x.n, kept, diffs, var_names=x.var_names)
+    degrees = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
+    labels = [[x.labels[i][j] for j in js] for i, js in enumerate(keep)]
+    return GradedComplex(x.field, x.n, degrees, diffs, labels, var_names=x.var_names)
 
 
-def graded_ranks(x: GradedComplex) -> list[dict[Multidegree, int]]:
+def graded_ranks(x: GradedComplex) -> list[Counter[Multidegree]]:
     """Per level, the multiset of generator degrees (degree -> multiplicity)."""
-    return [dict(Counter(gen.degree for gen in level)) for level in x.levels]
+    return [Counter(level) for level in x.levels]

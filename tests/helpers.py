@@ -16,7 +16,6 @@ from pathlib import Path
 from mgres import (
     QQ,
     GradedComplex,
-    Generator,
     Matrix,
     Morphism,
     PrimeField,
@@ -133,14 +132,13 @@ def classical_taylor(monomials, field=QQ) -> GradedComplex:
             out = tuple(max(a, b) for a, b in zip(out, monomials[i - 1]))
         return out
 
-    levels = [[Generator((0,) * n, "g1")]]
+    levels, labels = [[(0,) * n]], [["g1"]]
     faces_per_level = [[()]]
     for size in range(1, e + 1):
         faces = list(itertools.combinations(range(1, e + 1), size))
         faces_per_level.append(faces)
-        levels.append(
-            [Generator(lcm(f), "{" + ",".join(map(str, f)) + "}") for f in faces]
-        )
+        levels.append([lcm(f) for f in faces])
+        labels.append(["{" + ",".join(map(str, f)) + "}" for f in faces])
     diffs = []
     for size in range(1, e + 1):
         dom = faces_per_level[size]
@@ -152,7 +150,7 @@ def classical_taylor(monomials, field=QQ) -> GradedComplex:
                 sub = face[:pos] + face[pos + 1 :]
                 data[cod_index[sub]][col] = one if pos % 2 == 0 else -one
         diffs.append(Matrix(field, len(cod), len(dom), data))
-    return GradedComplex(field, n, levels, diffs)
+    return GradedComplex(field, n, levels, diffs, labels)
 
 
 def matches_classical_taylor(x: GradedComplex, oracle: GradedComplex) -> bool:
@@ -295,7 +293,7 @@ def _first_unit(levels, diffs, zero):
     for di, rows in enumerate(diffs):
         for p, row in enumerate(rows):
             for q, v in enumerate(row):
-                if v != zero and levels[di + 1][q].degree == levels[di][p].degree:
+                if v != zero and levels[di + 1][q] == levels[di][p]:
                     return (di, p, q)
     return None
 
@@ -314,6 +312,7 @@ def rescan_minimize(x: GradedComplex) -> GradedComplex:
     zero = field.zero
     one = field.one
     levels = [list(level) for level in x.levels]
+    labels = [list(level) for level in x.labels]
     diffs = [[list(row) for row in d.data] for d in x.diffs]
     while True:
         hit = _first_unit(levels, diffs, zero)
@@ -339,10 +338,11 @@ def rescan_minimize(x: GradedComplex) -> GradedComplex:
         if di >= 1:
             for row in diffs[di - 1]:
                 del row[p]
-        del levels[di + 1][q]
-        del levels[di][p]
+        del levels[di + 1][q], labels[di + 1][q]
+        del levels[di][p], labels[di][p]
     while len(levels) > 1 and not levels[-1]:
         levels.pop()
+        labels.pop()
         diffs.pop()
     return GradedComplex(
         field,
@@ -352,6 +352,7 @@ def rescan_minimize(x: GradedComplex) -> GradedComplex:
             Matrix(field, len(levels[i]), len(levels[i + 1]), diffs[i])
             for i in range(len(diffs))
         ],
+        labels,
         var_names=x.var_names,
     )
 

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from mgres import QQ, Morphism, cli, formats
+from mgres import QQ, Morphism, cli, formats, minimize, relabel, scarf_complex, taylor_complex
 from mgres.errors import FormatError
-from helpers import DATA, xy_example
+from helpers import DATA, ROOT, mod_p, xy_example
+
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def test_morphism_roundtrip_byte_identical():
@@ -19,12 +21,44 @@ def test_morphism_roundtrip_byte_identical():
     assert once == again
 
 
-def test_complex_roundtrip_byte_identical():
-    from mgres import taylor_complex
+COMPLEX_GOLDENS = [
+    f"{command}_{example}.json"
+    for command in ("taylor", "scarf", "minimize")
+    for example in ("ex4", "ex7_prime", "ex4_gfp", "ex4_frac", "ex_r3")
+] + ["relabel_ex7.json"]
+# every Q example also over GF(32003); ex4's complexes relabeled onto ex7_prime
+DATA_COMPLEXES = [
+    f"{kind}-{example}-{field}"
+    for example in ("ex4", "ex4_frac", "ex7_prime", "ex_r3")
+    for field in ("Q", "GF(32003)")
+    for kind in ("taylor", "scarf", "minimize") + (("relabel",) if "ex4" in example else ())
+]
 
-    x = taylor_complex(xy_example())
-    once = formats.canonical_dumps(formats.complex_to_dict(x))
-    loaded = formats.complex_from_dict(json.loads(once))
+
+def _data_complex(case: str):
+    kind, example, field = case.split("-")
+    phi = formats.load_morphism(DATA / f"{example}.mmor")
+    if field != "Q":
+        phi = mod_p(phi)
+    if kind == "relabel":
+        phi2 = formats.load_morphism(DATA / "ex7_prime.mmor")
+        f = formats.load_relabel_map(DATA / "ex7_relabel.json")
+        return relabel(f, taylor_complex(phi), phi2 if field == "Q" else mod_p(phi2))
+    x = scarf_complex(phi) if kind == "scarf" else taylor_complex(phi)
+    return minimize(x) if kind == "minimize" else x
+
+
+@pytest.mark.parametrize("case", COMPLEX_GOLDENS + DATA_COMPLEXES)
+def test_complex_roundtrip_byte_identical(case):
+    """A golden complex file loads and serializes back byte for byte; a
+    complex built from data/ loads back equal, labels included."""
+    if case in COMPLEX_GOLDENS:
+        once = (GOLDEN / case).read_text()
+        x = formats.complex_from_dict(json.loads(once))
+    else:
+        x = _data_complex(case)
+        once = formats.canonical_dumps(formats.complex_to_dict(x))
+    loaded = formats.complex_from_dict(formats.complex_to_dict(x))
     again = formats.canonical_dumps(formats.complex_to_dict(loaded))
     assert once == again
     assert loaded == x
@@ -241,6 +275,8 @@ def test_cli_output_to_file(tmp_path, capsys):
         '{"field": "Q", "n": 2, "vars": [null, "y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": 2, "vars": [1, 2], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": 2, "vars": ["x", "x"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"3","shift":[2,1]}]]}',
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": null}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}]]}',
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": ["a"]}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}]]}',
     ],
 )
 def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):

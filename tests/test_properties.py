@@ -229,7 +229,7 @@ def test_minimize_matches_rescan_on_scarf_and_relabeled_complexes(phi):
     a collapse of the lattice (which leaves units to cancel)."""
     phi2, c = _collapsed(phi)
     for x in (scarf_complex(phi), taylor_complex(phi)):
-        f = RelabelMap({g.degree: c(g.degree) for level in x.levels[1:] for g in level})
+        f = RelabelMap({d: c(d) for level in x.levels[1:] for d in level})
         for y in (x, relabel(f, x, phi2)):
             assert minimize(y) == rescan_minimize(y)
 

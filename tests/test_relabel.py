@@ -5,7 +5,6 @@ import pytest
 from mgres import (
     QQ,
     DimensionError,
-    Generator,
     GradedComplex,
     Matrix,
     MissingKey,
@@ -160,7 +159,7 @@ def test_relabel_scarf_golden():
 def test_relabel_identity_is_identity():
     phi = xy_example()
     s = scarf_complex(phi)
-    ident = RelabelMap([(d, d) for d in {g.degree for lv in s.levels for g in lv}])
+    ident = RelabelMap([(d, d) for d in s.all_degrees()])
     assert relabel(ident, s, phi) == s
 
 
@@ -195,9 +194,9 @@ def test_first_negative_shift_is_row_major_and_skips_zeros():
     # with a negative shift; (0, 2) comes first row-major, (1, 0) column-major.
     phi = Morphism(1, QQ, [(1,), (2,)], [(0,)], {(1, 1): QQ.one, (1, 2): QQ.one}).validate()
     degrees = [[(0,)], [(1,), (2,)], [(0,), (3,), (0,)]]
-    levels = [[Generator(d, f"b{t}") for t, d in enumerate(level)] for level in degrees]
+    labels = [[f"b{t}" for t in range(len(level))] for level in degrees]
     d2 = Matrix.from_int_rows(QQ, [[0, 1, 5], [7, 1, 0]])
-    x = GradedComplex(QQ, 1, levels, [phi.coeff_data.matrix, d2])
+    x = GradedComplex(QQ, 1, degrees, [phi.coeff_data.matrix, d2], labels)
     assert x.homogeneity_violation() == (1, 0, 2)
     ident = RelabelMap([((t,), (t,)) for t in range(4)])
     with pytest.raises(NegativeShift) as exc:
@@ -286,7 +285,47 @@ def test_relabel_across_fields_is_refused():
 def test_graded_complex_refuses_a_differential_over_another_field():
     x = scarf_complex(xy_example())
     gf7 = PrimeField(7)
-    levels = [[Generator(d, f"g{i}") for i, d in enumerate(x.level_degrees(0))], *x.levels[1:]]
     diffs = [Matrix.from_int_rows(gf7, [[1] * 4, [1, 2, 3, 0]]), *x.diffs[1:]]
     with pytest.raises(DimensionError, match=r"differential 2 over Q, not GF\(7\)"):
-        GradedComplex(gf7, x.n, levels, diffs)
+        GradedComplex(gf7, x.n, x.levels, diffs, x.labels)
+
+
+def test_graded_complex_compares_labels_and_counts_them():
+    x = scarf_complex(xy_example())
+    labels = [list(level) for level in x.labels]
+    labels[2][1] = "e{2,3,4}#2"
+    y = GradedComplex(x.field, x.n, x.levels, x.diffs, labels, var_names=x.var_names)
+    assert y.levels == x.levels and y.diffs == x.diffs
+    assert y != x
+    with pytest.raises(DimensionError, match="label counts"):
+        GradedComplex(x.field, x.n, x.levels, x.diffs, [*x.labels[:2], x.labels[2][:1]])
+
+
+def _zero_column_complex():
+    """x, x^2 over k[x] with an extra level-2 generator of degree x^3 whose
+    column is zero, so homogeneity never reads its degree as a target."""
+    phi = Morphism(1, QQ, [(1,), (2,)], [(0,)], {(1, 1): QQ.one, (1, 2): QQ.one}).validate()
+    d2 = Matrix.from_int_rows(QQ, [[0], [0]])
+    levels, labels = [[(0,)], [(1,), (2,)], [(3,)]], [["g1"], ["e1", "e2"], ["z"]]
+    return phi, GradedComplex(QQ, 1, levels, [phi.coeff_data.matrix, d2], labels)
+
+
+@pytest.mark.parametrize("image", [(2, 7), (-4,)], ids=["wrong-length", "negative"])
+def test_relabel_refuses_an_image_that_is_not_a_degree(tmp_path, capsys, image):
+    """Such an image would be written out, and the complex file it lands in
+    refused on load; relabel refuses it first, and the CLI exits 2."""
+    import json
+
+    from mgres import cli, formats
+
+    phi, x = _zero_column_complex()
+    pairs = [((1,), (1,)), ((2,), (2,)), ((3,), image)]
+    with pytest.raises(DimensionError):
+        relabel(RelabelMap(pairs), x, phi)
+    paths = [tmp_path / name for name in ("map.json", "x.json", "phi.mmor")]
+    paths[0].write_text(json.dumps([{"from": a, "to": b} for a, b in pairs]))
+    paths[1].write_text(formats.canonical_dumps(formats.complex_to_dict(x)))
+    paths[2].write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
+    assert cli.run(["relabel", *map(str, paths), "--out", str(tmp_path / "out.json")]) == 2
+    assert "degree" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()

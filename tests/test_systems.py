@@ -158,13 +158,13 @@ def test_taylor_golden():
 
 def test_taylor_generator_order_and_labels():
     x = taylor_complex(xy_example())
-    assert [g.label for g in x.levels[2]] == [
+    assert list(x.labels[2]) == [
         "e{1,2,3}#1",
         "e{1,2,4}#1",
         "e{1,3,4}#1",
         "e{2,3,4}#1",
     ]
-    assert [g.label for g in x.levels[3]] == ["e{1,2,3,4}#1", "e{1,2,3,4}#2"]
+    assert list(x.labels[3]) == ["e{1,2,3,4}#1", "e{1,2,3,4}#2"]
 
 
 def test_scarf_golden():
@@ -179,10 +179,9 @@ def test_scarf_is_taylor_subcomplex():
     phi = xy_example()
     t = taylor_complex(phi)
     s = scarf_complex(phi)
-    t_labels = [g.label for g in t.levels[2]]
-    for col, gen in enumerate(s.levels[2]):
-        tcol = t_labels.index(gen.label)
-        assert gen.degree == t.levels[2][tcol].degree
+    for col, (degree, label) in enumerate(zip(s.levels[2], s.labels[2])):
+        tcol = t.labels[2].index(label)
+        assert degree == t.levels[2][tcol]
         assert [row[col] for row in s.diffs[1].data] == [
             row[tcol] for row in t.diffs[1].data
         ]

@@ -8,7 +8,6 @@ import pytest
 
 from mgres import (
     QQ,
-    Generator,
     GradedComplex,
     Matrix,
     Morphism,
@@ -43,7 +42,7 @@ def corrupt_entry(x: GradedComplex, diff_index: int, row: int, col: int) -> Grad
     data[row][col] = -data[row][col] if data[row][col] != QQ.zero else QQ.one
     diffs = list(x.diffs)
     diffs[diff_index] = Matrix(QQ, len(data), len(data[0]), data)
-    return GradedComplex(x.field, x.n, x.levels, diffs, var_names=x.var_names)
+    return GradedComplex(x.field, x.n, x.levels, diffs, x.labels, var_names=x.var_names)
 
 
 def test_check_d2_goldens():
@@ -188,8 +187,8 @@ def _block_betti_numbers(x):
     blocks = []
     for level in x.levels:
         by_degree = {}
-        for j, gen in enumerate(level):
-            by_degree.setdefault(gen.degree, []).append(j)
+        for j, d in enumerate(level):
+            by_degree.setdefault(d, []).append(j)
         blocks.append(by_degree)
 
     def block_rank(i, a):
@@ -315,8 +314,8 @@ def test_is_resolution_matches_strandwise_oracle_on_files():
 
 def test_is_resolution_matches_strandwise_oracle_off_complexes():
     # hand-built, homogeneous and not a complex: d1 d2 = 1
-    g = [[Generator((0, 0), "a")], [Generator((1, 0), "b")], [Generator((1, 0), "c")]]
-    x = GradedComplex(QQ, 2, g, [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)])
+    g, labels = [[(0, 0)], [(1, 0)], [(1, 0)]], [["a"], ["b"], ["c"]]
+    x = GradedComplex(QQ, 2, g, [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1)], labels)
     assert x.is_homogeneous()
     report = is_resolution(x)
     assert report == strandwise_is_resolution(x)
