@@ -29,44 +29,30 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, zero_columns=False):
+    def common(p):
         p.add_argument("--output", choices=["json", "text"], default="text")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        if zero_columns:
-            p.add_argument(
-                "--allow-zero-columns",
-                action="store_true",
-                help="accept morphisms with identically zero columns",
-            )
 
-    p = sub.add_parser("validate", help="check a morphism file")
-    p.add_argument("file")
-    common(p, zero_columns=True)
-
-    p = sub.add_parser("analyze", help="rank, genericity, LCM-lattice, Scarf data")
-    p.add_argument("file")
-    common(p, zero_columns=True)
-
-    p = sub.add_parser("taylor", help="the complex of the full system")
-    p.add_argument("file")
-    common(p, zero_columns=True)
-
-    p = sub.add_parser("scarf", help="the complex of the Scarf system")
-    p.add_argument("file")
-    common(p, zero_columns=True)
-
-    p = sub.add_parser(
-        "verify",
-        help="exactness/minimality of a complex file, or of the full-system "
-        "complex of a morphism file",
-    )
-    p.add_argument("file")
-    p.add_argument("--minimal", action="store_true", help="also require minimality")
-    common(p, zero_columns=True)
-
-    p = sub.add_parser("minimize", help="cancel unit entries until minimal")
-    p.add_argument("file", help="complex file, or morphism file (its full-system complex)")
-    common(p, zero_columns=True)
+    for name, text in [
+        ("validate", "check a morphism file"),
+        ("analyze", "rank, genericity, LCM-lattice, Scarf data"),
+        ("taylor", "the complex of the full system"),
+        ("scarf", "the complex of the Scarf system"),
+        ("verify", "exactness/minimality of a complex file, or of the full-system "
+                   "complex of a morphism file"),
+        ("minimize", "cancel unit entries until minimal"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file", help="complex file, or morphism file (its full-system complex)"
+                       if name == "minimize" else None)
+        if name == "verify":
+            p.add_argument("--minimal", action="store_true", help="also require minimality")
+        common(p)
+        p.add_argument(
+            "--allow-zero-columns",
+            action="store_true",
+            help="accept morphisms with identically zero columns",
+        )
 
     p = sub.add_parser("relabel", help="transport a complex along a lattice map")
     p.add_argument("map", help="JSON list of {from, to} degree pairs")

@@ -1,10 +1,8 @@
 """Multidegrees: points of N^n with the componentwise partial order.
 
 A multidegree is a plain tuple of non-negative ints, the exponent vector of
-a monomial.  Differences of multidegrees (signed tuples) appear when testing
-combinatorial genericity, so ``support`` accepts those too.  Coordinate
-indices reported by ``support`` are 1-based, matching the usual display of
-variables x_1, ..., x_n.
+a monomial.  ``sub`` returns a signed tuple, the difference of two
+multidegrees.
 """
 
 from __future__ import annotations
@@ -63,11 +61,6 @@ def sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Componentwise difference, a signed tuple."""
     _same_length(a, b)
     return tuple(x - y for x, y in zip(a, b))
-
-
-def support(a: Sequence[int]) -> frozenset[int]:
-    """1-based indices of the nonzero coordinates."""
-    return frozenset(i + 1 for i, c in enumerate(a) if c != 0)
 
 
 def join_closure(degrees: Iterable[Sequence[int]]) -> set[Multidegree]:

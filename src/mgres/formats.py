@@ -19,7 +19,7 @@ from . import degrees as deg
 from .errors import FormatError
 from .fields import field_by_name
 from .linalg import Matrix
-from .morphism import Morphism
+from .morphism import Morphism, check_var_names
 from .relabel import RelabelMap
 from .systems import GradedComplex
 
@@ -75,13 +75,6 @@ def _coeff(field, rec: dict):
     return field.parse(c)
 
 
-def _var_names(vars_, n: int) -> list[str]:
-    names = vars_ if isinstance(vars_, list) else []
-    if not all(isinstance(v, str) and v for v in names) or not n == len(names) == len(set(names)):
-        raise FormatError("'vars' must list exactly n distinct non-empty variable names")
-    return vars_
-
-
 # ---------------------------------------------------------------- morphisms
 
 def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
@@ -91,7 +84,7 @@ def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
     n = _require(d, "n", "morphism")
     if not _is_int(n) or n < 1:
         raise FormatError(f"bad variable count {n!r}")
-    vars_ = _var_names(_require(d, "vars", "morphism"), n)
+    vars_ = check_var_names(_require(d, "vars", "morphism"), n)
     raw_sources = _require(d, "source_degrees", "morphism")
     raw_targets = _require(d, "target_degrees", "morphism")
     if not isinstance(raw_sources, list) or not isinstance(raw_targets, list):
@@ -165,7 +158,7 @@ def complex_from_dict(d: dict) -> GradedComplex:
     n = _require(d, "n", "complex")
     if not _is_int(n) or n < 1:
         raise FormatError(f"bad variable count {n!r}")
-    vars_ = _var_names(d["vars"], n) if "vars" in d else None
+    vars_ = check_var_names(d["vars"], n) if "vars" in d else None
     raw_levels = _require(d, "levels", "complex")
     if not isinstance(raw_levels, list):
         raise FormatError("'levels' must be a JSON array")

@@ -363,7 +363,9 @@ class MaximalMinors:
     R_S, and det A_P comes off the echelon form of A itself.  R_S has the
     unit column of pivot row i at each position k with S[k] = P[i], so
     det R_S = (-1)^(sum of those i and k) det R[the other rows, S - P], of
-    size |S - P| <= min(r, e - r)."""
+    size |S - P| <= min(r, e - r), all through ``_det``.  ``column`` (a
+    splice column) and ``is_nonzero`` (``Morphism.is_uniform_rank``) read
+    the same memo, so each minor is taken once, whichever asks first."""
 
     __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivot_row", "_signed")
 
@@ -378,16 +380,19 @@ class MaximalMinors:
         if num:
             hit = {where[c]: k for k, c in enumerate(cols) if c in where}
             free = [c for c in cols if c not in where]
-            # det R[the other rows, S - P] is 1 for k = 0 and one entry for k = 1
             sub = [({k: row[c] for k, c in enumerate(free) if c in row}, s)
                    for i, (row, s) in enumerate(self._red) if i not in hit]
-            n, d = _det(p, sub) if sub[1:] else (sub[0][0].get(0, 0), sub[0][1]) if sub else (1, 1)
+            n, d = _det(p, sub)
             num = num * n * (-1) ** sum(i + k for i, k in hit.items())
             if num := num % p if p else num:
                 row, s = _reduce({0: num}, den * d, p)
                 pair = ((row, s), ({0: p - row[0] if p else -row[0]}, s))
         self._signed[cols] = pair
         return pair
+
+    def is_nonzero(self, cols: tuple[int, ...]) -> bool:
+        """The minor on the ascending r-subset cols is nonzero."""
+        return bool((self._signed.get(cols) or self._minor(cols))[0][0])
 
     def column(self, cols: tuple[int, ...]) -> Matrix:
         """e x 1, entry cols[k] the minor on cols without cols[k] times
@@ -451,11 +456,6 @@ class Subspace:
     def __repr__(self):
         rows = [list(r) for r in self.basis.data]
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim}, basis {rows})"
-
-
-def rank(m: Matrix) -> int:
-    """Rank of a matrix (dimension of the row space)."""
-    return m.rank()
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -30,7 +30,9 @@ from .errors import DimensionError, HomogeneityError, TooManyColumns, ZeroColumn
 from .linalg import MaximalMinors, Matrix, Subspace, column_space_basis, kernel_basis
 
 # Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
-# one rank test takes about 80 us, so the walk stays within about 5 s.
+# one minor off the table takes at most about 100 us (Q, r = 9, e = 18,
+# entries below 30,000, 2 shared vCPUs) and the table keeps about 800 bytes
+# of it, so the walk stays within about 7 s and 50 MB.
 MAX_RANK_SUBSETS = 2**16
 
 
@@ -38,11 +40,10 @@ MAX_RANK_SUBSETS = 2**16
 class CoeffData:
     """Scalar data attached to a morphism: C, its rank, image and V-coordinates."""
 
-    matrix: Matrix          # g x e coefficient matrix C
-    r: int                  # rank of C
-    image: Subspace         # V = col(C) inside the target coordinate space
-    uv: Matrix              # r x e matrix of the induced map U -> V in V-coordinates
-    uses_target_dual: bool  # True when r = g and V-coordinates dualize the target basis
+    matrix: Matrix   # g x e coefficient matrix C
+    r: int           # rank of C
+    image: Subspace  # V = col(C) inside the target coordinate space
+    uv: Matrix       # r x e matrix of the induced map U -> V in V-coordinates
 
     @cached_property
     def minors(self) -> MaximalMinors:
@@ -55,7 +56,7 @@ def coeff_data_from_matrix(c: Matrix) -> CoeffData:
     image = column_space_basis(c)
     r = image.dim
     uv = c.submatrix(image.pivots(), range(c.cols))
-    return CoeffData(c, r, image, uv, uses_target_dual=(r == c.rows))
+    return CoeffData(c, r, image, uv)
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,6 @@ class Morphism:
     def g(self) -> int:
         return len(self.target_degrees)
 
-    def entry(self, i: int, j: int):
-        """Scalar coefficient at (row i, column j), 1-based."""
-        return self.entries.get((i, j), self.field.zero)
-
     def shift(self, i: int, j: int) -> tuple[int, ...]:
         """Forced degree shift of entry (i, j): source degree minus target degree."""
         return deg.sub(self.source_degrees[j - 1], self.target_degrees[i - 1])
@@ -107,14 +104,14 @@ class Morphism:
         """Check all structural invariants; returns self.
 
         Raises HomogeneityError for a nonzero entry whose forced shift has a
-        negative coordinate, DimensionError for out-of-range indices, and
+        negative coordinate, DimensionError for out-of-range indices or
+        variable names that are not n distinct non-empty strings, and
         ZeroColumnError for an identically zero column (zero columns break
         minimal-presentation semantics, so they must be allowed explicitly).
         """
         if self.e < 1 or self.g < 1:
             raise DimensionError("a morphism needs at least one source and one target")
-        if len(self.var_names) != self.n:
-            raise DimensionError("variable name count does not match n")
+        check_var_names(self.var_names, self.n)
         for (i, j) in self.entries:
             if not (1 <= i <= self.g and 1 <= j <= self.e):
                 raise DimensionError(f"entry index ({i}, {j}) out of range")
@@ -170,12 +167,16 @@ class Morphism:
 
     def is_uniform_rank(self) -> bool:
         """Every r-element column subset of C is linearly independent;
-        TooManyColumns, before any rank test, past MAX_RANK_SUBSETS subsets."""
-        cd, rows = self.coeff_data, range(self.g)
+        TooManyColumns, before any minor is taken, past MAX_RANK_SUBSETS subsets.
+
+        C = B uv with B injective, so C_S has rank r exactly when the maximal
+        minor det(uv_S) is nonzero: each is read off ``CoeffData.minors``,
+        the table the Scarf and Taylor splice columns share.  At r = 0 the
+        one subset is empty and its minor is 1."""
+        cd = self.coeff_data
         if (count := math.comb(self.e, cd.r)) > MAX_RANK_SUBSETS:
             raise TooManyColumns(f"uniform rank: {count} column subsets, over {MAX_RANK_SUBSETS}")
-        return all(cd.matrix.submatrix(rows, cols).rank() == cd.r
-                   for cols in itertools.combinations(range(self.e), cd.r))
+        return all(map(cd.minors.is_nonzero, itertools.combinations(range(self.e), cd.r)))
 
     def is_combinatorially_generic(self) -> bool:
         """Supports of pairwise degree differences swallow both supports.
@@ -219,6 +220,16 @@ class Morphism:
             f"Morphism(n={self.n}, {self.g}x{self.e} over {self.field!r}, "
             f"sources {list(self.source_degrees)})"
         )
+
+
+def check_var_names(names, n: int) -> tuple[str, ...]:
+    """names as a tuple when it lists exactly n distinct non-empty strings,
+    the rule every morphism, complex and file loader holds its variable
+    names to; DimensionError otherwise."""
+    strings = isinstance(names, (list, tuple)) and all(isinstance(v, str) and v for v in names)
+    if not (strings and len(names) == len(set(names)) == n):
+        raise DimensionError(f"variable names must be {n} distinct non-empty strings")
+    return tuple(names)
 
 
 def default_var_names(n: int) -> tuple[str, ...]:

@@ -36,8 +36,8 @@ from . import lattice as lat
 from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
-from .morphism import Morphism
-from .multilinear import divided_dim, divided_embed, signed_contractions
+from .morphism import Morphism, check_var_names
+from .multilinear import VectorComplex, divided_dim, divided_embed, signed_contractions
 
 Face = tuple[int, ...]
 
@@ -68,14 +68,11 @@ class GradedComplex:
         self.levels = tuple(tuple(map(tuple, level)) for level in levels)
         self.labels = tuple(tuple(level) for level in labels)
         self.diffs = tuple(diffs)
-        self.var_names = tuple(var_names) if var_names else None
-        if len(self.diffs) != max(len(self.levels) - 1, 0):
-            raise DimensionError("differential count does not match level count")
+        self.var_names = None if var_names is None else check_var_names(var_names, n)
+        VectorComplex(self.ranks(), self.diffs)  # the count and shape checks
         if list(map(len, self.labels)) != list(map(len, self.levels)):
             raise DimensionError("label counts do not match the level ranks")
         for i, d in enumerate(self.diffs):
-            if d.rows != len(self.levels[i]) or d.cols != len(self.levels[i + 1]):
-                raise DimensionError(f"differential {i + 1} has the wrong shape")
             if d.field != field:
                 raise DimensionError(f"differential {i + 1} over {d.field.name}, not {field.name}")
 
@@ -119,7 +116,10 @@ class GradedComplex:
 
 
 class FaceSystem:
-    """Divided-power subspaces indexed by faces, absent faces meaning zero."""
+    """Divided-power subspaces indexed by faces, absent faces meaning zero.
+
+    A zero-column assignment is dropped here, and only here, so every face
+    kept spans a generator, and the top face size has one."""
 
     def __init__(self, r: int, spaces: Mapping[Face, Matrix]):
         self.r = r
@@ -183,11 +183,8 @@ def scarf_system(phi: Morphism) -> FaceSystem:
             spaces[face] = Matrix.identity(phi.field, divided_dim(r, len(face) - r - 1))
     for fd in lattice.nonscarf_data:
         face = tuple(sorted(fd.i_a))
-        if len(face) < r + 1:
-            continue
-        emb = divided_embed(phi.k_space(fd.i_upper_a), len(face) - r - 1)
-        if emb.cols:
-            spaces[face] = emb
+        if len(face) >= r + 1:
+            spaces[face] = divided_embed(phi.k_space(fd.i_upper_a), len(face) - r - 1)
     return FaceSystem(r, spaces)
 
 
@@ -249,11 +246,6 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
         diffs.append(Matrix.from_blocks(field, len(levels[-1]), len(level), blocks))
         levels.append(level)
         labels.append(names)
-    # drop trailing empty levels (possible when the top faces vanish)
-    while len(levels) > 2 and not levels[-1]:
-        levels.pop()
-        labels.pop()
-        diffs.pop()
     return GradedComplex(field, phi.n, levels, diffs, labels, var_names=phi.var_names)
 
 

@@ -24,7 +24,6 @@ from mgres import (
     join,
     join_all,
     sub,
-    support,
 )
 from mgres.verify import (
     ExactnessReport,
@@ -114,6 +113,14 @@ def brute_minor_rank(m: Matrix) -> int:
                 if m.submatrix(rows, cols).det() != zero:
                     return k
     return 0
+
+
+def rank_walk_uniform_rank(phi: Morphism) -> bool:
+    """Oracle for ``Morphism.is_uniform_rank``, by its definition: every
+    r-element column subset of C has rank r, one rank test each."""
+    cd, rows = phi.coeff_data, range(phi.g)
+    return all(cd.matrix.submatrix(rows, cols).rank() == cd.r
+               for cols in itertools.combinations(range(phi.e), cd.r))
 
 
 def classical_taylor(monomials, field=QQ) -> GradedComplex:
@@ -425,6 +432,12 @@ def fixpoint_join_closure(degrees) -> set:
                     fresh.append(j)
         frontier = fresh
     return closure
+
+
+def support(a) -> frozenset[int]:
+    """1-based indices of the nonzero coordinates of a degree or a signed
+    difference of degrees."""
+    return frozenset(i + 1 for i, c in enumerate(a) if c != 0)
 
 
 def pairwise_combinatorially_generic(phi: Morphism) -> bool:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from mgres import DimensionError, join, join_all, join_closure, leq, sub, support
+from mgres import DimensionError, join, join_all, join_closure, leq, sub
+from helpers import support
 
 
 def test_leq_examples():

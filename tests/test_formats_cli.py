@@ -283,6 +283,7 @@ def test_cli_output_to_file(tmp_path, capsys):
         '{"field": "Q", "n": 2, "vars": ["", "y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": 2, "vars": [null, "y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": 2, "vars": [1, 2], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
+        '{"field": "Q", "n": 2, "vars": [["x"], "y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
         '{"field": "Q", "n": 2, "vars": ["x", "x"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"3","shift":[2,1]}]]}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": null}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}]]}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": ["a"]}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}]]}',
@@ -516,3 +517,30 @@ def test_uniform_rank_budget_is_read_at_call_time(monkeypatch, capsys, budget, c
     assert err.count("mgres: ") == (1 if code else 0)
     assert ("6 column subsets" in err) == bool(code)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "analyze", "taylor", "scarf", "verify", "minimize", "relabel"]
+)
+def test_cli_parser_options(command, capsys):
+    """--output and --out everywhere, --allow-zero-columns on the one-file
+    subcommands, --minimal on verify alone; an unknown option exits 2."""
+    files = ["map.json", "x.json", "phi.mmor"] if command == "relabel" else ["phi.mmor"]
+
+    def parse(*options):
+        try:
+            return cli._parser().parse_args([command, *options, *files])
+        except SystemExit as exc:
+            assert exc.code == 2
+            return None
+
+    defaults = parse()
+    assert (defaults.output, defaults.out) == ("text", None)
+    args = parse("--output", "json", "--out", "report.json")
+    assert (args.output, args.out) == ("json", "report.json")
+    assert (parse("--allow-zero-columns") is not None) == (command != "relabel")
+    assert (parse("--minimal") is not None) == (command == "verify")
+    assert parse("--no-such-option") is None
+    if command != "relabel":
+        assert defaults.allow_zero_columns is False
+    capsys.readouterr()

@@ -18,7 +18,6 @@ from mgres import (
     annihilator_basis,
     column_space_basis,
     kernel_basis,
-    rank,
 )
 from mgres.errors import DimensionError, FormatError
 from helpers import brute_minor_rank, from_columns, mat_vec
@@ -27,11 +26,11 @@ C_EX = Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
 
 
 def test_rank_example():
-    assert rank(C_EX) == 2
+    assert C_EX.rank() == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix.zeros(QQ, 2, 3)) == 0
+    assert Matrix.zeros(QQ, 2, 3).rank() == 0
 
 
 def test_rank_matches_minor_oracle_on_randoms():
@@ -42,8 +41,8 @@ def test_rank_matches_minor_oracle_on_randoms():
         m = Matrix.from_int_rows(
             QQ, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
         )
-        assert rank(m) == brute_minor_rank(m)
-        assert rank(m) == rank(m.transpose())
+        assert m.rank() == brute_minor_rank(m)
+        assert m.rank() == m.transpose().rank()
 
 
 def test_rank_with_fractions():
@@ -51,7 +50,7 @@ def test_rank_with_fractions():
         QQ,
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]],
     )
-    assert rank(m) == brute_minor_rank(m)
+    assert m.rank() == brute_minor_rank(m)
 
 
 def test_rank_six_by_six_exhaustive_oracle():
@@ -60,7 +59,7 @@ def test_rank_six_by_six_exhaustive_oracle():
         m = Matrix.from_int_rows(
             QQ, [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
         )
-        assert rank(m) == brute_minor_rank(m)
+        assert m.rank() == brute_minor_rank(m)
 
 
 def test_kernel_identity_is_zero():
@@ -87,7 +86,7 @@ def test_rank_nullity():
         m = Matrix.from_int_rows(
             QQ, [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
         )
-        assert kernel_basis(m).dim + rank(m) == c
+        assert kernel_basis(m).dim + m.rank() == c
 
 
 def test_column_space_example_full():
@@ -166,7 +165,7 @@ def test_det_small():
 def test_prime_field_rank_and_kernel():
     gf = PrimeField(5)
     m = Matrix.from_int_rows(gf, [[1, 2, 3], [2, 4, 6]])
-    assert rank(m) == 1
+    assert m.rank() == 1
     k = kernel_basis(m)
     assert k.dim == 2
     for v in k.basis.data:

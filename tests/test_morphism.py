@@ -10,6 +10,7 @@ import pytest
 from mgres import (
     QQ,
     DimensionError,
+    GradedComplex,
     HomogeneityError,
     Matrix,
     Morphism,
@@ -18,6 +19,7 @@ from mgres import (
     ZeroColumnError,
     join_closure,
     leq,
+    taylor_complex,
 )
 from helpers import random_morphism, uvw_example, wide_generic_morphism, xy_example
 
@@ -78,7 +80,7 @@ def test_coeff_data_example():
     assert cd.matrix == Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
     assert cd.r == 2
     assert cd.image == Subspace(Matrix.identity(QQ, 2))
-    assert cd.uses_target_dual
+    assert cd.r == cd.matrix.rows
     assert cd.uv == cd.matrix
 
 
@@ -237,6 +239,42 @@ def test_uniform_rank_examples():
     ).validate()
     assert repeated.coeff_data.r == 2
     assert not repeated.is_uniform_rank()
+
+
+def test_uniform_rank_reads_the_minor_table(monkeypatch):
+    """Once the coefficient data is known, is_uniform_rank takes no rank
+    and cuts no submatrix: every answer comes off CoeffData.minors."""
+    zero = Morphism(2, QQ, [(1, 0), (0, 1)], [(0, 0)], {}).validate(allow_zero_columns=True)
+    cloned = Morphism(1, QQ, [(1,)] * 3, [(0,)] * 2,
+                      {(1, 1): QQ.one, (2, 1): QQ.one, (1, 2): QQ.one, (2, 2): QQ.one,
+                       (2, 3): QQ.one}).validate()
+    cases = [xy_example(), uvw_example(), wide_generic_morphism(9), zero, cloned]
+    for phi in cases:
+        phi.coeff_data
+
+    def refuse(*args):
+        raise AssertionError("is_uniform_rank left the minor table")
+
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    monkeypatch.setattr(Matrix, "submatrix", refuse)
+    assert [phi.is_uniform_rank() for phi in cases] == [True, True, True, True, False]
+
+
+@pytest.mark.parametrize("names", [("x", "x"), ("x", ""), ("x", 3), ("x",), ("x", "y", "z")])
+def test_variable_names_are_n_distinct_non_empty_strings(names):
+    """The rule the file loaders hold names to holds for a morphism, a
+    complex and a complex built from an unvalidated morphism, so the
+    library writes no file its loader refuses; None means no names."""
+    phi = xy_example()
+    bad = Morphism(2, QQ, phi.source_degrees, phi.target_degrees, phi.entries, var_names=names)
+    with pytest.raises(DimensionError):
+        bad.validate()
+    with pytest.raises(DimensionError):
+        taylor_complex(bad)
+    x = taylor_complex(phi)
+    with pytest.raises(DimensionError):
+        GradedComplex(QQ, 2, x.levels, x.diffs, x.labels, var_names=names)
+    assert GradedComplex(QQ, 2, x.levels, x.diffs, x.labels).var_names is None
 
 
 def test_combinatorially_generic_examples():

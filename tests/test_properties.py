@@ -1,6 +1,7 @@
 """Property tests of the join closure against its fixpoint oracle, of the
 LCM-lattice table and the join-preserving check against the 2^e subset
 walk, of combinatorial genericity against its pairwise definition, of
+uniform rank against the rank of every r-subset of columns, of
 ``minimize`` on the Taylor, Scarf and relabeled complexes against its
 rescanning oracle and the strand homology of the complex it came from,
 and of the integer-coded
@@ -68,6 +69,7 @@ from helpers import (  # noqa: E402
     naive_solve,
     pairwise_combinatorially_generic,
     product_divided_embed,
+    rank_walk_uniform_rank,
     removal_sign,
     rescan_minimize,
 )
@@ -97,6 +99,30 @@ def morphisms(draw, e=None):
             if leq(targets[i - 1], src) and v:
                 entries[(i, j)] = field.of(v)
     return Morphism(n, field, sources, targets, entries).validate()
+
+
+@st.composite
+def coefficient_patterns(draw):
+    """A g x e coefficient matrix over a drawn field, targets at 0, e up to
+    7: fresh columns, columns that repeat an earlier one up to sign, a last
+    row that repeats the first (r < g), or the zero morphism (r = 0); zero
+    columns are allowed."""
+    g, e = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    field = draw(st.sampled_from(FIELDS))
+    shape = draw(st.sampled_from(("fresh", "cloned columns", "cloned row", "zero")))
+    cols = []
+    for _ in range(e):
+        if shape == "cloned columns" and cols and draw(st.booleans()):
+            unit = draw(st.sampled_from((1, -1)))
+            cols.append([unit * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append([0 if shape == "zero" else draw(st.integers(-3, 3)) for _ in range(g)])
+    if shape == "cloned row":
+        for col in cols:
+            col[-1] = col[0]
+    entries = {(i, j): field.of(x)
+               for j, col in enumerate(cols, start=1) for i, x in enumerate(col, start=1)}
+    return Morphism(1, field, [(1,)] * e, [(0,)] * g, entries).validate(allow_zero_columns=True)
 
 
 @st.composite
@@ -145,6 +171,13 @@ def test_join_closure_rejects_mixed_lengths(data):
 @given(morphisms())
 def test_combinatorial_genericity_matches_pairwise_definition(phi):
     assert phi.is_combinatorially_generic() == pairwise_combinatorially_generic(phi)
+
+
+@PROPERTY
+@given(st.one_of(morphisms(), coefficient_patterns()))
+def test_uniform_rank_matches_rank_walk(phi):
+    """The minor table's answer is the rank of every r-subset of columns."""
+    assert phi.is_uniform_rank() == rank_walk_uniform_rank(phi)
 
 
 @PROPERTY

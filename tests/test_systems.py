@@ -565,7 +565,10 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
     table computes each needed r-subset's minor once in total, C(e, r) in
     all, and neither build takes a determinant of an r x r submatrix of uv:
     no ``Matrix.det`` call has one, and the table's own determinants are its
-    one elimination of uv and those of size |S - P| <= min(r, e - r)."""
+    one elimination of uv and those of size |S - P| <= min(r, e - r).  On
+    every other morphism ``is_uniform_rank`` asks first, from the same
+    table, and still each minor is computed once: after a True answer,
+    which takes them all, the builds compute no further minor."""
     from mgres import linalg
 
     computed, dets, sizes = [], [], []
@@ -587,8 +590,8 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
     monkeypatch.setattr(Matrix, "det", recording_det)
     monkeypatch.setattr(linalg, "_det", recording_coded_det)
     rng = random.Random(8107)
-    seen = set()
-    for _ in range(16):
+    seen, uniform = set(), 0
+    for i in range(16):
         phi = random_morphism(rng)
         phi = mod_p(phi, p) if p else phi
         r, e, uv = phi.coeff_data.r, phi.e, phi.coeff_data.uv
@@ -596,6 +599,9 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
             continue
         for seen_calls in (computed, dets, sizes):
             seen_calls.clear()
+        if i % 2 and phi.is_uniform_rank():
+            assert sorted(computed) == list(itertools.combinations(range(e), r))
+            uniform += 1
         scarf_complex(phi)
         taylor_complex(phi)
         assert sorted(computed) == list(itertools.combinations(range(e), r))
@@ -603,4 +609,4 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
         assert not [d for d in dets if d in minors]
         assert sizes[0] == r and all(k <= min(r, e - r) for k in sizes[1:])
         seen.add(r)
-    assert len(seen) > 1
+    assert len(seen) > 1 and uniform
