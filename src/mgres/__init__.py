@@ -42,8 +42,6 @@ from .multilinear import (
     divided_dim,
     divided_embed,
     exterior_basis,
-    sigma_matrix,
-    splice_matrix,
 )
 from .relabel import (
     RelabelMap,
@@ -139,8 +137,6 @@ __all__ = [
     "scarf_complex",
     "scarf_faces",
     "scarf_system",
-    "sigma_matrix",
-    "splice_matrix",
     "strand",
     "sub",
     "taylor_complex",

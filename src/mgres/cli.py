@@ -68,10 +68,16 @@ def _load_morphism(args):
 
 
 def _load_complex(args):
-    """A complex file as it stands, or the full-system complex of a morphism file."""
+    """A complex file as it stands, or the full-system complex of a morphism
+    file.  ``minimize`` refuses a complex file whose d^2 is not zero as bad
+    input; ``verify`` reports it."""
     raw = formats.load_json(args.file)
     if formats.is_complex_dict(raw):
-        return formats.complex_from_dict(raw)
+        x = formats.complex_from_dict(raw)
+        if args.command == "minimize" and not verify.check_d2(x):
+            raise FormatError(f"{args.file} is not a complex: "
+                              "consecutive differentials do not compose to zero")
+        return x
     return taylor_complex(
         formats.morphism_from_dict(raw, allow_zero_columns=args.allow_zero_columns)
     )

@@ -221,8 +221,6 @@ def is_complex_dict(d) -> bool:
 # ------------------------------------------------------------- relabel maps
 
 def relabel_map_from_obj(obj) -> RelabelMap:
-    if isinstance(obj, dict) and "pairs" in obj:
-        obj = obj["pairs"]
     if not isinstance(obj, list):
         raise FormatError("relabel map must be a list of {from, to} pairs")
     pairs = []

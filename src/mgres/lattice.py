@@ -42,7 +42,6 @@ class FaceData:
 
 @dataclass(frozen=True)
 class LcmLattice:
-    atoms: tuple[Multidegree, ...]
     elements: frozenset[Multidegree]
     scarf_part: frozenset[Multidegree]
     nonscarf_part: frozenset[Multidegree]
@@ -78,7 +77,7 @@ def lcm_lattice(phi: Morphism) -> LcmLattice:
         else:
             scarf[a] = tuple(sorted(fd.i_a))
     part, faces = frozenset(scarf), frozenset(scarf.values())
-    return LcmLattice(phi.source_degrees, elements, part, elements - part, faces, tuple(other))
+    return LcmLattice(elements, part, elements - part, faces, tuple(other))
 
 
 def face_data(phi: Morphism, a: Iterable[int]) -> FaceData:

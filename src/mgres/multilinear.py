@@ -153,16 +153,6 @@ def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
     return Matrix.from_blocks(uv.field, e, len(faces), blocks)
 
 
-def sigma_matrix(cd: CoeffData, m: int, k: int, i: int) -> Matrix:
-    """Boundary of the divided/exterior complex for the morphism's own image."""
-    return sigma_matrix_on(cd.uv, cd.uv.cols, m, k, i)
-
-
-def splice_matrix(cd: CoeffData) -> Matrix:
-    """Splice map with entries the signed r x r minors of the V-coordinates."""
-    return splice_matrix_on(cd.uv, cd.uv.cols, cd.r)
-
-
 def coordinates_on(cd: CoeffData, vsub: Subspace) -> Matrix:
     """The coefficient matrix in the echelon coordinates of vsub.
 

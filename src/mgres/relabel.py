@@ -49,12 +49,6 @@ class RelabelMap:
         except KeyError:
             raise MissingKey(key) from None
 
-    def items(self):
-        return self.table.items()
-
-    def __len__(self):
-        return len(self.table)
-
 
 def _correspondence(phi: Morphism, phi2: Morphism, correspondence) -> list[int]:
     if phi.e != phi2.e:

@@ -20,9 +20,10 @@ only the scalar matrices are stored; the shift of entry (row, col) is
 always the column generator degree minus the row generator degree.
 
 The system with every divided power taken in full yields the familiar
-Taylor-style resolution; the Scarf system keeps only the faces with a
-unique degree, plus the closed faces of shared degrees restricted to the
-kernel functionals that survive.
+Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice:
+each lattice degree a with |I_a| > r assigns to the face I_a the divided
+power of the functionals that vanish on the columns of I^a.  A Scarf degree
+(I^a empty) thus gets the whole divided power.
 """
 
 from __future__ import annotations
@@ -98,9 +99,6 @@ class GradedComplex:
     def is_homogeneous(self) -> bool:
         return self.homogeneity_violation() is None
 
-    def all_degrees(self) -> set[Multidegree]:
-        return set().union(*self.levels)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedComplex)
@@ -168,23 +166,19 @@ def full_system(phi: Morphism) -> FaceSystem:
 
 
 def scarf_system(phi: Morphism) -> FaceSystem:
-    """Full divided powers on Scarf faces; kernel divided powers on closed faces.
+    """One rule over the lattice table: each degree a with |I_a| > r assigns
+    to I_a the divided power D_{|I_a|-r-1} of the functionals vanishing on
+    the columns of I^a, embedded into the ambient divided power.
 
-    A non-Scarf face contributes only when it equals I_a for its own degree
-    a; it is then assigned D_{|I|-r-1} of the functionals vanishing on the
-    columns indexed by I^a, embedded into the ambient divided power.
+    A Scarf degree has I^a empty, so its face gets the whole divided power,
+    which ``divided_embed`` codes as the identity.
     """
-    cd = phi.coeff_data
-    r = cd.r
+    r = phi.coeff_data.r
     spaces: dict[Face, Matrix] = {}
-    lattice = lat.lcm_lattice(phi)
-    for face in lattice.scarf_faces:
-        if len(face) >= r + 1:
-            spaces[face] = Matrix.identity(phi.field, divided_dim(r, len(face) - r - 1))
-    for fd in lattice.nonscarf_data:
-        face = tuple(sorted(fd.i_a))
-        if len(face) >= r + 1:
-            spaces[face] = divided_embed(phi.k_space(fd.i_upper_a), len(face) - r - 1)
+    for a, i_a in phi.lattice_columns.items():
+        if len(i_a) > r:
+            k = phi.k_space(lat.face_data(phi, a).i_upper_a)
+            spaces[tuple(sorted(i_a))] = divided_embed(k, len(i_a) - r - 1)
     return FaceSystem(r, spaces)
 
 

@@ -99,7 +99,7 @@ def strand_degrees(x: GradedComplex) -> list[Multidegree]:
     """The degrees whose strands decide exactness: the join-closure of all
     generator degrees, sorted.  Any other degree cuts out the same strand as
     the join of the generator degrees it dominates."""
-    return sorted(deg.join_closure(x.all_degrees()))
+    return sorted(deg.join_closure(set().union(*x.levels)))
 
 
 def is_resolution(x: GradedComplex) -> ExactnessReport:

@@ -15,14 +15,18 @@ from pathlib import Path
 
 from mgres import (
     QQ,
+    FaceSystem,
     GradedComplex,
     Matrix,
     Morphism,
     PrimeField,
     Subspace,
     divided_basis,
+    divided_dim,
+    divided_embed,
     join,
     join_all,
+    lcm_lattice,
     sub,
 )
 from mgres.verify import (
@@ -498,6 +502,24 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
                 cols.append(col)
         out[p] = from_columns(field, n, cols)
     return out
+
+
+def two_loop_scarf_system(phi: Morphism) -> FaceSystem:
+    """Oracle for ``systems.scarf_system``: the Scarf faces and the closed
+    non-Scarf faces as two loops over ``lcm_lattice``, full divided powers
+    (the identity) on the first and kernel divided powers on the second."""
+    cd = phi.coeff_data
+    r = cd.r
+    spaces: dict[tuple[int, ...], Matrix] = {}
+    lattice = lcm_lattice(phi)
+    for face in lattice.scarf_faces:
+        if len(face) >= r + 1:
+            spaces[face] = Matrix.identity(phi.field, divided_dim(r, len(face) - r - 1))
+    for fd in lattice.nonscarf_data:
+        face = tuple(sorted(fd.i_a))
+        if len(face) >= r + 1:
+            spaces[face] = divided_embed(phi.k_space(fd.i_upper_a), len(face) - r - 1)
+    return FaceSystem(r, spaces)
 
 
 def per_face_splice(uv: Matrix, e: int, rk: int) -> Matrix:

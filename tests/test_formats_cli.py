@@ -196,6 +196,21 @@ def test_cli_minimize_and_analyze(tmp_path, capsys):
     assert report["nonscarf_degrees"] == [[2, 3], [3, 2], [3, 3]]
 
 
+def test_cli_minimize_refuses_a_file_that_is_not_a_complex(tmp_path, capsys):
+    """verify reports d^2 != 0 (exit 1); minimize refuses the file as bad input."""
+    raw = formats.complex_to_dict(scarf_complex(formats.load_morphism(DATA / "ex4.mmor")))
+    raw["differentials"][1][0]["coeff"] = "5"
+    path = tmp_path / "not_a_complex.json"
+    path.write_text(formats.canonical_dumps(raw))
+    assert cli.run(["verify", str(path), "--output", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["is_complex"] is False
+    assert cli.run(["minimize", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mgres: ") and "not a complex" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_relabel_flow(tmp_path, capsys):
     scarf_json = tmp_path / "scarf.json"
     assert (
@@ -287,6 +302,14 @@ def test_cli_output_to_file(tmp_path, capsys):
         '{"field": "Q", "n": 2, "vars": ["x", "x"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [2,1], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"3","shift":[2,1]}]]}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": null}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}]]}',
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": ["a"]}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}]]}',
+        # a duplicate morphism entry
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}, {"row":1,"col":1,"coeff":"2"}]}',
+        # a complex file whose variable count is not a positive integer
+        '{"field": "Q", "n": "2", "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}]], "differentials": []}',
+        # a differential entry whose row is past the level
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":2,"col":1,"coeff":"1","shift":[1,0]}]]}',
+        # a nonzero entry whose declared shift is the forced one, and negative
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [1,0], "label": "g1"}], [{"degree": [0,0], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[-1,0]}]]}',
     ],
 )
 def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):
@@ -295,6 +318,12 @@ def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):
     for command in (["validate", str(path)], ["verify", str(path)]):
         assert cli.run(command) == 2
     capsys.readouterr()
+
+
+def test_complex_loader_refuses_a_non_object():
+    # the CLI reads a non-object as a morphism file, so only the library reaches this
+    with pytest.raises(FormatError, match="must be a JSON object"):
+        formats.complex_from_dict([])
 
 
 def test_oversized_coefficients_are_input_errors(tmp_path, capsys):

@@ -383,3 +383,17 @@ def test_maximal_rank_skips_implied_ranks(monkeypatch):
     monkeypatch.setattr(Matrix, "rank", counting)
     assert phi.is_maximal_rank_everywhere().ok
     assert len(calls) == len(table) - len(implied) < len(table) // 4
+
+
+@pytest.mark.parametrize(
+    "sources, targets, entries, match",
+    [
+        ([], [(0, 0)], {}, "at least one source and one target"),
+        ([(1, 0)], [], {}, "at least one source and one target"),
+        ([(1, 0)], [(0, 0)], {(1, 2): QQ.one}, r"entry index \(1, 2\) out of range"),
+    ],
+    ids=["no columns", "no rows", "entry out of range"],
+)
+def test_validate_refuses_shapes(sources, targets, entries, match):
+    with pytest.raises(DimensionError, match=match):
+        Morphism(2, QQ, sources, targets, entries).validate()

@@ -19,8 +19,6 @@ from mgres import (
     divided_dim,
     divided_embed,
     exterior_basis,
-    sigma_matrix,
-    splice_matrix,
 )
 from mgres.errors import DimensionError
 from mgres.multilinear import (
@@ -82,7 +80,7 @@ def test_exterior_basis_goldens():
 def test_sigma_top_column_golden():
     # the top boundary of the spliced tail for the worked example
     cd = xy_example().coeff_data
-    m = sigma_matrix(cd, 0, 3, 1)
+    m = sigma_matrix_on(cd.uv, cd.uv.cols, 0, 3, 1)
     assert m.rows == 4 and m.cols == 2
     assert [x for x in m.col(0)] == [QQ.of(c) for c in (-1, 1, -1, 1)]
     assert [x for x in m.col(1)] == [QQ.of(c) for c in (0, 3, -2, 1)]
@@ -90,7 +88,7 @@ def test_sigma_top_column_golden():
 
 def test_sigma_single_column_at_top_exterior():
     cd = xy_example().coeff_data
-    m = sigma_matrix(cd, 2, 3, 1)  # domain is D_3 (x) top exterior power
+    m = sigma_matrix_on(cd.uv, cd.uv.cols, 2, 3, 1)  # domain is D_3 (x) top exterior power
     assert m.cols == divided_dim(2, 3) * 1
 
 
@@ -107,7 +105,8 @@ def test_sigma_composes_to_zero():
 
 
 def test_splice_goldens():
-    spl = splice_matrix(xy_example().coeff_data)
+    cd = xy_example().coeff_data
+    spl = splice_matrix_on(cd.uv, cd.uv.cols, cd.r)
     cols = {f: i for i, f in enumerate(exterior_basis(4, 3))}
     assert [x for x in spl.col(cols[(1, 2, 3)])] == [QQ.of(c) for c in (1, -2, 1, 0)]
     assert [x for x in spl.col(cols[(2, 3, 4)])] == [QQ.of(c) for c in (0, -3, 2, 1)]
@@ -116,7 +115,7 @@ def test_splice_goldens():
 def test_splice_singular_minor_gives_zero():
     c = Matrix.from_int_rows(QQ, [[1, 2, 0], [2, 4, 1]])
     cd = coeff_data_from_matrix(c)
-    spl = splice_matrix(cd)
+    spl = splice_matrix_on(cd.uv, cd.uv.cols, cd.r)
     col = spl.col(0)  # the only 3-subset; minor on columns {1,2} is singular
     assert col[2] == QQ.zero
 

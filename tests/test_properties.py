@@ -1,6 +1,7 @@
 """Property tests of the join closure against its fixpoint oracle, of the
 LCM-lattice table and the join-preserving check against the 2^e subset
-walk, of combinatorial genericity against its pairwise definition, of
+walk, of combinatorial genericity against its pairwise definition, of the
+Scarf system against its two-loop oracle, of
 uniform rank against the rank of every r-subset of columns, of
 ``minimize`` on the Taylor, Scarf and relabeled complexes against its
 rescanning oracle and the strand homology of the complex it came from,
@@ -45,6 +46,7 @@ from mgres import (  # noqa: E402
     minimize,
     relabel,
     scarf_complex,
+    scarf_system,
     strand,
     taylor_complex,
 )
@@ -72,6 +74,7 @@ from helpers import (  # noqa: E402
     rank_walk_uniform_rank,
     removal_sign,
     rescan_minimize,
+    two_loop_scarf_system,
 )
 
 FIELDS = (QQ, PrimeField(2), PrimeField(7), PrimeField(32003))
@@ -189,6 +192,14 @@ def test_lattice_matches_subset_walk(phi):
     assert set(phi.lattice_columns) == set(walk)
     assert list(phi.lattice_columns) == sorted(walk)
     assert lat.scarf_faces == {faces[0] for faces in walk.values() if len(faces) == 1}
+
+
+@PROPERTY
+@given(st.one_of(morphisms(), coefficient_patterns()))
+def test_scarf_system_matches_two_loop_oracle(phi):
+    """The one rule over the lattice table assigns what the Scarf-face loop
+    and the non-Scarf loop over ``lcm_lattice`` assign, face for face."""
+    assert scarf_system(phi).spaces == two_loop_scarf_system(phi).spaces
 
 
 @PROPERTY

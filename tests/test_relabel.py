@@ -5,6 +5,7 @@ import pytest
 from mgres import (
     QQ,
     DimensionError,
+    FormatError,
     GradedComplex,
     Matrix,
     MissingKey,
@@ -159,7 +160,7 @@ def test_relabel_scarf_golden():
 def test_relabel_identity_is_identity():
     phi = xy_example()
     s = scarf_complex(phi)
-    ident = RelabelMap([(d, d) for d in s.all_degrees()])
+    ident = RelabelMap([(d, d) for d in set().union(*s.levels)])
     assert relabel(ident, s, phi) == s
 
 
@@ -329,3 +330,23 @@ def test_relabel_refuses_an_image_that_is_not_a_degree(tmp_path, capsys, image):
     assert cli.run(["relabel", *map(str, paths), "--out", str(tmp_path / "out.json")]) == 2
     assert "degree" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: RelabelMap([((1, 0), (1, 0)), ((1, 0), (0, 1))]), FormatError, "conflicting"),
+        (lambda: check_quasi_equivalent(xy_example(), uvw_example(), [1, 1, 2, 3]),
+         DimensionError, "not a permutation"),
+        (lambda: relabel(RelabelMap(F_TABLE), scarf_complex(xy_example()), _one_column()),
+         DimensionError, "level 1 of the complex"),
+        # column 1's degree sent to a degree of k[u, v, w] other than its own
+        (lambda: relabel(RelabelMap(dict(F_TABLE) | {(3, 0): (1, 1, 1)}),
+                         scarf_complex(xy_example()), uvw_example()),
+         DimensionError, "but the target column 1"),
+    ],
+    ids=["conflicting duplicate key", "not a permutation", "level-1 length", "level-1 image"],
+)
+def test_relabel_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

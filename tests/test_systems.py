@@ -9,6 +9,7 @@ import pytest
 
 from mgres import (
     QQ,
+    DimensionError,
     FaceSystem,
     Matrix,
     Morphism,
@@ -610,3 +611,17 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
         assert sizes[0] == r and all(k <= min(r, e - r) for k in sizes[1:])
         seen.add(r)
     assert len(seen) > 1 and uniform
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: FaceSystem(2, {(1, 1, 2): Matrix.identity(QQ, 1)}), "repeated indices"),
+        (lambda: FaceSystem(2, {(1, 2): Matrix.identity(QQ, 1)}), "at most r = 2 elements"),
+        (lambda: build_complex(xy_example(), FaceSystem(1, {})), "system rank 1 differs"),
+    ],
+    ids=["repeated index", "face of at most r columns", "rank mismatch"],
+)
+def test_face_system_refusals(build, match):
+    with pytest.raises(DimensionError, match=match):
+        build()
