@@ -175,12 +175,6 @@ def run(argv) -> int:
             _emit(args, payload, lambda: _analyze_text(payload))
             return 0
 
-        if args.command in ("taylor", "scarf"):
-            phi = _load_morphism(args)
-            x = taylor_complex(phi) if args.command == "taylor" else scarf_complex(phi)
-            _emit(args, formats.complex_to_dict(x), lambda: formats.complex_text(x))
-            return 0
-
         if args.command == "verify":
             report = verify.is_resolution(_load_complex(args))
             payload = {"format_version": formats.FORMAT_VERSION, **report.to_dict()}
@@ -189,20 +183,17 @@ def run(argv) -> int:
             ok = report.exact and (report.minimal or not args.minimal)
             return 0 if ok else 1
 
-        if args.command == "minimize":
+        if args.command in ("taylor", "scarf"):
+            phi = _load_morphism(args)
+            y = taylor_complex(phi) if args.command == "taylor" else scarf_complex(phi)
+        elif args.command == "minimize":
             y = verify.minimize(_load_complex(args))
-            _emit(args, formats.complex_to_dict(y), lambda: formats.complex_text(y))
-            return 0
-
-        if args.command == "relabel":
+        else:  # relabel
             f = formats.load_relabel_map(args.map)
             x = formats.load_complex(args.src_complex)
-            phi2 = formats.load_morphism(args.target_morphism)
-            y = apply_relabel(f, x, phi2)
-            _emit(args, formats.complex_to_dict(y), lambda: formats.complex_text(y))
-            return 0
-
-        raise FormatError(f"unknown command {args.command!r}")
+            y = apply_relabel(f, x, formats.load_morphism(args.target_morphism))
+        _emit(args, formats.complex_to_dict(y), lambda: formats.complex_text(y))
+        return 0
     except INTERNAL_ERRORS as exc:
         print(f"mgres: internal invariant breach: {exc}", file=sys.stderr)
         return 3

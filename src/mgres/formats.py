@@ -6,8 +6,8 @@ that exactness survives any JSON implementation, and both are written
 canonically (sorted keys, two-space indent, trailing newline), which makes
 parse -> serialize -> parse the identity byte for byte.
 
-Complex files redundantly store the shift of every entry; on load the
-shift is checked against the difference of the endpoint degrees.
+Complex files redundantly store the shift of every entry; on load it must
+be the forced one, and no nonzero entry's may be negative.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def canonical_dumps(obj) -> str:
 def load_json(path) -> object:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:  # also a file that is not UTF-8
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -67,6 +67,17 @@ def _int_list(v) -> list[int]:
     return v
 
 
+def _field_and_n(d, kind: str):
+    """The field and the variable count read off a morphism or complex file."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{kind} file must be a JSON object")
+    field = field_by_name(str(_require(d, "field", kind)))
+    n = _require(d, "n", kind)
+    if not _is_int(n) or n < 1:
+        raise FormatError(f"bad variable count {n!r}")
+    return field, n
+
+
 def _coeff(field, rec: dict):
     """The record's coefficient, which must be a JSON string."""
     c = rec.get("coeff")
@@ -78,12 +89,7 @@ def _coeff(field, rec: dict):
 # ---------------------------------------------------------------- morphisms
 
 def morphism_from_dict(d: dict, allow_zero_columns: bool = False) -> Morphism:
-    if not isinstance(d, dict):
-        raise FormatError("morphism file must be a JSON object")
-    field = field_by_name(str(_require(d, "field", "morphism")))
-    n = _require(d, "n", "morphism")
-    if not _is_int(n) or n < 1:
-        raise FormatError(f"bad variable count {n!r}")
+    field, n = _field_and_n(d, "morphism")
     vars_ = check_var_names(_require(d, "vars", "morphism"), n)
     raw_sources = _require(d, "source_degrees", "morphism")
     raw_targets = _require(d, "target_degrees", "morphism")
@@ -152,12 +158,7 @@ def complex_to_dict(x: GradedComplex) -> dict:
 
 
 def complex_from_dict(d: dict) -> GradedComplex:
-    if not isinstance(d, dict):
-        raise FormatError("complex file must be a JSON object")
-    field = field_by_name(str(_require(d, "field", "complex")))
-    n = _require(d, "n", "complex")
-    if not _is_int(n) or n < 1:
-        raise FormatError(f"bad variable count {n!r}")
+    field, n = _field_and_n(d, "complex")
     vars_ = check_var_names(d["vars"], n) if "vars" in d else None
     raw_levels = _require(d, "levels", "complex")
     if not isinstance(raw_levels, list):
@@ -201,13 +202,13 @@ def complex_from_dict(d: dict) -> GradedComplex:
                     f"{declared} but the degrees force {shift}"
                 )
             if coeff:
-                if any(c < 0 for c in shift):
-                    raise FormatError(
-                        f"entry ({row}, {col}) of differential {i + 1} has negative shift"
-                    )
                 data[row - 1][col - 1] = coeff
         diffs.append(Matrix.from_nonzero_rows(field, cols, data))
-    return GradedComplex(field, n, levels, diffs, labels, var_names=vars_)
+    x = GradedComplex(field, n, levels, diffs, labels, var_names=vars_)
+    if (bad := x.homogeneity_violation()) is not None:
+        i, row, col = (k + 1 for k in bad)  # 1-based
+        raise FormatError(f"entry ({row}, {col}) of differential {i} has negative shift")
+    return x
 
 
 def load_complex(path) -> GradedComplex:

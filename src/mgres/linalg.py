@@ -77,11 +77,13 @@ class Matrix:
     @classmethod
     def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
         """rows x cols with each (row0, col0, block) at that corner, none
-        overlapping, each block written into its rows as blocks yields it.
-        Rows are sorted only if some block came left of the one before."""
-        codes, scales, last, ordered = [{} for _ in range(rows)], [1] * rows, 0, True
+        overlapping, in nondecreasing col0 (else DimensionError), each block
+        written into its rows, in ascending columns, as blocks yields it."""
+        codes, scales, last = [{} for _ in range(rows)], [1] * rows, 0
         for row0, col0, block in blocks:
-            ordered, last = ordered and col0 >= last, col0
+            if col0 < last:
+                raise DimensionError(f"block at column {col0} comes after one at column {last}")
+            last = col0
             for i, (row, s) in enumerate(block._rows, row0):
                 if row:
                     target = codes[i]
@@ -95,7 +97,6 @@ class Matrix:
                         scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
                     for j, x in row.items():
                         target[col0 + j] = x
-        codes = codes if ordered else [dict(sorted(row.items())) for row in codes]
         return cls._coded(field, cols, list(zip(codes, scales)))
 
     @classmethod
@@ -358,25 +359,26 @@ def _normalize(row: dict, c: int, p: int) -> int:
 
 class MaximalMinors:
     """The maximal minors of an r x e matrix A, each computed on first use
-    and kept as its two signed coded 1 x 1 rows.  With R the reduced echelon
-    form of A and P its pivot columns, A = A_P R, so det A_S = det A_P det
-    R_S, and det A_P comes off the echelon form of A itself.  R_S has the
-    unit column of pivot row i at each position k with S[k] = P[i], so
-    det R_S = (-1)^(sum of those i and k) det R[the other rows, S - P], of
-    size |S - P| <= min(r, e - r), all through ``_det``.  ``column`` (a
-    splice column) and ``is_nonzero`` (``Morphism.is_uniform_rank``) read
+    and kept once, as its coded value (code, scale), (0, 1) when it is zero.
+    With R the reduced echelon form of A and P its pivot columns, A = A_P R,
+    so det A_S = det A_P det R_S, and det A_P comes off the echelon form of
+    A itself.  R_S has the unit column of pivot row i at each position k
+    with S[k] = P[i], so det R_S = (-1)^(sum of those i and k) det R[the
+    other rows, S - P], of size |S - P| <= min(r, e - r), all through
+    ``_det``.  ``column`` (a splice column, negating the minors it reads at
+    odd positions) and ``is_nonzero`` (``Morphism.is_uniform_rank``) read
     the same memo, so each minor is taken once, whichever asks first."""
 
-    __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivot_row", "_signed")
+    __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivot_row", "_memo")
 
     def __init__(self, a: Matrix):
         p, (red, pivots) = a.field.characteristic, a.rref()
         self.field, self.cols, self._p, self._red = a.field, a.cols, p, red._rows
         self._base = _det(p, a._rows)  # det A_P; (0, 1) when A has rank below r
-        self._pivot_row, self._signed = {c: i for i, c in enumerate(pivots)}, {}
+        self._pivot_row, self._memo = {c: i for i, c in enumerate(pivots)}, {}
 
-    def _minor(self, cols: tuple[int, ...]) -> tuple[tuple[dict, int], tuple[dict, int]]:
-        p, (num, den), where, pair = self._p, self._base, self._pivot_row, (({}, 1), ({}, 1))
+    def _minor(self, cols: tuple[int, ...]) -> tuple[int, int]:
+        p, (num, den), where, value = self._p, self._base, self._pivot_row, (0, 1)
         if num:
             hit = {where[c]: k for k, c in enumerate(cols) if c in where}
             free = [c for c in cols if c not in where]
@@ -386,21 +388,23 @@ class MaximalMinors:
             num = num * n * (-1) ** sum(i + k for i, k in hit.items())
             if num := num % p if p else num:
                 row, s = _reduce({0: num}, den * d, p)
-                pair = ((row, s), ({0: p - row[0] if p else -row[0]}, s))
-        self._signed[cols] = pair
-        return pair
+                value = (row[0], s)
+        self._memo[cols] = value
+        return value
 
     def is_nonzero(self, cols: tuple[int, ...]) -> bool:
         """The minor on the ascending r-subset cols is nonzero."""
-        return bool((self._signed.get(cols) or self._minor(cols))[0][0])
+        return bool((self._memo.get(cols) or self._minor(cols))[0])
 
     def column(self, cols: tuple[int, ...]) -> Matrix:
         """e x 1, entry cols[k] the minor on cols without cols[k] times
         (-1)^k, for an ascending (r + 1)-subset cols: its splice column."""
-        out, signed = [({}, 1)] * self.cols, self._signed
+        p, memo, out = self._p, self._memo, [({}, 1)] * self.cols
         for k, c in enumerate(cols):
             sub = cols[:k] + cols[k + 1 :]
-            out[c] = (signed.get(sub) or self._minor(sub))[k & 1]
+            x, s = memo.get(sub) or self._minor(sub)
+            if x:
+                out[c] = ({0: (p - x if p else -x) if k & 1 else x}, s)
         return Matrix._coded(self.field, 1, out)
 
 

@@ -31,8 +31,8 @@ from .linalg import MaximalMinors, Matrix, Subspace, column_space_basis, kernel_
 
 # Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
 # one minor off the table takes at most about 100 us (Q, r = 9, e = 18,
-# entries below 30,000, 2 shared vCPUs) and the table keeps about 800 bytes
-# of it, so the walk stays within about 7 s and 50 MB.
+# entries below 30,000, 2 shared vCPUs) and the table keeps about 270 bytes
+# of it, so the walk stays within about 7 s and 18 MB.
 MAX_RANK_SUBSETS = 2**16
 
 
@@ -200,15 +200,15 @@ class Morphism:
         source degrees: for any a, the column set I_a is reproduced at the
         join of the degrees it contains, so only closure points can witness
         a failure.  Runs over ``lattice_columns``; the witness is the first
-        failing lattice degree in sorted order.  Sorted order is a linear
-        extension of <=, and rank is monotone in the column set, so a degree
-        whose I_a contains an I_b of exactly r columns that already passed
-        has rank r without a rank call."""
+        failing lattice degree in sorted order, ranked on uv_a (C = B uv,
+        B injective).  Sorted order is a linear extension of <=, and rank is
+        monotone in the column set, so a degree whose I_a contains an I_b of
+        exactly r columns that already passed has rank r without a rank call."""
         cd, bases = self.coeff_data, []
         for a, cols in self.lattice_columns.items():
             if len(cols) > cd.r and any(b <= cols for b in bases):
                 continue
-            sub = cd.matrix.submatrix(range(self.g), [j - 1 for j in sorted(cols)])
+            sub = cd.uv.submatrix(range(cd.r), [j - 1 for j in sorted(cols)])
             if sub.rank() != min(cd.r, len(cols)):
                 return MaxRankResult(False, a)
             if len(cols) == cd.r:

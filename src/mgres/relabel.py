@@ -64,12 +64,12 @@ def _correspondence(phi: Morphism, phi2: Morphism, correspondence) -> list[int]:
 def check_quasi_equivalent(
     phi: Morphism, phi2: Morphism, correspondence: Sequence[int] | None = None
 ) -> bool:
-    """Equal coefficient kernels under the column correspondence."""
+    """Equal coefficient kernels under the column correspondence, read off
+    the r x e matrices uv: C = B uv with B injective, so ker C = ker uv."""
     corr = _correspondence(phi, phi2, correspondence)
-    c1 = phi.coeff_data.matrix
-    c2 = phi2.coeff_data.matrix
-    permuted = c2.submatrix(range(c2.rows), [corr[j] - 1 for j in range(phi.e)])
-    return kernel_basis(c1) == kernel_basis(permuted)
+    uv1, uv2 = phi.coeff_data.uv, phi2.coeff_data.uv
+    permuted = uv2.submatrix(range(uv2.rows), [c - 1 for c in corr])
+    return kernel_basis(uv1) == kernel_basis(permuted)
 
 
 def check_qe_compatible(

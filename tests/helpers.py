@@ -26,6 +26,7 @@ from mgres import (
     divided_embed,
     join,
     join_all,
+    kernel_basis,
     lcm_lattice,
     sub,
 )
@@ -125,6 +126,26 @@ def rank_walk_uniform_rank(phi: Morphism) -> bool:
     cd, rows = phi.coeff_data, range(phi.g)
     return all(cd.matrix.submatrix(rows, cols).rank() == cd.r
                for cols in itertools.combinations(range(phi.e), cd.r))
+
+
+def coefficient_rank_walk(phi: Morphism):
+    """Oracle for ``Morphism.is_maximal_rank_everywhere``, on C itself: the
+    rank of the g-row submatrix C_a at every lattice degree in sorted
+    order, none skipped.  (True, None), or (False, the first failing degree)."""
+    cd = phi.coeff_data
+    for a, cols in phi.lattice_columns.items():
+        sub = cd.matrix.submatrix(range(phi.g), [j - 1 for j in sorted(cols)])
+        if sub.rank() != min(cd.r, len(cols)):
+            return False, a
+    return True, None
+
+
+def coefficient_kernels_agree(phi: Morphism, phi2: Morphism, correspondence) -> bool:
+    """Oracle for ``relabel.check_quasi_equivalent``, on C itself: the
+    kernel of C against that of C' with its columns in correspondence order."""
+    c1, c2 = phi.coeff_data.matrix, phi2.coeff_data.matrix
+    permuted = c2.submatrix(range(c2.rows), [c - 1 for c in correspondence])
+    return kernel_basis(c1) == kernel_basis(permuted)
 
 
 def classical_taylor(monomials, field=QQ) -> GradedComplex:

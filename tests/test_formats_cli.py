@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from mgres import QQ, Morphism, cli, formats, minimize, relabel, scarf_complex, taylor_complex
-from mgres.errors import FormatError
+from mgres import (
+    QQ, Morphism, cli, formats, minimize, relabel, scarf_complex, taylor_complex, verify,
+)
+from mgres.errors import FormatError, NotAComplex, RestrictionError
 from helpers import DATA, ROOT, mod_p, xy_example
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -310,20 +312,54 @@ def test_cli_output_to_file(tmp_path, capsys):
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":2,"col":1,"coeff":"1","shift":[1,0]}]]}',
         # a nonzero entry whose declared shift is the forced one, and negative
         '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [1,0], "label": "g1"}], [{"degree": [0,0], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[-1,0]}]]}',
+        # no file to read, and one that is not UTF-8
+        None,
+        b"\xff\xfe{}",
+        # a record list that is not a list
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "source_degrees": [[1,0]], "target_degrees": [[0,0]], "entries": {"row":1,"col":1,"coeff":"1"}}',
+        # a degree that is not a list of integers
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "source_degrees": [[1,"0"]], "target_degrees": [[0,0]], "entries": [{"row":1,"col":1,"coeff":"1"}]}',
+        # a duplicate entry in a complex differential
+        '{"field": "Q", "n": 2, "vars": ["x","y"], "levels": [[{"degree": [0,0], "label": "g1"}], [{"degree": [1,0], "label": "e1"}]], "differentials": [[{"row":1,"col":1,"coeff":"1","shift":[1,0]}, {"row":1,"col":1,"coeff":"2","shift":[1,0]}]]}',
+        # a relabel map that is not a list, and one with a pair missing 'to'
+        '{"from": [1,0], "to": [1,0]}',
+        '[{"from": [1,0]}]',
     ],
 )
 def test_cli_malformed_inputs_exit_2(tmp_path, capsys, payload):
+    """Each payload (None: no file) is refused as a morphism file, as a
+    complex or morphism file and as a relabel map: exit 2, one line."""
     path = tmp_path / "fuzz.json"
-    path.write_text(payload)
-    for command in (["validate", str(path)], ["verify", str(path)]):
+    if payload is not None:
+        path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
+    relabel_onto = [str(GOLDEN / "taylor_ex4.json"), str(DATA / "ex7_prime.mmor")]
+    for command in (["validate", str(path)], ["verify", str(path)],
+                    ["relabel", str(path), *relabel_onto]):
         assert cli.run(command) == 2
-    capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("mgres: ") and err.count("\n") == 1
 
 
 def test_complex_loader_refuses_a_non_object():
     # the CLI reads a non-object as a morphism file, so only the library reaches this
     with pytest.raises(FormatError, match="must be a JSON object"):
         formats.complex_from_dict([])
+
+
+def test_complex_loader_refuses_a_declared_negative_shift():
+    """The forced shift of a nonzero entry, declared as it is, must not be
+    negative; a zero entry's may be.  Indices are 1-based."""
+    d = {
+        "field": "Q", "n": 2, "vars": ["x", "y"],
+        "levels": [[{"degree": [1, 0], "label": "g1"}],
+                   [{"degree": [1, 0], "label": "e1"}, {"degree": [0, 1], "label": "e2"}]],
+        "differentials": [[{"row": 1, "col": 1, "coeff": "1", "shift": [0, 0]},
+                           {"row": 1, "col": 2, "coeff": "0", "shift": [-1, 1]}]],
+    }
+    assert formats.complex_from_dict(d).diffs[0].supports() == [(0,)]
+    d["differentials"][0][1]["coeff"] = "2"
+    with pytest.raises(FormatError, match=r"^entry \(1, 2\) of differential 1 has negative shift$"):
+        formats.complex_from_dict(d)
 
 
 def test_oversized_coefficients_are_input_errors(tmp_path, capsys):
@@ -356,6 +392,24 @@ def test_cli_unexpected_exception_exits_3(monkeypatch, capsys):
     assert cli.run(["validate", str(DATA / "ex4.mmor")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("mgres: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, module, name, error",
+    [
+        ("scarf", cli, "scarf_complex", RestrictionError((1, 2, 3), "image of (1, 2, 3) lost")),
+        ("verify", verify, "is_resolution", NotAComplex("d1 d2 is not zero")),
+    ],
+    ids=["scarf build", "verify check"],
+)
+def test_cli_internal_invariant_breach_exits_3(monkeypatch, capsys, command, module, name, error):
+    def breach(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, name, breach)
+    assert cli.run([command, str(DATA / "ex4.mmor")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"mgres: internal invariant breach: {error}\n"
 
 
 def test_prime_field_morphism_file(tmp_path):

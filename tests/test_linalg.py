@@ -149,6 +149,33 @@ def test_stack_and_column_copies():
     assert a.column_copies(1, 3, [(0, 2)]) == Matrix.from_rows(QQ, [[0, 0, 2]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Matrix(QQ, 2, 2, [[QQ.one, QQ.zero]]),
+        lambda: Matrix.from_rows(QQ, []),
+        lambda: Matrix.identity(QQ, 2).mul(Matrix.identity(QQ, 3)),
+        lambda: Matrix.zeros(QQ, 2, 3).det(),
+        lambda: Matrix.identity(QQ, 2).solve_matrix(Matrix.zeros(QQ, 3, 1)),
+    ],
+    ids=["data off its shape", "no rows and no column count", "product shapes",
+         "det of a non-square matrix", "right-hand side rows"],
+)
+def test_matrix_shape_refusals(build):
+    with pytest.raises(DimensionError):
+        build()
+
+
+def test_from_blocks_takes_blocks_in_column_order():
+    """Blocks come in nondecreasing col0, rows in any order; a block left
+    of the one before is refused, not sorted into place."""
+    one = Matrix.identity(QQ, 1)
+    swap = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
+    assert Matrix.from_blocks(QQ, 2, 2, [(1, 0, one), (0, 1, one)]) == swap
+    with pytest.raises(DimensionError, match="block at column 0"):
+        Matrix.from_blocks(QQ, 2, 2, [(0, 1, one), (1, 0, one)])
+
+
 def test_solve_and_failure():
     m = Matrix.from_int_rows(QQ, [[1, 2], [3, 4]])
     x = m.solve([QQ.of(5), QQ.of(11)])

@@ -12,6 +12,7 @@ from mgres import (
     Matrix,
     PrimeField,
     Subspace,
+    VectorComplex,
     build_A_complex,
     build_B_complex,
     coeff_data_from_matrix,
@@ -69,6 +70,22 @@ def test_divided_embed_rejects_negative_degree(rows):
     w = Subspace.from_rows(QQ, 3, [[QQ.of(x) for x in row] for row in rows])
     with pytest.raises(DimensionError):
         divided_embed(w, -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: exterior_basis(3, -1),
+        lambda: VectorComplex((1, 1), ()),
+        lambda: VectorComplex((1, 2), (Matrix.zeros(QQ, 1, 1),)),
+        lambda: sigma_matrix_on(Matrix.identity(QQ, 2), 3, 0, 1, 0),
+    ],
+    ids=["negative exterior degree", "differential count", "differential shape",
+         "boundary index below 1"],
+)
+def test_multilinear_shape_refusals(build):
+    with pytest.raises(DimensionError):
+        build()
 
 
 def test_exterior_basis_goldens():

@@ -35,6 +35,7 @@ from mgres import (  # noqa: E402
     RelabelMap,
     Subspace,
     check_join_preserving,
+    check_quasi_equivalent,
     face_data,
     formats,
     homology_dims,
@@ -61,6 +62,8 @@ from mgres.verify import strand_degrees  # noqa: E402
 from helpers import (  # noqa: E402
     brute_minor_rank,
     coding_is_canonical,
+    coefficient_kernels_agree,
+    coefficient_rank_walk,
     fixpoint_join_closure,
     join_preserving_walk,
     naive_cancel,
@@ -126,6 +129,21 @@ def coefficient_patterns(draw):
     entries = {(i, j): field.of(x)
                for j, col in enumerate(cols, start=1) for i, x in enumerate(col, start=1)}
     return Morphism(1, field, [(1,)] * e, [(0,)] * g, entries).validate(allow_zero_columns=True)
+
+
+@st.composite
+def rank_deficient_morphisms(draw):
+    """r < g over a drawn field: g - 1 drawn rows and a last row that is a
+    combination of them, targets at 0, up to 6 source degrees in [0,3]^n;
+    zero columns are allowed."""
+    n, g, e = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 6))
+    field = draw(st.sampled_from(FIELDS))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(e)] for _ in range(g - 1)]
+    weights = [draw(st.integers(-2, 2)) for _ in rows]
+    rows.append([sum(w * row[j] for w, row in zip(weights, rows)) for j in range(e)])
+    sources = [draw(st.tuples(*[st.integers(0, 3)] * n)) for _ in range(e)]
+    entries = {(i, j): field.of(x) for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1)}
+    return Morphism(n, field, sources, [(0,) * n] * g, entries).validate(allow_zero_columns=True)
 
 
 @st.composite
@@ -216,6 +234,29 @@ def test_maximal_rank_matches_brute_force(phi):
             break
     result = phi.is_maximal_rank_everywhere()
     assert (result.ok, result.witness) == (witness is None, witness)
+
+
+@PROPERTY
+@given(st.data())
+def test_rank_questions_on_uv_match_coefficient_oracles(data):
+    """With r < g, the maximal-rank verdict and witness read off uv are
+    those read off C, and so is quasi-equivalence to a morphism with
+    coefficient matrix M C (M drawn, so ker M C may grow), its columns
+    moved to a drawn correspondence."""
+    phi = data.draw(rank_deficient_morphisms())
+    field, c = phi.field, phi.coeff_data.matrix.data
+    assert phi.coeff_data.r < phi.g
+    result = phi.is_maximal_rank_everywhere()
+    assert (result.ok, result.witness) == coefficient_rank_walk(phi)
+    g2 = data.draw(st.integers(1, 4))
+    m = [[field.of(data.draw(st.integers(-2, 2))) for _ in range(phi.g)] for _ in range(g2)]
+    corr = data.draw(st.permutations(range(1, phi.e + 1)))
+    sources = [phi.source_degrees[corr.index(j)] for j in range(1, phi.e + 1)]
+    entries = {(i + 1, corr[j]): sum((m[i][k] * c[k][j] for k in range(phi.g)), field.zero)
+               for i in range(g2) for j in range(phi.e)}
+    phi2 = Morphism(phi.n, field, sources, [(0,) * phi.n] * g2, entries)
+    phi2 = phi2.validate(allow_zero_columns=True)
+    assert check_quasi_equivalent(phi, phi2, corr) == coefficient_kernels_agree(phi, phi2, corr)
 
 
 @PROPERTY
@@ -408,13 +449,14 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
         Matrix.stack(field, c, [m.transpose().column_copies(i, c, [range(c)]) for i in range(r)]),
     ]
     # m cut into a grid of blocks (zero blocks and empty rows included,
-    # each block at its own Q scales), assembled in a drawn order: out of
-    # column order and interleaved across rows
+    # each block at its own Q scales), assembled in a drawn order stably
+    # sorted by column, as ``from_blocks`` requires: rows interleaved
     row_cuts = sorted(set(data.draw(st.lists(st.integers(0, r), max_size=3)) + [0, r]))
     col_cuts = sorted(set(data.draw(st.lists(st.integers(0, c), max_size=3)) + [0, c]))
     grid = [(i0, j0, m.submatrix(range(i0, i1), range(j0, j1)))
             for i0, i1 in zip(row_cuts, row_cuts[1:]) for j0, j1 in zip(col_cuts, col_cuts[1:])]
-    routes.append(Matrix.from_blocks(field, r, c, data.draw(st.permutations(grid))))
+    order = sorted(data.draw(st.permutations(grid)), key=lambda block: block[1])
+    routes.append(Matrix.from_blocks(field, r, c, order))
     assert coding_is_canonical(m)
     for other in routes:
         assert other == m and hash(other) == hash(m)
