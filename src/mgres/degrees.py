@@ -7,8 +7,8 @@ multidegrees.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import le
-from typing import Iterable, Sequence
 
 from .errors import ClosureTooLarge, DimensionError
 

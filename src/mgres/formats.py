@@ -266,20 +266,16 @@ def entry_text(field, coeff, shift, var_names) -> str:
 
 
 def matrix_text(x: GradedComplex, diff_index: int) -> str:
-    """One differential as an aligned block of monomial entries."""
+    """One differential as an aligned block of monomial entries; the shift
+    and ``entry_text`` are taken only for nonzero entries, a zero is "0"."""
     var_names = x.var_names or tuple(f"x{i+1}" for i in range(x.n))
     d = x.diffs[diff_index]
-    cells = [
-        [
-            entry_text(x.field, v, x.shift(diff_index, row, col), var_names)
-            for col, v in enumerate(values)
-        ]
-        for row, values in enumerate(d.data)
-    ]
-    widths = [
-        max((len(cells[row][col]) for row in range(d.rows)), default=1)
-        for col in range(d.cols)
-    ]
+    cells, widths = [], [1] * d.cols
+    for row, entries in enumerate(d.nonzero_rows()):
+        cells.append(["0"] * d.cols)
+        for col, v in entries.items():
+            text = entry_text(x.field, v, x.shift(diff_index, row, col), var_names)
+            cells[row][col], widths[col] = text, max(widths[col], len(text))
     return "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
     )

@@ -21,8 +21,8 @@ a.  This costs O(|L| e n), not 2^e subsets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from . import degrees as deg
 from .degrees import Multidegree
@@ -32,21 +32,21 @@ from .morphism import Morphism
 Face = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FaceData:
-    degree: Multidegree
-    i_a: frozenset[int]        # all columns of degree <= a
-    i_of_a: frozenset[int]     # intersection of all faces of degree a
-    i_upper_a: frozenset[int]  # i_a minus i_of_a
+class FaceData(namedtuple("FaceData", "degree i_a i_of_a i_upper_a")):
+    """A lattice degree a with frozensets of columns: i_a (all columns of
+    degree <= a), i_of_a (the intersection of all faces of degree a) and
+    i_upper_a (i_a minus i_of_a)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LcmLattice:
-    elements: frozenset[Multidegree]
-    scarf_part: frozenset[Multidegree]
-    nonscarf_part: frozenset[Multidegree]
-    scarf_faces: frozenset[Face]
-    nonscarf_data: tuple[FaceData, ...]  # face data of nonscarf_part, by degree
+class LcmLattice(namedtuple(
+        "LcmLattice", "elements scarf_part nonscarf_part scarf_faces nonscarf_data")):
+    """Frozensets of degrees (elements, scarf_part, nonscarf_part) and of
+    faces (scarf_faces), and the FaceData of nonscarf_part as a tuple, by
+    degree."""
+
+    __slots__ = ()
 
 
 def faces_by_degree(phi: Morphism) -> dict[Multidegree, list[Face]]:

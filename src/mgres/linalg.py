@@ -30,7 +30,7 @@ cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.  A
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from . import degrees as deg
 from .degrees import Multidegree
@@ -36,14 +36,11 @@ from .linalg import MaximalMinors, Matrix, Subspace, column_space_basis, kernel_
 MAX_RANK_SUBSETS = 2**16
 
 
-@dataclass(frozen=True)
-class CoeffData:
-    """Scalar data attached to a morphism: C, its rank, image and V-coordinates."""
-
-    matrix: Matrix   # g x e coefficient matrix C
-    r: int           # rank of C
-    image: Subspace  # V = col(C) inside the target coordinate space
-    uv: Matrix       # r x e matrix of the induced map U -> V in V-coordinates
+class CoeffData(namedtuple("CoeffData", "matrix r image uv")):
+    """Scalar data attached to a morphism: the g x e coefficient matrix C,
+    its rank r, the Subspace V = col(C) inside the target coordinate space
+    and uv, the r x e matrix of the induced map U -> V in V-coordinates.
+    No ``__slots__``: the instance dict holds the cached ``minors``."""
 
     @cached_property
     def minors(self) -> MaximalMinors:
@@ -59,10 +56,11 @@ def coeff_data_from_matrix(c: Matrix) -> CoeffData:
     return CoeffData(c, r, image, uv)
 
 
-@dataclass(frozen=True)
-class MaxRankResult:
-    ok: bool
-    witness: Multidegree | None = None
+class MaxRankResult(namedtuple("MaxRankResult", "ok witness", defaults=(None,))):
+    """Whether C has maximal rank at every lattice degree; if not, the
+    first failing degree as the witness.  True exactly when ok."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DimensionError
 from .linalg import MaximalMinors, Matrix, Subspace, annihilator_basis, kernel_basis
@@ -67,22 +67,22 @@ def exterior_basis(e: int, k: int) -> list[ExteriorIndex]:
     return list(itertools.combinations(range(1, e + 1), k))
 
 
-@dataclass(frozen=True)
-class VectorComplex:
-    """A finite complex of coordinate spaces; diffs[i] maps position i+1 to i."""
+class VectorComplex(namedtuple("VectorComplex", "dims diffs")):
+    """A finite complex of coordinate spaces: a tuple of dims and a tuple of
+    Matrix diffs, where diffs[i] maps position i+1 to i."""
 
-    dims: tuple[int, ...]
-    diffs: tuple[Matrix, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.diffs) != max(len(self.dims) - 1, 0):
+    def __new__(cls, dims, diffs):
+        if len(diffs) != max(len(dims) - 1, 0):
             raise DimensionError("differential count does not match positions")
-        for i, d in enumerate(self.diffs):
-            if d.rows != self.dims[i] or d.cols != self.dims[i + 1]:
+        for i, d in enumerate(diffs):
+            if d.rows != dims[i] or d.cols != dims[i + 1]:
                 raise DimensionError(
                     f"differential {i + 1} has shape {d.rows}x{d.cols}, "
-                    f"expected {self.dims[i]}x{self.dims[i + 1]}"
+                    f"expected {dims[i]}x{dims[i + 1]}"
                 )
+        return super().__new__(cls, dims, diffs)
 
     def composes_to_zero(self) -> bool:
         """Every product d_i d_{i+1} (``Matrix.mul``, summed on int codes) is zero."""

@@ -16,7 +16,7 @@ shifts is verified.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import degrees as deg
 from .degrees import Multidegree

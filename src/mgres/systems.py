@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import degrees as deg
 from . import lattice as lat

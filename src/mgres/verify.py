@@ -17,9 +17,8 @@ off a trivial complex k(-a) -> k(-a), exact in every strand, so
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 
 from . import degrees as deg
 from .degrees import Multidegree
@@ -28,12 +27,12 @@ from .multilinear import VectorComplex
 from .systems import GradedComplex
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    is_complex: bool
-    tested_degrees: tuple[Multidegree, ...]
-    failures: tuple[tuple[Multidegree, int, int], ...]
-    minimal: bool
+class ExactnessReport(namedtuple(
+        "ExactnessReport", "is_complex tested_degrees failures minimal")):
+    """The bools is_complex and minimal, the tuple of tested degrees and the
+    tuple of failures, each (degree, position, homology dimension)."""
+
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:

@@ -13,6 +13,8 @@ import math
 import random
 from pathlib import Path
 
+import pytest
+
 from mgres import (
     QQ,
     FaceSystem,
@@ -30,6 +32,7 @@ from mgres import (
     lcm_lattice,
     sub,
 )
+from mgres.formats import entry_text
 from mgres.verify import (
     ExactnessReport,
     check_d2,
@@ -401,6 +404,44 @@ def strandwise_is_resolution(x: GradedComplex) -> ExactnessReport:
         h = homology_dims(strand(x, a), check=False)
         failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
+
+
+def dense_matrix_text(x: GradedComplex, diff_index: int) -> str:
+    """Oracle for ``formats.matrix_text``: ``entry_text`` and the shift taken
+    at every cell of the dense rows, zeros included."""
+    var_names = x.var_names or tuple(f"x{i+1}" for i in range(x.n))
+    d = x.diffs[diff_index]
+    cells = [
+        [
+            entry_text(x.field, v, x.shift(diff_index, row, col), var_names)
+            for col, v in enumerate(values)
+        ]
+        for row, values in enumerate(d.data)
+    ]
+    widths = [
+        max((len(cells[row][col]) for row in range(d.rows)), default=1)
+        for col in range(d.cols)
+    ]
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
+    )
+
+
+def check_record(cls, fields: dict, text: str, frozen: bool = True):
+    """The record behaviour kept by the package's named tuples: positional
+    and keyword construction, equal values equal with one hash, the repr
+    text, read-only fields and, if frozen, no new attributes either."""
+    a, b = cls(*fields.values()), cls(**fields)
+    assert a == b and hash(a) == hash(b)
+    assert tuple(getattr(a, name) for name in fields) == tuple(fields.values())
+    assert repr(a) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, fields[name])
+    if frozen:
+        with pytest.raises(AttributeError):
+            a.extra = None
+    return a
 
 
 def removal_sign(position: int) -> int:

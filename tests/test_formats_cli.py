@@ -1,14 +1,26 @@
 """File formats (canonical JSON round-trips) and the command-line surface."""
 
 import json
+import random
+import subprocess
+import sys
 
 import pytest
 
 from mgres import (
-    QQ, Morphism, cli, formats, minimize, relabel, scarf_complex, taylor_complex, verify,
+    QQ,
+    GradedComplex,
+    Morphism,
+    cli,
+    formats,
+    minimize,
+    relabel,
+    scarf_complex,
+    taylor_complex,
+    verify,
 )
 from mgres.errors import FormatError, NotAComplex, RestrictionError
-from helpers import DATA, ROOT, mod_p, xy_example
+from helpers import DATA, ROOT, dense_matrix_text, mod_p, random_morphism, xy_example
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -101,6 +113,40 @@ def test_entry_text_rendering():
     assert formats.entry_text(QQ, QQ.of(-1), (1, 0), vars_) == "-x"
     assert formats.entry_text(QQ, QQ.of(3), (0, 0), vars_) == "3"
     assert formats.entry_text(QQ, QQ.parse("3/2"), (1, 0), vars_) == "(3/2)x"
+
+
+@pytest.mark.parametrize("p", [0, 7, 32003], ids=["Q", "GF(7)", "GF(32003)"])
+def test_matrix_text_matches_dense_oracle(p):
+    # Taylor complexes of the mixed sampler and their minimized forms (over Q
+    # with fractional entries), with and without variable names
+    rng, fractions = random.Random(25), 0
+    for _ in range(30):
+        phi = random_morphism(rng)
+        t = taylor_complex(mod_p(phi, p) if p else phi)
+        unnamed = GradedComplex(t.field, t.n, t.levels, t.diffs, t.labels)
+        for x in (t, minimize(t), unnamed):
+            for i in range(len(x.diffs)):
+                text = formats.matrix_text(x, i)
+                assert text == dense_matrix_text(x, i)
+                fractions += "/" in text
+    assert fractions or p
+
+
+def test_cli_imports_neither_dataclasses_nor_typing():
+    # a fresh process pays for every import, and dataclasses brings inspect,
+    # ast, dis and tokenize; -I -S keeps site's own imports out of the count
+    script = (
+        "import sys; sys.path.insert(0, 'src'); import mgres.cli; "
+        "code = mgres.cli.run(['validate', 'data/ex4.mmor']); "
+        "assert 'dataclasses' not in sys.modules and 'typing' not in sys.modules; "
+        "sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "valid" in proc.stdout
 
 
 def test_cli_validate_ok(capsys):

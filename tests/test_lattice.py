@@ -10,6 +10,8 @@ from mgres import (
     QQ,
     ClosureTooLarge,
     DegreeNotInLattice,
+    FaceData,
+    LcmLattice,
     Morphism,
     PrimeField,
     TooManyColumns,
@@ -28,6 +30,7 @@ from mgres import (
 from mgres.lattice import faces_by_degree
 from helpers import (
     DATA,
+    check_record,
     random_generic_minimal,
     random_morphism,
     wide_generic_morphism,
@@ -108,6 +111,34 @@ def test_face_data_scarf_singleton():
 def test_face_data_outside_lattice():
     with pytest.raises(DegreeNotInLattice):
         face_data(xy_example(), (1, 1))
+
+
+def test_face_data_and_lattice_records():
+    fd = check_record(
+        FaceData,
+        {"degree": (3, 2), "i_a": frozenset({1, 2, 3}), "i_of_a": frozenset({1, 3}),
+         "i_upper_a": frozenset({2})},
+        "FaceData(degree=(3, 2), i_a=frozenset({1, 2, 3}), i_of_a=frozenset({1, 3}), "
+        "i_upper_a=frozenset({2}))",
+    )
+    assert face_data(xy_example(), (3, 2)) == fd
+    # named tuples: they unpack, and compare equal to the plain tuple
+    degree, i_a, i_of_a, i_upper_a = fd
+    assert fd == (degree, i_a, i_of_a, i_upper_a)
+    # two equal-degree columns: one non-Scarf degree and no Scarf face
+    phi = Morphism(2, QQ, [(1, 0), (1, 0)], [(0, 0)], {(1, 1): QQ.one, (1, 2): QQ.of(2)}).validate()
+    both = frozenset({1, 2})
+    lat = check_record(
+        LcmLattice,
+        {"elements": frozenset({(1, 0)}), "scarf_part": frozenset(),
+         "nonscarf_part": frozenset({(1, 0)}), "scarf_faces": frozenset(),
+         "nonscarf_data": (FaceData((1, 0), both, frozenset(), both),)},
+        "LcmLattice(elements=frozenset({(1, 0)}), scarf_part=frozenset(), "
+        "nonscarf_part=frozenset({(1, 0)}), scarf_faces=frozenset(), "
+        "nonscarf_data=(FaceData(degree=(1, 0), i_a=frozenset({1, 2}), i_of_a=frozenset(), "
+        "i_upper_a=frozenset({1, 2})),))",
+    )
+    assert lcm_lattice(phi) == lat
 
 
 def test_face_data_matches_subset_enumeration():

@@ -13,17 +13,20 @@ from mgres import (
     QQ,
     DimensionError,
     GradedComplex,
+    CoeffData,
     HomogeneityError,
     Matrix,
+    MaxRankResult,
     Morphism,
     PrimeField,
     Subspace,
     ZeroColumnError,
+    coeff_data_from_matrix,
     join_closure,
     leq,
     taylor_complex,
 )
-from helpers import random_morphism, uvw_example, wide_generic_morphism, xy_example
+from helpers import check_record, random_morphism, uvw_example, wide_generic_morphism, xy_example
 
 
 @pytest.mark.parametrize("p", [0, 7])
@@ -84,6 +87,20 @@ def test_coeff_data_example():
     assert cd.image == Subspace(Matrix.identity(QQ, 2))
     assert cd.r == cd.matrix.rows
     assert cd.uv == cd.matrix
+
+
+def test_coeff_data_record():
+    c = Matrix.from_int_rows(QQ, [[1, 2]])
+    image = Subspace(Matrix.identity(QQ, 1))
+    cd = check_record(
+        CoeffData,
+        {"matrix": c, "r": 1, "image": image, "uv": c},
+        "CoeffData(matrix=Matrix(1x2 over QQ: [1 2]), r=1, "
+        "image=Subspace(dim 1 of k^1, basis [[Fraction(1, 1)]]), uv=Matrix(1x2 over QQ: [1 2]))",
+        frozen=False,  # the instance dict holds the cached minors
+    )
+    assert coeff_data_from_matrix(c) == cd
+    assert cd.minors is cd.minors
 
 
 def test_coeff_data_zero_morphism():
@@ -319,6 +336,16 @@ def test_generic_zero_morphism_edge():
 
 def test_maximal_rank_example():
     assert xy_example().is_maximal_rank_everywhere().ok
+
+
+def test_max_rank_result_record():
+    res = check_record(
+        MaxRankResult, {"ok": False, "witness": (1, 1)},
+        "MaxRankResult(ok=False, witness=(1, 1))",
+    )
+    assert not res and not MaxRankResult(False)
+    assert MaxRankResult(True) and MaxRankResult(ok=True) == MaxRankResult(True, None)
+    assert xy_example().is_maximal_rank_everywhere() == MaxRankResult(True)
 
 
 def test_maximal_rank_single_rank_one():

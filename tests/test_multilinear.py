@@ -29,6 +29,7 @@ from mgres.multilinear import (
 )
 from mgres.verify import homology_dims, is_exact, is_split_exact
 from helpers import (
+    check_record,
     contract,
     enlarged_subspace,
     from_columns,
@@ -86,6 +87,16 @@ def test_divided_embed_rejects_negative_degree(rows):
 def test_multilinear_shape_refusals(build):
     with pytest.raises(DimensionError):
         build()
+
+
+def test_vector_complex_record():
+    one = Matrix.identity(QQ, 1)
+    check_record(
+        VectorComplex, {"dims": (1, 1), "diffs": (one,)},
+        "VectorComplex(dims=(1, 1), diffs=(Matrix(1x1 over QQ: [1]),))",
+    )
+    with pytest.raises(DimensionError):
+        VectorComplex(dims=(1, 2), diffs=(one,))
 
 
 def test_exterior_basis_goldens():

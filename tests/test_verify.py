@@ -24,9 +24,11 @@ from mgres import (
     taylor_complex,
 )
 from mgres.formats import complex_to_dict, load_morphism
+from mgres.verify import ExactnessReport
 from helpers import (
     DATA,
     ROOT,
+    check_record,
     mod_p,
     monomial_ideal_morphism,
     random_generic_minimal,
@@ -121,6 +123,24 @@ def test_is_resolution_goldens():
     assert t.exact and not t.minimal and t.is_complex
     s = is_resolution(scarf_complex(xy_example()))
     assert s.exact and s.minimal
+
+
+def test_exactness_report_record():
+    report = check_record(
+        ExactnessReport,
+        {"is_complex": True, "tested_degrees": ((1, 0), (1, 1)),
+         "failures": (((1, 1), 1, 2),), "minimal": False},
+        "ExactnessReport(is_complex=True, tested_degrees=((1, 0), (1, 1)), "
+        "failures=(((1, 1), 1, 2),), minimal=False)",
+    )
+    assert not report.exact
+    assert report.to_dict() == {
+        "is_complex": True, "exact": False, "minimal": False,
+        "tested_degrees": [[1, 0], [1, 1]],
+        "failures": [{"degree": [1, 1], "position": 1, "homology_dim": 2}],
+    }
+    assert ExactnessReport(True, ((1, 0),), (), True).exact
+    assert not ExactnessReport(False, (), (), True).exact
 
 
 def _cloned_column_morphism() -> Morphism:
