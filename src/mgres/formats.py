@@ -275,7 +275,8 @@ def matrix_text(x: GradedComplex, diff_index: int) -> str:
         cells.append(["0"] * d.cols)
         for col, v in entries.items():
             text = entry_text(x.field, v, x.shift(diff_index, row, col), var_names)
-            cells[row][col], widths[col] = text, max(widths[col], len(text))
+            cells[row][col] = text
+            widths[col] = max(widths[col], len(text))
     return "\n".join(
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
     )

@@ -11,9 +11,9 @@ import pytest
 
 from mgres import (
     QQ,
+    CoeffData,
     DimensionError,
     GradedComplex,
-    CoeffData,
     HomogeneityError,
     Matrix,
     MaxRankResult,

@@ -8,6 +8,7 @@ import pytest
 
 from mgres import (
     QQ,
+    ExactnessReport,
     GradedComplex,
     Matrix,
     Morphism,
@@ -24,7 +25,6 @@ from mgres import (
     taylor_complex,
 )
 from mgres.formats import complex_to_dict, load_morphism
-from mgres.verify import ExactnessReport
 from helpers import (
     DATA,
     ROOT,
