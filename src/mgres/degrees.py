@@ -2,11 +2,15 @@
 
 A multidegree is a plain tuple of non-negative ints, the exponent vector of
 a monomial.  ``sub`` returns a signed tuple, the difference of two
-multidegrees.
+multidegrees.  A ``DegreeIndex`` answers "which of these degrees lie below
+a" as one int bitmask: an AND of one ``bisect`` per coordinate, so a set of
+degrees has its size from ``int.bit_count`` and "I_b within I_a" is
+``b & ~a == 0``; ``bits`` decodes a mask at the edge.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from operator import le
 
@@ -63,27 +67,88 @@ def sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def join_closure(degrees: Iterable[Sequence[int]]) -> set[Multidegree]:
-    """All joins of nonempty subsets of the given degrees.
+class DegreeIndex:
+    """Bitmask index of a list of degrees, bit j standing for degrees[j].
+
+    Per coordinate k it keeps the sorted distinct k-th values and, at each,
+    the mask of the degrees whose k-th coordinate is at most that value.
+    Degrees may repeat and the list may be empty; a queried degree must
+    have as many coordinates as the indexed ones (nothing checks it)."""
+
+    def __init__(self, degrees: Sequence[Sequence[int]]):
+        self.all = (1 << len(degrees)) - 1
+        self.values, self.masks = [], []
+        for k in range(len(degrees[0]) if degrees else 0):
+            at: dict[int, int] = {}
+            for j, d in enumerate(degrees):
+                at[d[k]] = at.get(d[k], 0) | 1 << j
+            values, masks, acc = sorted(at), [], 0
+            for v in values:
+                acc |= at[v]
+                masks.append(acc)
+            self.values.append(values)
+            self.masks.append(masks)
+
+    def leq(self, a: Sequence[int]) -> int:
+        """The mask of the degrees componentwise at most a."""
+        mask = self.all
+        for values, masks, c in zip(self.values, self.masks, a):
+            i = bisect_right(values, c)
+            if not i:
+                return 0
+            mask &= masks[i - 1]
+        return mask
+
+    def sole_reachers(self, a: Sequence[int], cols: int) -> int:
+        """The degrees of cols (a mask of degrees at most a) that are the only
+        one of cols reaching a in some coordinate: I(a) when cols is I_a."""
+        sole = 0
+        for values, masks, c in zip(self.values, self.masks, a):
+            i = bisect_left(values, c)
+            reach = cols & ~masks[i - 1] if i else cols
+            if reach & (reach - 1) == 0:
+                sole |= reach
+        return sole
+
+
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def join_closure(degrees: Iterable[Sequence[int]], cap: int | None = None) -> set[Multidegree]:
+    """All joins of nonempty subsets of the given degrees; with a cap, only
+    those with at most cap of the given degrees below them.
 
     Grown one atom at a time, in order of total degree: an atom a adds a
     and its join with every element so far.  An atom already in the
     closure is the join of atoms before it (smaller ones, so they come
     first) and adds nothing, so only the join-irreducible atoms do any
-    work.  Raises ClosureTooLarge once the closure passes
-    MAX_CLOSURE_ELEMENTS, checked before each atom, so the set never grows
-    past twice that.
+    work.  An atom or join past the cap is dropped as soon as it is found:
+    every join of atoms below a kept b has no more atoms below it than b,
+    so the capped walk still reaches each degree within the cap.  Raises
+    ClosureTooLarge once the closure passes MAX_CLOSURE_ELEMENTS, checked
+    before each atom, so the set never grows past twice that.
     """
     atoms = [tuple(d) for d in degrees]
     for d in atoms:
         _same_length(atoms[0], d)
+    index = DegreeIndex(atoms) if cap is not None and cap < len(atoms) else None
     closure: set[Multidegree] = set()
     for a in sorted(set(atoms), key=lambda d: (sum(d), d)):
-        if a in closure:
+        if a in closure or index is not None and index.leq(a).bit_count() > cap:
             continue
         if len(closure) > MAX_CLOSURE_ELEMENTS:
             break
-        closure |= {tuple(map(max, a, c)) for c in closure}
+        joins = {tuple(map(max, a, c)) for c in closure}
+        if index is not None:
+            joins = {b for b in joins - closure if index.leq(b).bit_count() <= cap}
+        closure |= joins
         closure.add(a)
     if len(closure) > MAX_CLOSURE_ELEMENTS:
         raise ClosureTooLarge(f"join closure over {MAX_CLOSURE_ELEMENTS} degrees")

@@ -14,6 +14,12 @@ rank, the V-coordinates are the duals of the target basis; otherwise they
 are dual to the canonical echelon basis of the column space (for r = g the
 two conventions coincide, since the echelon basis of the full space is the
 standard one).
+
+A set of columns is an int bitmask over the source degrees (bit j - 1 for
+column j), cut from one ``degrees.DegreeIndex``; the LCM-lattice table
+``lattice_masks`` maps each lattice degree a to the mask of I_a, the
+columns of degree at most a, and may stop at a cap on |I_a|.  Masks are
+decoded to frozensets of 1-based indices at the edge (``columns``).
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ class Morphism:
         self.entries = {(int(i), int(j)): v for (i, j), v in entries.items() if v}
         self.var_names = tuple(var_names) if var_names is not None else default_var_names(n)
         self._k_spaces: dict[frozenset[int], Subspace] = {}
+        self._lattices: dict[int, dict[Multidegree, int]] = {}
 
     @property
     def e(self) -> int:
@@ -131,16 +138,36 @@ class Morphism:
             rows[i - 1][j - 1] = v
         return coeff_data_from_matrix(Matrix.from_nonzero_rows(self.field, self.e, rows))
 
+    @cached_property
+    def degree_index(self) -> deg.DegreeIndex:
+        """The bitmask index of the source degrees: bit j - 1 stands for column j."""
+        return deg.DegreeIndex(self.source_degrees)
+
+    def columns(self, mask: int) -> frozenset[int]:
+        """The column indices of a mask over the source degrees."""
+        return frozenset(j + 1 for j in deg.bits(mask))
+
     def columns_leq(self, a: Sequence[int]) -> frozenset[int]:
         """Indices of the columns whose degree is componentwise at most a."""
-        return frozenset(
-            j for j, d in enumerate(self.source_degrees, start=1) if deg.leq(d, a)
-        )
+        if len(a) != self.n:
+            raise DimensionError(f"degree {tuple(a)} does not have {self.n} coordinates")
+        return self.columns(self.degree_index.leq(a))
+
+    def lattice_masks(self, cap: int | None = None) -> dict[Multidegree, int]:
+        """The LCM-lattice table as masks: each closure degree a with |I_a| at
+        most cap (every one when cap is None), in sorted order, mapped to the
+        mask of I_a.  One ``degrees.join_closure`` walk per cap, kept."""
+        cap = self.e if cap is None else min(cap, self.e)
+        if cap not in self._lattices:
+            leq = self.degree_index.leq
+            closure = deg.join_closure(self.source_degrees, cap)
+            self._lattices[cap] = {a: leq(a) for a in sorted(closure)}
+        return self._lattices[cap]
 
     @cached_property
     def lattice_columns(self) -> dict[Multidegree, frozenset[int]]:
         """The LCM-lattice table: maps each closure degree a, in sorted order, to I_a."""
-        return {a: self.columns_leq(a) for a in sorted(deg.join_closure(self.source_degrees))}
+        return {a: self.columns(mask) for a, mask in self.lattice_masks().items()}
 
     def face_degree(self, face: Iterable[int]) -> Multidegree:
         """Join of the source degrees over a nonempty index set."""
@@ -197,19 +224,19 @@ class Morphism:
         The quantifier over all of N^n reduces to the join closure of the
         source degrees: for any a, the column set I_a is reproduced at the
         join of the degrees it contains, so only closure points can witness
-        a failure.  Runs over ``lattice_columns``; the witness is the first
+        a failure.  Runs over ``lattice_masks``; the witness is the first
         failing lattice degree in sorted order, ranked on uv_a (C = B uv,
         B injective).  Sorted order is a linear extension of <=, and rank is
         monotone in the column set, so a degree whose I_a contains an I_b of
         exactly r columns that already passed has rank r without a rank call."""
         cd, bases = self.coeff_data, []
-        for a, cols in self.lattice_columns.items():
-            if len(cols) > cd.r and any(b <= cols for b in bases):
+        for a, cols in self.lattice_masks().items():
+            size = cols.bit_count()
+            if size > cd.r and any(b & ~cols == 0 for b in bases):
                 continue
-            sub = cd.uv.submatrix(range(cd.r), [j - 1 for j in sorted(cols)])
-            if sub.rank() != min(cd.r, len(cols)):
+            if cd.uv.submatrix(range(cd.r), deg.bits(cols)).rank() != min(cd.r, size):
                 return MaxRankResult(False, a)
-            if len(cols) == cd.r:
+            if size == cd.r:
                 bases.append(cols)
         return MaxRankResult(True, None)
 

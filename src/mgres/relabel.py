@@ -7,7 +7,7 @@ choice of bases.  A degree map between the two lattices is compatible with
 the pair when it sends each column degree to the corresponding one, and it
 can transport a complex when it preserves the joins that actually occur as
 generator degrees (``check_join_preserving`` reads that off the LCM-lattice
-table ``Morphism.lattice_columns``, not off the 2^e column subsets):
+table ``Morphism.lattice_masks()``, not off the 2^e column subsets):
 coefficients stay untouched, the degrees of generators
 above level 0 are pushed through the map, level 0 and the presentation map
 are replaced by the target morphism's, and homogeneity of the recomputed
@@ -95,7 +95,7 @@ def check_join_preserving(
 ):
     """f commutes with joins of every column subset of at least min_size.
 
-    Read off ``phi.lattice_columns``: the subsets of join a lie in I_a, one
+    Read off ``phi.lattice_masks()``: the subsets of join a lie in I_a, one
     of them I_a, so only degrees with |I_a| >= min_size matter, and there
     f(a) must be b, the join of phi2's corresponding degrees over I_a.  A
     subset of join a whose image misses b_k lies in T_k, the columns of I_a
@@ -107,9 +107,10 @@ def check_join_preserving(
     min_size = max(min_size, 1)
     corr = _correspondence(phi, phi2, correspondence)
     d2 = [phi2.source_degrees[c - 1] for c in corr]
-    for a, cols in phi.lattice_columns.items():
-        if len(cols) < min_size:
+    for a, mask in phi.lattice_masks().items():
+        if mask.bit_count() < min_size:
             continue
+        cols = phi.columns(mask)
         b = deg.join_all(d2[j - 1] for j in cols)
         if f.apply(a) != b:
             return False, a

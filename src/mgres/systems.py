@@ -23,7 +23,9 @@ The system with every divided power taken in full yields the familiar
 Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice:
 each lattice degree a with |I_a| > r assigns to the face I_a the divided
 power of the functionals that vanish on the columns of I^a.  A Scarf degree
-(I^a empty) thus gets the whole divided power.
+(I^a empty) thus gets the whole divided power.  When the coefficient matrix
+has uniform rank, only the lattice degrees with few enough columns below
+them can carry a face, and the build walks only those (``scarf_system``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 from collections.abc import Mapping
 
 from . import degrees as deg
-from . import lattice as lat
+from . import morphism
 from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
@@ -167,18 +169,35 @@ def full_system(phi: Morphism) -> FaceSystem:
 
 def scarf_system(phi: Morphism) -> FaceSystem:
     """One rule over the lattice table: each degree a with |I_a| > r assigns
-    to I_a the divided power D_{|I_a|-r-1} of the functionals vanishing on
-    the columns of I^a, embedded into the ambient divided power.
+    to I_a the divided power D_m, m = |I_a| - r - 1, of the functionals
+    K(I^a) vanishing on the columns of I^a, embedded into the ambient
+    divided power.  D_0 is the 1 x 1 identity whatever K is, and a Scarf
+    degree (I^a empty) gets the whole divided power, the identity, so
+    neither takes a kernel.
 
-    A Scarf degree has I^a empty, so its face gets the whole divided power,
-    which ``divided_embed`` codes as the identity.
+    Only the degrees with |I_a| <= cap are walked.  For m >= 1, D_m(K) is
+    nonzero exactly when rank uv on I^a is below r.  When C has uniform rank
+    (read off the minor table while C(e, r) <= MAX_RANK_SUBSETS) that means
+    |I^a| < r, and I(a) has at most one column per coordinate, so the cap
+    max(r + 1, n + r - 1) keeps every face, and every partial join b of
+    I_a has I_b within I_a, so the capped walk reaches it.  Any other C
+    walks the whole table.
     """
-    r = phi.coeff_data.r
+    r, e = phi.coeff_data.r, phi.e
+    uniform = math.comb(e, r) <= morphism.MAX_RANK_SUBSETS and phi.is_uniform_rank()
+    cap = max(r + 1, phi.n + r - 1) if uniform else e
+    sole = phi.degree_index.sole_reachers
     spaces: dict[Face, Matrix] = {}
-    for a, i_a in phi.lattice_columns.items():
-        if len(i_a) > r:
-            k = phi.k_space(lat.face_data(phi, a).i_upper_a)
-            spaces[tuple(sorted(i_a))] = divided_embed(k, len(i_a) - r - 1)
+    for a, cols in phi.lattice_masks(cap).items():
+        m = cols.bit_count() - r - 1
+        if m < 0:
+            continue
+        face = tuple(j + 1 for j in deg.bits(cols))
+        upper = cols & ~sole(a, cols) if m else 0
+        if not upper:
+            spaces[face] = Matrix.identity(phi.field, divided_dim(r, m))
+        elif not uniform or upper.bit_count() < r:
+            spaces[face] = divided_embed(phi.k_space(phi.columns(upper)), m)
     return FaceSystem(r, spaces)
 
 

@@ -5,7 +5,8 @@ subcomplex of generators of degree at most a, with the scalar entries) has
 vanishing homology in positions 1 and up.  Strand shapes depend only on
 which generators survive the degree cut, and any cut is reproduced at the
 join of the degrees it keeps, so testing the join-closure of all generator
-degrees covers every multidegree.
+degrees covers every multidegree.  Each cut is one ``DegreeIndex.leq`` per
+level, on one bitmask index of each level's generator degrees.
 
 Minimality means no nonzero entry has zero shift.  ``minimize`` removes
 them by unit-entry cancellation, an independent route to the minimal
@@ -22,7 +23,7 @@ from collections.abc import Iterable
 
 from . import degrees as deg
 from .degrees import Multidegree
-from .errors import NotAComplex
+from .errors import DimensionError, NotAComplex
 from .multilinear import VectorComplex
 from .systems import GradedComplex
 
@@ -61,18 +62,25 @@ def check_d2(x: GradedComplex) -> bool:
     return VectorComplex(x.ranks(), x.diffs).composes_to_zero()
 
 
-def strand(x: GradedComplex, a: Iterable[int]) -> VectorComplex:
-    """The degree-a component: generators of degree at most a, scalar maps."""
+def strand(x: GradedComplex, a: Iterable[int], indexes=None) -> VectorComplex:
+    """The degree-a component: generators of degree at most a, scalar maps.
+
+    Each level's cut is one ``DegreeIndex.leq``; indexes, one DegreeIndex
+    per level of x (``level_indexes``), are built here when not given."""
     a = tuple(a)
-    keep = []
-    for level in x.levels:
-        inside = {d: deg.leq(d, a) for d in set(level)}
-        keep.append([i for i, d in enumerate(level) if inside[d]])
+    if len(a) != x.n:
+        raise DimensionError(f"degree {a} does not have {x.n} coordinates")
+    keep = [deg.bits(index.leq(a)) for index in indexes or level_indexes(x)]
     dims = tuple(len(k) for k in keep)
     diffs = tuple(
         x.diffs[i].submatrix(keep[i], keep[i + 1]) for i in range(len(x.diffs))
     )
     return VectorComplex(dims, diffs)
+
+
+def level_indexes(x: GradedComplex) -> list[deg.DegreeIndex]:
+    """One bitmask index of the generator degrees per level of x."""
+    return [deg.DegreeIndex(level) for level in x.levels]
 
 
 def homology_dims(vc: VectorComplex, check: bool = True) -> tuple[int, ...]:
@@ -116,9 +124,9 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
         return ExactnessReport(False, (), (), minimal)
     degrees = strand_degrees(x)
     y = x if minimal else minimize(x)
-    failures = []
+    indexes, failures = level_indexes(y), []
     for a in degrees:
-        h = homology_dims(strand(y, a), check=False)
+        h = homology_dims(strand(y, a, indexes), check=False)
         failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 

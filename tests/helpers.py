@@ -28,8 +28,10 @@ from mgres import (
     divided_embed,
     join,
     join_all,
+    join_closure,
     kernel_basis,
     lcm_lattice,
+    leq,
     sub,
 )
 from mgres.formats import entry_text
@@ -582,6 +584,34 @@ def two_loop_scarf_system(phi: Morphism) -> FaceSystem:
         if len(face) >= r + 1:
             spaces[face] = divided_embed(phi.k_space(fd.i_upper_a), len(face) - r - 1)
     return FaceSystem(r, spaces)
+
+
+def leq_lattice_columns(phi: Morphism) -> dict:
+    """Oracle for ``Morphism.lattice_columns``: the whole join closure in
+    sorted order, each degree's columns found by one ``leq`` per column."""
+    src = phi.source_degrees
+    return {a: frozenset(j for j, d in enumerate(src, start=1) if leq(d, a))
+            for a in sorted(join_closure(src))}
+
+
+def full_table_scarf_system(phi: Morphism) -> FaceSystem:
+    """Oracle for ``systems.scarf_system``: the one rule at every degree of
+    the full ``leq`` table, I(a) by listing each coordinate's reachers, and
+    every space as ``divided_embed`` of a ``k_space``, none skipped."""
+    r, src = phi.coeff_data.r, phi.source_degrees
+    spaces: dict[tuple[int, ...], Matrix] = {}
+    for a, i_a in leq_lattice_columns(phi).items():
+        if len(i_a) > r:
+            reach = [[j for j in i_a if src[j - 1][k] == c] for k, c in enumerate(a)]
+            i_upper = i_a - {cols[0] for cols in reach if len(cols) == 1}
+            spaces[tuple(sorted(i_a))] = divided_embed(phi.k_space(i_upper), len(i_a) - r - 1)
+    return FaceSystem(r, spaces)
+
+
+def leq_strand_cut(x: GradedComplex, a) -> list[list[int]]:
+    """Oracle for the mask cut of ``verify.strand``: per level, the
+    generators of degree at most a, one ``leq`` each."""
+    return [[i for i, d in enumerate(level) if leq(d, a)] for level in x.levels]
 
 
 def per_face_splice(uv: Matrix, e: int, rk: int) -> Matrix:

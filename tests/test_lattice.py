@@ -311,9 +311,9 @@ def test_one_closure_walk_per_command(monkeypatch, capsys, command):
     calls = []
     walk = degrees.join_closure
 
-    def counting(atoms):
+    def counting(*args):
         calls.append(1)
-        return walk(atoms)
+        return walk(*args)
 
     monkeypatch.setattr(degrees, "join_closure", counting)
     assert cli.run([command, str(DATA / "ex4.mmor"), "--output", "json"]) == 0

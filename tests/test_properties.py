@@ -1,14 +1,16 @@
-"""Property tests of the join closure against its fixpoint oracle, of the
-LCM-lattice table and the join-preserving check against the 2^e subset
-walk, of combinatorial genericity against its pairwise definition, of the
-Scarf system against its two-loop oracle, of
+"""Property tests of the join closure, capped or not, against its fixpoint
+oracle, of the LCM-lattice table and the join-preserving check against the
+2^e subset walk, of the mask-built table and strand cuts against one
+``leq`` per column or generator, of combinatorial genericity against its
+pairwise definition, of the Scarf system against its two-loop oracle and
+the full-table walk that takes every kernel, of
 uniform rank against the rank of every r-subset of columns, of
 ``minimize`` on the Taylor, Scarf and relabeled complexes against its
 rescanning oracle and the strand homology of the complex it came from,
-and of the integer-coded
-``linalg`` kernel (and the contraction and splice kernels built on its
+of the integer-coded ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
-and of ``divided_embed`` against the product basis of divided powers.
+of ``divided_embed`` against the product basis of divided powers, and of
+the byte-identical file round trip of sampled complexes.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
 repeated and comparable degrees are common) over Q and three prime fields.
@@ -17,7 +19,10 @@ repeated and comparable degrees are common) over Q and three prime fields.
 import functools
 import itertools
 import json
+import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -58,14 +63,19 @@ from mgres.multilinear import (  # noqa: E402
     divided_embed,
 )
 from mgres.linalg import MaximalMinors  # noqa: E402
-from mgres.verify import strand_degrees  # noqa: E402
+from mgres.degrees import bits  # noqa: E402
+from mgres.verify import level_indexes, strand_degrees  # noqa: E402
 from helpers import (  # noqa: E402
     brute_minor_rank,
     coding_is_canonical,
     coefficient_kernels_agree,
     coefficient_rank_walk,
     fixpoint_join_closure,
+    full_table_scarf_system,
     join_preserving_walk,
+    leq_lattice_columns,
+    leq_strand_cut,
+    mod_p,
     naive_cancel,
     naive_det,
     naive_kernel,
@@ -74,6 +84,7 @@ from helpers import (  # noqa: E402
     naive_solve,
     pairwise_combinatorially_generic,
     product_divided_embed,
+    random_morphism,
     rank_walk_uniform_rank,
     removal_sign,
     rescan_minimize,
@@ -218,6 +229,60 @@ def test_scarf_system_matches_two_loop_oracle(phi):
     """The one rule over the lattice table assigns what the Scarf-face loop
     and the non-Scarf loop over ``lcm_lattice`` assign, face for face."""
     assert scarf_system(phi).spaces == two_loop_scarf_system(phi).spaces
+
+
+@st.composite
+def wide_morphisms(draw):
+    """Up to 8 columns with n = 2..4 and targets at 0 over a drawn field,
+    from a seeded sampler: an antichain with distinct values per coordinate
+    (combinatorially generic) or values in [0,3] (repeats), dense or sparse coefficients, so
+    uniform rank and its failure both come up and the Scarf cap bites."""
+    rng, field = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from(FIELDS))
+    n, g, e = rng.randint(2, 4), rng.randint(1, 3), rng.randint(3, 8)
+    if rng.random() < 0.7:  # an antichain: the first coordinate rises, the second falls
+        coords = [rng.sample(range(1, 3 * e), e) for _ in range(n)]
+        coords[0].sort()
+        coords[1].sort(reverse=True)
+        sources = list(zip(*coords))
+    else:
+        sources = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(e)]
+    values = (1, 2, 3, 4, 5, -1, -2) if rng.random() < 0.7 else (0, 0, 1, -1)
+    entries = {(i, j): field.of(rng.choice(values)) for i in range(1, g + 1) for j in range(1, e + 1)}
+    return Morphism(n, field, sources, [(0,) * n] * g, entries).validate(allow_zero_columns=True)
+
+
+@PROPERTY
+@given(st.one_of(morphisms(), coefficient_patterns(), wide_morphisms()))
+def test_scarf_system_matches_full_table_oracle(phi):
+    """The capped walk assigns what the rule assigns at every degree of the
+    full leq table, kernels taken everywhere: uniform rank or not."""
+    assert scarf_system(phi).spaces == full_table_scarf_system(phi).spaces
+
+
+@PROPERTY
+@given(st.one_of(morphisms(), coefficient_patterns(), wide_morphisms()))
+def test_lattice_table_matches_leq_table(phi):
+    """The mask-built table equals the leq-built one in keys, order and values."""
+    assert list(phi.lattice_columns.items()) == list(leq_lattice_columns(phi).items())
+
+
+@PROPERTY
+@given(degree_families(), st.integers(0, 10))
+def test_capped_join_closure_keeps_the_degrees_within_the_cap(family, cap):
+    closure = fixpoint_join_closure(family)
+    within = {b for b in closure if sum(leq(d, b) for d in family) <= cap}
+    assert join_closure(family, cap) == within
+
+
+@PROPERTY
+@given(morphisms(), st.data())
+def test_strand_mask_cut_matches_leq_cut(phi, data):
+    x = data.draw(st.sampled_from((taylor_complex, scarf_complex)))(phi)
+    a = data.draw(st.tuples(*[st.integers(0, 7)] * phi.n))
+    cut, indexes = leq_strand_cut(x, a), level_indexes(x)
+    assert [bits(index.leq(a)) for index in indexes] == cut
+    diffs = tuple(d.submatrix(cut[i], cut[i + 1]) for i, d in enumerate(x.diffs))
+    assert strand(x, a) == strand(x, a, indexes) == (tuple(map(len, cut)), diffs)
 
 
 @PROPERTY
@@ -531,3 +596,22 @@ def test_divided_embed_of_k_space_is_killed_by_its_contractions(data):
     emb = divided_embed(phi.k_space(face), m)
     for j in face:
         assert contraction_matrix(uv, j, m).mul(emb).is_zero()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32), st.sampled_from(FIELDS))
+def test_complex_files_parse_and_reserialize_byte_identically(seed, field):
+    """The Taylor, Scarf and minimized complexes of a sampled morphism, each
+    written as a file, load back and serialize to the same bytes."""
+    phi = random_morphism(random.Random(seed))
+    if field != QQ:
+        phi = mod_p(phi, field.p)
+    t = taylor_complex(phi)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "complex.json"
+        for x in (t, scarf_complex(phi), minimize(t)):
+            text = formats.canonical_dumps(formats.complex_to_dict(x))
+            path.write_text(text)
+            loaded = formats.load_complex(path)
+            assert formats.canonical_dumps(formats.complex_to_dict(loaded)) == text
+            assert loaded == x

@@ -625,3 +625,73 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
 def test_face_system_refusals(build, match):
     with pytest.raises(DimensionError, match=match):
         build()
+
+
+def _counting_walks(monkeypatch):
+    """Record the cap and the size of every ``degrees.join_closure`` walk."""
+    from mgres import degrees
+
+    walks, walk = [], degrees.join_closure
+
+    def counting(*args):
+        closure = walk(*args)
+        walks.append((args[1] if len(args) > 1 else None, len(closure)))
+        return closure
+
+    monkeypatch.setattr(degrees, "join_closure", counting)
+    return walks
+
+
+def test_scarf_on_a_wide_chain_walks_a_bounded_table(monkeypatch):
+    """x, x^2, ..., x^200 has uniform rank 1 and n = 1, so the Scarf walk
+    keeps the degrees with |I_a| <= max(r + 1, n + r - 1) = 2, x and x^2,
+    and takes no kernel: its one face {1, 2} has m = 0."""
+    e = 200
+    phi = monomial_ideal_morphism([(j,) for j in range(1, e + 1)])
+    walks, kernels, k_space = _counting_walks(monkeypatch), [], Morphism.k_space
+
+    def counting_k_space(self, face):
+        kernels.append(face)
+        return k_space(self, face)
+
+    monkeypatch.setattr(Morphism, "k_space", counting_k_space)
+    x = scarf_complex(phi)
+    assert x.ranks() == (1, e, 1)
+    assert x.level_degrees(2) == ((2,),)
+    assert walks == [(2, 2)]
+    assert not kernels
+
+
+def _cloned_column(phi: Morphism) -> Morphism:
+    """phi with column 2 a copy of column 1: not uniform rank once r >= 2."""
+    entries = {(i, j): v for (i, j), v in phi.entries.items() if j != 2}
+    entries.update({(i, 2): v for (i, j), v in phi.entries.items() if j == 1})
+    return Morphism(phi.n, phi.field, phi.source_degrees, phi.target_degrees, entries).validate()
+
+
+@pytest.mark.parametrize("case", ["rank budget", "non-uniform rank"])
+def test_scarf_falls_back_to_the_full_table(monkeypatch, case):
+    """Past MAX_RANK_SUBSETS, or when C is not uniform rank, the Scarf walk
+    is the full table (cap e), raises nothing and equals the oracle that
+    takes every kernel on the leq table."""
+    from mgres import cli, morphism
+    from helpers import DATA, full_table_scarf_system
+
+    rng = random.Random(2026)
+    draws = [random_generic_minimal(rng) for _ in range(12)]
+    if case == "non-uniform rank":
+        draws = [_cloned_column(phi) for phi in draws if phi.coeff_data.r >= 2]
+        assert len(draws) >= 4 and not any(phi.is_uniform_rank() for phi in draws)
+    # on some draws the uniform-rank cap would be below e
+    assert any(max(phi.coeff_data.r + 1, phi.n + phi.coeff_data.r - 1) < phi.e for phi in draws)
+    walks = _counting_walks(monkeypatch)
+    for phi in draws:
+        if case == "rank budget":
+            monkeypatch.setattr(morphism, "MAX_RANK_SUBSETS", math.comb(phi.e, phi.coeff_data.r) - 1)
+        walks.clear()
+        assert scarf_complex(phi) == build_complex(phi, full_table_scarf_system(phi))
+        assert walks[0][0] == phi.e
+    if case == "rank budget":
+        # ex4 has C(4, 2) = 6 column subsets: analyze refuses, scarf does not
+        monkeypatch.setattr(morphism, "MAX_RANK_SUBSETS", 5)
+        assert cli.run(["scarf", str(DATA / "ex4.mmor"), "--output", "json"]) == 0
