@@ -2,10 +2,8 @@
 
 A multidegree is a plain tuple of non-negative ints, the exponent vector of
 a monomial.  ``sub`` returns a signed tuple, the difference of two
-multidegrees.  A ``DegreeIndex`` answers "which of these degrees lie below
-a" as one int bitmask: an AND of one ``bisect`` per coordinate, so a set of
-degrees has its size from ``int.bit_count`` and "I_b within I_a" is
-``b & ~a == 0``; ``bits`` decodes a mask at the edge.
+multidegrees.  A ``DegreeIndex`` gives the degrees below a as one int
+bitmask, which ``bits`` decodes.
 """
 
 from __future__ import annotations
@@ -70,10 +68,9 @@ def sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 class DegreeIndex:
     """Bitmask index of a list of degrees, bit j standing for degrees[j].
 
-    Per coordinate k it keeps the sorted distinct k-th values and, at each,
-    the mask of the degrees whose k-th coordinate is at most that value.
-    Degrees may repeat and the list may be empty; a queried degree must
-    have as many coordinates as the indexed ones (nothing checks it)."""
+    Per coordinate k it keeps the sorted distinct k-th values and, after a
+    leading 0, the mask of the degrees whose k-th coordinate is at most each
+    one.  A queried degree must have as many coordinates (nothing checks)."""
 
     def __init__(self, degrees: Sequence[Sequence[int]]):
         self.all = (1 << len(degrees)) - 1
@@ -82,7 +79,7 @@ class DegreeIndex:
             at: dict[int, int] = {}
             for j, d in enumerate(degrees):
                 at[d[k]] = at.get(d[k], 0) | 1 << j
-            values, masks, acc = sorted(at), [], 0
+            values, masks, acc = sorted(at), [0], 0
             for v in values:
                 acc |= at[v]
                 masks.append(acc)
@@ -93,10 +90,7 @@ class DegreeIndex:
         """The mask of the degrees componentwise at most a."""
         mask = self.all
         for values, masks, c in zip(self.values, self.masks, a):
-            i = bisect_right(values, c)
-            if not i:
-                return 0
-            mask &= masks[i - 1]
+            mask &= masks[bisect_right(values, c)]
         return mask
 
     def sole_reachers(self, a: Sequence[int], cols: int) -> int:
@@ -104,8 +98,7 @@ class DegreeIndex:
         one of cols reaching a in some coordinate: I(a) when cols is I_a."""
         sole = 0
         for values, masks, c in zip(self.values, self.masks, a):
-            i = bisect_left(values, c)
-            reach = cols & ~masks[i - 1] if i else cols
+            reach = cols & ~masks[bisect_left(values, c)]
             if reach & (reach - 1) == 0:
                 sole |= reach
         return sole

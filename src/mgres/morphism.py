@@ -15,11 +15,9 @@ are dual to the canonical echelon basis of the column space (for r = g the
 two conventions coincide, since the echelon basis of the full space is the
 standard one).
 
-A set of columns is an int bitmask over the source degrees (bit j - 1 for
-column j), cut from one ``degrees.DegreeIndex``; the LCM-lattice table
-``lattice_masks`` maps each lattice degree a to the mask of I_a, the
-columns of degree at most a, and may stop at a cap on |I_a|.  Masks are
-decoded to frozensets of 1-based indices at the edge (``columns``).
+The LCM-lattice table ``lattice_masks`` maps each lattice degree a to I_a,
+the columns of degree at most a, as an int bitmask (bit j - 1 for column
+j) cut from one ``degrees.DegreeIndex``; ``columns`` decodes a mask.
 """
 
 from __future__ import annotations

@@ -210,6 +210,8 @@ def divided_embed(subspace: Subspace, m: int) -> Matrix:
         return Matrix.identity(field, 1)
     if subspace.dim == 0:
         return Matrix.zeros(field, divided_dim(ambient, m), 0)
-    ann = annihilator_basis(subspace).basis.transpose()
+    if m == 1:  # D_1(W) is W, whose stored basis is already reduced echelon
+        return subspace.basis.transpose()
+    ann =annihilator_basis(subspace).basis.transpose()
     deltas = [contraction_matrix(ann, l, m) for l in range(1, ann.cols + 1)]
     return kernel_basis(Matrix.stack(field, divided_dim(ambient, m), deltas)).basis.transpose()

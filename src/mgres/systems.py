@@ -23,9 +23,8 @@ The system with every divided power taken in full yields the familiar
 Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice:
 each lattice degree a with |I_a| > r assigns to the face I_a the divided
 power of the functionals that vanish on the columns of I^a.  A Scarf degree
-(I^a empty) thus gets the whole divided power.  When the coefficient matrix
-has uniform rank, only the lattice degrees with few enough columns below
-them can carry a face, and the build walks only those (``scarf_system``).
+(I^a empty) thus gets the whole divided power.  Under uniform rank only
+the degrees with few columns below them can carry a face (``scarf_system``).
 """
 
 from __future__ import annotations
