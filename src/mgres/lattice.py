@@ -3,14 +3,11 @@
 The lattice consists of all joins of nonempty subsets of the source
 degrees.  It is one table per morphism, ``Morphism.lattice_masks()``: each
 element a of ``degrees.join_closure`` with the bitmask of I_a (the columns
-of degree at most a) cut from the source ``DegreeIndex``, built once under
-the closure budget and read by ``lcm_lattice``, ``face_data`` (a lookup),
-``Morphism.is_maximal_rank_everywhere`` and ``relabel.check_join_preserving``.
-``Morphism.lattice_columns`` is the same table with each mask decoded to a
-frozenset.  ``systems.scarf_system`` walks only the degrees with |I_a|
-within a cap.  A face (nonempty set of columns) is a Scarf face when no
-other face realizes its degree.  The face data of a records I_a, I(a) and
-I^a = I_a - I(a).
+of degree at most a), built once under the closure budget and read by
+``lcm_lattice``, ``face_data`` (a lookup), ``Morphism.is_maximal_rank_everywhere``
+and ``relabel.check_join_preserving``.  A face (nonempty set of columns) is
+a Scarf face when no other face realizes its degree.  The face data of a
+records I_a, I(a) and I^a = I_a - I(a).
 
 Every face of degree a lies in I_a and reaches a in every coordinate, so a
 column lies in I(a) exactly when it is the sole column of I_a reaching a in

@@ -169,18 +169,15 @@ def full_system(phi: Morphism) -> FaceSystem:
 def scarf_system(phi: Morphism) -> FaceSystem:
     """One rule over the lattice table: each degree a with |I_a| > r assigns
     to I_a the divided power D_m, m = |I_a| - r - 1, of the functionals
-    K(I^a) vanishing on the columns of I^a, embedded into the ambient
-    divided power.  D_0 is the 1 x 1 identity whatever K is, and a Scarf
-    degree (I^a empty) gets the whole divided power, the identity, so
-    neither takes a kernel.
+    K(I^a) vanishing on I^a.  D_0 and a Scarf degree's (I^a empty) whole
+    D_m are identities, taken without a kernel.
 
-    Only the degrees with |I_a| <= cap are walked.  For m >= 1, D_m(K) is
-    nonzero exactly when rank uv on I^a is below r.  When C has uniform rank
-    (read off the minor table while C(e, r) <= MAX_RANK_SUBSETS) that means
-    |I^a| < r, and I(a) has at most one column per coordinate, so the cap
-    max(r + 1, n + r - 1) keeps every face, and every partial join b of
-    I_a has I_b within I_a, so the capped walk reaches it.  Any other C
-    walks the whole table.
+    For m >= 1, D_m(K) is nonzero exactly when rank uv on I^a is below r.
+    Under uniform rank (read off the minor table within MAX_RANK_SUBSETS)
+    that is |I^a| < r, and |I(a)| <= n, so only degrees with |I_a| <=
+    max(r + 1, n + r - 1) are walked: each partial join b of such an I_a
+    has I_b within I_a, so the capped walk reaches it.  Otherwise the whole
+    table is walked.
     """
     r, e = phi.coeff_data.r, phi.e
     uniform = math.comb(e, r) <= morphism.MAX_RANK_SUBSETS and phi.is_uniform_rank()
