@@ -73,10 +73,10 @@ def lcm_lattice(phi: Morphism) -> LcmLattice:
     elements = frozenset(table)
     scarf, other = {}, []
     for a, cols in table.items():
-        if sole(a, cols) == cols:
+        if (s := sole(a, cols)) == cols:
             scarf[a] = tuple(sorted(phi.columns(cols)))
         else:
-            other.append(face_data(phi, a))
+            other.append(FaceData(a, phi.columns(cols), phi.columns(s), phi.columns(cols & ~s)))
     part, faces = frozenset(scarf), frozenset(scarf.values())
     return LcmLattice(elements, part, elements - part, faces, tuple(other))
 

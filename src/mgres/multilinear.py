@@ -16,10 +16,10 @@ uv, coded once and relabeled (``Matrix.column_copies``).  Delta_l depends on
 l and m only, so it is built once and placed at every face it leaves.  The
 splice map replaces Delta_l by signed maximal minors of the coordinate
 matrix, each taken once by ``linalg.MaximalMinors``.  D_m of a
-subspace W is the common kernel of the contractions by the functionals that
-vanish on W: the divided power algebra is the graded dual of the symmetric
-algebra, so this holds in every characteristic, and the embedding is one
-stack of Delta_l and one kernel, with no divided power expanded by hand.
+subspace W is the common kernel of the contractions by any functionals
+spanning those that vanish on W (the divided power algebra is the graded
+dual of the symmetric algebra, so in every characteristic): one
+``contraction_kernel``, with no divided power expanded by hand.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
 
     Basis vector b goes to the sum of uv[j][l] (b - e_j) over the j with
     b_j > 0: row c is column l of uv with entry j moved to c + e_j, one
-    ``Matrix.column_copies`` of it.  The only contraction kernel; every
-    boundary uses signed blocks of it.
+    ``Matrix.column_copies`` of it.  Every boundary uses signed blocks of
+    it, and ``contraction_kernel`` stacks it.
     """
     return uv.column_copies(l - 1, divided_dim(uv.rows, m), _raised_index(uv.rows, m))
 
@@ -194,24 +194,25 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     return VectorComplex(tuple(dims), tuple(diffs))
 
 
-def divided_embed(subspace: Subspace, m: int) -> Matrix:
-    """Columns spanning D_m(subspace) inside D_m(ambient).
+def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Matrix:
+    """The reduced echelon columns of D_m that Delta_l kills for every l in
+    cols (0-based columns of uv), from one stack and one kernel; the
+    identity, with no kernel, when m = 0 or cols is empty."""
+    dim = divided_dim(uv.rows, m)
+    if m == 0 or not cols:
+        return Matrix.identity(uv.field, dim)
+    deltas = [contraction_matrix(uv, l + 1, m) for l in cols]
+    return kernel_basis(Matrix.stack(uv.field, dim, deltas)).basis.transpose()
 
-    D_m(W) is the common kernel of Delta_l for the functionals l in a basis
-    of the annihilator of W, so the columns are the reduced echelon kernel
-    basis of those contractions stacked.  They equal the product basis: for
-    the reduced echelon basis w_i of W, with pivot p_i, and b a weak
-    composition of m into dim W parts, prod w_i^(b_i) has a 1 at sum b_i
-    e_{p_i}, zeros at the other pivot monomials and nothing before its
-    pivot in the D_m order, so it is the unique reduced echelon basis.
+
+def divided_embed(subspace: Subspace, m: int) -> Matrix:
+    """Columns spanning D_m(subspace) inside D_m(ambient): the
+    ``contraction_kernel`` of a basis of its annihilator.  They equal the
+    product basis: for the reduced echelon basis w_i of W, with pivot p_i,
+    and b a weak composition of m into dim W parts, prod w_i^(b_i) has a 1
+    at sum b_i e_{p_i}, zeros at the other pivot monomials and nothing
+    before its pivot in the D_m order, so it is the unique reduced echelon
+    basis.
     """
-    field, ambient = subspace.field, subspace.ambient_dim
-    if m == 0:
-        return Matrix.identity(field, 1)
-    if subspace.dim == 0:
-        return Matrix.zeros(field, divided_dim(ambient, m), 0)
-    if m == 1:  # D_1(W) is W, whose stored basis is already reduced echelon
-        return subspace.basis.transpose()
-    ann =annihilator_basis(subspace).basis.transpose()
-    deltas = [contraction_matrix(ann, l, m) for l in range(1, ann.cols + 1)]
-    return kernel_basis(Matrix.stack(field, divided_dim(ambient, m), deltas)).basis.transpose()
+    ann = annihilator_basis(subspace).basis.transpose()
+    return contraction_kernel(ann, m, list(range(ann.cols)))

@@ -21,14 +21,15 @@ always the column generator degree minus the row generator degree.
 
 The system with every divided power taken in full yields the familiar
 Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice:
-each lattice degree a with |I_a| > r assigns to the face I_a the divided
-power of the functionals that vanish on the columns of I^a.  A Scarf degree
-(I^a empty) thus gets the whole divided power.  Under uniform rank only
+each degree a with |I_a| > r gives the face I_a the divided power of the
+functionals vanishing on I^a, the kernel of the contractions by the columns
+of I^a; a Scarf degree (I^a empty) gets all of it.  Under uniform rank only
 the degrees with few columns below them can carry a face (``scarf_system``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -39,7 +40,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism, check_var_names
-from .multilinear import VectorComplex, divided_dim, divided_embed, signed_contractions
+from .multilinear import VectorComplex, contraction_kernel, divided_dim, signed_contractions
 
 Face = tuple[int, ...]
 
@@ -169,8 +170,8 @@ def full_system(phi: Morphism) -> FaceSystem:
 def scarf_system(phi: Morphism) -> FaceSystem:
     """One rule over the lattice table: each degree a with |I_a| > r assigns
     to I_a the divided power D_m, m = |I_a| - r - 1, of the functionals
-    K(I^a) vanishing on I^a.  D_0 and a Scarf degree's (I^a empty) whole
-    D_m are identities, taken without a kernel.
+    vanishing on I^a, ``contraction_kernel`` of uv on I^a once per (m, I^a):
+    the identity at m = 0 and at a Scarf degree (I^a empty).
 
     For m >= 1, D_m(K) is nonzero exactly when rank uv on I^a is below r.
     Under uniform rank (read off the minor table within MAX_RANK_SUBSETS)
@@ -179,21 +180,21 @@ def scarf_system(phi: Morphism) -> FaceSystem:
     has I_b within I_a, so the capped walk reaches it.  Otherwise the whole
     table is walked.
     """
-    r, e = phi.coeff_data.r, phi.e
+    r, e, uv = phi.coeff_data.r, phi.e, phi.coeff_data.uv
     uniform = math.comb(e, r) <= morphism.MAX_RANK_SUBSETS and phi.is_uniform_rank()
     cap = max(r + 1, phi.n + r - 1) if uniform else e
     sole = phi.degree_index.sole_reachers
     spaces: dict[Face, Matrix] = {}
+    # once per (m, mask of I^a): many degrees share their I^a
+    kernel = functools.cache(lambda m, upper: contraction_kernel(uv, m, deg.bits(upper)))
     for a, cols in phi.lattice_masks(cap).items():
         m = cols.bit_count() - r - 1
         if m < 0:
             continue
-        face = tuple(j + 1 for j in deg.bits(cols))
         upper = cols & ~sole(a, cols) if m else 0
-        if not upper:
-            spaces[face] = Matrix.identity(phi.field, divided_dim(r, m))
-        elif not uniform or upper.bit_count() < r:
-            spaces[face] = divided_embed(phi.k_space(phi.columns(upper)), m)
+        if uniform and upper and upper.bit_count() >= r:
+            continue
+        spaces[tuple(j + 1 for j in deg.bits(cols))] = kernel(m, upper)
     return FaceSystem(r, spaces)
 
 

@@ -9,7 +9,8 @@ uniform rank against the rank of every r-subset of columns, of
 rescanning oracle and the strand homology of the complex it came from,
 of the integer-coded ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
-of ``divided_embed`` against the product basis of divided powers, and of
+of ``divided_embed`` against the product basis of divided powers, of
+``contraction_kernel`` against ``divided_embed`` of the K-space, and of
 the byte-identical file round trip of sampled complexes.
 
 Random small morphisms (n <= 3, e <= 6, g <= 3, degrees in [0,3]^n, so
@@ -58,6 +59,7 @@ from mgres import (  # noqa: E402
 )
 from mgres.lattice import faces_by_degree  # noqa: E402
 from mgres.multilinear import (  # noqa: E402
+    contraction_kernel,
     contraction_matrix,
     divided_basis,
     divided_embed,
@@ -596,6 +598,24 @@ def test_divided_embed_of_k_space_is_killed_by_its_contractions(data):
     emb = divided_embed(phi.k_space(face), m)
     for j in face:
         assert contraction_matrix(uv, j, m).mul(emb).is_zero()
+
+
+@PROPERTY
+@given(st.data())
+def test_contraction_kernel_matches_the_annihilator_route(data):
+    """The kernel of the contractions by the columns S of uv is D_m of
+    their K-space as the annihilator route takes it, ``divided_embed`` of
+    ``k_space``: m = 0..3 and S of every size, the empty set included."""
+    if data.draw(st.booleans()):
+        phi = data.draw(wide_morphisms())
+    else:
+        phi = random_morphism(random.Random(data.draw(st.integers(0, 2**32))))
+        field = data.draw(st.sampled_from(FIELDS))
+        phi = mod_p(phi, field.characteristic) if field.characteristic else phi
+    cols = sorted(data.draw(st.sets(st.integers(0, phi.e - 1))))
+    m = data.draw(st.integers(0, 3))
+    emb = contraction_kernel(phi.coeff_data.uv, m, cols)
+    assert emb == divided_embed(phi.k_space(j + 1 for j in cols), m)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

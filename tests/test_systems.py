@@ -662,6 +662,50 @@ def test_scarf_on_a_wide_chain_walks_a_bounded_table(monkeypatch):
     assert not kernels
 
 
+@pytest.mark.parametrize("case", ["ex_r3", "generic n = 4"])
+def test_scarf_takes_one_contraction_kernel_per_column_set(monkeypatch, case):
+    """The Scarf build takes each D_m(K(I^a)) as one kernel of the
+    contractions by the columns of I^a, once per distinct (m, I^a): no
+    k_space, annihilator or divided_embed.  ex_r3 (r = 3, n = 4) takes one
+    kernel at m = 1; the generic draw (n = 4, r = 2) walks 9 degrees that
+    need a kernel, over 2 distinct (m, I^a), m = 1 and 2."""
+    import sys
+    from mgres import formats, lcm_lattice
+    from helpers import DATA
+
+    if case == "ex_r3":
+        phi = formats.load_morphism(str(DATA / "ex_r3.mmor"))
+    else:
+        phi = random_generic_minimal(random.Random(38))
+        assert phi.n == 4
+    r = phi.coeff_data.r
+    assert phi.is_uniform_rank()
+    # under uniform rank D_m(K(I^a)), m >= 1, is nonzero exactly when |I^a| < r
+    needed = [(len(fd.i_a) - r - 1, fd.i_upper_a) for fd in lcm_lattice(phi).nonscarf_data
+              if len(fd.i_a) > r + 1 and len(fd.i_upper_a) < r]
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    spy(Morphism, "k_space")
+    for name in ("kernel_basis", "annihilator_basis", "divided_embed"):
+        for module in [m for key, m in sys.modules.items() if key.startswith("mgres")]:
+            if hasattr(module, name):
+                spy(module, name)
+    scarf_complex(phi)
+    assert set(calls) == {"kernel_basis"}
+    assert calls.count("kernel_basis") == len(set(needed)) > 0
+    if case == "generic n = 4":
+        assert len(needed) == 9 and {m for m, _ in needed} == {1, 2}
+
+
 def _cloned_column(phi: Morphism) -> Morphism:
     """phi with column 2 a copy of column 1: not uniform rank once r >= 2."""
     entries = {(i, j): v for (i, j), v in phi.entries.items() if j != 2}
