@@ -26,13 +26,7 @@ from .errors import (
 )
 from .fields import QQ, PrimeField, field_by_name
 from .lattice import FaceData, LcmLattice, face_data, lcm_lattice, scarf_faces
-from .linalg import (
-    Matrix,
-    Subspace,
-    annihilator_basis,
-    column_space_basis,
-    kernel_basis,
-)
+from .linalg import Matrix, Subspace, kernel_basis
 from .morphism import CoeffData, MaxRankResult, Morphism, coeff_data_from_matrix
 from .multilinear import (
     VectorComplex,
@@ -102,7 +96,6 @@ __all__ = [
     "TooManyColumns",
     "VectorComplex",
     "ZeroColumnError",
-    "annihilator_basis",
     "build_A_complex",
     "build_B_complex",
     "build_complex",
@@ -111,7 +104,6 @@ __all__ = [
     "check_qe_compatible",
     "check_quasi_equivalent",
     "coeff_data_from_matrix",
-    "column_space_basis",
     "divided_basis",
     "divided_dim",
     "divided_embed",

@@ -11,6 +11,7 @@ or any other unexpected error (reported on one line, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -99,9 +100,10 @@ def _analyze_payload(phi) -> dict:
     lat = lattice.lcm_lattice(phi)
     maxrank = phi.is_maximal_rank_everywhere()
     uniform, comb_generic = phi.is_uniform_rank(), phi.is_combinatorially_generic()
-    face_data = []
+    # once per I^a: many non-Scarf degrees share theirs
+    k_space, face_data = functools.cache(phi.k_space), []
     for fd in lat.nonscarf_data:
-        k = phi.k_space(fd.i_upper_a)
+        k = k_space(fd.i_upper_a)
         face_data.append(
             {
                 "degree": list(fd.degree),

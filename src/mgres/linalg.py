@@ -24,7 +24,9 @@ t_k: for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij
 is an integer (mod p, where all scales are 1).  ``_reduce`` brings a row over
 any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s unit
 cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.  A
-``Subspace`` is its reduced echelon basis, from ``Subspace.row_space``.
+``Subspace`` is its reduced echelon basis, from ``Subspace.row_space`` (a
+column space is the row space of the transpose) or ``kernel_basis`` (an
+annihilator is the kernel of a basis).
 """
 
 from __future__ import annotations
@@ -473,13 +475,3 @@ def kernel_basis(m: Matrix) -> Subspace:
         vec = {f: lcm} | {q: -x * (lcm // s) % p if p else -x * (lcm // s) for q, x, s in hits}
         vecs.append(_reduce(dict(sorted(vec.items())), lcm, p))
     return Subspace.row_space(Matrix._coded(m.field, m.cols, vecs))
-
-
-def column_space_basis(m: Matrix) -> Subspace:
-    """Canonical basis of the column space."""
-    return Subspace.row_space(m.transpose())
-
-
-def annihilator_basis(s: Subspace) -> Subspace:
-    """Functionals vanishing on s; dimension = ambient - dim(s)."""
-    return kernel_basis(s.basis)

@@ -17,7 +17,10 @@ standard one).
 
 The LCM-lattice table ``lattice_masks`` maps each lattice degree a to I_a,
 the columns of degree at most a, as an int bitmask (bit j - 1 for column
-j) cut from one ``degrees.DegreeIndex``; ``columns`` decodes a mask.
+j) cut from one ``degrees.DegreeIndex``; ``columns`` decodes a mask.  The
+K-space of a face is ``multilinear.contraction_kernel`` of uv at m = 1,
+the one kernel route on uv; a Morphism keeps no K-space, so a caller that
+asks for the same face often (``mgres analyze``) memoizes it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from functools import cached_property
 from . import degrees as deg
 from .degrees import Multidegree
 from .errors import DimensionError, HomogeneityError, TooManyColumns, ZeroColumnError
-from .linalg import MaximalMinors, Matrix, Subspace, column_space_basis, kernel_basis
+from .linalg import MaximalMinors, Matrix, Subspace
+from .multilinear import contraction_kernel
 
 # Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
 # one minor off the table takes at most about 100 us (Q, r = 9, e = 18,
@@ -54,7 +58,7 @@ class CoeffData(namedtuple("CoeffData", "matrix r image uv")):
 
 def coeff_data_from_matrix(c: Matrix) -> CoeffData:
     """Coefficient data of a bare scalar matrix."""
-    image = column_space_basis(c)
+    image = Subspace.row_space(c.transpose())
     r = image.dim
     uv = c.submatrix(image.pivots(), range(c.cols))
     return CoeffData(c, r, image, uv)
@@ -88,7 +92,6 @@ class Morphism:
         self.target_degrees = tuple(deg.as_degree(d, n) for d in target_degrees)
         self.entries = {(int(i), int(j)): v for (i, j), v in entries.items() if v}
         self.var_names = tuple(var_names) if var_names is not None else default_var_names(n)
-        self._k_spaces: dict[frozenset[int], Subspace] = {}
         self._lattices: dict[int, dict[Multidegree, int]] = {}
 
     @property
@@ -145,12 +148,6 @@ class Morphism:
         """The column indices of a mask over the source degrees."""
         return frozenset(j + 1 for j in deg.bits(mask))
 
-    def columns_leq(self, a: Sequence[int]) -> frozenset[int]:
-        """Indices of the columns whose degree is componentwise at most a."""
-        if len(a) != self.n:
-            raise DimensionError(f"degree {tuple(a)} does not have {self.n} coordinates")
-        return self.columns(self.degree_index.leq(a))
-
     def lattice_masks(self, cap: int | None = None) -> dict[Multidegree, int]:
         """The LCM-lattice table as masks: each closure degree a with |I_a| at
         most cap (every one when cap is None), in sorted order, mapped to the
@@ -162,11 +159,6 @@ class Morphism:
             self._lattices[cap] = {a: leq(a) for a in sorted(closure)}
         return self._lattices[cap]
 
-    @cached_property
-    def lattice_columns(self) -> dict[Multidegree, frozenset[int]]:
-        """The LCM-lattice table: maps each closure degree a, in sorted order, to I_a."""
-        return {a: self.columns(mask) for a, mask in self.lattice_masks().items()}
-
     def face_degree(self, face: Iterable[int]) -> Multidegree:
         """Join of the source degrees over a nonempty index set."""
         return deg.join_all(self.source_degrees[i - 1] for i in sorted(face))
@@ -175,18 +167,13 @@ class Morphism:
         """Kernel of the restriction map V* -> V_I*, in V-coordinates.
 
         These are the functionals on V that kill the images of the columns
-        indexed by the face; for the empty face this is all of V*.  Computed
-        once per column set (many degrees share their I^a).
+        indexed by the face, the D_1 that ``contraction_kernel`` leaves on
+        them; for the empty face this is all of V*.  Taken anew on each call.
         """
-        key = frozenset(face)
-        if key not in self._k_spaces:
-            idx = sorted(key)
-            if any(not 1 <= i <= self.e for i in idx):
-                raise DimensionError(f"face {idx} has indices outside 1..{self.e}")
-            cd = self.coeff_data
-            cols = cd.uv.submatrix(range(cd.r), [j - 1 for j in idx]).transpose()
-            self._k_spaces[key] = kernel_basis(cols)
-        return self._k_spaces[key]
+        idx = sorted(set(face))
+        if any(not 1 <= i <= self.e for i in idx):
+            raise DimensionError(f"face {idx} has indices outside 1..{self.e}")
+        return contraction_kernel(self.coeff_data.uv, 1, [j - 1 for j in idx])
 
     def is_uniform_rank(self) -> bool:
         """Every r-element column subset of C is linearly independent;

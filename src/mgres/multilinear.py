@@ -19,7 +19,11 @@ matrix, each taken once by ``linalg.MaximalMinors``.  D_m of a
 subspace W is the common kernel of the contractions by any functionals
 spanning those that vanish on W (the divided power algebra is the graded
 dual of the symmetric algebra, so in every characteristic): one
-``contraction_kernel``, with no divided power expanded by hand.
+``contraction_kernel``, with no divided power expanded by hand.  It is the
+only kernel taken on uv: at m = 1 it is the K-space ``Morphism.k_space``.
+This module imports no other mgres module but ``linalg`` and ``errors``, so
+``morphism`` can import it; ``cd`` is a ``morphism.CoeffData``, named only
+in annotations.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ import math
 from collections import namedtuple
 
 from .errors import DimensionError
-from .linalg import MaximalMinors, Matrix, Subspace, annihilator_basis, kernel_basis
-from .morphism import CoeffData
+from .linalg import MaximalMinors, Matrix, Subspace, kernel_basis
 
 DividedIndex = tuple[int, ...]
 ExteriorIndex = tuple[int, ...]
@@ -194,25 +197,26 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     return VectorComplex(tuple(dims), tuple(diffs))
 
 
-def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Matrix:
-    """The reduced echelon columns of D_m that Delta_l kills for every l in
-    cols (0-based columns of uv), from one stack and one kernel; the
-    identity, with no kernel, when m = 0 or cols is empty."""
+def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Subspace:
+    """The subspace of D_m that Delta_l kills for every l in cols (0-based
+    columns of uv), from one stack and one kernel; all of D_m, with no
+    kernel, when m = 0 or cols is empty.  At m = 1 the stack is uv on cols,
+    transposed, so this is ``Morphism.k_space``."""
     dim = divided_dim(uv.rows, m)
     if m == 0 or not cols:
-        return Matrix.identity(uv.field, dim)
+        return Subspace(Matrix.identity(uv.field, dim))
     deltas = [contraction_matrix(uv, l + 1, m) for l in cols]
-    return kernel_basis(Matrix.stack(uv.field, dim, deltas)).basis.transpose()
+    return kernel_basis(Matrix.stack(uv.field, dim, deltas))
 
 
 def divided_embed(subspace: Subspace, m: int) -> Matrix:
     """Columns spanning D_m(subspace) inside D_m(ambient): the
-    ``contraction_kernel`` of a basis of its annihilator.  They equal the
-    product basis: for the reduced echelon basis w_i of W, with pivot p_i,
-    and b a weak composition of m into dim W parts, prod w_i^(b_i) has a 1
-    at sum b_i e_{p_i}, zeros at the other pivot monomials and nothing
-    before its pivot in the D_m order, so it is the unique reduced echelon
-    basis.
+    ``contraction_kernel`` of a basis of its annihilator, the kernel of its
+    basis.  They equal the product basis: for the reduced echelon basis w_i
+    of W, with pivot p_i, and b a weak composition of m into dim W parts,
+    prod w_i^(b_i) has a 1 at sum b_i e_{p_i}, zeros at the other pivot
+    monomials and nothing before its pivot in the D_m order, so it is the
+    unique reduced echelon basis.
     """
-    ann = annihilator_basis(subspace).basis.transpose()
-    return contraction_kernel(ann, m, list(range(ann.cols)))
+    ann = kernel_basis(subspace.basis).basis.transpose()
+    return contraction_kernel(ann, m, list(range(ann.cols))).basis.transpose()

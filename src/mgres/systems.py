@@ -186,7 +186,8 @@ def scarf_system(phi: Morphism) -> FaceSystem:
     sole = phi.degree_index.sole_reachers
     spaces: dict[Face, Matrix] = {}
     # once per (m, mask of I^a): many degrees share their I^a
-    kernel = functools.cache(lambda m, upper: contraction_kernel(uv, m, deg.bits(upper)))
+    kernel = functools.cache(
+        lambda m, upper: contraction_kernel(uv, m, deg.bits(upper)).basis.transpose())
     for a, cols in phi.lattice_masks(cap).items():
         m = cols.bit_count() - r - 1
         if m < 0:

@@ -138,7 +138,7 @@ def coefficient_rank_walk(phi: Morphism):
     rank of the g-row submatrix C_a at every lattice degree in sorted
     order, none skipped.  (True, None), or (False, the first failing degree)."""
     cd = phi.coeff_data
-    for a, cols in phi.lattice_columns.items():
+    for a, cols in lattice_columns(phi).items():
         sub = cd.matrix.submatrix(range(phi.g), [j - 1 for j in sorted(cols)])
         if sub.rank() != min(cd.r, len(cols)):
             return False, a
@@ -586,8 +586,13 @@ def two_loop_scarf_system(phi: Morphism) -> FaceSystem:
     return FaceSystem(r, spaces)
 
 
+def lattice_columns(phi: Morphism) -> dict:
+    """``Morphism.lattice_masks()`` with each I_a decoded by ``Morphism.columns``."""
+    return {a: phi.columns(mask) for a, mask in phi.lattice_masks().items()}
+
+
 def leq_lattice_columns(phi: Morphism) -> dict:
-    """Oracle for ``Morphism.lattice_columns``: the whole join closure in
+    """Oracle for ``Morphism.lattice_masks``: the whole join closure in
     sorted order, each degree's columns found by one ``leq`` per column."""
     src = phi.source_degrees
     return {a: frozenset(j for j, d in enumerate(src, start=1) if leq(d, a))

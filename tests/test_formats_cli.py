@@ -244,6 +244,37 @@ def test_cli_minimize_and_analyze(tmp_path, capsys):
     assert report["nonscarf_degrees"] == [[2, 3], [3, 2], [3, 3]]
 
 
+@pytest.mark.parametrize("case", ["ex_r3", "generic n = 4"])
+def test_cli_analyze_takes_one_kernel_per_distinct_upper_set(tmp_path, monkeypatch, capsys, case):
+    """``analyze`` memoizes ``Morphism.k_space`` per call: one kernel for each
+    distinct I^a among the non-Scarf degrees.  ex_r3's 10 share one I^a; the
+    generic draw (n = 4, r = 2) has 18 over 2."""
+    from mgres import lcm_lattice
+    from helpers import random_generic_minimal
+
+    if case == "ex_r3":
+        path = DATA / "ex_r3.mmor"
+        phi = formats.load_morphism(path)
+    else:
+        phi = random_generic_minimal(random.Random(38))
+        assert phi.n == 4
+        path = tmp_path / "generic.mmor"
+        path.write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
+    uppers = [fd.i_upper_a for fd in lcm_lattice(phi).nonscarf_data]
+    calls = []
+    for module in [m for key, m in sys.modules.items() if key.startswith("mgres")]:
+        if hasattr(module, "kernel_basis"):
+            def counting(m, kernel_basis=module.kernel_basis):
+                calls.append(m.rows)
+                return kernel_basis(m)
+
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    assert cli.run(["analyze", str(path), "--output", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["face_data"]) == len(uppers)
+    assert len(calls) == len(set(uppers)) < len(uppers)
+    assert (len(uppers), len(set(uppers))) == ((10, 1) if case == "ex_r3" else (18, 2))
+
+
 def test_cli_minimize_refuses_a_file_that_is_not_a_complex(tmp_path, capsys):
     """verify reports d^2 != 0 (exit 1); minimize refuses the file as bad input."""
     raw = formats.complex_to_dict(scarf_complex(formats.load_morphism(DATA / "ex4.mmor")))

@@ -191,7 +191,7 @@ def test_lattice_realization_and_size_bounds():
         lat = lcm_lattice(phi)
         assert len(lat.elements) <= 2**phi.e - 1
         for a in lat.elements:
-            face = sorted(phi.columns_leq(a))
+            face = sorted(phi.columns(phi.degree_index.leq(a)))
             assert join_all(phi.source_degrees[i - 1] for i in face) == a
         seen = set()
         for f in scarf_faces(phi):

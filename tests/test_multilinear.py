@@ -3,6 +3,8 @@ families and their exactness laws, and divided-power embeddings."""
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from mgres.multilinear import (
 )
 from mgres.verify import homology_dims, is_exact, is_split_exact
 from helpers import (
+    ROOT,
     check_record,
     contract,
     enlarged_subspace,
@@ -39,6 +42,24 @@ from helpers import (
     removal_sign,
     xy_example,
 )
+
+
+def test_multilinear_does_not_import_morphism():
+    """``morphism`` imports ``contraction_kernel``, so ``multilinear`` must
+    not import ``morphism`` back.  The package ``__init__`` imports every
+    module, so the check loads the modules under a bare package module."""
+    script = (
+        "import sys, types; pkg = types.ModuleType('mgres'); pkg.__path__ = ['src/mgres']; "
+        "sys.modules['mgres'] = pkg; import mgres.multilinear; "
+        "assert 'mgres.morphism' not in sys.modules, sorted(sys.modules); "
+        "import mgres.morphism; "
+        "assert mgres.morphism.contraction_kernel is mgres.multilinear.contraction_kernel"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_divided_basis_goldens():

@@ -388,7 +388,7 @@ def test_strand_matches_directly_built_splice_complex():
         t = taylor_complex(phi)
         assert t.diffs == build_B_complex(cd, cd.image).diffs
         for a in sorted(join_closure(phi.source_degrees)):
-            cols = sorted(phi.columns_leq(a))
+            cols = sorted(phi.columns(phi.degree_index.leq(a)))
             sub = cd.matrix.submatrix(range(phi.g), [j - 1 for j in cols])
             b = build_B_complex(coeff_data_from_matrix(sub), cd.image)
             hs = list(homology_dims(strand(t, a), check=False))
