@@ -14,17 +14,20 @@ products, transposes and strands cost the number of nonzeros.
 augmented matrix), writes each block's codes into their rows as its
 iterable yields the block.  ``column_copies`` (the rows of a contraction)
 builds from stored rows without re-coding them, and ``MaximalMinors``
-takes each maximal minor once, on codes, off one echelon form.
+takes each maximal minor once, on codes, off one echelon form: one
+determinant per table, then each minor expanded over minors it holds.
 
 ``_echelon``, the one elimination, clears each row at its first nonzero by
 that column's pivot row and normalizes it (over Z by its content, mod p to
 a leading 1); ``rank``, ``rref``, ``_det`` and ``solve_matrix`` read it off.
-``mul`` weighs row k of B (codes b'_k, scale t_k) by L / t_k, L = lcm of the
-t_k: for row i of A (a'_i, s_i), sum_k a'_ik (L / t_k) b'_kj = s_i L (A B)_ij
-is an integer (mod p, where all scales are 1).  ``_reduce`` brings a row over
-any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s unit
-cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.  A
-``Subspace`` is its reduced echelon basis, from ``Subspace.row_space`` (a
+``_products``, the one product loop, weighs row k of B (codes b'_k, scale
+t_k) by L / t_k, L = lcm of the t_k: for row i of A (a'_i, s_i), sum_k a'_ik
+(L / t_k) b'_kj = s_i L (A B)_ij is an integer (mod p, where all scales are
+1).  ``mul`` codes those sums; ``mul_is_zero`` (the d^2 check) stops at the
+first row with a nonzero sum and builds no product.  ``_reduce`` brings a
+row over any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s
+unit cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.
+A ``Subspace`` is its reduced echelon basis, from ``Subspace.row_space`` (a
 column space is the row space of the transpose) or ``kernel_basis`` (an
 annihilator is the kernel of a basis).
 """
@@ -170,12 +173,14 @@ class Matrix:
         rows = [({j: p - x if p else -x for j, x in row.items()}, s) for row, s in self._rows]
         return Matrix._coded(self.field, self.cols, rows)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        """The product, summed as ints over both factors' codes (module docstring)."""
+    def _products(self, other: "Matrix"):
+        """Per row (a', s) of self, the unreduced int sums {j: sum_k a'_k
+        (L / t_k) b'_kj} (zeros and, mod p, multiples of p included) and
+        s L: that row of the product is sums / (s L) (module docstring)."""
         if self.cols != other.rows:
             shapes = f"{self.rows}x{self.cols} by {other.rows}x{other.cols}"
             raise DimensionError(f"cannot multiply {shapes}")
-        p, lcm, out = self.field.characteristic, math.lcm(*(t for _, t in other._rows)), []
+        lcm = math.lcm(*(t for _, t in other._rows))
         right = [row if t == lcm else {j: y * (lcm // t) for j, y in row.items()}
                  for row, t in other._rows]
         for entries, s in self._rows:
@@ -183,9 +188,24 @@ class Matrix:
             for k, x in entries.items():
                 for j, y in right[k].items():
                     acc[j] = acc.get(j, 0) + x * y
+            yield acc, s * lcm
+
+    def mul(self, other: "Matrix") -> "Matrix":
+        """The product, summed as ints over both factors' codes (module docstring)."""
+        p, out = self.field.characteristic, []
+        for acc, s in self._products(other):
             sums = {j: v for j in sorted(acc) if (v := acc[j] % p if p else acc[j])}
-            out.append(_reduce(sums, s * lcm, p))
+            out.append(_reduce(sums, s, p))
         return Matrix._coded(self.field, other.cols, out)
+
+    def mul_is_zero(self, other: "Matrix") -> bool:
+        """``self.mul(other).is_zero()``, stopping at the first row with a
+        nonzero sum and building no product."""
+        p = self.field.characteristic
+        for acc, _ in self._products(other):
+            if any(v % p for v in acc.values()) if p else any(acc.values()):
+                return False
+        return True
 
     def is_zero(self) -> bool:
         return not any(row for row, _ in self._rows)
@@ -361,50 +381,67 @@ def _normalize(row: dict, c: int, p: int) -> int:
 
 class MaximalMinors:
     """The maximal minors of an r x e matrix A, each computed on first use
-    and kept once, as its coded value (code, scale), (0, 1) when it is zero.
-    With R the reduced echelon form of A and P its pivot columns, A = A_P R,
-    so det A_S = det A_P det R_S, and det A_P comes off the echelon form of
-    A itself.  R_S has the unit column of pivot row i at each position k
-    with S[k] = P[i], so det R_S = (-1)^(sum of those i and k) det R[the
-    other rows, S - P], of size |S - P| <= min(r, e - r), all through
-    ``_det``.  ``column`` (a splice column, negating the minors it reads at
-    odd positions) and ``is_nonzero`` (``Morphism.is_uniform_rank``) read
-    the same memo, so each minor is taken once, whichever asks first."""
+    and kept once under the bitmask of its columns, as (code, scale, d): its
+    coded value, (0, 1) when it is zero, and the int d below.  With R the
+    reduced echelon form of A, rows coded (c_i, s_i), and P its pivot
+    columns, A = A_P R, so det A_S = det A_P det R_S, and det A_P is the
+    table's one ``_det``.  R_S has the unit column of pivot row i at each
+    position k with S[k] = P[i], so det R_S = (-1)^(sum of those i and k)
+    det N[I, J], N the non-pivot block of R, I the pivot rows S misses and
+    J = S - P, |J| <= min(r, e - r); det N[I, J] is d over the product of
+    the s_i, i in I, with d = det c[I, J] (mod p).  d expands along row
+    i = min(I): each c_i[J[t]] times (-1)^t the d of S - J[t] + P[i], whose
+    I and J are those of S without i and J[t], a minor of the table itself.
+    So a minor costs |J| products over minors already kept.  ``column`` (a
+    splice column, negating the minors it reads at odd positions) and
+    ``is_nonzero`` (``Morphism.is_uniform_rank``) read the same memo, so
+    each minor is taken once, whichever asks first."""
 
-    __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivot_row", "_memo")
+    __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivots", "_pivot_row", "_memo")
 
     def __init__(self, a: Matrix):
         p, (red, pivots) = a.field.characteristic, a.rref()
         self.field, self.cols, self._p, self._red = a.field, a.cols, p, red._rows
         self._base = _det(p, a._rows)  # det A_P; (0, 1) when A has rank below r
-        self._pivot_row, self._memo = {c: i for i, c in enumerate(pivots)}, {}
+        self._pivots, self._pivot_row, self._memo = pivots, {c: i for i, c in enumerate(pivots)}, {}
 
-    def _minor(self, cols: tuple[int, ...]) -> tuple[int, int]:
-        p, (num, den), where, value = self._p, self._base, self._pivot_row, (0, 1)
+    def _minor(self, cols: tuple[int, ...]) -> tuple[int, int, int]:
+        p, (num, den), where, memo = self._p, self._base, self._pivot_row, self._memo
+        mask, free, hit, sign, value = 0, [], set(), 0, (0, 1, 0)
+        for k, c in enumerate(cols):
+            mask |= 1 << c
+            if (i := where.get(c)) is None:
+                free.append(c)
+            else:
+                hit.add(i)
+                sign += i + k
         if num:
-            hit = {where[c]: k for k, c in enumerate(cols) if c in where}
-            free = [c for c in cols if c not in where]
-            sub = [({k: row[c] for k, c in enumerate(free) if c in row}, s)
-                   for i, (row, s) in enumerate(self._red) if i not in hit]
-            n, d = _det(p, sub)
-            num = num * n * (-1) ** sum(i + k for i, k in hit.items())
-            if num := num % p if p else num:
-                row, s = _reduce({0: num}, den * d, p)
-                value = (row[0], s)
-        self._memo[cols] = value
+            rows, d = [i for i in range(len(self._pivots)) if i not in hit], 1
+            if free:
+                top, pivot, d = self._red[rows[0]][0], self._pivots[rows[0]], 0
+                for t, j in enumerate(free):
+                    if x := top.get(j):
+                        _, _, y = memo.get(mask ^ 1 << j | 1 << pivot) or self._minor(
+                            tuple(sorted([pivot, *(c for c in cols if c != j)])))
+                        d += -x * y if t & 1 else x * y
+                d = d % p if p else d
+            n = -num * d if sign & 1 else num * d
+            if n := n % p if p else n:
+                row, s = _reduce({0: n}, den * math.prod(self._red[i][1] for i in rows), p)
+                value = (row[0], s, d)
+        memo[mask] = value
         return value
 
     def is_nonzero(self, cols: tuple[int, ...]) -> bool:
         """The minor on the ascending r-subset cols is nonzero."""
-        return bool((self._memo.get(cols) or self._minor(cols))[0])
+        return bool((self._memo.get(sum(1 << c for c in cols)) or self._minor(cols))[0])
 
     def column(self, cols: tuple[int, ...]) -> Matrix:
         """e x 1, entry cols[k] the minor on cols without cols[k] times
         (-1)^k, for an ascending (r + 1)-subset cols: its splice column."""
-        p, memo, out = self._p, self._memo, [({}, 1)] * self.cols
+        p, memo, out, full = self._p, self._memo, [({}, 1)] * self.cols, sum(1 << c for c in cols)
         for k, c in enumerate(cols):
-            sub = cols[:k] + cols[k + 1 :]
-            x, s = memo.get(sub) or self._minor(sub)
+            x, s, _ = memo.get(full ^ 1 << c) or self._minor(cols[:k] + cols[k + 1 :])
             if x:
                 out[c] = ({0: (p - x if p else -x) if k & 1 else x}, s)
         return Matrix._coded(self.field, 1, out)

@@ -38,9 +38,9 @@ from .linalg import MaximalMinors, Matrix, Subspace
 from .multilinear import contraction_kernel
 
 # Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
-# one minor off the table takes at most about 100 us (Q, r = 9, e = 18,
-# entries below 30,000, 2 shared vCPUs) and the table keeps about 270 bytes
-# of it, so the walk stays within about 7 s and 18 MB.
+# one minor off the table takes about 21 us (Q, r = 9, e = 18, entries
+# below 30,000, 2 shared vCPUs) and the table keeps about 300 bytes of it,
+# so the walk stays within about 1.5 s and 20 MB.
 MAX_RANK_SUBSETS = 2**16
 
 

@@ -88,10 +88,9 @@ class VectorComplex(namedtuple("VectorComplex", "dims diffs")):
         return super().__new__(cls, dims, diffs)
 
     def composes_to_zero(self) -> bool:
-        """Every product d_i d_{i+1} (``Matrix.mul``, summed on int codes) is zero."""
-        return all(
-            self.diffs[i].mul(self.diffs[i + 1]).is_zero() for i in range(len(self.diffs) - 1)
-        )
+        """Every product d_i d_{i+1} is zero (``Matrix.mul_is_zero``: int sums
+        on codes, no product built)."""
+        return all(self.diffs[i].mul_is_zero(self.diffs[i + 1]) for i in range(len(self.diffs) - 1))
 
 
 @functools.lru_cache(maxsize=None)

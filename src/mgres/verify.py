@@ -6,7 +6,9 @@ vanishing homology in positions 1 and up.  Strand shapes depend only on
 which generators survive the degree cut, and any cut is reproduced at the
 join of the degrees it keeps, so testing the join-closure of all generator
 degrees covers every multidegree.  Each cut is one ``DegreeIndex.leq`` per
-level, on one bitmask index of each level's generator degrees.
+level, on one bitmask index of each level's generator degrees, and each
+distinct cut's homology is taken once.  d^2 = 0 is a zero test on int sums
+(``Matrix.mul_is_zero``) that builds no product.
 
 Minimality means no nonzero entry has zero shift.  ``minimize`` removes
 them by unit-entry cancellation, an independent route to the minimal
@@ -117,16 +119,20 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
     c - d[p, c] u^-1 q, and p becomes d(q), a sum of generators of degree
     <= a.  So each strand stays spanned by basis vectors, splits off k -> k
     where it holds p and q, and x and ``minimize(x)`` have the same
-    homology in every strand and at every position.
+    homology in every strand and at every position.  Degrees that cut the
+    same generators of y share one strand, so its homology is taken once
+    per distinct tuple of ``DegreeIndex.leq`` masks.
     """
     minimal = is_minimal(x)
     if not check_d2(x):
         return ExactnessReport(False, (), (), minimal)
     degrees = strand_degrees(x)
     y = x if minimal else minimize(x)
-    indexes, failures = level_indexes(y), []
+    indexes, failures, cuts = level_indexes(y), [], {}
     for a in degrees:
-        h = homology_dims(strand(y, a, indexes), check=False)
+        cut = tuple(index.leq(a) for index in indexes)
+        if (h := cuts.get(cut)) is None:
+            h = cuts[cut] = homology_dims(strand(y, a, indexes), check=False)
         failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 

@@ -40,6 +40,8 @@ from mgres.verify import (
     check_d2,
     homology_dims,
     is_minimal,
+    level_indexes,
+    minimize,
     strand,
     strand_degrees,
 )
@@ -406,6 +408,39 @@ def strandwise_is_resolution(x: GradedComplex) -> ExactnessReport:
         h = homology_dims(strand(x, a), check=False)
         failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
+
+
+def per_degree_is_resolution(x: GradedComplex) -> ExactnessReport:
+    """Oracle for ``is_resolution``'s strand memo: d^2 = 0 by full products,
+    then one homology per tested degree on the minimized complex, with no
+    two degrees sharing a strand."""
+    minimal = is_minimal(x)
+    if not all(d.mul(e).is_zero() for d, e in zip(x.diffs, x.diffs[1:])):
+        return ExactnessReport(False, (), (), minimal)
+    degrees = strand_degrees(x)
+    y = x if minimal else minimize(x)
+    indexes, failures = level_indexes(y), []
+    for a in degrees:
+        h = homology_dims(strand(y, a, indexes), check=False)
+        failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
+    return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
+
+
+def cloned_column_draw(rng: random.Random, field=QQ) -> Morphism:
+    """g = 2, n = 3, e = 3..5 over field, rank 2, column 2 a copy of column 1
+    and no other column below their join: C drops rank there, so the
+    Taylor complex is not exact (as the clone draws of the benchmark)."""
+    e = rng.randint(3, 5)
+    while True:
+        cols = [[field.of(rng.choice([0, 1, -1, 2, 3])) for _ in range(2)] for _ in range(e)]
+        cols[1] = cols[0]
+        sources = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(e)]
+        top = join(sources[0], sources[1])
+        if (all(any(col) for col in cols)
+                and any(a[0] * b[1] != a[1] * b[0] for a, b in itertools.combinations(cols, 2))
+                and not any(leq(d, top) for d in sources[2:])):
+            entries = {(i + 1, j + 1): x for j, col in enumerate(cols) for i, x in enumerate(col)}
+            return Morphism(3, field, sources, [(0, 0, 0)] * 2, entries).validate()
 
 
 def dense_matrix_text(x: GradedComplex, diff_index: int) -> str:

@@ -6,7 +6,9 @@ pairwise definition, of the Scarf system against its two-loop oracle and
 the full-table walk that takes every kernel, of
 uniform rank against the rank of every r-subset of columns, of
 ``minimize`` on the Taylor, Scarf and relabeled complexes against its
-rescanning oracle and the strand homology of the complex it came from,
+rescanning oracle and the strand homology of the complex it came from, of
+``is_resolution``'s one homology per distinct strand cut against one per
+tested degree,
 of the integer-coded ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
 of ``divided_embed`` against the product basis of divided powers, of
@@ -45,6 +47,7 @@ from mgres import (  # noqa: E402
     face_data,
     formats,
     homology_dims,
+    is_resolution,
     join_all,
     join_closure,
     kernel_basis,
@@ -71,6 +74,7 @@ from helpers import (  # noqa: E402
     brute_minor_rank,
     coding_is_canonical,
     coefficient_kernels_agree,
+    cloned_column_draw,
     coefficient_rank_walk,
     fixpoint_join_closure,
     full_table_scarf_system,
@@ -86,6 +90,7 @@ from helpers import (  # noqa: E402
     naive_rref,
     naive_solve,
     pairwise_combinatorially_generic,
+    per_degree_is_resolution,
     product_divided_embed,
     random_morphism,
     rank_walk_uniform_rank,
@@ -362,6 +367,25 @@ def test_minimize_keeps_every_strand_homology(phi):
         h = homology_dims(strand(x, a))
         # minimize drops trailing levels only once they are all cancelled
         assert h == homology_dims(strand(m, a)) + (0,) * (len(h) - len(m.levels))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(0, 2**32), st.sampled_from(FIELDS), st.booleans())
+def test_is_resolution_matches_per_degree_oracle(seed, field, clone):
+    """One homology per distinct strand cut gives the report of one per
+    tested degree, on the Taylor, Scarf and minimized complexes of a mixed
+    draw or of a cloned-column draw, whose Taylor complex has failures."""
+    rng = random.Random(seed)
+    if clone:
+        phi = cloned_column_draw(rng, field)
+    else:
+        phi = random_morphism(rng)
+        phi = mod_p(phi, field.p) if field != QQ else phi
+    t = taylor_complex(phi)
+    for x in (t, scarf_complex(phi), minimize(t)):
+        report = is_resolution(x)
+        assert report == per_degree_is_resolution(x)
+        assert report.failures or not (clone and x is t)
 
 
 def _collapsed(phi):

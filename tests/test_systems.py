@@ -13,6 +13,7 @@ from mgres import (
     FaceSystem,
     Matrix,
     Morphism,
+    PrimeField,
     RestrictionError,
     TooManyColumns,
     build_complex,
@@ -611,6 +612,48 @@ def test_scarf_and_taylor_share_each_maximal_minor(monkeypatch, p):
         assert sizes[0] == r and all(k <= min(r, e - r) for k in sizes[1:])
         seen.add(r)
     assert len(seen) > 1 and uniform
+
+
+def _generic_gfp_draw(seed: int, g: int, e: int) -> Morphism:
+    """n = 3, incomparable degrees with distinct values per coordinate (as
+    the benchmark's generic draws), coefficients 1..29,999 in GF(32003)."""
+    rng, field = random.Random(seed), PrimeField(32003)
+    first = sorted(rng.sample(range(1, 4 * e), e))
+    second = sorted(rng.sample(range(1, 4 * e), e), reverse=True)
+    third = rng.sample(range(1, 4 * e), e)
+    entries = {(i, j): field.of(rng.randint(1, 29999))
+               for i in range(1, g + 1) for j in range(1, e + 1)}
+    return Morphism(3, field, list(zip(first, second, third)), [(0, 0, 0)] * g, entries).validate()
+
+
+def test_minor_table_takes_one_determinant_at_g4_e24(monkeypatch):
+    """At generic g = 4, e = 24 the Scarf build asks for uniform rank, so the
+    table takes all C(24, 4) = 10,626 minors: each once, by expansion over
+    minors it already holds, after one ``_det`` for det A_P.  The Taylor
+    build of the same morphism is refused before it asks for any."""
+    from mgres import linalg
+
+    computed, sizes = [], []
+    minor, coded_det = linalg.MaximalMinors._minor, linalg._det
+
+    def counting_minor(self, cols):
+        computed.append(cols)
+        return minor(self, cols)
+
+    def recording_coded_det(q, rows):
+        sizes.append(len(rows))
+        return coded_det(q, rows)
+
+    monkeypatch.setattr(linalg.MaximalMinors, "_minor", counting_minor)
+    monkeypatch.setattr(linalg, "_det", recording_coded_det)
+    phi = _generic_gfp_draw(2404, 4, 24)
+    x = scarf_complex(phi)
+    with pytest.raises(TooManyColumns):
+        taylor_complex(phi)
+    assert phi.is_uniform_rank() and phi.is_combinatorially_generic()
+    assert sizes == [4]
+    assert sorted(computed) == list(itertools.combinations(range(24), 4))
+    assert x.ranks()[:2] == (4, 24) and len(x.ranks()) == 4
 
 
 @pytest.mark.parametrize(

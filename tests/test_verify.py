@@ -29,6 +29,7 @@ from helpers import (
     DATA,
     ROOT,
     check_record,
+    leq_strand_cut,
     mod_p,
     monomial_ideal_morphism,
     random_generic_minimal,
@@ -78,6 +79,52 @@ def test_check_d2_detects_each_corrupted_entry_with_fractional_uv():
                 assert not check_d2(corrupt_entry(t, i, row, col))
                 corrupted += 1
     assert corrupted > 50
+
+
+def test_check_d2_builds_no_product(monkeypatch):
+    """check_d2 sums each row of d_i d_{i+1} and stops at the first nonzero
+    sum: no ``Matrix.mul`` call, on ex4 and on a GF(7) draw, exact or not."""
+    complexes = [taylor_complex(load_morphism(DATA / "ex4.mmor")),
+                 taylor_complex(mod_p(random_morphism(random.Random(7)), 7))]
+    corrupted = corrupt_entry(complexes[0], 1, 0, 0)
+    products = []
+
+    def no_product(self, other):
+        products.append((self, other))
+        raise AssertionError("check_d2 built a product")
+
+    monkeypatch.setattr(Matrix, "mul", no_product)
+    assert complexes[1].field.p == 7 and len(complexes[1].diffs) > 1
+    assert all(check_d2(x) for x in complexes)
+    assert not check_d2(corrupted)
+    assert not products
+
+
+def test_is_resolution_takes_one_homology_per_distinct_cut(monkeypatch):
+    """Degrees that cut the same generators of the minimized complex share
+    one ``homology_dims``; the report keeps every tested degree."""
+    from mgres import verify
+    from mgres.verify import strand_degrees
+
+    calls, homology = [], verify.homology_dims
+
+    def counting(vc, check=True):
+        calls.append(vc.dims)
+        return homology(vc, check)
+
+    monkeypatch.setattr(verify, "homology_dims", counting)
+    rng, shared = random.Random(4133), 0
+    examples = [load_morphism(DATA / "ex4.mmor"), _cloned_column_morphism()]
+    for phi in examples + [random_morphism(rng) for _ in range(8)]:
+        for x in (taylor_complex(phi), scarf_complex(phi)):
+            calls.clear()
+            report = is_resolution(x)
+            y = minimize(x)
+            cuts = {tuple(map(tuple, leq_strand_cut(y, a))) for a in strand_degrees(x)}
+            assert report.tested_degrees == tuple(strand_degrees(x))
+            assert len(calls) == len(cuts)
+            shared += len(cuts) < len(report.tested_degrees)
+    assert shared >= 5
 
 
 def test_strand_dims():
