@@ -26,7 +26,8 @@ t_k) by L / t_k, L = lcm of the t_k: for row i of A (a'_i, s_i), sum_k a'_ik
 1).  ``mul`` codes those sums; ``mul_is_zero`` (the d^2 check) stops at the
 first row with a nonzero sum and builds no product.  ``_reduce`` brings a
 row over any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s
-unit cancellation) shares ``_normalize`` and ``_clear`` with ``_echelon``.
+unit cancellation, which picks its pivots on a ``block_part``) shares
+``_normalize`` and ``_clear`` with ``_echelon``.
 A ``Subspace`` is its reduced echelon basis, from ``Subspace.row_space`` (a
 column space is the row space of the transpose) or ``kernel_basis`` (an
 annihilator is the kernel of a basis).
@@ -167,6 +168,18 @@ class Matrix:
             row = {new[j]: x for j, x in row.items() if j in new}
             out.append(_reduce(row if ordered else dict(sorted(row.items())), s, p))
         return Matrix._coded(self.field, len(new), out)
+
+    def block_part(self, row_idx: Sequence[int], row_keys: Sequence, col_keys: Sequence):
+        """The rows row_idx with only their entries (i, j) where row_keys[i]
+        == col_keys[j]: the diagonal blocks when rows and columns are grouped
+        by key."""
+        p, out = self.field.characteristic, []
+        for i in row_idx:
+            row, s = self._rows[i]
+            key = row_keys[i]
+            row = {j: x for j, x in row.items() if col_keys[j] == key}
+            out.append(_reduce(row, s, p) if row else ({}, 1))
+        return Matrix._coded(self.field, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         p = self.field.characteristic

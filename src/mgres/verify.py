@@ -158,30 +158,35 @@ def minimize(x: GradedComplex) -> GradedComplex:
     already was one (deg r = deg c = a), so no row already passed gains a
     unit.  One pass over the rows of d_0, d_1, ..., each pivoting at its
     first zero-shift nonzero column, thus makes the cancellations of
-    restarting after each.  ``minimize`` chooses the pivots by degree;
-    ``Matrix.cancel`` does the arithmetic.
+    restarting after each.  Such a pivot updates zero-shift entries only
+    from its own, so the pass runs on the zero-shift part of each
+    differential alone (``Matrix.block_part`` by degree).  Each d_i is then
+    cancelled once more with those pivots, on its pivot columns and the
+    columns it keeps: the generators that d_{i+1} cancels as pivot rows are
+    split off, so their columns are never updated.  ``minimize`` chooses
+    the pivots by degree; ``Matrix.cancel`` does the arithmetic.
     """
-    levels = x.levels
-    cut, keep = [], []  # per differential, its surviving rows and their indices
+    levels, taken = x.levels, []  # per differential, its live rows and pivots
+    ids = {a: k for k, a in enumerate(set().union(*levels))}
+    keys = [[ids[a] for a in level] for level in levels]  # degrees as ints
     dead = set()  # generators of the current level cancelled as columns
-    for d, src, dst in zip(x.diffs, levels, levels[1:]):
-
-        def pivot(p, cols):
-            a = src[p]
-            return min((q for q in cols if dst[q] == a), default=None)
-
+    for d, src, dst in zip(x.diffs, keys, keys[1:]):
         rows = [p for p in range(d.rows) if p not in dead]
-        m, pairs = d.cancel(rows, pivot)
-        gone = {p for p, _ in pairs}
-        cut.append(m)
-        keep.append([p for p in rows if p not in gone])
-        dead = {q for _, q in pairs}
-    keep += [[q for q in range(len(level)) if q not in dead] for level in levels[-1:]]
+        block = d.block_part(rows, src, dst)
+        _, pairs = block.cancel(range(len(rows)), lambda k, cols: min(cols, default=None))
+        taken.append((rows, {rows[k]: q for k, q in pairs}))
+        dead = set(taken[-1][1].values())
+    keep = [[p for p in rows if p not in chosen] for rows, chosen in taken]
+    keep.append([q for q in range(len(levels[-1])) if q not in dead])
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
-    # a row may still be nonzero at a generator cancelled as a pivot row of
-    # the next differential; that column is split off, not kept
-    diffs = [m.submatrix(range(m.rows), qs) for m, qs in zip(cut, keep[1:])]
+    diffs = []
+    for d, (rows, chosen), kept in zip(x.diffs, taken, keep[1:]):
+        cols = sorted(set(chosen.values()).union(kept))
+        at = {c: k for k, c in enumerate(cols)}
+        pivots = [at[chosen[p]] if p in chosen else None for p in rows]
+        m, _ = d.submatrix(rows, cols).cancel(range(len(rows)), lambda k, _: pivots[k])
+        diffs.append(m.submatrix(range(m.rows), [at[q] for q in kept]))
     degrees = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
     labels = [[x.labels[i][j] for j in js] for i, js in enumerate(keep)]
     return GradedComplex(x.field, x.n, degrees, diffs, labels, var_names=x.var_names)

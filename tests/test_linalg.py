@@ -604,6 +604,26 @@ def test_coded_product_values(p, left, right, product):
     assert [mat_vec(a, list(col)) for col in zip(*b.data)] == [list(c) for c in zip(*want.data)]
 
 
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_block_part_keeps_the_entries_with_equal_keys(p):
+    """block_part against a dense filter of the plain values: the rows
+    asked for, in that order, each with only the columns whose key is its
+    own, canonically coded."""
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 150)
+    kept = 0
+    for r, c, ref, m in matrices:
+        row_keys = [rng.randint(0, 2) for _ in range(r)]
+        col_keys = [rng.randint(0, 2) for _ in range(c)]
+        rows = rng.sample(range(r), rng.randint(0, r))
+        got = m.block_part(rows, row_keys, col_keys)
+        want = [[ref[i][j] if row_keys[i] == col_keys[j] else 0 for j in range(c)] for i in rows]
+        assert (got.rows, got.cols) == (len(rows), c)
+        assert [[plain(x) for x in row] for row in got.data] == want
+        assert got == Matrix.from_nonzero_rows(field, c, got.nonzero_rows())
+        kept += sum(x != 0 for row in want for x in row)
+    assert kept > 50
+
+
 @pytest.mark.parametrize("band,count", [("small", 150), ("strand", 4)])
 @pytest.mark.parametrize("p", [0, 2, 7, 32003])
 def test_cancel_matches_naive_row_operations(p, band, count):
