@@ -148,7 +148,8 @@ def is_minimal(x: GradedComplex) -> bool:
 
 
 def minimize(x: GradedComplex) -> GradedComplex:
-    """Cancel zero-shift unit entries until the complex is minimal.
+    """Cancel zero-shift unit entries until the complex is minimal; x must
+    be homogeneous.
 
     Cancelling entry (p, q) of d_i splits off the trivial summand spanned by
     generator q upstairs and d(q) downstairs: the rest of d_i picks up
