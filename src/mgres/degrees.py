@@ -2,8 +2,8 @@
 
 A multidegree is a plain tuple of non-negative ints, the exponent vector of
 a monomial.  ``sub`` returns a signed tuple, the difference of two
-multidegrees.  A ``DegreeIndex`` gives the degrees below a as one int
-bitmask, which ``bits`` decodes.
+multidegrees.  A ``DegreeIndex`` cuts the degrees below a as one int
+bitmask, which ``bits`` decodes, and walks their join closure.
 """
 
 from __future__ import annotations
@@ -70,11 +70,16 @@ class DegreeIndex:
 
     Per coordinate k it keeps the sorted distinct k-th values and, after a
     leading 0, the mask of the degrees whose k-th coordinate is at most each
-    one.  A queried degree must have as many coordinates (nothing checks)."""
+    one.  Its ``lattice`` is the join closure of the degrees with each
+    element's cut, kept per cap.  The degrees must have one length; a
+    queried degree must have it too (nothing checks)."""
 
     def __init__(self, degrees: Sequence[Sequence[int]]):
+        self.degrees = degrees = tuple(map(tuple, degrees))
+        for d in degrees:
+            _same_length(degrees[0], d)
         self.all = (1 << len(degrees)) - 1
-        self.values, self.masks = [], []
+        self.values, self.masks, self._tables = [], [], {}  # _tables: lattice per cap
         for k in range(len(degrees[0]) if degrees else 0):
             at: dict[int, int] = {}
             for j, d in enumerate(degrees):
@@ -103,6 +108,42 @@ class DegreeIndex:
                 sole |= reach
         return sole
 
+    def lattice(self, cap: int | None = None) -> dict[Multidegree, int]:
+        """The join closure of the degrees in sorted order, each element a
+        mapped to its cut; under a cap below the number of degrees, only the
+        a whose cut has at most cap bits.  Walked once per cap, and kept.
+
+        The walk adds the atoms in order of total degree, each with its join
+        with every element so far; an atom already in the closure is a join
+        of smaller atoms and adds nothing.  Under a cap each degree is cut
+        once, when found, and dropped past the cap: every join of atoms below
+        a kept b has no more atoms below it, so the walk still reaches it.
+        Uncapped, the walk keeps a set and cuts each element in the sorted
+        pass.  ClosureTooLarge once the closure passes MAX_CLOSURE_ELEMENTS,
+        checked before each atom, so it never grows past twice that."""
+        e = len(self.degrees)
+        cap = e if cap is None else min(cap, e)
+        if cap in self._tables:
+            return self._tables[cap]
+        leq, cuts, closure = self.leq, {}, set()  # cuts: every degree cut under the cap
+
+        def within(b):  # b's cut, taken once, has at most cap bits
+            cut = cuts[b] = cuts[b] if b in cuts else leq(b)
+            return cut.bit_count() <= cap
+
+        for a in sorted(set(self.degrees), key=lambda d: (sum(d), d)):
+            if a in closure or cap < e and not within(a):
+                continue
+            if len(closure) > MAX_CLOSURE_ELEMENTS:
+                break
+            joins = {tuple(map(max, a, c)) for c in closure}
+            closure |= {b for b in joins - closure if within(b)} if cap < e else joins
+            closure.add(a)
+        if len(closure) > MAX_CLOSURE_ELEMENTS:
+            raise ClosureTooLarge(f"join closure over {MAX_CLOSURE_ELEMENTS} degrees")
+        table = {a: cuts[a] if cap < e else leq(a) for a in sorted(closure)}
+        return self._tables.setdefault(cap, table)
+
 
 def bits(mask: int) -> list[int]:
     """The positions of the set bits of mask, ascending."""
@@ -114,35 +155,6 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def join_closure(degrees: Iterable[Sequence[int]], cap: int | None = None) -> set[Multidegree]:
-    """All joins of nonempty subsets of the given degrees; with a cap, only
-    those with at most cap of the given degrees below them.
-
-    Grown one atom at a time, in order of total degree: an atom a adds a
-    and its join with every element so far.  An atom already in the
-    closure is the join of atoms before it (smaller ones, so they come
-    first) and adds nothing, so only the join-irreducible atoms do any
-    work.  An atom or join past the cap is dropped as soon as it is found:
-    every join of atoms below a kept b has no more atoms below it than b,
-    so the capped walk still reaches each degree within the cap.  Raises
-    ClosureTooLarge once the closure passes MAX_CLOSURE_ELEMENTS, checked
-    before each atom, so the set never grows past twice that.
-    """
-    atoms = [tuple(d) for d in degrees]
-    for d in atoms:
-        _same_length(atoms[0], d)
-    index = DegreeIndex(atoms) if cap is not None and cap < len(atoms) else None
-    closure: set[Multidegree] = set()
-    for a in sorted(set(atoms), key=lambda d: (sum(d), d)):
-        if a in closure or index is not None and index.leq(a).bit_count() > cap:
-            continue
-        if len(closure) > MAX_CLOSURE_ELEMENTS:
-            break
-        joins = {tuple(map(max, a, c)) for c in closure}
-        if index is not None:
-            joins = {b for b in joins - closure if index.leq(b).bit_count() <= cap}
-        closure |= joins
-        closure.add(a)
-    if len(closure) > MAX_CLOSURE_ELEMENTS:
-        raise ClosureTooLarge(f"join closure over {MAX_CLOSURE_ELEMENTS} degrees")
-    return closure
+def join_closure(degrees: Iterable[Sequence[int]]) -> set[Multidegree]:
+    """All joins of nonempty subsets of the degrees: a fresh index's lattice."""
+    return set(DegreeIndex(list(degrees)).lattice())

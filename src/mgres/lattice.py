@@ -1,12 +1,13 @@
 """The LCM-lattice of a morphism and its Scarf combinatorics.
 
 The lattice consists of all joins of nonempty subsets of the source
-degrees.  It is one table per morphism, ``Morphism.lattice_masks()``: each
-element a of ``degrees.join_closure`` with the bitmask of I_a (the columns
-of degree at most a), built once under the closure budget and read by
-``lcm_lattice``, ``face_data`` (a lookup), ``Morphism.is_maximal_rank_everywhere``
-and ``relabel.check_join_preserving``.  A face (nonempty set of columns) is
-a Scarf face when no other face realizes its degree.  The face data of a
+degrees.  It is one table per morphism, ``phi.degree_index.lattice()``:
+each element a of the join closure with the bitmask of I_a (the columns of
+degree at most a), walked once under the closure budget by the index of
+the source degrees and read by ``lcm_lattice``, ``face_data`` (a lookup),
+``Morphism.is_maximal_rank_everywhere`` and
+``relabel.check_join_preserving``.  A face (nonempty set of columns) is a
+Scarf face when no other face realizes its degree.  The face data of a
 records I_a, I(a) and I^a = I_a - I(a).
 
 Every face of degree a lies in I_a and reaches a in every coordinate, so a
@@ -69,7 +70,7 @@ def lcm_lattice(phi: Morphism) -> LcmLattice:
     """The join closure of the source degrees, partitioned into Scarf and
     non-Scarf parts, the Scarf faces (a is Scarf iff I(a) = I_a) and the
     face data of the non-Scarf degrees; a Scarf degree keeps only its face."""
-    table, sole = phi.lattice_masks(), phi.degree_index.sole_reachers
+    table, sole = phi.degree_index.lattice(), phi.degree_index.sole_reachers
     elements = frozenset(table)
     scarf, other = {}, []
     for a, cols in table.items():
@@ -85,7 +86,7 @@ def face_data(phi: Morphism, a: Iterable[int]) -> FaceData:
     """I_a, I(a) and I^a for a lattice degree a: I_a from the lattice table,
     I(a) by the sole-reacher rule; DegreeNotInLattice for any other degree."""
     a = deg.as_degree(tuple(a), phi.n)
-    cols = phi.lattice_masks().get(a)
+    cols = phi.degree_index.lattice().get(a)
     if cols is None:
         raise DegreeNotInLattice(f"no face has degree {a}")
     sole = phi.degree_index.sole_reachers(a, cols)

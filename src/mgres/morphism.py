@@ -15,12 +15,12 @@ are dual to the canonical echelon basis of the column space (for r = g the
 two conventions coincide, since the echelon basis of the full space is the
 standard one).
 
-The LCM-lattice table ``lattice_masks`` maps each lattice degree a to I_a,
-the columns of degree at most a, as an int bitmask (bit j - 1 for column
-j) cut from one ``degrees.DegreeIndex``; ``columns`` decodes a mask.  The
-K-space of a face is ``multilinear.contraction_kernel`` of uv at m = 1,
-the one kernel route on uv; a Morphism keeps no K-space, so a caller that
-asks for the same face often (``mgres analyze``) memoizes it.
+The LCM-lattice table ``degree_index.lattice()`` maps each lattice degree a
+to I_a, the columns of degree at most a, as an int bitmask (bit j - 1 for
+column j); ``columns`` decodes a mask.  The K-space of a face is
+``multilinear.contraction_kernel`` of uv at m = 1, the one kernel route on
+uv; a Morphism keeps no K-space, so a caller that asks for the same face
+often (``mgres analyze``) memoizes it.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class Morphism:
         self.target_degrees = tuple(deg.as_degree(d, n) for d in target_degrees)
         self.entries = {(int(i), int(j)): v for (i, j), v in entries.items() if v}
         self.var_names = tuple(var_names) if var_names is not None else default_var_names(n)
-        self._lattices: dict[int, dict[Multidegree, int]] = {}
 
     @property
     def e(self) -> int:
@@ -148,17 +147,6 @@ class Morphism:
         """The column indices of a mask over the source degrees."""
         return frozenset(j + 1 for j in deg.bits(mask))
 
-    def lattice_masks(self, cap: int | None = None) -> dict[Multidegree, int]:
-        """The LCM-lattice table as masks: each closure degree a with |I_a| at
-        most cap (every one when cap is None), in sorted order, mapped to the
-        mask of I_a.  One ``degrees.join_closure`` walk per cap, kept."""
-        cap = self.e if cap is None else min(cap, self.e)
-        if cap not in self._lattices:
-            leq = self.degree_index.leq
-            closure = deg.join_closure(self.source_degrees, cap)
-            self._lattices[cap] = {a: leq(a) for a in sorted(closure)}
-        return self._lattices[cap]
-
     def face_degree(self, face: Iterable[int]) -> Multidegree:
         """Join of the source degrees over a nonempty index set."""
         return deg.join_all(self.source_degrees[i - 1] for i in sorted(face))
@@ -209,13 +197,13 @@ class Morphism:
         The quantifier over all of N^n reduces to the join closure of the
         source degrees: for any a, the column set I_a is reproduced at the
         join of the degrees it contains, so only closure points can witness
-        a failure.  Runs over ``lattice_masks``; the witness is the first
+        a failure.  Runs over the lattice table; the witness is the first
         failing lattice degree in sorted order, ranked on uv_a (C = B uv,
         B injective).  Sorted order is a linear extension of <=, and rank is
         monotone in the column set, so a degree whose I_a contains an I_b of
         exactly r columns that already passed has rank r without a rank call."""
         cd, bases = self.coeff_data, []
-        for a, cols in self.lattice_masks().items():
+        for a, cols in self.degree_index.lattice().items():
             size = cols.bit_count()
             if size > cd.r and any(b & ~cols == 0 for b in bases):
                 continue

@@ -21,6 +21,9 @@ spanning those that vanish on W (the divided power algebra is the graded
 dual of the symmetric algebra, so in every characteristic): one
 ``contraction_kernel``, with no divided power expanded by hand.  It is the
 only kernel taken on uv: at m = 1 it is the K-space ``Morphism.k_space``.
+A contraction is linear in its functional, so the kernel depends only on
+the span of the columns: a set of at least r columns is ranked first, and
+one that spans gives zero with no kernel taken.
 This module imports no other mgres module but ``linalg`` and ``errors``, so
 ``morphism`` can import it; ``cd`` is a ``morphism.CoeffData``, named only
 in annotations.
@@ -200,10 +203,21 @@ def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Subspace:
     """The subspace of D_m that Delta_l kills for every l in cols (0-based
     columns of uv), from one stack and one kernel; all of D_m, with no
     kernel, when m = 0 or cols is empty.  At m = 1 the stack is uv on cols,
-    transposed, so this is ``Morphism.k_space``."""
+    transposed, so this is ``Morphism.k_space``.
+
+    Delta_l is linear in column l, so the kernel depends only on the span
+    of cols.  With at least uv.rows of them, uv is ranked on cols first:
+    if they span, the functionals vanishing on them are 0 and so is D_m of
+    them, with no stack and no kernel; otherwise only the pivot columns, a
+    basis of the span, are stacked."""
     dim = divided_dim(uv.rows, m)
     if m == 0 or not cols:
         return Subspace(Matrix.identity(uv.field, dim))
+    if len(cols) >= uv.rows:
+        _, pivots = uv.submatrix(range(uv.rows), cols).rref()
+        if len(pivots) == uv.rows:
+            return Subspace(Matrix.zeros(uv.field, 0, dim))
+        cols = [cols[k] for k in pivots]
     deltas = [contraction_matrix(uv, l + 1, m) for l in cols]
     return kernel_basis(Matrix.stack(uv.field, dim, deltas))
 

@@ -7,11 +7,11 @@ choice of bases.  A degree map between the two lattices is compatible with
 the pair when it sends each column degree to the corresponding one, and it
 can transport a complex when it preserves the joins that actually occur as
 generator degrees (``check_join_preserving`` reads that off the LCM-lattice
-table ``Morphism.lattice_masks()``, not off the 2^e column subsets):
-coefficients stay untouched, the degrees of generators
-above level 0 are pushed through the map, level 0 and the presentation map
-are replaced by the target morphism's, and homogeneity of the recomputed
-shifts is verified.
+table ``phi.degree_index.lattice()``, not off the 2^e column subsets):
+coefficients stay untouched, the degrees of generators above level 0 are
+pushed through the map, level 0 and the presentation map are replaced by
+the target morphism's, and homogeneity of the recomputed shifts is
+verified.
 """
 
 from __future__ import annotations
@@ -95,19 +95,19 @@ def check_join_preserving(
 ):
     """f commutes with joins of every column subset of at least min_size.
 
-    Read off ``phi.lattice_masks()``: the subsets of join a lie in I_a, one
-    of them I_a, so only degrees with |I_a| >= min_size matter, and there
-    f(a) must be b, the join of phi2's corresponding degrees over I_a.  A
-    subset of join a whose image misses b_k lies in T_k, the columns of I_a
-    below b_k in phi2's coordinate k, so (joins being monotone) one exists
-    iff some T_k has min_size columns and join a.  The empty subset has no
-    join, so a min_size below 1 answers as 1.  Returns (True, None) or
+    Read off ``phi.degree_index.lattice()``: the subsets of join a lie in
+    I_a, one of them I_a, so only degrees with |I_a| >= min_size matter,
+    and there f(a) must be b, the join of phi2's corresponding degrees over
+    I_a.  A subset of join a whose image misses b_k lies in T_k, the columns
+    of I_a below b_k in phi2's coordinate k, so (joins being monotone) one
+    exists iff some T_k has min_size columns and join a.  The empty subset
+    has no join, so a min_size below 1 answers as 1.  Returns (True, None) or
     (False, the first failing degree in lattice order); MissingKey at the
     first degree needed that f lacks."""
     min_size = max(min_size, 1)
     corr = _correspondence(phi, phi2, correspondence)
     d2 = [phi2.source_degrees[c - 1] for c in corr]
-    for a, mask in phi.lattice_masks().items():
+    for a, mask in phi.degree_index.lattice().items():
         if mask.bit_count() < min_size:
             continue
         cols = phi.columns(mask)

@@ -20,11 +20,13 @@ only the scalar matrices are stored; the shift of entry (row, col) is
 always the column generator degree minus the row generator degree.
 
 The system with every divided power taken in full yields the familiar
-Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice:
-each degree a with |I_a| > r gives the face I_a the divided power of the
-functionals vanishing on I^a, the kernel of the contractions by the columns
-of I^a; a Scarf degree (I^a empty) gets all of it.  Under uniform rank only
-the degrees with few columns below them can carry a face (``scarf_system``).
+Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice
+table ``phi.degree_index.lattice(cap)``: each degree a with |I_a| > r gives
+the face I_a the divided power of the functionals vanishing on I^a, the
+kernel of the contractions by the columns of I^a (none, with no kernel
+taken, when those columns span); a Scarf degree (I^a empty) gets all of
+it.  Under uniform rank only the degrees with few columns below them can
+carry a face, so the cap walks only those (``scarf_system``).
 """
 
 from __future__ import annotations
@@ -173,12 +175,13 @@ def scarf_system(phi: Morphism) -> FaceSystem:
     vanishing on I^a, ``contraction_kernel`` of uv on I^a once per (m, I^a):
     the identity at m = 0 and at a Scarf degree (I^a empty).
 
-    For m >= 1, D_m(K) is nonzero exactly when rank uv on I^a is below r.
+    For m >= 1, D_m(K) is nonzero exactly when rank uv on I^a is below r
+    (``contraction_kernel`` ranks an I^a of r or more columns first).
     Under uniform rank (read off the minor table within MAX_RANK_SUBSETS)
     that is |I^a| < r, and |I(a)| <= n, so only degrees with |I_a| <=
-    max(r + 1, n + r - 1) are walked: each partial join b of such an I_a
-    has I_b within I_a, so the capped walk reaches it.  Otherwise the whole
-    table is walked.
+    max(r + 1, n + r - 1) are walked, by ``phi.degree_index.lattice(cap)``:
+    each partial join b of such an I_a has I_b within I_a, so the capped
+    walk reaches it.  Otherwise the whole table is walked.
     """
     r, e, uv = phi.coeff_data.r, phi.e, phi.coeff_data.uv
     uniform = math.comb(e, r) <= morphism.MAX_RANK_SUBSETS and phi.is_uniform_rank()
@@ -188,7 +191,7 @@ def scarf_system(phi: Morphism) -> FaceSystem:
     # once per (m, mask of I^a): many degrees share their I^a
     kernel = functools.cache(
         lambda m, upper: contraction_kernel(uv, m, deg.bits(upper)).basis.transpose())
-    for a, cols in phi.lattice_masks(cap).items():
+    for a, cols in phi.degree_index.lattice(cap).items():
         m = cols.bit_count() - r - 1
         if m < 0:
             continue

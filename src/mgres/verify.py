@@ -165,8 +165,11 @@ def minimize(x: GradedComplex) -> GradedComplex:
     cancelled once more with those pivots, on its pivot columns and the
     columns it keeps: the generators that d_{i+1} cancels as pivot rows are
     split off, so their columns are never updated.  ``minimize`` chooses
-    the pivots by degree; ``Matrix.cancel`` does the arithmetic.
+    the pivots by degree; ``Matrix.cancel`` does the arithmetic.  A complex
+    with no differential is minimal and comes back as it is.
     """
+    if not x.diffs:
+        return x
     levels, taken = x.levels, []  # per differential, its live rows and pivots
     ids = {a: k for k, a in enumerate(set().union(*levels))}
     keys = [[ids[a] for a in level] for level in levels]  # degrees as ints

@@ -519,7 +519,7 @@ def system_contains(big, small) -> bool:
 
 
 def fixpoint_join_closure(degrees) -> set:
-    """Oracle for ``degrees.join_closure``: the fixpoint of joining every
+    """Oracle for ``DegreeIndex.lattice``: the fixpoint of joining every
     element found against every atom (no budget).  Associativity of join
     makes it the full subset-join closure; ``join`` rejects mixed lengths."""
     atoms = [tuple(d) for d in degrees]
@@ -622,12 +622,33 @@ def two_loop_scarf_system(phi: Morphism) -> FaceSystem:
 
 
 def lattice_columns(phi: Morphism) -> dict:
-    """``Morphism.lattice_masks()`` with each I_a decoded by ``Morphism.columns``."""
-    return {a: phi.columns(mask) for a, mask in phi.lattice_masks().items()}
+    """``phi.degree_index.lattice()`` with each I_a decoded by ``Morphism.columns``."""
+    return {a: phi.columns(mask) for a, mask in phi.degree_index.lattice().items()}
+
+
+def spy_degree_cuts(monkeypatch) -> tuple[list, list]:
+    """Record the degrees of every ``DegreeIndex`` built and every degree
+    that ``DegreeIndex.leq`` cuts, in call order."""
+    from mgres import degrees
+
+    indexes, cuts = [], []
+    init, leq = degrees.DegreeIndex.__init__, degrees.DegreeIndex.leq
+
+    def counting_init(self, degs):
+        indexes.append(tuple(map(tuple, degs)))
+        init(self, degs)
+
+    def counting_leq(self, a):
+        cuts.append(tuple(a))
+        return leq(self, a)
+
+    monkeypatch.setattr(degrees.DegreeIndex, "__init__", counting_init)
+    monkeypatch.setattr(degrees.DegreeIndex, "leq", counting_leq)
+    return indexes, cuts
 
 
 def leq_lattice_columns(phi: Morphism) -> dict:
-    """Oracle for ``Morphism.lattice_masks``: the whole join closure in
+    """Oracle for ``DegreeIndex.lattice``: the whole join closure in
     sorted order, each degree's columns found by one ``leq`` per column."""
     src = phi.source_degrees
     return {a: frozenset(j for j, d in enumerate(src, start=1) if leq(d, a))

@@ -247,8 +247,10 @@ def test_cli_minimize_and_analyze(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["ex_r3", "generic n = 4"])
 def test_cli_analyze_takes_one_kernel_per_distinct_upper_set(tmp_path, monkeypatch, capsys, case):
     """``analyze`` memoizes ``Morphism.k_space`` per call: one kernel for each
-    distinct I^a among the non-Scarf degrees.  ex_r3's 10 share one I^a; the
-    generic draw (n = 4, r = 2) has 18 over 2."""
+    distinct I^a among the non-Scarf degrees whose columns do not span V;
+    one whose columns span has K = 0, read off one rank.  ex_r3's 10 share
+    one I^a, of rank 1 < r = 3; the generic draw (n = 4, r = 2) has 18 over
+    2, and one of the 2 spans."""
     from mgres import lcm_lattice
     from helpers import random_generic_minimal
 
@@ -261,6 +263,8 @@ def test_cli_analyze_takes_one_kernel_per_distinct_upper_set(tmp_path, monkeypat
         path = tmp_path / "generic.mmor"
         path.write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
     uppers = [fd.i_upper_a for fd in lcm_lattice(phi).nonscarf_data]
+    r, uv = phi.coeff_data.r, phi.coeff_data.uv
+    spanning = {u for u in uppers if uv.submatrix(range(r), [j - 1 for j in sorted(u)]).rank() == r}
     calls = []
     for module in [m for key, m in sys.modules.items() if key.startswith("mgres")]:
         if hasattr(module, "kernel_basis"):
@@ -271,8 +275,23 @@ def test_cli_analyze_takes_one_kernel_per_distinct_upper_set(tmp_path, monkeypat
             monkeypatch.setattr(module, "kernel_basis", counting)
     assert cli.run(["analyze", str(path), "--output", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["face_data"]) == len(uppers)
-    assert len(calls) == len(set(uppers)) < len(uppers)
-    assert (len(uppers), len(set(uppers))) == ((10, 1) if case == "ex_r3" else (18, 2))
+    assert len(calls) == len(set(uppers) - spanning) < len(uppers)
+    counts = (len(uppers), len(set(uppers)), len(spanning))
+    assert counts == ((10, 1, 0) if case == "ex_r3" else (18, 2, 1))
+
+
+def test_cli_minimize_of_a_complex_with_no_levels(tmp_path, capsys):
+    """A complex with no levels is minimal: minimize writes it back, as
+    verify accepts it."""
+    raw = {"field": "Q", "n": 1, "levels": [], "differentials": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(raw))
+    assert cli.run(["verify", str(path), "--output", "json"]) == 0
+    capsys.readouterr()
+    assert cli.run(["minimize", str(path), "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["levels"] == []
 
 
 def test_cli_minimize_refuses_a_file_that_is_not_a_complex(tmp_path, capsys):

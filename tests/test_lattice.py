@@ -33,6 +33,7 @@ from helpers import (
     check_record,
     random_generic_minimal,
     random_morphism,
+    spy_degree_cuts,
     wide_generic_morphism,
     xy_example,
 )
@@ -307,18 +308,18 @@ def test_closure_budget(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "scarf"])
 def test_one_closure_walk_per_command(monkeypatch, capsys, command):
-    # lcm_lattice, face_data and the maximal-rank check share one lattice table
-    calls = []
-    walk = degrees.join_closure
-
-    def counting(*args):
-        calls.append(1)
-        return walk(*args)
-
-    monkeypatch.setattr(degrees, "join_closure", counting)
+    # lcm_lattice, face_data and the maximal-rank check share one lattice
+    # table, walked by the one index of the column degrees: no degree is cut
+    # twice, and uncapped each lattice degree is cut once, in sorted order
+    phi = formats.load_morphism(DATA / "ex4.mmor")
+    elements = sorted(lcm_lattice(phi).elements)
+    indexes, cuts = spy_degree_cuts(monkeypatch)
     assert cli.run([command, str(DATA / "ex4.mmor"), "--output", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert indexes == [phi.source_degrees]
+    assert len(cuts) == len(set(cuts)) > 0
+    if command == "analyze":
+        assert cuts == elements
 
 
 def test_wide_generic_scarf_cli(tmp_path, capsys):

@@ -68,7 +68,7 @@ from mgres.multilinear import (  # noqa: E402
     divided_embed,
 )
 from mgres.linalg import MaximalMinors  # noqa: E402
-from mgres.degrees import bits  # noqa: E402
+from mgres.degrees import DegreeIndex, bits  # noqa: E402
 from mgres.verify import level_indexes, strand_degrees  # noqa: E402
 from helpers import (  # noqa: E402
     brute_minor_rank,
@@ -226,8 +226,8 @@ def test_lattice_matches_subset_walk(phi):
     walk = faces_by_degree(phi)
     lat = lcm_lattice(phi)
     assert lat.elements == set(walk)
-    assert set(phi.lattice_masks()) == set(walk)
-    assert list(phi.lattice_masks()) == sorted(walk)
+    assert set(phi.degree_index.lattice()) == set(walk)
+    assert list(phi.degree_index.lattice()) == sorted(walk)
     assert lat.scarf_faces == {faces[0] for faces in walk.values() if len(faces) == 1}
 
 
@@ -277,9 +277,14 @@ def test_lattice_table_matches_leq_table(phi):
 @PROPERTY
 @given(degree_families(), st.integers(0, 10))
 def test_capped_join_closure_keeps_the_degrees_within_the_cap(family, cap):
+    """The capped lattice walk keeps exactly the closure degrees with at most
+    cap atoms below them, sorted, each mapped to its cut."""
     closure = fixpoint_join_closure(family)
     within = {b for b in closure if sum(leq(d, b) for d in family) <= cap}
-    assert join_closure(family, cap) == within
+    index = DegreeIndex(family)
+    table = index.lattice(cap)
+    assert list(table) == sorted(within)
+    assert all(mask == index.leq(b) for b, mask in table.items())
 
 
 @PROPERTY
@@ -442,7 +447,7 @@ def test_join_preserving_matches_subset_walk(data):
         assert walk in ("missing", got) or not walk[0]
     if got not in ("missing", (True, None)):
         a = got[1]
-        cols = sorted(phi.columns(phi.lattice_masks()[a]))
+        cols = sorted(phi.columns(phi.degree_index.lattice()[a]))
         assert len(cols) >= size
         assert any(
             phi.face_degree(sub) == a and f.apply(a) != join_all(d2[j - 1] for j in sub)

@@ -109,10 +109,10 @@ def test_join_preserving_violation():
 def test_join_preserving_min_size_below_one_answers_as_one(min_size):
     # the empty subset has no join, so sizes below 1 add nothing to check
     phi = xy_example()
-    identity = RelabelMap({a: a for a in phi.lattice_masks()})
+    identity = RelabelMap({a: a for a in phi.degree_index.lattice()})
     assert check_join_preserving(identity, phi, phi, min_size) == (True, None)
     assert join_preserving_walk(identity, phi, phi, min_size) == (True, None)
-    f = RelabelMap({a: (a[0], a[1] + 1) if a == (3, 3) else a for a in phi.lattice_masks()})
+    f = RelabelMap({a: (a[0], a[1] + 1) if a == (3, 3) else a for a in phi.degree_index.lattice()})
     assert check_join_preserving(f, phi, phi, min_size) == (False, (3, 3))
     assert join_preserving_walk(f, phi, phi, min_size) == join_preserving_walk(f, phi, phi, 1)
 
@@ -120,14 +120,14 @@ def test_join_preserving_min_size_below_one_answers_as_one(min_size):
 def test_join_preserving_has_no_column_cap():
     # the subset walk would take 2^24 subsets; the lattice table is small
     phi = wide_generic_morphism(24)
-    identity = RelabelMap({a: a for a in phi.lattice_masks()})
+    identity = RelabelMap({a: a for a in phi.degree_index.lattice()})
     assert check_join_preserving(identity, phi, phi, phi.coeff_data.r + 1) == (True, None)
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["wide-narrow", "narrow-wide"])
 def test_join_preserving_rank_mismatch(swap):
     phi, small = xy_example(), _one_column()
-    f = RelabelMap({a: a for a in phi.lattice_masks()} | {(1, 0): (1, 0)})
+    f = RelabelMap({a: a for a in phi.degree_index.lattice()} | {(1, 0): (1, 0)})
     pair = (small, phi) if swap else (phi, small)
     with pytest.raises(RankMismatch):
         check_join_preserving(f, *pair, 1)

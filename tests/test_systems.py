@@ -31,8 +31,10 @@ from helpers import (
     random_generic_minimal,
     random_morphism,
     solved_differentials,
+    spy_degree_cuts,
     system_contains,
     tall_morphism,
+    wide_generic_morphism,
     xy_example,
 )
 
@@ -671,18 +673,32 @@ def test_face_system_refusals(build, match):
 
 
 def _counting_walks(monkeypatch):
-    """Record the cap and the size of every ``degrees.join_closure`` walk."""
+    """Record the cap and the table size of every ``DegreeIndex.lattice`` read."""
     from mgres import degrees
 
-    walks, walk = [], degrees.join_closure
+    walks, lattice = [], degrees.DegreeIndex.lattice
 
-    def counting(*args):
-        closure = walk(*args)
-        walks.append((args[1] if len(args) > 1 else None, len(closure)))
-        return closure
+    def counting(self, cap=None):
+        table = lattice(self, cap)
+        walks.append((cap, len(table)))
+        return table
 
-    monkeypatch.setattr(degrees, "join_closure", counting)
+    monkeypatch.setattr(degrees.DegreeIndex, "lattice", counting)
     return walks
+
+
+def test_capped_scarf_walk_cuts_each_degree_once(monkeypatch):
+    """Under uniform rank with a cap below e, ``scarf_complex`` builds one
+    index, over the column degrees, and its capped walk cuts no degree
+    twice: the cut that keeps or drops a degree is the I_a the table holds."""
+    for phi in (wide_generic_morphism(14), random_generic_minimal(random.Random(38))):
+        r = phi.coeff_data.r
+        assert phi.is_uniform_rank() and max(r + 1, phi.n + r - 1) < phi.e
+        indexes, cuts = spy_degree_cuts(monkeypatch)
+        scarf_complex(phi)
+        assert indexes == [phi.source_degrees]
+        assert len(cuts) == len(set(cuts)) > 0
+        monkeypatch.undo()
 
 
 def test_scarf_on_a_wide_chain_walks_a_bounded_table(monkeypatch):
@@ -782,3 +798,36 @@ def test_scarf_falls_back_to_the_full_table(monkeypatch, case):
         # ex4 has C(4, 2) = 6 column subsets: analyze refuses, scarf does not
         monkeypatch.setattr(morphism, "MAX_RANK_SUBSETS", 5)
         assert cli.run(["scarf", str(DATA / "ex4.mmor"), "--output", "json"]) == 0
+
+
+def test_contraction_kernel_stacks_fewer_than_r_contractions(monkeypatch, tmp_path, capsys):
+    """An I^a of r or more columns is ranked first: when its columns span,
+    D_m(K) = 0 with no kernel, else only its pivot columns (fewer than r)
+    are stacked.  On cloned-column draws at r >= 2, whose Scarf build walks
+    the whole table, and in ``analyze`` of them, no stacked contraction
+    matrix holds r or more Delta_l."""
+    from mgres import cli, formats, lcm_lattice, multilinear
+
+    rng = random.Random(2026)
+    draws = [_cloned_column(phi) for phi in (random_generic_minimal(rng) for _ in range(12))
+             if phi.coeff_data.r >= 2]
+    stacks, kernel_basis = [], multilinear.kernel_basis
+
+    def counting(m):
+        stacks.append((m.rows, m.cols))
+        return kernel_basis(m)
+
+    monkeypatch.setattr(multilinear, "kernel_basis", counting)
+    wide = 0
+    for phi in draws:
+        r, path = phi.coeff_data.r, tmp_path / "clone.mmor"
+        path.write_text(formats.canonical_dumps(formats.morphism_to_dict(phi)))
+        # a stack on D_m is dim D_m wide, dim D_{m-1} rows per Delta_l
+        delta_rows = {divided_dim(r, m): divided_dim(r, m - 1) for m in range(1, phi.e)}
+        wide += any(len(fd.i_upper_a) >= r for fd in lcm_lattice(phi).nonscarf_data)
+        start = len(stacks)
+        scarf_complex(phi)
+        assert cli.run(["analyze", str(path), "--output", "json"]) == 0
+        capsys.readouterr()
+        assert all(rows < r * delta_rows[cols] for rows, cols in stacks[start:])
+    assert stacks and wide >= 2

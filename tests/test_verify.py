@@ -239,6 +239,13 @@ def test_minimize_fixed_point():
     assert minimize(s) == s
 
 
+@pytest.mark.parametrize("levels", [[], [[(0,), (1,)]]], ids=["no level", "one level"])
+def test_minimize_keeps_a_complex_with_no_differential(levels):
+    x = GradedComplex(QQ, 1, levels, [], [[f"g{i}" for i in range(len(level))] for level in levels])
+    assert minimize(x) is x
+    assert is_minimal(x) and is_resolution(x).exact
+
+
 def _draws(field_name, seed, count):
     """random_morphism and random_generic_minimal draws, over Q or mapped
     into GF(32003)."""
