@@ -148,7 +148,7 @@ def complex_to_dict(x: GradedComplex) -> dict:
         "format_version": FORMAT_VERSION,
         "field": x.field.name,
         "n": x.n,
-        "vars": list(x.var_names) if x.var_names else [f"x{i+1}" for i in range(x.n)],
+        "vars": list(x.var_names),
         "levels": [
             [{"degree": list(d), "label": label} for d, label in zip(level, labels)]
             for level, labels in zip(x.levels, x.labels)
@@ -268,8 +268,7 @@ def entry_text(field, coeff, shift, var_names) -> str:
 def matrix_text(x: GradedComplex, diff_index: int) -> str:
     """One differential as an aligned block of monomial entries; the shift
     and ``entry_text`` are taken only for nonzero entries, a zero is "0"."""
-    var_names = x.var_names or tuple(f"x{i+1}" for i in range(x.n))
-    d = x.diffs[diff_index]
+    var_names, d = x.var_names, x.diffs[diff_index]
     cells, widths = [], [1] * d.cols
     for row, entries in enumerate(d.nonzero_rows()):
         cells.append(["0"] * d.cols)

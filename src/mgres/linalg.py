@@ -10,12 +10,14 @@ handed out or mutated.  Field elements exist only at the edges:
 ``from_nonzero_rows``, ``field.decode`` builds them in ``nonzero_rows``,
 ``data``, ``col`` and ``det``; all else reads and returns codes, so
 products, transposes and strands cost the number of nonzeros.
-``from_blocks``, the one assembler (every differential, ``solve_matrix``'s
-augmented matrix), writes each block's codes into their rows as its
-iterable yields the block.  ``column_copies`` (the rows of a contraction)
-builds from stored rows without re-coding them, and ``MaximalMinors``
-takes each maximal minor once, on codes, off one echelon form: one
-determinant per table, then each minor expanded over minors it holds.
+``from_blocks`` (``build_complex``'s differentials, ``solve_matrix``'s
+augmented matrix) writes each block's codes into their rows as its iterable
+yields the block; the contraction boundary writes its rows over one
+``common_codes`` scale and ``from_scaled_rows`` reduces each once.
+``column_copies`` (the rows of a contraction) builds from stored rows
+without re-coding them, and ``MaximalMinors`` takes each maximal minor
+once, on codes, off one echelon form: one determinant per table, then each
+minor expanded over minors it holds.
 
 ``_echelon``, the one elimination, clears each row at its first nonzero by
 that column's pivot row and normalizes it (over Z by its content, mod p to
@@ -104,6 +106,21 @@ class Matrix:
                     for j, x in row.items():
                         target[col0 + j] = x
         return cls._coded(field, cols, list(zip(codes, scales)))
+
+    @classmethod
+    def from_scaled_rows(cls, field, cols: int, rows: Sequence[dict], scale: int):
+        """One row per {col: code} dict (columns ascending, no zero code, canonical
+        mod p, where scale is 1) worth its codes over scale, kept and reduced."""
+        p = field.characteristic
+        return cls._coded(field, cols, [_reduce(row, scale, p) if row else ({}, 1) for row in rows])
+
+    @staticmethod
+    def common_codes(blocks: Sequence["Matrix"]) -> tuple[int, list[list[dict]]]:
+        """(L, codes): L the lcm of every block's row scales (1 mod p) and, per
+        block and row, a new {col: code} dict worth the row over L."""
+        scale = math.lcm(*(s for b in blocks for _, s in b._rows))
+        return scale, [[{j: x * (scale // s) for j, x in row.items()} for row, s in b._rows]
+                       for b in blocks]
 
     @classmethod
     def stack(cls, field, cols: int, blocks: Sequence["Matrix"]):

@@ -13,9 +13,10 @@ matrix of signed contractions: the block from face I to facet I - {l} is
 sign, where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided
 exponent j by one with weight uv[j][l].  Each row of Delta_l is column l of
 uv, coded once and relabeled (``Matrix.column_copies``).  Delta_l depends on
-l and m only, so it is built once and placed at every face it leaves.  The
-splice map replaces Delta_l by signed maximal minors of the coordinate
-matrix, each taken once by ``linalg.MaximalMinors``.  D_m of a
+l and m only, so ``sigma_matrix_on``, the one boundary kernel (each Taylor
+level above the splice), codes its rows once and writes them into every
+facet's rows.  The splice map replaces Delta_l by signed maximal minors of
+the coordinate matrix, each taken once by ``linalg.MaximalMinors``.  D_m of a
 subspace W is the common kernel of the contractions by any functionals
 spanning those that vanish on W (the divided power algebra is the graded
 dual of the symmetric algebra, so in every characteristic): one
@@ -134,20 +135,28 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
 
     The coordinate matrix uv gives the pairing values: its (j, l) entry is
     the j-th dual coordinate of the image of basis vector l.  The block from
-    face F to facet F - {l} is the signed Delta_l.
+    face F to facet F - {l} is the signed Delta_l, its rows coded once over
+    one scale and written face by face, so in ascending columns, into the
+    facets' rows, each reduced once (``Matrix.from_scaled_rows``).
     """
     if i < 1:
         raise DimensionError("boundary index must be at least 1")
-    n_dom = divided_dim(uv.rows, m + i)
-    n_cod = divided_dim(uv.rows, m + i - 1)
+    n_dom, n_cod = divided_dim(uv.rows, m + i), divided_dim(uv.rows, m + i - 1)
+    deltas = signed_contractions(uv, m + i)
+    scale, codes = Matrix.common_codes([d for l in range(1, e + 1) for d in deltas(l)])
+    # entry 2 (l - 1) + sign: per nonzero row c of (-1)^sign Delta_l, c and its (col, code) pairs
+    signed = [[(c, tuple(row.items())) for c, row in enumerate(rows) if row] for rows in codes]
     facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
-    faces, deltas = exterior_basis(e, k + i), signed_contractions(uv, m + i)
-    blocks = (
-        (facet_offset[face[:pos] + face[pos + 1 :]], s * n_dom, deltas(l)[pos & 1])
-        for s, face in enumerate(faces)
-        for pos, l in enumerate(face)
-    )
-    return Matrix.from_blocks(uv.field, len(facet_offset) * n_cod, len(faces) * n_dom, blocks)
+    out = [{} for _ in range(len(facet_offset) * n_cod)]
+    faces = itertools.combinations(range(1, e + 1), k + i)
+    for col0, face in zip(itertools.count(0, n_dom), faces):
+        for pos, l in enumerate(face):
+            row0 = facet_offset[face[:pos] + face[pos + 1 :]]
+            for c, row in signed[2 * l - 2 + (pos & 1)]:
+                target = out[row0 + c]
+                for j, x in row:
+                    target[col0 + j] = x
+    return Matrix.from_scaled_rows(uv.field, math.comb(e, k + i) * n_dom, out, scale)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:

@@ -20,7 +20,9 @@ only the scalar matrices are stored; the shift of entry (row, col) is
 always the column generator degree minus the row generator degree.
 
 The system with every divided power taken in full yields the familiar
-Taylor-style resolution.  The Scarf system is one rule over the LCM-lattice
+Taylor-style resolution, built level by level on ``sigma_matrix_on`` with
+no face system by ``taylor_complex`` (``build_complex`` over ``full_system``
+is its oracle).  The Scarf system is one rule over the LCM-lattice
 table ``phi.degree_index.lattice(cap)``: each degree a with |I_a| > r gives
 the face I_a the divided power of the functionals vanishing on I^a, the
 kernel of the contractions by the columns of I^a (none, with no kernel
@@ -42,7 +44,8 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism, check_var_names
-from .multilinear import VectorComplex, contraction_kernel, divided_dim, signed_contractions
+from .multilinear import (VectorComplex, contraction_kernel, divided_dim, sigma_matrix_on,
+                          signed_contractions)
 
 Face = tuple[int, ...]
 
@@ -64,7 +67,7 @@ class GradedComplex:
     levels[i] holds the degree of each generator of level i and labels[i]
     its label.  diffs[i] maps level i+1 to level i.  Nonzero entries carry
     the shift (column degree) - (row degree), which homogeneity forces to
-    be componentwise non-negative.
+    be componentwise non-negative.  var_names defaults as a morphism's.
     """
 
     def __init__(self, field, n: int, levels, diffs, labels, var_names=None):
@@ -73,7 +76,8 @@ class GradedComplex:
         self.levels = tuple(tuple(map(tuple, level)) for level in levels)
         self.labels = tuple(tuple(level) for level in labels)
         self.diffs = tuple(diffs)
-        self.var_names = None if var_names is None else check_var_names(var_names, n)
+        self.var_names = (morphism.default_var_names(n) if var_names is None
+                          else check_var_names(var_names, n))
         VectorComplex(self.ranks(), self.diffs)  # the count and shape checks
         if list(map(len, self.labels)) != list(map(len, self.levels)):
             raise DimensionError("label counts do not match the level ranks")
@@ -143,30 +147,30 @@ class FaceSystem:
         return max((len(face) for face in self.spaces), default=self.r)
 
 
-def full_system(phi: Morphism) -> FaceSystem:
-    """Every face of size above the rank gets the whole divided power;
-    TooManyColumns when its complex would have more than MAX_GENERATORS
-    generators (read at call time), counted by face size before anything is
-    built and refused as soon as the running count passes the budget."""
-    r = phi.coeff_data.r
-    count, dims = phi.g + phi.e, {}
+def _full_dims(phi: Morphism) -> dict[int, int]:
+    """dim D_{p-r-1} per face size p > r where it is nonzero; TooManyColumns
+    past MAX_GENERATORS generators (read at call time), counted by face size
+    before anything is built and refused once the running count passes it."""
+    r, count, dims = phi.coeff_data.r, phi.g + phi.e, {}
     for p in range(r + 1, phi.e + 1):
-        dims[p] = divided_dim(r, p - r - 1)
-        count += math.comb(phi.e, p) * dims[p]
+        if not (dim := divided_dim(r, p - r - 1)):
+            break  # r = 0: D_m = 0 for m >= 1
+        dims[p] = dim
+        count += math.comb(phi.e, p) * dim
         if count > MAX_GENERATORS:
-            break
-    if count > MAX_GENERATORS:
-        raise TooManyColumns(f"the full-system complex would have at least {count} "
-                             f"generators, over the budget of {MAX_GENERATORS}")
-    field = phi.field
+            raise TooManyColumns(f"the full-system complex would have at least {count} "
+                                 f"generators, over the budget of {MAX_GENERATORS}")
+    return dims
+
+
+def full_system(phi: Morphism) -> FaceSystem:
+    """Every face of size above the rank gets the whole divided power (budget: ``_full_dims``)."""
     spaces = {}
-    for p, dim in dims.items():
-        if dim == 0:
-            continue
-        ident = Matrix.identity(field, dim)
+    for p, dim in _full_dims(phi).items():
+        ident = Matrix.identity(phi.field, dim)
         for face in itertools.combinations(range(1, phi.e + 1), p):
             spaces[face] = ident
-    return FaceSystem(r, spaces)
+    return FaceSystem(phi.coeff_data.r, spaces)
 
 
 def scarf_system(phi: Morphism) -> FaceSystem:
@@ -294,8 +298,33 @@ def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):
 
 
 def taylor_complex(phi: Morphism) -> GradedComplex:
-    """The complex of the full system."""
-    return build_complex(phi, full_system(phi))
+    """``build_complex(phi, full_system(phi))`` built level by level with no
+    face system, after the same budget check: the splice columns of the
+    faces of size r + 1 (``CoeffData.minors``), then ``sigma_matrix_on`` of
+    uv per level above, each face's degree and label stem extending its
+    prefix's; no level where D_m = 0 (r = 0)."""
+    dims, cd, src, e = _full_dims(phi), phi.coeff_data, phi.source_degrees, phi.e
+    levels, labels, diffs = [phi.target_degrees, src], presentation_labels(phi), [cd.matrix]
+    tops = itertools.combinations(range(e), cd.r + 1)  # the faces of size r + 1, 0-based
+    splice = [(0, s, cd.minors.column(top)) for s, top in enumerate(tops)]
+    prefixes = None  # per face of the level before: its degree and label stem
+    for p, dim in dims.items():
+        faces, level, names = {}, [], []
+        for face in itertools.combinations(range(1, e + 1), p):
+            if prefixes is None:
+                degree, stem = phi.face_degree(face), ",".join(map(str, face))
+            else:
+                degree, stem = prefixes[face[:-1]]
+                degree, stem = deg.join(degree, src[face[-1] - 1]), f"{stem},{face[-1]}"
+            faces[face] = degree, stem
+            level += [degree] * dim
+            names += [f"e{{{stem}}}#{t}" for t in range(1, dim + 1)]
+        diffs.append(sigma_matrix_on(cd.uv, e, 0, cd.r + 1, p - cd.r - 1) if prefixes
+                     else Matrix.from_blocks(phi.field, e, len(splice), splice))
+        levels.append(level)
+        labels.append(names)
+        prefixes = faces
+    return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
 
 
 def scarf_complex(phi: Morphism) -> GradedComplex:

@@ -26,6 +26,7 @@ from mgres import (
     divided_basis,
     divided_dim,
     divided_embed,
+    exterior_basis,
     join,
     join_all,
     join_closure,
@@ -35,6 +36,7 @@ from mgres import (
     sub,
 )
 from mgres.formats import entry_text
+from mgres.multilinear import signed_contractions
 from mgres.verify import (
     ExactnessReport,
     check_d2,
@@ -446,8 +448,7 @@ def cloned_column_draw(rng: random.Random, field=QQ) -> Morphism:
 def dense_matrix_text(x: GradedComplex, diff_index: int) -> str:
     """Oracle for ``formats.matrix_text``: ``entry_text`` and the shift taken
     at every cell of the dense rows, zeros included."""
-    var_names = x.var_names or tuple(f"x{i+1}" for i in range(x.n))
-    d = x.diffs[diff_index]
+    var_names, d = x.var_names, x.diffs[diff_index]
     cells = [
         [
             entry_text(x.field, v, x.shift(diff_index, row, col), var_names)
@@ -688,6 +689,21 @@ def per_face_splice(uv: Matrix, e: int, rk: int) -> Matrix:
             col[l - 1] = -minor if pos % 2 else minor
         cols.append(col)
     return from_columns(field, e, cols)
+
+
+def per_block_sigma(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
+    """Oracle for ``multilinear.sigma_matrix_on``: one block Matrix per
+    (face, facet) pair, the signed Delta_l, assembled by ``Matrix.from_blocks``
+    with each row's pieces merged to the lcm of their scales."""
+    n_dom, n_cod = divided_dim(uv.rows, m + i), divided_dim(uv.rows, m + i - 1)
+    facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
+    faces, deltas = exterior_basis(e, k + i), signed_contractions(uv, m + i)
+    blocks = (
+        (facet_offset[face[:pos] + face[pos + 1 :]], s * n_dom, deltas(l)[pos & 1])
+        for s, face in enumerate(faces)
+        for pos, l in enumerate(face)
+    )
+    return Matrix.from_blocks(uv.field, len(facet_offset) * n_cod, len(faces) * n_dom, blocks)
 
 
 # ----------------------------------------------- naive boxed linear algebra

@@ -294,6 +294,29 @@ def test_cli_minimize_of_a_complex_with_no_levels(tmp_path, capsys):
     assert json.loads(captured.out)["levels"] == []
 
 
+def test_cli_minimize_names_the_variables_of_a_vars_less_complex_as_a_morphism(tmp_path, capsys):
+    """A complex file without vars is written back with a morphism's default
+    names, x (n = 1) rather than x1."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"field": "Q", "n": 1, "levels": [], "differentials": []}))
+    assert cli.run(["minimize", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["vars"] == ["x"]
+
+
+def test_vars_less_complex_prints_x_and_y_in_json_and_text(tmp_path, capsys):
+    """An n = 2 complex file without vars names its variables x, y both in
+    the JSON it is written back as and in its text matrices."""
+    raw = formats.complex_to_dict(taylor_complex(xy_example()))
+    del raw["vars"]
+    path = tmp_path / "novars.json"
+    path.write_text(formats.canonical_dumps(raw))
+    assert cli.run(["minimize", str(path), "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["vars"] == ["x", "y"]
+    assert cli.run(["minimize", str(path), "--output", "text"]) == 0
+    text = capsys.readouterr().out
+    assert "x" in text and "y" in text and "x1" not in text and "x2" not in text
+
+
 def test_cli_minimize_refuses_a_file_that_is_not_a_complex(tmp_path, capsys):
     """verify reports d^2 != 0 (exit 1); minimize refuses the file as bad input."""
     raw = formats.complex_to_dict(scarf_complex(formats.load_morphism(DATA / "ex4.mmor")))

@@ -312,7 +312,8 @@ def test_minor_table_keeps_one_small_value_per_minor():
 def test_variable_names_are_n_distinct_non_empty_strings(names):
     """The rule the file loaders hold names to holds for a morphism, a
     complex and a complex built from an unvalidated morphism, so the
-    library writes no file its loader refuses; None means no names."""
+    library writes no file its loader refuses; a complex given no names
+    takes a morphism's default ones."""
     phi = xy_example()
     bad = Morphism(2, QQ, phi.source_degrees, phi.target_degrees, phi.entries, var_names=names)
     with pytest.raises(DimensionError):
@@ -322,7 +323,7 @@ def test_variable_names_are_n_distinct_non_empty_strings(names):
     x = taylor_complex(phi)
     with pytest.raises(DimensionError):
         GradedComplex(QQ, 2, x.levels, x.diffs, x.labels, var_names=names)
-    assert GradedComplex(QQ, 2, x.levels, x.diffs, x.labels).var_names is None
+    assert GradedComplex(QQ, 2, x.levels, x.diffs, x.labels).var_names == ("x", "y")
 
 
 def test_combinatorially_generic_examples():

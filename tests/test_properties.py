@@ -11,6 +11,8 @@ rescanning oracle and the strand homology of the complex it came from, of
 tested degree,
 of the integer-coded ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
+of the contraction boundary against its per-block assembly and of the
+level-by-level Taylor build against ``build_complex`` over ``full_system``,
 of ``divided_embed`` against the product basis of divided powers, of
 ``contraction_kernel`` against ``divided_embed`` of the K-space, and of
 the byte-identical file round trip of sampled complexes.
@@ -42,10 +44,12 @@ from mgres import (  # noqa: E402
     PrimeField,
     RelabelMap,
     Subspace,
+    build_complex,
     check_join_preserving,
     check_quasi_equivalent,
     face_data,
     formats,
+    full_system,
     homology_dims,
     is_resolution,
     join_all,
@@ -66,6 +70,7 @@ from mgres.multilinear import (  # noqa: E402
     contraction_matrix,
     divided_basis,
     divided_embed,
+    sigma_matrix_on,
 )
 from mgres.linalg import MaximalMinors  # noqa: E402
 from mgres.degrees import DegreeIndex, bits  # noqa: E402
@@ -90,6 +95,7 @@ from helpers import (  # noqa: E402
     naive_rref,
     naive_solve,
     pairwise_combinatorially_generic,
+    per_block_sigma,
     per_degree_is_resolution,
     product_divided_embed,
     random_morphism,
@@ -393,6 +399,46 @@ def test_is_resolution_matches_per_degree_oracle(seed, field, clone):
         assert report.failures or not (clone and x is t)
 
 
+@st.composite
+def taylor_inputs(draw):
+    """A mixed or cloned-column draw over a drawn field, or a mixed draw
+    with fractional coefficients, with a zero column, or with every
+    coefficient zero (r = 0)."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("mixed", "clone", "fractional", "zero column", "zero map")))
+    if kind == "clone":
+        return cloned_column_draw(rng, field)
+    phi = random_morphism(rng)
+    entries = phi.entries
+    if kind == "fractional":
+        # numerators and denominators prime to 2, 7 and 32003
+        entries = {k: v * Fraction(rng.choice((1, -1, 3, 5)), rng.choice((1, 3, 5, 9, 15)))
+                   for k, v in entries.items()}
+    elif kind == "zero column":
+        victim = rng.randint(1, phi.e)
+        entries = {(i, j): v for (i, j), v in entries.items() if j != victim}
+    elif kind == "zero map":
+        entries = {}
+    phi = Morphism(phi.n, QQ, phi.source_degrees, phi.target_degrees, entries)
+    phi = phi.validate(allow_zero_columns=True)
+    return phi if field == QQ else mod_p(phi, field.p)
+
+
+@PROPERTY
+@given(taylor_inputs())
+def test_taylor_complex_matches_the_full_system_oracle(phi):
+    """The level-by-level Taylor build equals the complex ``build_complex``
+    spans over ``full_system``: levels, labels and canonical codes; at
+    r = 0 it ends after level 2."""
+    x = taylor_complex(phi)
+    assert x == build_complex(phi, full_system(phi))
+    assert x.var_names == phi.var_names
+    assert all(coding_is_canonical(d) for d in x.diffs)
+    if phi.coeff_data.r == 0:
+        assert len(x.levels) == 3
+
+
 def _collapsed(phi):
     """phi with every degree sent through c(a) = (max(a_1, a_2), a_3, ...)
     (2a for n = 1), a monotone join-preserving map, and c itself."""
@@ -589,6 +635,21 @@ def test_contraction_and_splice_store_one_coding(data):
         want[l - 1][0] = minor if removal_sign(pos) > 0 else -minor
     assert column == Matrix.from_rows(field, want, cols=1)
     assert coding_is_canonical(column)
+
+
+@PROPERTY
+@given(st.data())
+def test_contraction_boundary_matches_the_per_block_assembly(data):
+    """sigma_matrix_on, its rows written face by face over one scale, is
+    code for code the per-block ``from_blocks`` assembly, on uv with
+    fractional entries and zero columns, out to boundaries with no face."""
+    field = data.draw(st.sampled_from(FIELDS))
+    r, e = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    m, k, i = data.draw(st.integers(0, 2)), data.draw(st.integers(0, e)), data.draw(st.integers(1, 3))
+    uv = Matrix.from_rows(field, _entries(data.draw, field, r, e), cols=e)
+    got = sigma_matrix_on(uv, e, m, k, i)
+    assert got == per_block_sigma(uv, e, m, k, i)
+    assert coding_is_canonical(got)
 
 
 # ------------------------------------------------- divided powers of subspaces

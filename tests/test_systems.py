@@ -497,6 +497,32 @@ def test_taylor_complex_reads_the_generator_budget_at_call_time(monkeypatch, bud
         assert sum(taylor_complex(phi).ranks()) == 32
 
 
+@pytest.mark.parametrize("budget, refused", [(31, True), (32, False)])
+def test_taylor_budget_is_refused_before_any_contraction_or_minor(monkeypatch, budget, refused):
+    """taylor_complex refuses with full_system's message, and takes no
+    contraction and no maximal minor first; within the budget it takes both."""
+    from mgres import linalg, multilinear, systems
+
+    monkeypatch.setattr(systems, "MAX_GENERATORS", budget)
+    calls, contraction, minor = [], multilinear.contraction_matrix, linalg.MaximalMinors._minor
+    monkeypatch.setattr(multilinear, "contraction_matrix",
+                        lambda *args: calls.append("contraction") or contraction(*args))
+    monkeypatch.setattr(linalg.MaximalMinors, "_minor",
+                        lambda self, cols: calls.append("minor") or minor(self, cols))
+    # Taylor ranks (1, 5, 10, 10, 5, 1): 32 generators
+    phi = monomial_ideal_morphism([(5 - j, j) for j in range(5)])
+    if refused:
+        with pytest.raises(TooManyColumns) as want:
+            full_system(phi)
+        with pytest.raises(TooManyColumns) as got:
+            taylor_complex(phi)
+        assert str(got.value) == str(want.value)
+        assert calls == []
+    else:
+        assert sum(taylor_complex(phi).ranks()) == 32
+        assert {"contraction", "minor"} <= set(calls)
+
+
 def test_taylor_complex_has_no_column_cap():
     from mgres.verify import is_resolution
 
