@@ -10,10 +10,10 @@ handed out or mutated.  Field elements exist only at the edges:
 ``from_nonzero_rows``, ``field.decode`` builds them in ``nonzero_rows``,
 ``data``, ``col`` and ``det``; all else reads and returns codes, so
 products, transposes and strands cost the number of nonzeros.
-``from_blocks`` (``build_complex``'s differentials, ``solve_matrix``'s
+``from_blocks`` (splice, Scarf and user-system differentials, ``solve_matrix``'s
 augmented matrix) writes each block's codes into their rows as its iterable
 yields the block; the contraction boundary writes its rows over one
-``common_codes`` scale and ``from_scaled_rows`` reduces each once.
+``common_codes`` scale, each reduced once (``from_scaled_rows``).
 ``column_copies`` (the rows of a contraction) builds from stored rows
 without re-coding them, and ``MaximalMinors`` takes each maximal minor
 once, on codes, off one echelon form: one determinant per table, then each
@@ -111,8 +111,7 @@ class Matrix:
     def from_scaled_rows(cls, field, cols: int, rows: Sequence[dict], scale: int):
         """One row per {col: code} dict (columns ascending, no zero code, canonical
         mod p, where scale is 1) worth its codes over scale, kept and reduced."""
-        p = field.characteristic
-        return cls._coded(field, cols, [_reduce(row, scale, p) if row else ({}, 1) for row in rows])
+        return cls._coded(field, cols, [_reduce(row, scale, field.characteristic) for row in rows])
 
     @staticmethod
     def common_codes(blocks: Sequence["Matrix"]) -> tuple[int, list[list[dict]]]:

@@ -7,16 +7,17 @@ is v_1, v_2), and the k-th exterior power of an e-dimensional space is
 indexed by k-subsets of {1, ..., e} in lexicographic order.  Mixed bases
 are ordered with the exterior index as the major key.
 
-Each boundary D_m (x) Wedge^p -> D_{m-1} (x) Wedge^{p-1} is the block
-matrix of signed contractions: the block from face I to facet I - {l} is
-(-1)^(position of l in I, from 0) Delta_l, the standard comultiplication
-sign, where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided
-exponent j by one with weight uv[j][l].  Each row of Delta_l is column l of
-uv, coded once and relabeled (``Matrix.column_copies``).  Delta_l depends on
-l and m only, so ``sigma_matrix_on``, the one boundary kernel (each Taylor
-level above the splice), codes its rows once and writes them into every
-facet's rows.  The splice map replaces Delta_l by signed maximal minors of
-the coordinate matrix, each taken once by ``linalg.MaximalMinors``.  D_m of a
+Each boundary D_m (x) Wedge^p -> D_{m-1} (x) Wedge^{p-1} is the block matrix
+of signed contractions: the block from face I to facet I - {l} is
+(-1)^(position of l in I, from 0) Delta_l, the standard comultiplication sign,
+where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided exponent
+j by one with weight uv[j][l].  Each row of Delta_l is column l of uv, coded
+once and relabeled (``Matrix.column_copies``).  Delta_l depends on l and m
+only, so ``sigma_matrix_on``, the one boundary kernel, codes its rows once and
+writes them into every facet's rows.  The splice map replaces Delta_l by
+signed maximal minors of the coordinate matrix, each taken once by
+``linalg.MaximalMinors``; ``splice_and_boundaries`` lists the splice and the
+boundaries above it, the maps of the Taylor and B complexes.  D_m of a
 subspace W is the common kernel of the contractions by any functionals
 spanning those that vanish on W (the divided power algebra is the graded
 dual of the symmetric algebra, so in every characteristic): one
@@ -159,12 +160,23 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
     return Matrix.from_scaled_rows(uv.field, math.comb(e, k + i) * n_dom, out, scale)
 
 
-def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
+def splice_matrix_on(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors:
-    the column of face F is ``MaximalMinors.column`` of uv on F."""
-    minors, faces = MaximalMinors(uv), list(itertools.combinations(range(e), rk + 1))
+    the column of face F is ``minors.column(F)``, minors a table of uv (fresh if None)."""
+    minors, faces = minors or MaximalMinors(uv), list(itertools.combinations(range(e), rk + 1))
     blocks = ((0, s, minors.column(face)) for s, face in enumerate(faces))
     return Matrix.from_blocks(uv.field, e, len(faces), blocks)
+
+
+def splice_and_boundaries(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None):
+    """The maps above the source: the splice out of Wedge^{rk+1}, then
+    ``sigma_matrix_on(uv, e, 0, rk + 1, i)`` out of D_i (x) Wedge^{rk+1+i}
+    for i = 1, ..., e - rk - 1 while D_i is nonzero (none at rk = 0)."""
+    if rk >= e:
+        return []
+    # at rk = 0, D_i = 0 for every i >= 1
+    boundaries = (sigma_matrix_on(uv, e, 0, rk + 1, i) for i in range(1, e - rk) if rk)
+    return [splice_matrix_on(uv, e, rk, minors), *boundaries]
 
 
 def coordinates_on(cd: CoeffData, vsub: Subspace) -> Matrix:
@@ -197,15 +209,12 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
 
     Position 0 is the target space, position 1 the source; position i >= 2
     is D_{i-2} (x) Wedge^{rk+i-1} where rk is the dimension of vsub.  The
-    top position is e - rk + 1 (just the map itself when rk >= e).
+    top position is e - rk + 1 (just the map itself when rk >= e), or 2 at
+    rk = 0, where D_i = 0 for i >= 1.
     """
-    uv, e, rk = coordinates_on(cd, vsub), cd.matrix.cols, vsub.dim
-    dims, diffs = [cd.matrix.rows, e], [cd.matrix]
-    for i in range(2, max(e - rk + 1, 1) + 1):
-        dims.append(divided_dim(rk, i - 2) * math.comb(e, rk + i - 1))
-        diffs.append(splice_matrix_on(uv, e, rk) if i == 2 else
-                     sigma_matrix_on(uv, e, 0, rk + 1, i - 2))
-    return VectorComplex(tuple(dims), tuple(diffs))
+    uv = coordinates_on(cd, vsub)
+    diffs = [cd.matrix, *splice_and_boundaries(uv, cd.matrix.cols, vsub.dim)]
+    return VectorComplex((cd.matrix.rows, *(d.cols for d in diffs)), tuple(diffs))
 
 
 def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Subspace:

@@ -19,15 +19,14 @@ entry is a scalar together with the degree shift forced by homogeneity, so
 only the scalar matrices are stored; the shift of entry (row, col) is
 always the column generator degree minus the row generator degree.
 
-The system with every divided power taken in full yields the familiar
-Taylor-style resolution, built level by level on ``sigma_matrix_on`` with
-no face system by ``taylor_complex`` (``build_complex`` over ``full_system``
-is its oracle).  The Scarf system is one rule over the LCM-lattice
-table ``phi.degree_index.lattice(cap)``: each degree a with |I_a| > r gives
-the face I_a the divided power of the functionals vanishing on I^a, the
-kernel of the contractions by the columns of I^a (none, with no kernel
-taken, when those columns span); a Scarf degree (I^a empty) gets all of
-it.  Under uniform rank only the degrees with few columns below them can
+The system with every divided power in full, ``full_system``, gives the
+Taylor-style resolution, built level by level from the splice and
+``sigma_matrix_on`` with no face stored.  The Scarf system is one rule over
+the LCM-lattice table ``phi.degree_index.lattice(cap)``: each degree a with
+|I_a| > r gives the face I_a the divided power of the functionals vanishing
+on I^a, the kernel of the contractions by the columns of I^a (none, with no
+kernel taken, when those columns span); a Scarf degree (I^a empty) gets all
+of it.  Under uniform rank only the degrees with few columns below them can
 carry a face, so the cap walks only those (``scarf_system``).
 """
 
@@ -44,8 +43,8 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism, check_var_names
-from .multilinear import (VectorComplex, contraction_kernel, divided_dim, sigma_matrix_on,
-                          signed_contractions)
+from .multilinear import (VectorComplex, contraction_kernel, divided_dim, signed_contractions,
+                          splice_and_boundaries)
 
 Face = tuple[int, ...]
 
@@ -147,10 +146,31 @@ class FaceSystem:
         return max((len(face) for face in self.spaces), default=self.r)
 
 
-def _full_dims(phi: Morphism) -> dict[int, int]:
-    """dim D_{p-r-1} per face size p > r where it is nonzero; TooManyColumns
-    past MAX_GENERATORS generators (read at call time), counted by face size
-    before anything is built and refused once the running count passes it."""
+class FullSystem:
+    """The full system, each face of size p > r given all of D_{p-r-1}, as
+    dims (p -> that nonzero dimension), no face stored; ``build_complex``
+    builds it level by level, and ``spaces`` lists it face by face."""
+
+    def __init__(self, field, r: int, e: int, dims: dict[int, int]):
+        self.field, self.r, self.e, self.dims = field, r, e, dims
+
+    @property
+    def spaces(self) -> dict[Face, Matrix]:
+        return {face: Matrix.identity(self.field, self.dims[p])
+                for p in self.dims for face in self.faces_of_size(p)}
+
+    def faces_of_size(self, p: int) -> list[Face]:
+        return list(itertools.combinations(range(1, self.e + 1), p)) if p in self.dims else []
+
+    def max_face_size(self) -> int:
+        return max(self.dims, default=self.r)
+
+
+def full_system(phi: Morphism) -> FullSystem:
+    """Every face of size above the rank gets the whole divided power;
+    TooManyColumns when its complex would have more than MAX_GENERATORS
+    generators (read at call time), counted by face size before anything is
+    built and refused as soon as the running count passes the budget."""
     r, count, dims = phi.coeff_data.r, phi.g + phi.e, {}
     for p in range(r + 1, phi.e + 1):
         if not (dim := divided_dim(r, p - r - 1)):
@@ -160,17 +180,7 @@ def _full_dims(phi: Morphism) -> dict[int, int]:
         if count > MAX_GENERATORS:
             raise TooManyColumns(f"the full-system complex would have at least {count} "
                                  f"generators, over the budget of {MAX_GENERATORS}")
-    return dims
-
-
-def full_system(phi: Morphism) -> FaceSystem:
-    """Every face of size above the rank gets the whole divided power (budget: ``_full_dims``)."""
-    spaces = {}
-    for p, dim in _full_dims(phi).items():
-        ident = Matrix.identity(phi.field, dim)
-        for face in itertools.combinations(range(1, phi.e + 1), p):
-            spaces[face] = ident
-    return FaceSystem(phi.coeff_data.r, spaces)
+    return FullSystem(phi.field, r, phi.e, dims)
 
 
 def scarf_system(phi: Morphism) -> FaceSystem:
@@ -216,21 +226,28 @@ def is_compatible_system(phi: Morphism, system: FaceSystem):
     return True, None
 
 
-def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
+def build_complex(phi: Morphism, system: FaceSystem | FullSystem) -> GradedComplex:
     """The graded complex spanned by a face system.
 
-    Faces are taken in build order (size, then lexicographic).  Every face
-    must index columns of phi and be assigned a subspace of the divided
-    power of its own degree.  A face's degree joins its prefix's (the face
-    without its last column, from the level before, or joined once when not
-    in the system) with its last column's.  ``Matrix.from_blocks`` writes
-    each block as ``_blocks`` finds it.  A malformed face, or an image that
-    fails to decompose, raises RestrictionError naming the face: the system
-    was not closed.
+    Faces are taken in build order (size, then lexicographic), one level per
+    ``_level``.  ``full_system(phi)`` gives the Taylor complex, its maps
+    ``splice_and_boundaries`` of uv.  Any other system's faces must index
+    columns of phi and be assigned a subspace of the divided power of their
+    own degree, and ``Matrix.from_blocks`` writes each block as ``_blocks``
+    finds it.  A malformed face, or an image that fails to decompose, raises
+    RestrictionError naming the face: the system was not closed.
     """
-    r = phi.coeff_data.r
+    cd, r = phi.coeff_data, phi.coeff_data.r
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
+    levels, labels = [phi.target_degrees, phi.source_degrees], presentation_labels(phi)
+    degrees: dict[Face, Multidegree] = {(): (0,) * phi.n}  # per face of the level before
+    if isinstance(system, FullSystem) and system.e == phi.e:
+        for p, dim in system.dims.items():
+            faces = system.faces_of_size(p)
+            degrees, _ = _level(phi, faces, [dim] * len(faces), degrees, levels, labels)
+        diffs = [cd.matrix, *splice_and_boundaries(cd.uv, phi.e, r, cd.minors)]
+        return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
     by_size: dict[int, list[Face]] = {}
     for face in sorted(sorted(system.spaces), key=len):  # by size, then lexicographic
         if face[0] < 1 or face[-1] > phi.e:
@@ -239,32 +256,39 @@ def build_complex(phi: Morphism, system: FaceSystem) -> GradedComplex:
             raise RestrictionError(face, f"face {face} is not assigned a subspace of "
                                          f"D_{len(face) - r - 1}")
         by_size.setdefault(len(face), []).append(face)
-    field, src = phi.field, phi.source_degrees
     # every full-system facet and Scarf face is assigned the identity, which
     # spans its whole divided power: a vector there is its own coordinates
-    eye = {d: Matrix.identity(field, d) for d in {emb.rows for emb in system.spaces.values()}}
+    eye = {d: Matrix.identity(phi.field, d) for d in {emb.rows for emb in system.spaces.values()}}
     identity = {face for face, emb in system.spaces.items() if emb == eye[emb.rows]}
-    levels, labels = [phi.target_degrees, src], presentation_labels(phi)
-    diffs: list[Matrix] = [phi.coeff_data.matrix]
-    # per face of a level: its first generator there, and its degree (() has 0)
-    offsets, degrees = {}, {(): (0,) * phi.n}
+    diffs: list[Matrix] = [cd.matrix]
+    offsets: dict[Face, int] = {}
     for p in range(r + 1, system.max_face_size() + 1):
-        faces, below, prefix_degrees = by_size.get(p, []), offsets, degrees
-        offsets, degrees, level, names = {}, {}, [], []
-        for face in faces:
-            offsets[face] = len(level)
-            prefix = face[:-1]
-            if prefix not in prefix_degrees:  # not a face of the system
-                prefix_degrees[prefix] = phi.face_degree(prefix)
-            degree = degrees[face] = deg.join(prefix_degrees[prefix], src[face[-1] - 1])
-            label, cols = "e{" + ",".join(map(str, face)) + "}#", system.spaces[face].cols
-            level += [degree] * cols
-            names += [label + str(t) for t in range(1, cols + 1)]
-        blocks = _blocks(phi.coeff_data, system, identity, faces, offsets, below, p - r - 1)
-        diffs.append(Matrix.from_blocks(field, len(levels[-1]), len(level), blocks))
-        levels.append(level)
-        labels.append(names)
-    return GradedComplex(field, phi.n, levels, diffs, labels, var_names=phi.var_names)
+        faces, below = by_size.get(p, []), offsets
+        dims = [system.spaces[face].cols for face in faces]
+        degrees, offsets = _level(phi, faces, dims, degrees, levels, labels)
+        blocks = _blocks(cd, system, identity, faces, offsets, below, p - r - 1)
+        diffs.append(Matrix.from_blocks(phi.field, len(levels[-2]), len(levels[-1]), blocks))
+    return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
+
+
+def _level(phi: Morphism, faces, dims, prefix_degrees: dict[Face, Multidegree], levels, labels):
+    """Appends to levels and labels one level of faces in build order, the
+    k-th face f spanning dims[k] generators e{f}#1, e{f}#2, ..., and returns
+    per face its degree and first generator.  A face's degree joins its
+    prefix's (read from prefix_degrees, the level before, or joined once
+    when not there) with its last column's."""
+    src, degrees, offsets, level, names = phi.source_degrees, {}, {}, [], []
+    for face, cols in zip(faces, dims):
+        prefix = face[:-1]
+        if prefix not in prefix_degrees:
+            prefix_degrees[prefix] = phi.face_degree(prefix)
+        degree = degrees[face] = deg.join(prefix_degrees[prefix], src[face[-1] - 1])
+        offsets[face], label = len(level), "e{" + ",".join(map(str, face)) + "}#"
+        level += [degree] * cols
+        names += [label + str(t) for t in range(1, cols + 1)]
+    levels.append(level)
+    labels.append(names)
+    return degrees, offsets
 
 
 def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):
@@ -298,33 +322,8 @@ def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):
 
 
 def taylor_complex(phi: Morphism) -> GradedComplex:
-    """``build_complex(phi, full_system(phi))`` built level by level with no
-    face system, after the same budget check: the splice columns of the
-    faces of size r + 1 (``CoeffData.minors``), then ``sigma_matrix_on`` of
-    uv per level above, each face's degree and label stem extending its
-    prefix's; no level where D_m = 0 (r = 0)."""
-    dims, cd, src, e = _full_dims(phi), phi.coeff_data, phi.source_degrees, phi.e
-    levels, labels, diffs = [phi.target_degrees, src], presentation_labels(phi), [cd.matrix]
-    tops = itertools.combinations(range(e), cd.r + 1)  # the faces of size r + 1, 0-based
-    splice = [(0, s, cd.minors.column(top)) for s, top in enumerate(tops)]
-    prefixes = None  # per face of the level before: its degree and label stem
-    for p, dim in dims.items():
-        faces, level, names = {}, [], []
-        for face in itertools.combinations(range(1, e + 1), p):
-            if prefixes is None:
-                degree, stem = phi.face_degree(face), ",".join(map(str, face))
-            else:
-                degree, stem = prefixes[face[:-1]]
-                degree, stem = deg.join(degree, src[face[-1] - 1]), f"{stem},{face[-1]}"
-            faces[face] = degree, stem
-            level += [degree] * dim
-            names += [f"e{{{stem}}}#{t}" for t in range(1, dim + 1)]
-        diffs.append(sigma_matrix_on(cd.uv, e, 0, cd.r + 1, p - cd.r - 1) if prefixes
-                     else Matrix.from_blocks(phi.field, e, len(splice), splice))
-        levels.append(level)
-        labels.append(names)
-        prefixes = faces
-    return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
+    """The complex of the full system."""
+    return build_complex(phi, full_system(phi))
 
 
 def scarf_complex(phi: Morphism) -> GradedComplex:

@@ -27,6 +27,7 @@ from mgres import (
     divided_dim,
     divided_embed,
     exterior_basis,
+    full_system,
     join,
     join_all,
     join_closure,
@@ -602,6 +603,13 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
                 cols.append(col)
         out[p] = from_columns(field, n, cols)
     return out
+
+
+def full_face_system(phi: Morphism) -> FaceSystem:
+    """Oracle for the Taylor route of ``build_complex``: ``full_system(phi)``
+    face by face, every face assigned the identity, as a ``FaceSystem``, so
+    ``build_complex`` spans it block by block (``_blocks``)."""
+    return FaceSystem(phi.coeff_data.r, full_system(phi).spaces)
 
 
 def two_loop_scarf_system(phi: Morphism) -> FaceSystem:

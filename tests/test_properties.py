@@ -12,7 +12,8 @@ tested degree,
 of the integer-coded ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
 of the contraction boundary against its per-block assembly and of the
-level-by-level Taylor build against ``build_complex`` over ``full_system``,
+level-by-level Taylor build against ``build_complex`` over the full system
+given face by face,
 of ``divided_embed`` against the product basis of divided powers, of
 ``contraction_kernel`` against ``divided_embed`` of the K-space, and of
 the byte-identical file round trip of sampled complexes.
@@ -49,7 +50,6 @@ from mgres import (  # noqa: E402
     check_quasi_equivalent,
     face_data,
     formats,
-    full_system,
     homology_dims,
     is_resolution,
     join_all,
@@ -82,6 +82,7 @@ from helpers import (  # noqa: E402
     cloned_column_draw,
     coefficient_rank_walk,
     fixpoint_join_closure,
+    full_face_system,
     full_table_scarf_system,
     join_preserving_walk,
     lattice_columns,
@@ -429,10 +430,10 @@ def taylor_inputs(draw):
 @given(taylor_inputs())
 def test_taylor_complex_matches_the_full_system_oracle(phi):
     """The level-by-level Taylor build equals the complex ``build_complex``
-    spans over ``full_system``: levels, labels and canonical codes; at
-    r = 0 it ends after level 2."""
+    spans block by block over the full system given face by face: levels,
+    labels and canonical codes; at r = 0 it ends after level 2."""
     x = taylor_complex(phi)
-    assert x == build_complex(phi, full_system(phi))
+    assert x == build_complex(phi, full_face_system(phi))
     assert x.var_names == phi.var_names
     assert all(coding_is_canonical(d) for d in x.diffs)
     if phi.coeff_data.r == 0:

@@ -117,6 +117,20 @@ def test_full_system_is_compatible():
     assert ok
 
 
+def test_only_the_morphism_s_own_full_system_takes_the_taylor_route():
+    """The full system of phi without its last column (same rank) is
+    spanned face by face, as it is given as a FaceSystem."""
+    phi = _wide_rank_two(8107)
+    entries = {k: v for k, v in phi.entries.items() if k[1] < phi.e}
+    narrow = Morphism(phi.n, phi.field, phi.source_degrees[:-1], phi.target_degrees,
+                      entries).validate()
+    assert narrow.coeff_data.r == 2
+    system = full_system(narrow)
+    x = build_complex(phi, system)
+    assert x == build_complex(phi, FaceSystem(2, system.spaces))
+    assert x.ranks()[2:] == taylor_complex(narrow).ranks()[2:]
+
+
 def test_incompatible_system_detected():
     phi = xy_example()
     spaces = {
