@@ -19,17 +19,18 @@ without re-coding them, and ``MaximalMinors`` takes each maximal minor
 once, on codes, off one echelon form: one determinant per table, then each
 minor expanded over minors it holds.
 
-``_echelon``, the one elimination, clears each row at its first nonzero by
-that column's pivot row and normalizes it (over Z by its content, mod p to
-a leading 1); ``rank``, ``rref``, ``_det`` and ``solve_matrix`` read it off.
+``_echelon``, the one elimination, is left-looking: it clears each row in
+turn at its first nonzero by that column's pivot row, and normalizes it
+(over Z by its content, mod p to a leading 1) at the first column without
+one; ``rank``, ``rref``, ``_det``, ``solve_matrix`` and ``verify.minimize``'s
+``block_pivots`` (pivots on the zero-shift blocks, each with the row that
+owns it) and ``eliminate`` (rows cleared at given pivots) read it off.
 ``_products``, the one product loop, weighs row k of B (codes b'_k, scale
 t_k) by L / t_k, L = lcm of the t_k: for row i of A (a'_i, s_i), sum_k a'_ik
 (L / t_k) b'_kj = s_i L (A B)_ij is an integer (mod p, where all scales are
 1).  ``mul`` codes those sums; ``mul_is_zero`` (the d^2 check) stops at the
 first row with a nonzero sum and builds no product.  ``_reduce`` brings a
-row over any scale to its canonical coding.  ``cancel`` (``verify.minimize``'s
-unit cancellation, which picks its pivots on a ``block_part``) shares
-``_normalize`` and ``_clear`` with ``_echelon``.
+row over any scale to its canonical coding.
 A ``Subspace`` is its reduced echelon basis, from ``Subspace.row_space`` (a
 column space is the row space of the transpose) or ``kernel_basis`` (an
 annihilator is the kernel of a basis).
@@ -185,18 +186,6 @@ class Matrix:
             out.append(_reduce(row if ordered else dict(sorted(row.items())), s, p))
         return Matrix._coded(self.field, len(new), out)
 
-    def block_part(self, row_idx: Sequence[int], row_keys: Sequence, col_keys: Sequence):
-        """The rows row_idx with only their entries (i, j) where row_keys[i]
-        == col_keys[j]: the diagonal blocks when rows and columns are grouped
-        by key."""
-        p, out = self.field.characteristic, []
-        for i in row_idx:
-            row, s = self._rows[i]
-            key = row_keys[i]
-            row = {j: x for j, x in row.items() if col_keys[j] == key}
-            out.append(_reduce(row, s, p) if row else ({}, 1))
-        return Matrix._coded(self.field, self.cols, out)
-
     def __neg__(self) -> "Matrix":
         p = self.field.characteristic
         rows = [({j: p - x if p else -x for j, x in row.items()}, s) for row, s in self._rows]
@@ -246,7 +235,7 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
         p = self.field.characteristic
-        found, _, _ = _echelon(p, self._rows, reduced=True)
+        found = _echelon(p, self._rows, reduced=True)[0]
         pivots = sorted(found)
         out = [_reduce(dict(sorted(found[c].items())), found[c][c], p) for c in pivots]
         out += [({}, 1)] * (self.rows - len(pivots))
@@ -258,30 +247,36 @@ class Matrix:
             raise DimensionError("determinant of a non-square matrix")
         return self.field.decode(*_det(self.field.characteristic, self._rows))
 
-    def cancel(self, rows: Sequence[int], pivot) -> tuple["Matrix", list[tuple[int, int]]]:
-        """One forward pass over the given rows: ``pivot(i, cols)`` names one of
-        row i's current nonzero columns or None; a pivot row is dropped and
-        clears its column in every other given row.  Returns the rows left,
-        in order and with all columns, and the (row, column) pivots taken."""
-        p = self.field.characteristic
-        coded, scales = [dict(self._rows[i][0]) for i in rows], [self._rows[i][1] for i in rows]
-        # per column, the rows nonzero there and some no longer (checked on use)
-        where = [set(col) for col in _columns(coded, self.cols)]
-        pairs = []
-        for k, i in enumerate(rows):
-            q = pivot(i, coded[k].keys())
-            if q is None:
-                continue
-            pairs.append((i, q))
-            prow, coded[k] = coded[k], None  # dropped
-            _normalize(prow, q, p)
-            for r in list(where[q]):
-                if coded[r] is not None and q in coded[r]:
-                    scales[r] *= _clear(coded[r], prow, q, p)
-                    for j in prow:
-                        where[j].add(r)
-        left = [(dict(sorted(r.items())), s) for r, s in zip(coded, scales) if r is not None]
-        return Matrix._coded(self.field, self.cols, [_reduce(r, s, p) for r, s in left]), pairs
+    def block_pivots(self, rows: Sequence[int], row_keys: Sequence, col_keys: Sequence) -> dict:
+        """Pivot column -> pivot row, in the order found, of ``_echelon`` on
+        the rows ``rows``, in order, with only their entries (i, j) where
+        row_keys[i] == col_keys[j] (the diagonal blocks by key)."""
+        part = [({j: x for j, x in self._rows[i][0].items() if col_keys[j] == row_keys[i]}, 1)
+                for i in rows]
+        owner = _echelon(self.field.characteristic, part, reduced=False)[3]
+        return {c: rows[k] for c, k in owner.items()}
+
+    def eliminate(self, pivots: Mapping, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The rows ``rows`` on the ascending columns ``cols``, each cleared at
+        every column of ``pivots`` (column -> pivot row, each nonzero there
+        once cleared at the columns before it): the one vector of row +
+        span(pivot rows) zero on them.  One ``_echelon`` runs the pivot rows,
+        their columns renumbered first, then each row with its scale in a
+        column of its own before cols, where it stops, as a pivot no other
+        row has: it is worth its codes over that entry."""
+        p, m, k = self.field.characteristic, len(pivots), len(rows)
+        at = {c: t for t, c in enumerate(pivots)} | {c: m + k + t for t, c in enumerate(cols)}
+        work = [({at[j]: x for j, x in self._rows[i][0].items() if j in at}, 1)
+                for i in pivots.values()]
+        for t, i in enumerate(rows):
+            row, s = self._rows[i]
+            work.append(({at[j]: x for j, x in row.items() if j in at} | {m + t: s}, 1))
+        found, out = _echelon(p, work, reduced=False)[0], []
+        for t in range(m, m + k):
+            row = found[t]
+            s = row.pop(t)
+            out.append(_reduce({j - m - k: row[j] for j in sorted(row)}, s, p))
+        return Matrix._coded(self.field, len(cols), out)
 
     def solve(self, b: Sequence) -> list | None:
         """One solution x of self @ x = b (free variables set to 0), or None."""
@@ -295,7 +290,7 @@ class Matrix:
             raise DimensionError("right-hand side length does not match row count")
         p, n = self.field.characteristic, self.cols
         aug = Matrix.from_blocks(self.field, self.rows, n + b.cols, [(0, 0, self), (0, n, b)])
-        found, _, _ = _echelon(p, aug._rows, reduced=True)
+        found = _echelon(p, aug._rows, reduced=True)[0]
         if max(found, default=-1) >= n:
             return None
         out = [({}, 1)] * n
@@ -343,17 +338,20 @@ def _reduce(row: dict, s: int, p: int) -> tuple[dict, int]:
 
 def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
     """The one elimination, on copies of the codes of (codes, scale) rows, over
-    Z when p is 0, else mod p.  Returns found, pivot column -> pivot row in
-    the order found, num, the product of the row divisors, and den, that of
-    the row multipliers and scales; ``reduced`` also clears above pivots."""
-    found, num, den = {}, 1, math.prod(s for _, s in rows)
-    for row, _ in rows:
+    Z when p is 0, else mod p: left-looking, each row in turn cleared at its
+    first nonzero while that column has a pivot row.  Returns found, pivot
+    column -> pivot row in the order found, num, the product of the row
+    divisors, den, that of the row multipliers and scales, and owner, pivot
+    column -> index of the input row it came from; ``reduced`` also clears
+    above pivots."""
+    found, owner, num, den = {}, {}, 1, math.prod(s for _, s in rows)
+    for i, (row, _) in enumerate(rows):
         row = dict(row)
         while row:
             c = min(row)
             if c not in found:
                 num *= _normalize(row, c, p)
-                found[c] = row
+                found[c], owner[c] = row, i
                 break
             den *= _clear(row, found[c], c, p)
     if reduced:
@@ -361,12 +359,12 @@ def _echelon(p: int, rows: Sequence[tuple[dict, int]], reduced: bool):
             row = found[c]
             for other in [j for j in row if j != c and j in found]:
                 _clear(row, found[other], other, p)
-    return found, num, den
+    return found, num, den, owner
 
 
 def _det(p: int, rows: Sequence[tuple[dict, int]]) -> tuple[int, int]:
     """num / den, the det of coded rows on their pivot columns; (0, 1) if they are dependent."""
-    found, num, den = _echelon(p, rows, reduced=False)
+    found, num, den, _ = _echelon(p, rows, reduced=False)
     if len(found) < len(rows):
         return 0, 1
     # Pivot row k is coded row k times its multipliers over its divisor,

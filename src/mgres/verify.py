@@ -12,10 +12,11 @@ distinct cut's homology is taken once.  d^2 = 0 is a zero test on int sums
 
 Minimality means no nonzero entry has zero shift.  ``minimize`` removes
 them by unit-entry cancellation, an independent route to the minimal
-resolution that never consults the face system machinery.  On a homogeneous
-complex each cancellation is a degree-preserving change of basis that splits
-off a trivial complex k(-a) -> k(-a), exact in every strand, so
-``is_resolution`` takes its strand ranks on the much smaller minimized complex.
+resolution that never consults the face system machinery, run on linalg's
+one left-looking elimination.  On a homogeneous complex each cancellation
+is a degree-preserving change of basis that splits off a trivial complex
+k(-a) -> k(-a), exact in every strand, so ``is_resolution`` takes its
+strand ranks on the much smaller minimized complex.
 """
 
 from __future__ import annotations
@@ -67,12 +68,13 @@ def check_d2(x: GradedComplex) -> bool:
 def strand(x: GradedComplex, a: Iterable[int], indexes=None) -> VectorComplex:
     """The degree-a component: generators of degree at most a, scalar maps.
 
-    Each level's cut is one ``DegreeIndex.leq``; indexes, one DegreeIndex
-    per level of x (``level_indexes``), are built here when not given."""
+    Per level of x, indexes holds its DegreeIndex, whose ``leq`` cuts it,
+    or that mask already cut; ``level_indexes`` builds them when not given."""
     a = tuple(a)
     if len(a) != x.n:
         raise DimensionError(f"degree {a} does not have {x.n} coordinates")
-    keep = [deg.bits(index.leq(a)) for index in indexes or level_indexes(x)]
+    keep = [deg.bits(index if isinstance(index, int) else index.leq(a))
+            for index in indexes or level_indexes(x)]
     dims = tuple(len(k) for k in keep)
     diffs = tuple(
         x.diffs[i].submatrix(keep[i], keep[i + 1]) for i in range(len(x.diffs))
@@ -121,7 +123,8 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
     where it holds p and q, and x and ``minimize(x)`` have the same
     homology in every strand and at every position.  Degrees that cut the
     same generators of y share one strand, so its homology is taken once
-    per distinct tuple of ``DegreeIndex.leq`` masks.
+    per distinct tuple of ``DegreeIndex.leq`` masks, and its strand is cut
+    from those masks, not cut again.
     """
     minimal = is_minimal(x)
     if not check_d2(x):
@@ -132,7 +135,7 @@ def is_resolution(x: GradedComplex) -> ExactnessReport:
     for a in degrees:
         cut = tuple(index.leq(a) for index in indexes)
         if (h := cuts.get(cut)) is None:
-            h = cuts[cut] = homology_dims(strand(y, a, indexes), check=False)
+            h = cuts[cut] = homology_dims(strand(y, a, cut), check=False)
         failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
 
@@ -158,39 +161,37 @@ def minimize(x: GradedComplex) -> GradedComplex:
     pivot of degree a changes a zero-shift entry (r, c) only when d[r, q]
     already was one (deg r = deg c = a), so no row already passed gains a
     unit.  One pass over the rows of d_0, d_1, ..., each pivoting at its
-    first zero-shift nonzero column, thus makes the cancellations of
-    restarting after each.  Such a pivot updates zero-shift entries only
-    from its own, so the pass runs on the zero-shift part of each
-    differential alone (``Matrix.block_part`` by degree).  Each d_i is then
-    cancelled once more with those pivots, on its pivot columns and the
-    columns it keeps: the generators that d_{i+1} cancels as pivot rows are
-    split off, so their columns are never updated.  ``minimize`` chooses
-    the pivots by degree; ``Matrix.cancel`` does the arithmetic.  A complex
-    with no differential is minimal and comes back as it is.
+    first zero-shift nonzero column once cleared of every earlier pivot,
+    thus makes the cancellations of restarting after each.  Such a pivot
+    updates zero-shift entries only from its own, so the pass runs on the
+    zero-shift part of each differential alone, as ``_echelon`` on its live
+    rows in order (``Matrix.block_pivots`` by degree): each pivot row is
+    zero before its own column, so a row cleared only at its leading
+    columns stops at the same column.  Each d_i then keeps its non-pivot
+    rows cleared at every pivot column (``Matrix.eliminate``): the one
+    vector of row + span(pivot rows) zero there, as the cancellations leave
+    it, on the columns it keeps, since the generators that d_{i+1} cancels
+    as pivot rows are split off.  A complex with no differential is
+    minimal and comes back as it is.
     """
     if not x.diffs:
         return x
-    levels, taken = x.levels, []  # per differential, its live rows and pivots
+    levels, taken = x.levels, []  # per differential, its pivots: column -> row
     ids = {a: k for k, a in enumerate(set().union(*levels))}
     keys = [[ids[a] for a in level] for level in levels]  # degrees as ints
-    dead = set()  # generators of the current level cancelled as columns
+    dead = {}  # generators of the current level cancelled as columns (keys)
+    keep = []  # per level, the generators left
     for d, src, dst in zip(x.diffs, keys, keys[1:]):
         rows = [p for p in range(d.rows) if p not in dead]
-        block = d.block_part(rows, src, dst)
-        _, pairs = block.cancel(range(len(rows)), lambda k, cols: min(cols, default=None))
-        taken.append((rows, {rows[k]: q for k, q in pairs}))
-        dead = set(taken[-1][1].values())
-    keep = [[p for p in rows if p not in chosen] for rows, chosen in taken]
+        taken.append(d.block_pivots(rows, src, dst))
+        chosen = set(taken[-1].values())
+        keep.append([p for p in rows if p not in chosen])
+        dead = taken[-1]
     keep.append([q for q in range(len(levels[-1])) if q not in dead])
     while len(keep) > 1 and not keep[-1]:
         keep.pop()
-    diffs = []
-    for d, (rows, chosen), kept in zip(x.diffs, taken, keep[1:]):
-        cols = sorted(set(chosen.values()).union(kept))
-        at = {c: k for k, c in enumerate(cols)}
-        pivots = [at[chosen[p]] if p in chosen else None for p in rows]
-        m, _ = d.submatrix(rows, cols).cancel(range(len(rows)), lambda k, _: pivots[k])
-        diffs.append(m.submatrix(range(m.rows), [at[q] for q in kept]))
+    diffs = [d.eliminate(pivots, rows, cols)
+             for d, pivots, rows, cols in zip(x.diffs, taken, keep, keep[1:])]
     degrees = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
     labels = [[x.labels[i][j] for j in js] for i, js in enumerate(keep)]
     return GradedComplex(x.field, x.n, degrees, diffs, labels, var_names=x.var_names)

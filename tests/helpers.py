@@ -37,6 +37,7 @@ from mgres import (
     sub,
 )
 from mgres.formats import entry_text
+from mgres.linalg import _clear, _columns, _normalize, _reduce
 from mgres.multilinear import signed_contractions
 from mgres.verify import (
     ExactnessReport,
@@ -397,6 +398,81 @@ def rescan_minimize(x: GradedComplex) -> GradedComplex:
         labels,
         var_names=x.var_names,
     )
+
+
+def block_part(m: Matrix, row_idx, row_keys, col_keys) -> Matrix:
+    """The rows row_idx of m with only their entries (i, j) where
+    row_keys[i] == col_keys[j]: the diagonal blocks when rows and columns
+    are grouped by key."""
+    p, out = m.field.characteristic, []
+    for i in row_idx:
+        row, s = m._rows[i]
+        key = row_keys[i]
+        row = {j: x for j, x in row.items() if col_keys[j] == key}
+        out.append(_reduce(row, s, p) if row else ({}, 1))
+    return Matrix._coded(m.field, m.cols, out)
+
+
+def matrix_cancel(m: Matrix, rows, pivot) -> tuple[Matrix, list[tuple[int, int]]]:
+    """One right-looking forward pass over the given rows of m, on codes:
+    ``pivot(i, cols)`` names one of row i's current nonzero columns or
+    None; a pivot row is dropped and clears its column in every other given
+    row.  Returns the rows left, in order and with all columns, and the
+    (row, column) pivots taken."""
+    p = m.field.characteristic
+    coded, scales = [dict(m._rows[i][0]) for i in rows], [m._rows[i][1] for i in rows]
+    # per column, the rows nonzero there and some no longer (checked on use)
+    where = [set(col) for col in _columns(coded, m.cols)]
+    pairs = []
+    for k, i in enumerate(rows):
+        q = pivot(i, coded[k].keys())
+        if q is None:
+            continue
+        pairs.append((i, q))
+        prow, coded[k] = coded[k], None  # dropped
+        _normalize(prow, q, p)
+        for r in list(where[q]):
+            if coded[r] is not None and q in coded[r]:
+                scales[r] *= _clear(coded[r], prow, q, p)
+                for j in prow:
+                    where[j].add(r)
+    left = [(dict(sorted(r.items())), s) for r, s in zip(coded, scales) if r is not None]
+    return Matrix._coded(m.field, m.cols, [_reduce(r, s, p) for r, s in left]), pairs
+
+
+def cancel_minimize(x: GradedComplex) -> GradedComplex:
+    """Oracle for ``minimize``: the same pivots taken right-looking.  A
+    first pass of ``matrix_cancel`` over the zero-shift part of each
+    differential's live rows (``block_part`` by degree), each row pivoting
+    at its first nonzero column, picks the pivots; a second pass of
+    ``matrix_cancel`` with those pivots over each differential, cut to its
+    pivot and kept columns, leaves the kept rows."""
+    if not x.diffs:
+        return x
+    levels, taken = x.levels, []  # per differential, its live rows and pivots
+    ids = {a: k for k, a in enumerate(set().union(*levels))}
+    keys = [[ids[a] for a in level] for level in levels]  # degrees as ints
+    dead = set()  # generators of the current level cancelled as columns
+    for d, src, dst in zip(x.diffs, keys, keys[1:]):
+        rows = [p for p in range(d.rows) if p not in dead]
+        block = block_part(d, rows, src, dst)
+        _, pairs = matrix_cancel(block, range(len(rows)), lambda k, cols: min(cols, default=None))
+        taken.append((rows, {rows[k]: q for k, q in pairs}))
+        dead = set(taken[-1][1].values())
+    keep = [[p for p in rows if p not in chosen] for rows, chosen in taken]
+    keep.append([q for q in range(len(levels[-1])) if q not in dead])
+    while len(keep) > 1 and not keep[-1]:
+        keep.pop()
+    diffs = []
+    for d, (rows, chosen), kept in zip(x.diffs, taken, keep[1:]):
+        cols = sorted(set(chosen.values()).union(kept))
+        at = {c: k for k, c in enumerate(cols)}
+        pivots = [at[chosen[p]] if p in chosen else None for p in rows]
+        m, _ = matrix_cancel(d.submatrix(rows, cols), range(len(rows)), lambda k, _: pivots[k])
+        diffs.append(m.submatrix(range(m.rows), [at[q] for q in kept]))
+    degrees = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
+    labels = [[x.labels[i][j] for j in js] for i, js in enumerate(keep)]
+    return GradedComplex(x.field, x.n, degrees, diffs, labels, var_names=x.var_names)
 
 
 def strandwise_is_resolution(x: GradedComplex) -> ExactnessReport:
@@ -790,7 +866,7 @@ def naive_kernel(field, rows: list[list], n: int) -> list[list]:
 
 
 def naive_cancel(field, rows: list[list], pivot) -> tuple[list[list], list[tuple[int, int]]]:
-    """``Matrix.cancel`` over all rows on boxed elements: in row order, a
+    """``matrix_cancel`` over all rows on boxed elements: in row order, a
     row pivot(i, its nonzero columns) names is dropped after clearing its
     column in every other row."""
     a, alive, pairs = [list(r) for r in rows], list(range(len(rows))), []

@@ -19,7 +19,7 @@ from mgres import (
     kernel_basis,
 )
 from mgres.errors import DimensionError, FormatError
-from helpers import brute_minor_rank, from_columns, mat_vec
+from helpers import block_part, brute_minor_rank, from_columns, mat_vec, matrix_cancel
 
 C_EX = Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
 
@@ -615,7 +615,7 @@ def test_block_part_keeps_the_entries_with_equal_keys(p):
         row_keys = [rng.randint(0, 2) for _ in range(r)]
         col_keys = [rng.randint(0, 2) for _ in range(c)]
         rows = rng.sample(range(r), rng.randint(0, r))
-        got = m.block_part(rows, row_keys, col_keys)
+        got = block_part(m, rows, row_keys, col_keys)
         want = [[ref[i][j] if row_keys[i] == col_keys[j] else 0 for j in range(c)] for i in rows]
         assert (got.rows, got.cols) == (len(rows), c)
         assert [[plain(x) for x in row] for row in got.data] == want
@@ -627,7 +627,7 @@ def test_block_part_keeps_the_entries_with_equal_keys(p):
 @pytest.mark.parametrize("band,count", [("small", 150), ("strand", 4)])
 @pytest.mark.parametrize("p", [0, 2, 7, 32003])
 def test_cancel_matches_naive_row_operations(p, band, count):
-    """Matrix.cancel against the same pivots taken on plain rows: each pivot
+    """matrix_cancel against the same pivots taken on plain rows: each pivot
     row is dropped and every other row r becomes r - (r[q] / pivot[q]) pivot."""
     field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, count, band)
 
@@ -649,8 +649,37 @@ def test_cancel_matches_naive_row_operations(p, band, count):
             for row in live.values():
                 f = row[q] * pow(prow[q], -1, p) if p else row[q] / prow[q]
                 row[:] = [reduce(x - f * y) for x, y in zip(row, prow)]
-        got, pairs = m.cancel(order, rule)
+        got, pairs = matrix_cancel(m, order, rule)
         assert pairs == want_pairs
         assert (got.rows, got.cols) == (len(live), c)
         assert [[plain(x) for x in row] for row in got.data] == list(live.values())
         assert got == Matrix.from_nonzero_rows(field, c, got.nonzero_rows())
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 32003])
+def test_block_pivots_and_eliminate_match_the_cancel_oracle(p):
+    """block_pivots takes the pivots that matrix_cancel's first-column rule
+    takes on the same block part; with every row in the block of key 0,
+    where each pivot row stays nonzero at its column, eliminate leaves the
+    rows that matrix_cancel leaves, on the columns that are no pivot,
+    canonically coded."""
+    field, draw, plain, reduce, rng, matrices = _seeded_matrices(p, 400)
+    changed = 0
+    for r, c, ref, m in matrices:
+        row_keys = [rng.randint(0, 1) for _ in range(r)]
+        col_keys = [rng.randint(0, 1) for _ in range(c)]
+        rows = sorted(rng.sample(range(r), rng.randint(0, r)))
+        block = block_part(m, rows, row_keys, col_keys)
+        _, pairs = matrix_cancel(block, range(len(rows)), lambda k, cols: min(cols, default=None))
+        assert list(m.block_pivots(rows, row_keys, col_keys).items()) == [
+            (q, rows[k]) for k, q in pairs]
+        pivots = m.block_pivots(rows, [0] * r, col_keys)
+        column = {i: q for q, i in pivots.items()}
+        kept = [i for i in rows if i not in column]
+        cols = [j for j in range(c) if j not in pivots]
+        left, _ = matrix_cancel(m, rows, lambda i, _: column.get(i))
+        got = m.eliminate(pivots, kept, cols)
+        assert got == left.submatrix(range(left.rows), cols)
+        assert got == Matrix.from_nonzero_rows(field, len(cols), got.nonzero_rows())
+        changed += got != m.submatrix(kept, cols)
+    assert changed >= 20

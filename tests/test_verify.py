@@ -35,6 +35,7 @@ from helpers import (
     random_generic_minimal,
     random_morphism,
     rescan_minimize,
+    spy_degree_cuts,
     strandwise_is_resolution,
     xy_example,
 )
@@ -125,6 +126,26 @@ def test_is_resolution_takes_one_homology_per_distinct_cut(monkeypatch):
             assert len(calls) == len(cuts)
             shared += len(cuts) < len(report.tested_degrees)
     assert shared >= 5
+
+
+def test_is_resolution_cuts_each_tested_degree_once_per_level(monkeypatch):
+    """Each distinct strand is built from the ``DegreeIndex.leq`` masks
+    already cut to find it: past the cuts that list the tested degrees,
+    one ``leq`` per tested degree and level of the minimized complex, none
+    again inside ``strand``."""
+    from mgres.verify import strand_degrees
+
+    rng = random.Random(4133)
+    for phi in [load_morphism(DATA / "ex4.mmor")] + [random_morphism(rng) for _ in range(6)]:
+        for x in (taylor_complex(phi), scarf_complex(phi)):
+            levels = len(minimize(x).levels)
+            with monkeypatch.context() as m:
+                _, cuts = spy_degree_cuts(m)
+                degrees = strand_degrees(x)
+                listing = len(cuts)
+                report = is_resolution(x)
+            assert report.tested_degrees == tuple(degrees)
+            assert cuts[2 * listing:] == [a for a in degrees for _ in range(levels)]
 
 
 def test_strand_dims():
