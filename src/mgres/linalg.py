@@ -10,14 +10,12 @@ handed out or mutated.  Field elements exist only at the edges:
 ``from_nonzero_rows``, ``field.decode`` builds them in ``nonzero_rows``,
 ``data``, ``col`` and ``det``; all else reads and returns codes, so
 products, transposes and strands cost the number of nonzeros.
-``from_blocks`` (splice, Scarf and user-system differentials, ``solve_matrix``'s
+``from_blocks`` (Scarf and user-system differentials, ``solve_matrix``'s
 augmented matrix) writes each block's codes into their rows as its iterable
-yields the block; the contraction boundary writes its rows over one
-``common_codes`` scale, each reduced once (``from_scaled_rows``).
-``column_copies`` (the rows of a contraction) builds from stored rows
-without re-coding them, and ``MaximalMinors`` takes each maximal minor
-once, on codes, off one echelon form: one determinant per table, then each
-minor expanded over minors it holds.
+yields the block.  A contraction's rows copy one ``coded_column``, and
+``MaximalMinors`` takes each maximal minor once, on codes, off one echelon
+form (one determinant per table, each minor expanded over minors it holds)
+and writes the splice's rows itself.
 
 ``_echelon``, the one elimination, is left-looking: it clears each row in
 turn at its first nonzero by that column's pivot row, and normalizes it
@@ -87,7 +85,8 @@ class Matrix:
     def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
         """rows x cols with each (row0, col0, block) at that corner, none
         overlapping, in nondecreasing col0 (else DimensionError), each block
-        written into its rows, in ascending columns, as blocks yields it."""
+        written into its rows, in ascending columns, as blocks yields it: the
+        Scarf and user-system differentials, ``solve_matrix``'s [A | b]."""
         codes, scales, last = [{} for _ in range(rows)], [1] * rows, 0
         for row0, col0, block in blocks:
             if col0 < last:
@@ -113,14 +112,6 @@ class Matrix:
         """One row per {col: code} dict (columns ascending, no zero code, canonical
         mod p, where scale is 1) worth its codes over scale, kept and reduced."""
         return cls._coded(field, cols, [_reduce(row, scale, field.characteristic) for row in rows])
-
-    @staticmethod
-    def common_codes(blocks: Sequence["Matrix"]) -> tuple[int, list[list[dict]]]:
-        """(L, codes): L the lcm of every block's row scales (1 mod p) and, per
-        block and row, a new {col: code} dict worth the row over L."""
-        scale = math.lcm(*(s for b in blocks for _, s in b._rows))
-        return scale, [[{j: x * (scale // s) for j, x in row.items()} for row, s in b._rows]
-                       for b in blocks]
 
     @classmethod
     def stack(cls, field, cols: int, blocks: Sequence["Matrix"]):
@@ -165,14 +156,16 @@ class Matrix:
             out.append(_reduce(col, lcm, p))
         return Matrix._coded(self.field, self.rows, out)
 
-    def column_copies(self, j: int, cols: int, targets: Sequence[Sequence[int]]) -> "Matrix":
-        """len(targets) x cols: row k is column j of self with its entry from
-        row i moved to column targets[k][i].  Column j is coded once, as in
-        ``transpose``; each targets[k] must ascend, so every row keeps that
-        one coding."""
+    def coded_column(self, j: int) -> tuple[dict, int]:
+        """Column j as one canonical (codes, scale) row {row: code}, as ``transpose`` codes it."""
         hits = [(i, row[j], s) for i, (row, s) in enumerate(self._rows) if j in row]
         lcm = math.lcm(*(s for _, _, s in hits))
-        col, t = _reduce({i: x * (lcm // s) for i, x, s in hits}, lcm, self.field.characteristic)
+        return _reduce({i: x * (lcm // s) for i, x, s in hits}, lcm, self.field.characteristic)
+
+    def column_copies(self, j: int, cols: int, targets: Sequence[Sequence[int]]) -> "Matrix":
+        """len(targets) x cols: row k is ``coded_column(j)`` with its entry
+        from row i moved to column targets[k][i], which must ascend in i."""
+        col, t = self.coded_column(j)
         rows = [({k[i]: x for i, x in col.items()}, t) for k in targets]
         return Matrix._coded(self.field, cols, rows)
 
@@ -419,10 +412,9 @@ class MaximalMinors:
     the s_i, i in I, with d = det c[I, J] (mod p).  d expands along row
     i = min(I): each c_i[J[t]] times (-1)^t the d of S - J[t] + P[i], whose
     I and J are those of S without i and J[t], a minor of the table itself.
-    So a minor costs |J| products over minors already kept.  ``column`` (a
-    splice column, negating the minors it reads at odd positions) and
-    ``is_nonzero`` (``Morphism.is_uniform_rank``) read the same memo, so
-    each minor is taken once, whichever asks first."""
+    So a minor costs |J| products over minors already kept.  ``splice``
+    and ``is_nonzero`` (``Morphism.is_uniform_rank``) read the same memo,
+    so each minor is taken once, whichever asks first."""
 
     __slots__ = ("field", "cols", "_p", "_base", "_red", "_pivots", "_pivot_row", "_memo")
 
@@ -463,15 +455,27 @@ class MaximalMinors:
         """The minor on the ascending r-subset cols is nonzero."""
         return bool((self._memo.get(sum(1 << c for c in cols)) or self._minor(cols))[0])
 
+    def splice(self, faces: Sequence[tuple[int, ...]]) -> Matrix:
+        """e x len(faces), column s the splice column of faces[s], an ascending
+        (r + 1)-subset: at row faces[s][k], (-1)^k times the minor on faces[s]
+        without it, written into its row, which goes over the lcm of its
+        minors' scales and so stays canonical (as in ``Matrix.from_blocks``)."""
+        p, memo, rows = self._p, self._memo, [({}, 1)] * self.cols
+        for s, cols in enumerate(faces):
+            full = sum(1 << c for c in cols)
+            for k, c in enumerate(cols):
+                x, t, _ = memo.get(full ^ 1 << c) or self._minor(cols[:k] + cols[k + 1 :])
+                if x:
+                    row, old = rows[c]
+                    if not row or old % t:  # a row of its own, over lcm(old, t)
+                        lcm = math.lcm(old, t)
+                        rows[c] = row, old = {j: y * (lcm // old) for j, y in row.items()}, lcm
+                    row[s] = ((p - x if p else -x) if k & 1 else x) * (old // t)
+        return Matrix._coded(self.field, len(faces), rows)
+
     def column(self, cols: tuple[int, ...]) -> Matrix:
-        """e x 1, entry cols[k] the minor on cols without cols[k] times
-        (-1)^k, for an ascending (r + 1)-subset cols: its splice column."""
-        p, memo, out, full = self._p, self._memo, [({}, 1)] * self.cols, sum(1 << c for c in cols)
-        for k, c in enumerate(cols):
-            x, s, _ = memo.get(full ^ 1 << c) or self._minor(cols[:k] + cols[k + 1 :])
-            if x:
-                out[c] = ({0: (p - x if p else -x) if k & 1 else x}, s)
-        return Matrix._coded(self.field, 1, out)
+        """e x 1, the splice column of an ascending (r + 1)-subset cols."""
+        return self.splice([cols])
 
 
 class Subspace:

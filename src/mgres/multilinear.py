@@ -11,21 +11,17 @@ Each boundary D_m (x) Wedge^p -> D_{m-1} (x) Wedge^{p-1} is the block matrix
 of signed contractions: the block from face I to facet I - {l} is
 (-1)^(position of l in I, from 0) Delta_l, the standard comultiplication sign,
 where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided exponent
-j by one with weight uv[j][l].  Each row of Delta_l is column l of uv, coded
-once and relabeled (``Matrix.column_copies``).  Delta_l depends on l and m
-only, so ``sigma_matrix_on``, the one boundary kernel, codes its rows once and
-writes them into every facet's rows.  The splice map replaces Delta_l by
-signed maximal minors of the coordinate matrix, each taken once by
-``linalg.MaximalMinors``; ``splice_and_boundaries`` lists the splice and the
-boundaries above it, the maps of the Taylor and B complexes.  D_m of a
-subspace W is the common kernel of the contractions by any functionals
-spanning those that vanish on W (the divided power algebra is the graded
-dual of the symmetric algebra, so in every characteristic): one
-``contraction_kernel``, with no divided power expanded by hand.  It is the
-only kernel taken on uv: at m = 1 it is the K-space ``Morphism.k_space``.
-A contraction is linear in its functional, so the kernel depends only on
-the span of the columns: a set of at least r columns is ranked first, and
-one that spans gives zero with no kernel taken.
+j by one with weight uv[j][l]: its rows are copies of column l of uv, coded
+once (``Matrix.coded_column``).  ``boundaries``, the one boundary kernel,
+writes those copies, signed, straight into every facet's rows, and the
+splice writes signed maximal minors (``linalg.MaximalMinors.splice``);
+``splice_and_boundaries`` lists the maps of the Taylor and B complexes.
+D_m of a subspace W is the common kernel of the contractions by any
+functionals spanning those that vanish on W (the divided power algebra is
+the graded dual of the symmetric algebra, so in every characteristic): one
+``contraction_kernel``, the only kernel taken on uv (at m = 1 the K-space
+``Morphism.k_space``).  The kernel depends only on the span of the columns:
+a set of at least r columns is ranked first, and one that spans gives zero.
 This module imports no other mgres module but ``linalg`` and ``errors``, so
 ``morphism`` can import it; ``cd`` is a ``morphism.CoeffData``, named only
 in annotations.
@@ -115,13 +111,9 @@ def _raised_index(r: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
-    """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv.
-
-    Basis vector b goes to the sum of uv[j][l] (b - e_j) over the j with
-    b_j > 0: row c is column l of uv with entry j moved to c + e_j, one
-    ``Matrix.column_copies`` of it.  Every boundary uses signed blocks of
-    it, and ``contraction_kernel`` stacks it.
-    """
+    """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv: row c
+    is column l with entry j moved to c + e_j (``Matrix.column_copies``), signed
+    in the Scarf blocks (``signed_contractions``), stacked by ``contraction_kernel``."""
     return uv.column_copies(l - 1, divided_dim(uv.rows, m), _raised_index(uv.rows, m))
 
 
@@ -132,51 +124,57 @@ def signed_contractions(uv: Matrix, m: int):
 
 
 def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
-    """Boundary D_{m+i} (x) Wedge^{k+i} -> D_{m+i-1} (x) Wedge^{k+i-1}.
-
-    The coordinate matrix uv gives the pairing values: its (j, l) entry is
-    the j-th dual coordinate of the image of basis vector l.  The block from
-    face F to facet F - {l} is the signed Delta_l, its rows coded once over
-    one scale and written face by face, so in ascending columns, into the
-    facets' rows, each reduced once (``Matrix.from_scaled_rows``).
-    """
+    """Boundary D_{m+i} (x) Wedge^{k+i} -> D_{m+i-1} (x) Wedge^{k+i-1}; uv's
+    (j, l) entry is the j-th dual coordinate of the image of basis vector l."""
     if i < 1:
         raise DimensionError("boundary index must be at least 1")
-    n_dom, n_cod = divided_dim(uv.rows, m + i), divided_dim(uv.rows, m + i - 1)
-    deltas = signed_contractions(uv, m + i)
-    scale, codes = Matrix.common_codes([d for l in range(1, e + 1) for d in deltas(l)])
-    # entry 2 (l - 1) + sign: per nonzero row c of (-1)^sign Delta_l, c and its (col, code) pairs
-    signed = [[(c, tuple(row.items())) for c, row in enumerate(rows) if row] for rows in codes]
-    facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
-    out = [{} for _ in range(len(facet_offset) * n_cod)]
-    faces = itertools.combinations(range(1, e + 1), k + i)
-    for col0, face in zip(itertools.count(0, n_dom), faces):
-        for pos, l in enumerate(face):
-            row0 = facet_offset[face[:pos] + face[pos + 1 :]]
-            for c, row in signed[2 * l - 2 + (pos & 1)]:
-                target = out[row0 + c]
-                for j, x in row:
-                    target[col0 + j] = x
-    return Matrix.from_scaled_rows(uv.field, math.comb(e, k + i) * n_dom, out, scale)
+    return next(boundaries(uv, e, m, k, [i]))
+
+
+def boundaries(uv: Matrix, e: int, m: int, k: int, steps):
+    """``sigma_matrix_on(uv, e, m, k, i)`` for each i >= 1 in steps.  Each
+    column of uv is coded once and kept over L, the lcm of their scales (1
+    mod p), with its negative; the block from face F to facet F - {l} is the
+    signed Delta_l, written face by face, so in ascending columns, into the
+    facets' rows, each reduced once (``Matrix.from_scaled_rows``)."""
+    p, r, coded = uv.field.characteristic, uv.rows, [uv.coded_column(l) for l in range(e)]
+    scale, columns = math.lcm(*(t for _, t in coded)), []
+    for col, t in coded:  # at 2 (l - 1) + sign, (-1)^sign column l as (row, code) pairs
+        plus = [(j, x * (scale // t)) for j, x in col.items()]
+        columns += [plus, [(j, p - x if p else -x) for j, x in plus]]
+    for i in steps:
+        q, raised, n_dom = k + i, _raised_index(r, m + i), divided_dim(r, m + i)
+        # at 2 (l - 1) + sign: per row c of (-1)^sign Delta_l, c and its (col, code) pairs
+        blocks = [[(c, [(at[j], x) for j, x in col]) for c, at in enumerate(raised)] if col else []
+                  for col in columns]
+        facet_offset = {f: s * len(raised) for s, f in enumerate(exterior_basis(e, q - 1))}
+        out = [{} for _ in range(len(facet_offset) * len(raised))]
+        faces = itertools.combinations(range(1, e + 1), q)
+        for col0, face in zip(itertools.count(0, n_dom), faces):
+            # the facet without face[pos], for pos = q - 1, ..., 0
+            for pos, facet in zip(range(q - 1, -1, -1), itertools.combinations(face, q - 1)):
+                row0 = facet_offset[facet]
+                for c, row in blocks[2 * face[pos] - 2 + (pos & 1)]:
+                    target = out[row0 + c]
+                    for j, x in row:
+                        target[col0 + j] = x
+        yield Matrix.from_scaled_rows(uv.field, math.comb(e, q) * n_dom, out, scale)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors:
-    the column of face F is ``minors.column(F)``, minors a table of uv (fresh if None)."""
-    minors, faces = minors or MaximalMinors(uv), list(itertools.combinations(range(e), rk + 1))
-    blocks = ((0, s, minors.column(face)) for s, face in enumerate(faces))
-    return Matrix.from_blocks(uv.field, e, len(faces), blocks)
+    ``minors.splice`` of every (rk + 1)-face, minors a table of uv (fresh if None)."""
+    return (minors or MaximalMinors(uv)).splice(list(itertools.combinations(range(e), rk + 1)))
 
 
 def splice_and_boundaries(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None):
-    """The maps above the source: the splice out of Wedge^{rk+1}, then
-    ``sigma_matrix_on(uv, e, 0, rk + 1, i)`` out of D_i (x) Wedge^{rk+1+i}
-    for i = 1, ..., e - rk - 1 while D_i is nonzero (none at rk = 0)."""
+    """The maps above the source: the splice out of Wedge^{rk+1}, then the
+    ``boundaries`` out of D_i (x) Wedge^{rk+1+i} for i = 1, ..., e - rk - 1
+    (none at rk = 0, where D_i = 0 for i >= 1)."""
     if rk >= e:
         return []
-    # at rk = 0, D_i = 0 for every i >= 1
-    boundaries = (sigma_matrix_on(uv, e, 0, rk + 1, i) for i in range(1, e - rk) if rk)
-    return [splice_matrix_on(uv, e, rk, minors), *boundaries]
+    steps = range(1, e - rk) if rk else []
+    return [splice_matrix_on(uv, e, rk, minors), *boundaries(uv, e, 0, rk + 1, steps)]
 
 
 def coordinates_on(cd: CoeffData, vsub: Subspace) -> Matrix:
@@ -200,7 +198,7 @@ def build_A_complex(cd: CoeffData, vsub: Subspace, m: int, k: int) -> VectorComp
     if k > e:
         return VectorComplex((), ())
     dims = tuple(divided_dim(rk, m + i) * math.comb(e, k + i) for i in range(e - k + 1))
-    diffs = tuple(sigma_matrix_on(uv, e, m, k, i) for i in range(1, e - k + 1))
+    diffs = tuple(boundaries(uv, e, m, k, range(1, e - k + 1)))
     return VectorComplex(dims, diffs)
 
 

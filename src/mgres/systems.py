@@ -20,14 +20,14 @@ only the scalar matrices are stored; the shift of entry (row, col) is
 always the column generator degree minus the row generator degree.
 
 The system with every divided power in full, ``full_system``, gives the
-Taylor-style resolution, built level by level from the splice and
-``sigma_matrix_on`` with no face stored.  The Scarf system is one rule over
-the LCM-lattice table ``phi.degree_index.lattice(cap)``: each degree a with
-|I_a| > r gives the face I_a the divided power of the functionals vanishing
-on I^a, the kernel of the contractions by the columns of I^a (none, with no
-kernel taken, when those columns span); a Scarf degree (I^a empty) gets all
-of it.  Under uniform rank only the degrees with few columns below them can
-carry a face, so the cap walks only those (``scarf_system``).
+Taylor-style resolution, built level by level from the splice and the
+contraction ``boundaries``, no face stored.  The Scarf system is one rule
+over the LCM-lattice table ``phi.degree_index.lattice(cap)``: each degree a
+with |I_a| > r gives the face I_a the divided power of the functionals
+vanishing on I^a (the kernel of the contractions by the columns of I^a,
+none taken when they span); a Scarf degree (I^a empty) gets all of it.
+Under uniform rank the cap walks only the degrees with few columns below
+them, the only ones that can carry a face (``scarf_system``).
 """
 
 from __future__ import annotations
@@ -241,11 +241,11 @@ def build_complex(phi: Morphism, system: FaceSystem | FullSystem) -> GradedCompl
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
     levels, labels = [phi.target_degrees, phi.source_degrees], presentation_labels(phi)
-    degrees: dict[Face, Multidegree] = {(): (0,) * phi.n}  # per face of the level before
+    made: dict[Face, tuple[str, Multidegree]] = {(): ("e{", (0,) * phi.n)}  # the level before's
     if isinstance(system, FullSystem) and system.e == phi.e:
         for p, dim in system.dims.items():
             faces = system.faces_of_size(p)
-            degrees, _ = _level(phi, faces, [dim] * len(faces), degrees, levels, labels)
+            made, _ = _level(phi, faces, [dim] * len(faces), made, levels, labels)
         diffs = [cd.matrix, *splice_and_boundaries(cd.uv, phi.e, r, cd.minors)]
         return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
     by_size: dict[int, list[Face]] = {}
@@ -260,35 +260,34 @@ def build_complex(phi: Morphism, system: FaceSystem | FullSystem) -> GradedCompl
     # spans its whole divided power: a vector there is its own coordinates
     eye = {d: Matrix.identity(phi.field, d) for d in {emb.rows for emb in system.spaces.values()}}
     identity = {face for face, emb in system.spaces.items() if emb == eye[emb.rows]}
-    diffs: list[Matrix] = [cd.matrix]
-    offsets: dict[Face, int] = {}
+    diffs, offsets = [cd.matrix], {}
     for p in range(r + 1, system.max_face_size() + 1):
         faces, below = by_size.get(p, []), offsets
         dims = [system.spaces[face].cols for face in faces]
-        degrees, offsets = _level(phi, faces, dims, degrees, levels, labels)
+        made, offsets = _level(phi, faces, dims, made, levels, labels)
         blocks = _blocks(cd, system, identity, faces, offsets, below, p - r - 1)
         diffs.append(Matrix.from_blocks(phi.field, len(levels[-2]), len(levels[-1]), blocks))
     return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
 
 
-def _level(phi: Morphism, faces, dims, prefix_degrees: dict[Face, Multidegree], levels, labels):
-    """Appends to levels and labels one level of faces in build order, the
-    k-th face f spanning dims[k] generators e{f}#1, e{f}#2, ..., and returns
-    per face its degree and first generator.  A face's degree joins its
-    prefix's (read from prefix_degrees, the level before, or joined once
-    when not there) with its last column's."""
-    src, degrees, offsets, level, names = phi.source_degrees, {}, {}, [], []
+def _level(phi: Morphism, faces, dims, prev: dict[Face, tuple[str, Multidegree]], levels, labels):
+    """Appends to levels and labels one level of faces in build order, the k-th
+    face f spanning dims[k] generators e{f}#1, e{f}#2, ..., and returns per face
+    its label head "e{i1,...,ip," and degree, each its prefix's (from prev, the
+    level before, or made once) extended by its last column, and its first generator."""
+    src, made, offsets, level, heads = phi.source_degrees, {}, {}, [], []
     for face, cols in zip(faces, dims):
-        prefix = face[:-1]
-        if prefix not in prefix_degrees:
-            prefix_degrees[prefix] = phi.face_degree(prefix)
-        degree = degrees[face] = deg.join(prefix_degrees[prefix], src[face[-1] - 1])
-        offsets[face], label = len(level), "e{" + ",".join(map(str, face)) + "}#"
+        prefix, last = face[:-1], face[-1]
+        if (got := prev.get(prefix)) is None:
+            got = prev[prefix] = ("e{" + ",".join(map(str, prefix)) + ",", phi.face_degree(prefix))
+        head, degree = got[0] + str(last), tuple(map(max, got[1], src[last - 1]))
+        made[face], offsets[face] = (head + ",", degree), len(level)
+        heads.append(head)
         level += [degree] * cols
-        names += [label + str(t) for t in range(1, cols + 1)]
+    suffixes = {cols: [f"}}#{t}" for t in range(1, cols + 1)] for cols in set(dims)}
     levels.append(level)
-    labels.append(names)
-    return degrees, offsets
+    labels.append([head + t for head, cols in zip(heads, dims) for t in suffixes[cols]])
+    return made, offsets
 
 
 def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):

@@ -26,6 +26,7 @@ from mgres import (
 )
 from helpers import (
     classical_taylor,
+    full_face_system,
     mod_p,
     monomial_ideal_morphism,
     random_generic_minimal,
@@ -514,13 +515,14 @@ def test_taylor_complex_reads_the_generator_budget_at_call_time(monkeypatch, bud
 @pytest.mark.parametrize("budget, refused", [(31, True), (32, False)])
 def test_taylor_budget_is_refused_before_any_contraction_or_minor(monkeypatch, budget, refused):
     """taylor_complex refuses with full_system's message, and takes no
-    contraction and no maximal minor first; within the budget it takes both."""
-    from mgres import linalg, multilinear, systems
+    contraction and no maximal minor first; within the budget it takes both.
+    Every contraction row is a copy of one ``Matrix.coded_column`` of uv."""
+    from mgres import linalg, systems
 
     monkeypatch.setattr(systems, "MAX_GENERATORS", budget)
-    calls, contraction, minor = [], multilinear.contraction_matrix, linalg.MaximalMinors._minor
-    monkeypatch.setattr(multilinear, "contraction_matrix",
-                        lambda *args: calls.append("contraction") or contraction(*args))
+    calls, column, minor = [], linalg.Matrix.coded_column, linalg.MaximalMinors._minor
+    monkeypatch.setattr(linalg.Matrix, "coded_column",
+                        lambda self, j: calls.append("contraction") or column(self, j))
     monkeypatch.setattr(linalg.MaximalMinors, "_minor",
                         lambda self, cols: calls.append("minor") or minor(self, cols))
     # Taylor ranks (1, 5, 10, 10, 5, 1): 32 generators
@@ -535,6 +537,105 @@ def test_taylor_budget_is_refused_before_any_contraction_or_minor(monkeypatch, b
     else:
         assert sum(taylor_complex(phi).ranks()) == 32
         assert {"contraction", "minor"} <= set(calls)
+
+
+def _taylor_draw(field, g: int, e: int, rank: str) -> Morphism:
+    """A seeded g x e morphism over k[x, y, z] with distinct column degrees:
+    coefficients drawn at random ("r = 0": none; "r = e": g = e and a unit
+    upper triangular matrix); over Q each is a fraction, so uv has scales
+    above 1."""
+    rng = random.Random(f"{field.name} {g} {e} {rank}")
+    first = sorted(rng.sample(range(1, 4 * e), e))
+    second = sorted(rng.sample(range(1, 4 * e), e), reverse=True)
+    third = rng.sample(range(1, 4 * e), e)
+    p = field.characteristic
+
+    def draw():
+        if not p:
+            return QQ.of(rng.randint(1, 29)) / QQ.of(rng.randint(1, 29))
+        return field.of(rng.randint(1, p - 1))
+
+    if rank == "r = 0":
+        entries = {}
+    elif rank == "r = e":
+        entries = {(i, j): field.one if i == j else draw()
+                   for i in range(1, g + 1) for j in range(i, e + 1)}
+    else:
+        entries = {(i, j): draw() for i in range(1, g + 1) for j in range(1, e + 1)}
+    phi = Morphism(3, field, list(zip(first, second, third)), [(0, 0, 0)] * g, entries)
+    return phi.validate(allow_zero_columns=True)
+
+
+@pytest.mark.parametrize("rank", ["r = 0", "generic", "r = e"])
+@pytest.mark.parametrize("p", [None, 2, 7, 32003])
+def test_taylor_complex_builds_no_block_matrix(monkeypatch, p, rank):
+    """taylor_complex writes every map above the source from uv's coded
+    columns and the minor table: with ``contraction_matrix``,
+    ``MaximalMinors.column`` and ``Matrix.from_blocks`` made to raise, it
+    still equals the full-system oracle, which is spanned block by block on
+    exactly those three (built before they are patched), over Q with
+    fractional uv, GF(2), GF(7) and GF(32003), at r = 0, generic r and r = e."""
+    from mgres import linalg, multilinear
+
+    field = PrimeField(p) if p else QQ
+    g, e = {"r = 0": (2, 6), "generic": (3, 7), "r = e": (3, 3)}[rank]
+    phi = _taylor_draw(field, g, e, rank)
+    phi.coeff_data.minors  # taken before the patches, as every build finds it
+    want_rank = {"r = 0": 0, "r = e": e}.get(rank, phi.coeff_data.r)
+    assert phi.coeff_data.r == want_rank
+    if rank == "generic" and not p:
+        assert any(s > 1 for _, s in phi.coeff_data.uv._rows)  # L > 1
+    oracle = build_complex(phi, full_face_system(phi))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Taylor route built a block Matrix")
+
+    monkeypatch.setattr(multilinear, "contraction_matrix", refuse)
+    monkeypatch.setattr(linalg.MaximalMinors, "column", refuse)
+    monkeypatch.setattr(linalg.Matrix, "from_blocks", refuse)
+    assert taylor_complex(phi) == oracle
+
+
+def _generators_by_level(phi: Morphism, spans: dict) -> tuple[list[list], list[list]]:
+    """Per level above the source, the label e{i1,...,ip}#t and the degree,
+    the join of the column degrees d_j over j in the face, of each generator
+    t = 1, ..., spans[face] of each face, faces by size then lexicographic:
+    written out afresh, with no prefix read."""
+    r = phi.coeff_data.r
+    top = max(map(len, spans), default=r)
+    labels, degrees = [[] for _ in range(r + 1, top + 1)], [[] for _ in range(r + 1, top + 1)]
+    for face in sorted(spans, key=lambda f: (len(f), f)):
+        degree = tuple(max(phi.source_degrees[j - 1][k] for j in face) for k in range(phi.n))
+        for t in range(1, spans[face] + 1):
+            labels[len(face) - r - 1].append("e{" + ",".join(str(j) for j in face) + "}#" + str(t))
+            degrees[len(face) - r - 1].append(degree)
+    return labels, degrees
+
+
+@pytest.mark.parametrize("route", ["taylor", "scarf"])
+def test_level_labels_and_degrees_match_a_direct_oracle(route):
+    """Every generator t of face F is labeled e{i1,...,ip}#t and has degree
+    the join of d_j over j in F: on a Taylor complex with e = 11 (two-digit
+    indices) and on a Scarf complex whose faces skip a size, so that a
+    face's prefix is no face of the level before."""
+    if route == "taylor":
+        phi = wide_generic_morphism(11)
+        r = phi.coeff_data.r
+        x = taylor_complex(phi)
+        spans = {face: divided_dim(r, p - r - 1) for p in range(r + 1, phi.e + 1)
+                 for face in itertools.combinations(range(1, phi.e + 1), p)}
+        assert "e{9,10,11}#1" in x.labels[2]
+    else:
+        phi = random_morphism(random.Random(86))
+        r = phi.coeff_data.r
+        x = scarf_complex(phi)
+        spans = {face: emb.cols for face, emb in scarf_system(phi).spaces.items()}
+        sizes = {len(face) for face in spans}
+        assert set(range(r + 1, max(sizes) + 1)) - sizes  # a size with no face
+        assert any(face[:-1] not in spans for face in spans if len(face) > r + 1)
+    labels, degrees = _generators_by_level(phi, spans)
+    assert [list(level) for level in x.labels[2:]] == labels
+    assert [list(level) for level in x.levels[2:]] == degrees
 
 
 def test_taylor_complex_has_no_column_cap():
