@@ -10,12 +10,14 @@ handed out or mutated.  Field elements exist only at the edges:
 ``from_nonzero_rows``, ``field.decode`` builds them in ``nonzero_rows``,
 ``data``, ``col`` and ``det``; all else reads and returns codes, so
 products, transposes and strands cost the number of nonzeros.
-``from_blocks`` (Scarf and user-system differentials, ``solve_matrix``'s
-augmented matrix) writes each block's codes into their rows as its iterable
-yields the block.  A contraction's rows copy one ``coded_column``, and
-``MaximalMinors`` takes each maximal minor once, on codes, off one echelon
-form (one determinant per table, each minor expanded over minors it holds)
-and writes the splice's rows itself.
+``write_into`` writes a block's codes into rows held over per-row scales,
+each row going to the lcm of its pieces' scales (``solve_matrix``'s [A | b]
+and the solved blocks of ``multilinear.write_level``), and
+``from_scaled_rows`` reduces such rows once.  A contraction's rows copy one
+``coded_column`` (``multilinear.Contractions``), and ``MaximalMinors`` takes
+each maximal minor once, on codes, off one echelon form (one determinant per
+table, each minor expanded over minors it holds) and writes the splice's
+rows itself.
 
 ``_echelon``, the one elimination, is left-looking: it clears each row in
 turn at its first nonzero by that column's pivot row, and normalizes it
@@ -65,10 +67,6 @@ class Matrix:
         return cls(field, len(rows), cols, rows)
 
     @classmethod
-    def from_int_rows(cls, field, rows: Sequence[Sequence[int]], cols: int | None = None):
-        return cls.from_rows(field, [[field.of(x) for x in r] for r in rows], cols)
-
-    @classmethod
     def from_nonzero_rows(cls, field, cols: int, rows: Sequence[Mapping[int, object]]):
         """One row per {col: value} mapping (copied; any column order, zeros dropped)."""
         return cls._coded(field, cols, field.encode_rows(
@@ -82,36 +80,12 @@ class Matrix:
         return m
 
     @classmethod
-    def from_blocks(cls, field, rows: int, cols: int, blocks: Iterable[tuple[int, int, "Matrix"]]):
-        """rows x cols with each (row0, col0, block) at that corner, none
-        overlapping, in nondecreasing col0 (else DimensionError), each block
-        written into its rows, in ascending columns, as blocks yields it: the
-        Scarf and user-system differentials, ``solve_matrix``'s [A | b]."""
-        codes, scales, last = [{} for _ in range(rows)], [1] * rows, 0
-        for row0, col0, block in blocks:
-            if col0 < last:
-                raise DimensionError(f"block at column {col0} comes after one at column {last}")
-            last = col0
-            for i, (row, s) in enumerate(block._rows, row0):
-                if row:
-                    target = codes[i]
-                    # a row's pieces go to the lcm of their scales: canonical pieces
-                    # make a canonical row (a prime's top power in the lcm divides
-                    # some piece's scale, and that piece has a code it does not divide)
-                    if s != scales[i]:
-                        t, lcm = scales[i], math.lcm(s, scales[i])
-                        for j in target:
-                            target[j] *= lcm // t
-                        scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
-                    for j, x in row.items():
-                        target[col0 + j] = x
-        return cls._coded(field, cols, list(zip(codes, scales)))
-
-    @classmethod
-    def from_scaled_rows(cls, field, cols: int, rows: Sequence[dict], scale: int):
-        """One row per {col: code} dict (columns ascending, no zero code, canonical
-        mod p, where scale is 1) worth its codes over scale, kept and reduced."""
-        return cls._coded(field, cols, [_reduce(row, scale, field.characteristic) for row in rows])
+    def from_scaled_rows(cls, field, cols: int, rows: Iterable[tuple[dict, int]]):
+        """One row per (codes, scale) pair, codes a {col: code} dict (columns
+        ascending, no zero code, canonical mod p, where scale is 1), reduced."""
+        p = field.characteristic
+        return cls._coded(field, cols, [_reduce(row, s, p) if s != 1 else (row, 1)
+                                        for row, s in rows])
 
     @classmethod
     def stack(cls, field, cols: int, blocks: Sequence["Matrix"]):
@@ -162,13 +136,6 @@ class Matrix:
         lcm = math.lcm(*(s for _, _, s in hits))
         return _reduce({i: x * (lcm // s) for i, x, s in hits}, lcm, self.field.characteristic)
 
-    def column_copies(self, j: int, cols: int, targets: Sequence[Sequence[int]]) -> "Matrix":
-        """len(targets) x cols: row k is ``coded_column(j)`` with its entry
-        from row i moved to column targets[k][i], which must ascend in i."""
-        col, t = self.coded_column(j)
-        rows = [({k[i]: x for i, x in col.items()}, t) for k in targets]
-        return Matrix._coded(self.field, cols, rows)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """The rows row_idx and the distinct columns col_idx, in the order given."""
         new = {j: k for k, j in enumerate(col_idx)}
@@ -178,11 +145,6 @@ class Matrix:
             row = {new[j]: x for j, x in row.items() if j in new}
             out.append(_reduce(row if ordered else dict(sorted(row.items())), s, p))
         return Matrix._coded(self.field, len(new), out)
-
-    def __neg__(self) -> "Matrix":
-        p = self.field.characteristic
-        rows = [({j: p - x if p else -x for j, x in row.items()}, s) for row, s in self._rows]
-        return Matrix._coded(self.field, self.cols, rows)
 
     def _products(self, other: "Matrix"):
         """Per row (a', s) of self, the unreduced int sums {j: sum_k a'_k
@@ -271,6 +233,20 @@ class Matrix:
             out.append(_reduce({j - m - k: row[j] for j in sorted(row)}, s, p))
         return Matrix._coded(self.field, len(cols), out)
 
+    def write_into(self, codes: list[dict], scales: list[int], row0: int, col0: int) -> None:
+        """Writes this matrix at corner (row0, col0) of the rows codes[i] /
+        scales[i], in place, each row and its piece over their lcm scale."""
+        for i, (row, s) in enumerate(self._rows, row0):
+            if row:
+                target = codes[i]
+                if s != scales[i]:
+                    t, lcm = scales[i], math.lcm(s, scales[i])
+                    for j in target:
+                        target[j] *= lcm // t
+                    scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
+                for j, x in row.items():
+                    target[col0 + j] = x
+
     def solve(self, b: Sequence) -> list | None:
         """One solution x of self @ x = b (free variables set to 0), or None."""
         x = self.solve_matrix(Matrix(self.field, len(b), 1, [[v] for v in b]))
@@ -282,8 +258,9 @@ class Matrix:
         if b.rows != self.rows:
             raise DimensionError("right-hand side length does not match row count")
         p, n = self.field.characteristic, self.cols
-        aug = Matrix.from_blocks(self.field, self.rows, n + b.cols, [(0, 0, self), (0, n, b)])
-        found = _echelon(p, aug._rows, reduced=True)[0]
+        codes, scales = [dict(row) for row, _ in self._rows], [s for _, s in self._rows]
+        b.write_into(codes, scales, 0, n)
+        found = _echelon(p, list(zip(codes, scales)), reduced=True)[0]
         if max(found, default=-1) >= n:
             return None
         out = [({}, 1)] * n
@@ -459,7 +436,9 @@ class MaximalMinors:
         """e x len(faces), column s the splice column of faces[s], an ascending
         (r + 1)-subset: at row faces[s][k], (-1)^k times the minor on faces[s]
         without it, written into its row, which goes over the lcm of its
-        minors' scales and so stays canonical (as in ``Matrix.from_blocks``)."""
+        minors' scales and so stays canonical: a prime's top power in the lcm
+        divides some minor's scale, and that minor has a code it does not
+        divide."""
         p, memo, rows = self._p, self._memo, [({}, 1)] * self.cols
         for s, cols in enumerate(faces):
             full = sum(1 << c for c in cols)
@@ -472,10 +451,6 @@ class MaximalMinors:
                         rows[c] = row, old = {j: y * (lcm // old) for j, y in row.items()}, lcm
                     row[s] = ((p - x if p else -x) if k & 1 else x) * (old // t)
         return Matrix._coded(self.field, len(faces), rows)
-
-    def column(self, cols: tuple[int, ...]) -> Matrix:
-        """e x 1, the splice column of an ascending (r + 1)-subset cols."""
-        return self.splice([cols])
 
 
 class Subspace:

@@ -18,9 +18,9 @@ standard one).
 The LCM-lattice table ``degree_index.lattice()`` maps each lattice degree a
 to I_a, the columns of degree at most a, as an int bitmask (bit j - 1 for
 column j); ``columns`` decodes a mask.  The K-space of a face is
-``multilinear.contraction_kernel`` of uv at m = 1, the one kernel route on
-uv; a Morphism keeps no K-space, so a caller that asks for the same face
-often (``mgres analyze``) memoizes it.
+``multilinear.contraction_kernel`` of ``CoeffData.contractions`` at m = 1,
+the one kernel route on uv; a Morphism keeps no K-space, so a caller that
+asks for the same face often (``mgres analyze``) memoizes it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import degrees as deg
 from .degrees import Multidegree
 from .errors import DimensionError, HomogeneityError, TooManyColumns, ZeroColumnError
 from .linalg import MaximalMinors, Matrix, Subspace
-from .multilinear import contraction_kernel
+from .multilinear import Contractions, contraction_kernel
 
 # Most r-element column subsets ``is_uniform_rank`` walks, read at call time:
 # one minor off the table takes about 21 us (Q, r = 9, e = 18, entries
@@ -48,12 +48,18 @@ class CoeffData(namedtuple("CoeffData", "matrix r image uv")):
     """Scalar data attached to a morphism: the g x e coefficient matrix C,
     its rank r, the Subspace V = col(C) inside the target coordinate space
     and uv, the r x e matrix of the induced map U -> V in V-coordinates.
-    No ``__slots__``: the instance dict holds the cached ``minors``."""
+    No ``__slots__``: the instance dict holds the cached ``minors`` and
+    ``contractions``."""
 
     @cached_property
     def minors(self) -> MaximalMinors:
         """The maximal minors of uv, each taken once for every complex built."""
         return MaximalMinors(self.uv)
+
+    @cached_property
+    def contractions(self) -> Contractions:
+        """uv's columns, each coded once for every complex and kernel built."""
+        return Contractions(self.uv)
 
 
 def coeff_data_from_matrix(c: Matrix) -> CoeffData:
@@ -161,7 +167,7 @@ class Morphism:
         idx = sorted(set(face))
         if any(not 1 <= i <= self.e for i in idx):
             raise DimensionError(f"face {idx} has indices outside 1..{self.e}")
-        return contraction_kernel(self.coeff_data.uv, 1, [j - 1 for j in idx])
+        return contraction_kernel(self.coeff_data.contractions, 1, [j - 1 for j in idx])
 
     def is_uniform_rank(self) -> bool:
         """Every r-element column subset of C is linearly independent;

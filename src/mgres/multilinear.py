@@ -10,18 +10,18 @@ are ordered with the exterior index as the major key.
 Each boundary D_m (x) Wedge^p -> D_{m-1} (x) Wedge^{p-1} is the block matrix
 of signed contractions: the block from face I to facet I - {l} is
 (-1)^(position of l in I, from 0) Delta_l, the standard comultiplication sign,
-where Delta_l = ``contraction_matrix(uv, l, m)`` lowers each divided exponent
-j by one with weight uv[j][l]: its rows are copies of column l of uv, coded
-once (``Matrix.coded_column``).  ``boundaries``, the one boundary kernel,
-writes those copies, signed, straight into every facet's rows, and the
-splice writes signed maximal minors (``linalg.MaximalMinors.splice``);
-``splice_and_boundaries`` lists the maps of the Taylor and B complexes.
+where Delta_l: D_m -> D_{m-1} lowers each divided exponent j by one with
+weight uv[j][l]: its rows are copies of column l of uv, coded once
+(``Contractions``).  ``write_level``, the one level writer, writes every
+``boundaries`` step and every map above the splice of ``build_complex``
+(Taylor, Scarf and user systems) from that coding.
 D_m of a subspace W is the common kernel of the contractions by any
 functionals spanning those that vanish on W (the divided power algebra is
 the graded dual of the symmetric algebra, so in every characteristic): one
-``contraction_kernel``, the only kernel taken on uv (at m = 1 the K-space
-``Morphism.k_space``).  The kernel depends only on the span of the columns:
-a set of at least r columns is ranked first, and one that spans gives zero.
+``contraction_kernel``, the only kernel taken on uv, a stack of the same
+coding's rows (at m = 1 the K-space ``Morphism.k_space``).  The kernel
+depends only on the span of the columns: a set of at least r columns is
+ranked first, and one that spans gives zero.
 This module imports no other mgres module but ``linalg`` and ``errors``, so
 ``morphism`` can import it; ``cd`` is a ``morphism.CoeffData``, named only
 in annotations.
@@ -34,7 +34,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import DimensionError
+from .errors import DimensionError, RestrictionError
 from .linalg import MaximalMinors, Matrix, Subspace, kernel_basis
 
 DividedIndex = tuple[int, ...]
@@ -110,17 +110,74 @@ def _raised_index(r: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]] for j in range(r)) for c in cod)
 
 
-def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
-    """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv: row c
-    is column l with entry j moved to c + e_j (``Matrix.column_copies``), signed
-    in the Scarf blocks (``signed_contractions``), stacked by ``contraction_kernel``."""
-    return uv.column_copies(l - 1, divided_dim(uv.rows, m), _raised_index(uv.rows, m))
+class Contractions:
+    """The Delta_l of an r x e matrix uv from its columns, each coded once
+    (``Matrix.coded_column``) and kept over L, the lcm of their scales (1 mod
+    p), with its negative; one per morphism (``CoeffData.contractions``)."""
+
+    __slots__ = ("uv", "scale", "_columns")
+
+    def __init__(self, uv: Matrix):
+        p, coded = uv.field.characteristic, [uv.coded_column(l) for l in range(uv.cols)]
+        self.uv, self.scale = uv, math.lcm(*(t for _, t in coded))
+        plus = [[], *([(j, x * (self.scale // t)) for j, x in col.items()] for col, t in coded)]
+        minus = [[(j, p - x if p else -x) for j, x in col] for col in plus]
+        self._columns = plus, minus  # (-1)^sign column l at [sign][l] as (row, code) pairs
+
+    def rows(self, m: int, cols: set[int]) -> tuple[list, list]:
+        """At [sign][l], l in cols (from 1), the rows of (-1)^sign Delta_l on D_m
+        over L: per row c of D_{m-1}, c and column l's (j, code) as (c + e_j, code)."""
+        raised = _raised_index(self.uv.rows, m)
+        return tuple([[(c, [(at[j], x) for j, x in col]) for c, at in enumerate(raised)]
+                      if col and l in cols else [] for l, col in enumerate(signed)]
+                     for signed in self._columns)
 
 
-def signed_contractions(uv: Matrix, m: int):
-    """l -> (Delta_l, -Delta_l) on D_m, each pair built on first use: the
-    block from face I to I - {l} is entry (position of l in I) % 2."""
-    return functools.cache(lambda l: (delta := contraction_matrix(uv, l, m), -delta))
+def write_level(deltas: Contractions, m: int, offsets: dict, below: dict, rows: int, cols: int,
+                embs: dict | None = None) -> Matrix:
+    """The rows x cols map out of one face size's faces on D_m: offsets maps
+    each face, in build order, to its first column, below each facet to its
+    first row (absent: the zero space), and embs each face and facet not
+    given its whole divided power to its embedding.  The block from F to
+    F - {l}, l = F[pos], is (-1)^pos Delta_l: from an identity face to an
+    identity facet its ``deltas.rows`` go straight into the facet's rows;
+    any other block, Delta_l times the face's embedding solved into the
+    facet's span (else RestrictionError names the face), is added after
+    them by ``Matrix.write_into``.  Each row is reduced once."""
+    uv, embs, pending = deltas.uv, embs or {}, []
+    n_dom, q = divided_dim(uv.rows, m), len(next(iter(offsets), ()))
+    blocks, out = deltas.rows(m, set().union(*offsets)), [{} for _ in range(rows)]
+    direct = {f: row0 for f, row0 in below.items() if f not in embs} if embs else below
+    for face, col0 in offsets.items():
+        emb = embs.get(face) if embs else None
+        # the facet without face[pos], for pos = q - 1, ..., 0
+        for pos, facet in zip(range(q - 1, -1, -1), itertools.combinations(face, q - 1)):
+            block = blocks[pos & 1][face[pos]]
+            if emb is None and (row0 := direct.get(facet)) is not None:
+                for c, row in block:
+                    target = out[row0 + c]
+                    for j, x in row:
+                        target[col0 + j] = x
+                continue
+            if not block:  # column l is zero, and so is the image
+                continue
+            image = Matrix.from_scaled_rows(uv.field, n_dom, [(dict(row), deltas.scale)
+                                                              for _, row in block])
+            image, row0 = image if emb is None else image.mul(emb), below.get(facet)
+            if row0 is None and image.is_zero():  # the zero space holds only a zero image
+                continue
+            if row0 is not None and facet in embs:
+                image = embs[facet].solve_matrix(image)
+            if row0 is None or image is None:
+                where = "the span assigned to facet" if row0 is not None else "the missing facet"
+                raise RestrictionError(face, f"image of face {face} is not in {where} {facet}")
+            pending.append((row0, col0, image))
+    scales = [deltas.scale] * rows
+    for row0, col0, image in pending:  # then sort the rows they reach
+        image.write_into(out, scales, row0, col0)
+    for i in {i for row0, _, image in pending for i in range(row0, row0 + image.rows)}:
+        out[i] = dict(sorted(out[i].items()))
+    return Matrix.from_scaled_rows(uv.field, cols, zip(out, scales))
 
 
 def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
@@ -132,49 +189,20 @@ def sigma_matrix_on(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
 
 
 def boundaries(uv: Matrix, e: int, m: int, k: int, steps):
-    """``sigma_matrix_on(uv, e, m, k, i)`` for each i >= 1 in steps.  Each
-    column of uv is coded once and kept over L, the lcm of their scales (1
-    mod p), with its negative; the block from face F to facet F - {l} is the
-    signed Delta_l, written face by face, so in ascending columns, into the
-    facets' rows, each reduced once (``Matrix.from_scaled_rows``)."""
-    p, r, coded = uv.field.characteristic, uv.rows, [uv.coded_column(l) for l in range(e)]
-    scale, columns = math.lcm(*(t for _, t in coded)), []
-    for col, t in coded:  # at 2 (l - 1) + sign, (-1)^sign column l as (row, code) pairs
-        plus = [(j, x * (scale // t)) for j, x in col.items()]
-        columns += [plus, [(j, p - x if p else -x) for j, x in plus]]
-    for i in steps:
-        q, raised, n_dom = k + i, _raised_index(r, m + i), divided_dim(r, m + i)
-        # at 2 (l - 1) + sign: per row c of (-1)^sign Delta_l, c and its (col, code) pairs
-        blocks = [[(c, [(at[j], x) for j, x in col]) for c, at in enumerate(raised)] if col else []
-                  for col in columns]
-        facet_offset = {f: s * len(raised) for s, f in enumerate(exterior_basis(e, q - 1))}
-        out = [{} for _ in range(len(facet_offset) * len(raised))]
-        faces = itertools.combinations(range(1, e + 1), q)
-        for col0, face in zip(itertools.count(0, n_dom), faces):
-            # the facet without face[pos], for pos = q - 1, ..., 0
-            for pos, facet in zip(range(q - 1, -1, -1), itertools.combinations(face, q - 1)):
-                row0 = facet_offset[facet]
-                for c, row in blocks[2 * face[pos] - 2 + (pos & 1)]:
-                    target = out[row0 + c]
-                    for j, x in row:
-                        target[col0 + j] = x
-        yield Matrix.from_scaled_rows(uv.field, math.comb(e, q) * n_dom, out, scale)
+    """``sigma_matrix_on(uv, e, m, k, i)`` for each i >= 1 in steps, each
+    ``write_level`` over every face, from one coding of uv's columns."""
+    deltas, r, columns = Contractions(uv), uv.rows, range(1, e + 1)
+    for i in steps:  # each face at its first column, each facet at its first row
+        n_dom, n_cod = divided_dim(r, m + i), divided_dim(r, m + i - 1)
+        offsets = {f: s * n_dom for s, f in enumerate(itertools.combinations(columns, k + i))}
+        below = {f: s * n_cod for s, f in enumerate(itertools.combinations(columns, k + i - 1))}
+        yield write_level(deltas, m + i, offsets, below, len(below) * n_cod, len(offsets) * n_dom)
 
 
 def splice_matrix_on(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors:
     ``minors.splice`` of every (rk + 1)-face, minors a table of uv (fresh if None)."""
     return (minors or MaximalMinors(uv)).splice(list(itertools.combinations(range(e), rk + 1)))
-
-
-def splice_and_boundaries(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None):
-    """The maps above the source: the splice out of Wedge^{rk+1}, then the
-    ``boundaries`` out of D_i (x) Wedge^{rk+1+i} for i = 1, ..., e - rk - 1
-    (none at rk = 0, where D_i = 0 for i >= 1)."""
-    if rk >= e:
-        return []
-    steps = range(1, e - rk) if rk else []
-    return [splice_matrix_on(uv, e, rk, minors), *boundaries(uv, e, 0, rk + 1, steps)]
 
 
 def coordinates_on(cd: CoeffData, vsub: Subspace) -> Matrix:
@@ -210,22 +238,25 @@ def build_B_complex(cd: CoeffData, vsub: Subspace) -> VectorComplex:
     top position is e - rk + 1 (just the map itself when rk >= e), or 2 at
     rk = 0, where D_i = 0 for i >= 1.
     """
-    uv = coordinates_on(cd, vsub)
-    diffs = [cd.matrix, *splice_and_boundaries(uv, cd.matrix.cols, vsub.dim)]
+    uv, e, rk, diffs = coordinates_on(cd, vsub), cd.matrix.cols, vsub.dim, [cd.matrix]
+    if rk < e:  # no boundary at rk = 0, where D_i = 0 for i >= 1
+        steps = range(1, e - rk if rk else 1)
+        diffs += [splice_matrix_on(uv, e, rk), *boundaries(uv, e, 0, rk + 1, steps)]
     return VectorComplex((cd.matrix.rows, *(d.cols for d in diffs)), tuple(diffs))
 
 
-def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Subspace:
+def contraction_kernel(deltas: Contractions, m: int, cols: list[int]) -> Subspace:
     """The subspace of D_m that Delta_l kills for every l in cols (0-based
-    columns of uv), from one stack and one kernel; all of D_m, with no
-    kernel, when m = 0 or cols is empty.  At m = 1 the stack is uv on cols,
-    transposed, so this is ``Morphism.k_space``.
+    columns of uv = deltas.uv), one kernel of a stack of ``deltas.rows``;
+    all of D_m, with no kernel, when m = 0 or cols is empty.  At m = 1 the
+    stack is uv on cols, transposed: ``Morphism.k_space``.
 
     Delta_l is linear in column l, so the kernel depends only on the span
     of cols.  With at least uv.rows of them, uv is ranked on cols first:
     if they span, the functionals vanishing on them are 0 and so is D_m of
     them, with no stack and no kernel; otherwise only the pivot columns, a
     basis of the span, are stacked."""
+    uv = deltas.uv
     dim = divided_dim(uv.rows, m)
     if m == 0 or not cols:
         return Subspace(Matrix.identity(uv.field, dim))
@@ -234,8 +265,9 @@ def contraction_kernel(uv: Matrix, m: int, cols: list[int]) -> Subspace:
         if len(pivots) == uv.rows:
             return Subspace(Matrix.zeros(uv.field, 0, dim))
         cols = [cols[k] for k in pivots]
-    deltas = [contraction_matrix(uv, l + 1, m) for l in cols]
-    return kernel_basis(Matrix.stack(uv.field, dim, deltas))
+    plus, _ = deltas.rows(m, {l + 1 for l in cols})
+    stack = [(dict(row), deltas.scale) for l in cols for _, row in plus[l + 1]]
+    return kernel_basis(Matrix.from_scaled_rows(uv.field, dim, stack))
 
 
 def divided_embed(subspace: Subspace, m: int) -> Matrix:
@@ -248,4 +280,4 @@ def divided_embed(subspace: Subspace, m: int) -> Matrix:
     unique reduced echelon basis.
     """
     ann = kernel_basis(subspace.basis).basis.transpose()
-    return contraction_kernel(ann, m, list(range(ann.cols))).basis.transpose()
+    return contraction_kernel(Contractions(ann), m, list(range(ann.cols))).basis.transpose()

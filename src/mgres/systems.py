@@ -19,15 +19,20 @@ entry is a scalar together with the degree shift forced by homogeneity, so
 only the scalar matrices are stored; the shift of entry (row, col) is
 always the column generator degree minus the row generator degree.
 
-The system with every divided power in full, ``full_system``, gives the
-Taylor-style resolution, built level by level from the splice and the
-contraction ``boundaries``, no face stored.  The Scarf system is one rule
-over the LCM-lattice table ``phi.degree_index.lattice(cap)``: each degree a
-with |I_a| > r gives the face I_a the divided power of the functionals
-vanishing on I^a (the kernel of the contractions by the columns of I^a,
-none taken when they span); a Scarf degree (I^a empty) gets all of it.
-Under uniform rank the cap walks only the degrees with few columns below
-them, the only ones that can carry a face (``scarf_system``).
+Every system is built by one loop (``build_complex``): each level's faces
+go through ``_level``, and its map is the splice of the faces of size
+r + 1 (``MaximalMinors.splice``) or, above it, one ``write_level``, the
+one level writer, which copies uv's coded columns straight into the
+facets' rows between faces given their whole divided power and solves
+every other block.  The system with every divided power in full,
+``full_system``, stores no face and gives the Taylor-style resolution.
+The Scarf system is one rule over the LCM-lattice table
+``phi.degree_index.lattice(cap)``: each degree a with |I_a| > r gives the
+face I_a the divided power of the functionals vanishing on I^a (the
+kernel of the contractions by the columns of I^a, none taken when they
+span); a Scarf degree (I^a empty) gets all of it.  Under uniform rank the
+cap walks only the degrees with few columns below them, the only ones
+that can carry a face (``scarf_system``).
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from .degrees import Multidegree
 from .errors import DimensionError, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism, check_var_names
-from .multilinear import (VectorComplex, contraction_kernel, divided_dim, signed_contractions,
-                          splice_and_boundaries)
+from .multilinear import VectorComplex, contraction_kernel, divided_dim, write_level
 
 Face = tuple[int, ...]
 
@@ -197,14 +201,14 @@ def scarf_system(phi: Morphism) -> FaceSystem:
     each partial join b of such an I_a has I_b within I_a, so the capped
     walk reaches it.  Otherwise the whole table is walked.
     """
-    r, e, uv = phi.coeff_data.r, phi.e, phi.coeff_data.uv
+    r, e, deltas = phi.coeff_data.r, phi.e, phi.coeff_data.contractions
     uniform = math.comb(e, r) <= morphism.MAX_RANK_SUBSETS and phi.is_uniform_rank()
     cap = max(r + 1, phi.n + r - 1) if uniform else e
     sole = phi.degree_index.sole_reachers
     spaces: dict[Face, Matrix] = {}
     # once per (m, mask of I^a): many degrees share their I^a
     kernel = functools.cache(
-        lambda m, upper: contraction_kernel(uv, m, deg.bits(upper)).basis.transpose())
+        lambda m, upper: contraction_kernel(deltas, m, deg.bits(upper)).basis.transpose())
     for a, cols in phi.degree_index.lattice(cap).items():
         m = cols.bit_count() - r - 1
         if m < 0:
@@ -227,46 +231,47 @@ def is_compatible_system(phi: Morphism, system: FaceSystem):
 
 
 def build_complex(phi: Morphism, system: FaceSystem | FullSystem) -> GradedComplex:
-    """The graded complex spanned by a face system.
-
-    Faces are taken in build order (size, then lexicographic), one level per
-    ``_level``.  ``full_system(phi)`` gives the Taylor complex, its maps
-    ``splice_and_boundaries`` of uv.  Any other system's faces must index
-    columns of phi and be assigned a subspace of the divided power of their
-    own degree, and ``Matrix.from_blocks`` writes each block as ``_blocks``
-    finds it.  A malformed face, or an image that fails to decompose, raises
-    RestrictionError naming the face: the system was not closed.
-    """
+    """The graded complex spanned by a face system, one level per ``_level``
+    in build order (size, then lexicographic): the faces of size r + 1 map
+    by one ``MaximalMinors.splice``, each column times its 1 x 1 embedding,
+    every level above by one ``write_level``.  A ``FaceSystem``'s faces must
+    index columns of phi and be assigned a subspace of their own D_m; a
+    malformed face, or an image that fails to decompose, raises
+    RestrictionError naming the face: the system was not closed."""
     cd, r = phi.coeff_data, phi.coeff_data.r
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
+    if isinstance(system, FullSystem) and system.e != phi.e:
+        system = FaceSystem(r, system.spaces)
+    # embs: the spaces other than the identity, a whole divided power
+    full, embs, by_size = isinstance(system, FullSystem), {}, {}
+    if not full:
+        for face in sorted(sorted(system.spaces), key=len):  # by size, then lexicographic
+            if face[0] < 1 or face[-1] > phi.e:
+                raise RestrictionError(face, f"face {face} has an index outside 1..{phi.e}")
+            if system.spaces[face].rows != divided_dim(r, len(face) - r - 1):
+                raise RestrictionError(face, f"face {face} is not assigned a subspace of "
+                                             f"D_{len(face) - r - 1}")
+            by_size.setdefault(len(face), []).append(face)
+        eye = {d: Matrix.identity(phi.field, d) for d in {m.rows for m in system.spaces.values()}}
+        embs = {face: emb for face, emb in system.spaces.items() if emb != eye[emb.rows]}
     levels, labels = [phi.target_degrees, phi.source_degrees], presentation_labels(phi)
-    made: dict[Face, tuple[str, Multidegree]] = {(): ("e{", (0,) * phi.n)}  # the level before's
-    if isinstance(system, FullSystem) and system.e == phi.e:
-        for p, dim in system.dims.items():
-            faces = system.faces_of_size(p)
-            made, _ = _level(phi, faces, [dim] * len(faces), made, levels, labels)
-        diffs = [cd.matrix, *splice_and_boundaries(cd.uv, phi.e, r, cd.minors)]
-        return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
-    by_size: dict[int, list[Face]] = {}
-    for face in sorted(sorted(system.spaces), key=len):  # by size, then lexicographic
-        if face[0] < 1 or face[-1] > phi.e:
-            raise RestrictionError(face, f"face {face} has an index outside 1..{phi.e}")
-        if system.spaces[face].rows != divided_dim(r, len(face) - r - 1):
-            raise RestrictionError(face, f"face {face} is not assigned a subspace of "
-                                         f"D_{len(face) - r - 1}")
-        by_size.setdefault(len(face), []).append(face)
-    # every full-system facet and Scarf face is assigned the identity, which
-    # spans its whole divided power: a vector there is its own coordinates
-    eye = {d: Matrix.identity(phi.field, d) for d in {emb.rows for emb in system.spaces.values()}}
-    identity = {face for face, emb in system.spaces.items() if emb == eye[emb.rows]}
-    diffs, offsets = [cd.matrix], {}
+    # per face of the level before, its label head and degree (``_level``)
+    made, diffs, offsets = {(): ("e{", (0,) * phi.n)}, [cd.matrix], {}
     for p in range(r + 1, system.max_face_size() + 1):
-        faces, below = by_size.get(p, []), offsets
-        dims = [system.spaces[face].cols for face in faces]
+        faces, below = system.faces_of_size(p) if full else by_size.get(p, []), offsets
+        dims = [system.dims[p]] * len(faces) if full else [system.spaces[f].cols for f in faces]
         made, offsets = _level(phi, faces, dims, made, levels, labels)
-        blocks = _blocks(cd, system, identity, faces, offsets, below, p - r - 1)
-        diffs.append(Matrix.from_blocks(phi.field, len(levels[-2]), len(levels[-1]), blocks))
+        if p > r + 1:
+            d = write_level(cd.contractions, p - r - 1, offsets, below,
+                            len(levels[-2]), len(levels[-1]), embs)
+        else:
+            d = cd.minors.splice([tuple([j - 1 for j in face]) for face in faces])
+            if embs and any(face in embs for face in faces):  # times the 1 x 1 embeddings
+                diag = [{s: embs[f].col(0)[0]} if f in embs else {s: phi.field.one}
+                        for s, f in enumerate(faces)]
+                d = d.mul(Matrix.from_nonzero_rows(phi.field, len(faces), diag))
+        diffs.append(d)
     return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
 
 
@@ -288,36 +293,6 @@ def _level(phi: Morphism, faces, dims, prev: dict[Face, tuple[str, Multidegree]]
     levels.append(level)
     labels.append([head + t for head, cols in zip(heads, dims) for t in suffixes[cols]])
     return made, offsets
-
-
-def _blocks(cd, system: FaceSystem, identity, faces, offsets, below, m: int):
-    """The blocks (row0, col0, block) of the differential out of faces, all of
-    size r + 1 + m, each face at its offset and each facet at below's.  For
-    m = 0 a face's block is its splice column (``CoeffData.minors``) times
-    its one-row embedding.  Above that, the block from face F (embedding
-    emb) to facet F - {l} is the signed Delta_l on D_m times emb (Delta_l
-    itself on an identity face), in the facet's basis: read directly on an
-    identity facet, else solved for."""
-    deltas = signed_contractions(cd.uv, m)
-    for face in faces:
-        emb, ident, k, p = system.spaces[face], face in identity, offsets[face], len(face)
-        if m == 0:
-            column = cd.minors.column(tuple(j - 1 for j in face))
-            yield 0, k, column if ident else column.mul(emb)
-            continue
-        # the facet without face[pos], for pos = p - 1, ..., 0
-        for pos, sub in zip(range(p - 1, -1, -1), itertools.combinations(face, p - 1)):
-            image = deltas(face[pos])[pos & 1]
-            image = image if ident else image.mul(emb)
-            if sub not in identity:
-                target = system.spaces.get(sub)  # absent: the zero space
-                if target is None and image.is_zero():
-                    continue
-                image = target.solve_matrix(image) if target else None
-                if image is None:
-                    where = "the span assigned to facet" if target else "the missing facet"
-                    raise RestrictionError(face, f"image of face {face} is not in {where} {sub}")
-            yield below[sub], k, image
 
 
 def taylor_complex(phi: Morphism) -> GradedComplex:

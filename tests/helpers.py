@@ -8,9 +8,11 @@ property suites need both sides of every equivalence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,8 +39,9 @@ from mgres import (
     sub,
 )
 from mgres.formats import entry_text
+from mgres.errors import DimensionError, RestrictionError
 from mgres.linalg import _clear, _columns, _normalize, _reduce
-from mgres.multilinear import signed_contractions
+from mgres.multilinear import _raised_index
 from mgres.verify import (
     ExactnessReport,
     check_d2,
@@ -522,6 +525,31 @@ def cloned_column_draw(rng: random.Random, field=QQ) -> Morphism:
             return Morphism(3, field, sources, [(0, 0, 0)] * 2, entries).validate()
 
 
+def clustered_draw(rng: random.Random, field=QQ) -> Morphism:
+    """g = 2 or 3, n = 1 or 2, e = 4..7, the columns in at most 3 shared
+    degrees, most of one degree a multiple of that degree's one coefficient
+    column; fractions over Q prime to 2, 7 and 32003, reduced into field.
+    The columns below a lattice degree often span few directions, so Scarf
+    faces get proper kernels, and whole face sizes are often missing."""
+    n, g, e = rng.randint(1, 2), rng.randint(2, 3), rng.randint(4, 7)
+    degrees = [tuple(rng.randint(1, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+
+    def direction():
+        v = [Fraction(rng.choice((0, 1, -1, 3, 5)), rng.choice((1, 3, 5, 9))) for _ in range(g)]
+        return v if any(v) else [1] * g
+
+    directions = {d: direction() for d in degrees}
+    sources, entries = [], {}
+    for j in range(1, e + 1):
+        d = rng.choice(degrees)
+        v = directions[d] if rng.random() < 0.8 else direction()
+        c = Fraction(rng.choice((1, -1, 3, 5)), rng.choice((1, 3)))
+        sources.append(d)
+        entries.update({(i, j): QQ.of(c * x) for i, x in enumerate(v, start=1) if x})
+    phi = Morphism(n, QQ, sources, [(0,) * n] * g, entries).validate()
+    return phi if field == QQ else mod_p(phi, field.p)
+
+
 def dense_matrix_text(x: GradedComplex, diff_index: int) -> str:
     """Oracle for ``formats.matrix_text``: ``entry_text`` and the shift taken
     at every cell of the dense rows, zeros included."""
@@ -568,8 +596,6 @@ def contract(uv: Matrix, face, w, m: int) -> list:
     """Slow-path boundary of w (x) e_face: one (facet, signed image in
     D_{m-1}) per position of the face, each image the signed Delta_l of
     ``signed_contractions`` applied to w, a dense vector over the basis of D_m."""
-    from mgres.multilinear import signed_contractions
-
     deltas = signed_contractions(uv, m)
     return [(face[:pos] + face[pos + 1 :], mat_vec(deltas(l)[pos % 2], w))
             for pos, l in enumerate(face)]
@@ -652,8 +678,6 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
     contracted vector solved on its facet by ``Matrix.solve``, whatever the
     facet's embedding.  Raises RestrictionError naming the first face (in
     build order) whose image does not decompose."""
-    from mgres import RestrictionError
-
     cd, field = phi.coeff_data, phi.field
     r = cd.r
     out = {}
@@ -682,9 +706,10 @@ def solved_differentials(phi: Morphism, system) -> dict[int, Matrix]:
 
 
 def full_face_system(phi: Morphism) -> FaceSystem:
-    """Oracle for the Taylor route of ``build_complex``: ``full_system(phi)``
-    face by face, every face assigned the identity, as a ``FaceSystem``, so
-    ``build_complex`` spans it block by block (``_blocks``)."""
+    """``full_system(phi)`` face by face, every face assigned the identity,
+    as a ``FaceSystem``: ``build_complex`` writes it on the same level
+    writer as the Taylor route, so ``per_block_complex`` is the independent
+    oracle of both."""
     return FaceSystem(phi.coeff_data.r, full_system(phi).spaces)
 
 
@@ -775,9 +800,133 @@ def per_face_splice(uv: Matrix, e: int, rk: int) -> Matrix:
     return from_columns(field, e, cols)
 
 
+# ------------------------------------------------ block-by-block assembly
+# Every differential above the source as one block Matrix per (face, facet)
+# pair, merged row by row to the lcm of the blocks' scales: the independent
+# oracle of ``multilinear.write_level``, which writes them from one coding.
+
+
+def int_matrix(field, rows: list[list[int]], cols: int | None = None) -> Matrix:
+    """The matrix of integer rows, entry x read as ``field.of(x)``."""
+    return Matrix.from_rows(field, [[field.of(x) for x in r] for r in rows], cols)
+
+
+def column_copies(m: Matrix, j: int, cols: int, targets) -> Matrix:
+    """len(targets) x cols: row k is ``m.coded_column(j)`` with its entry
+    from row i moved to column targets[k][i], which must ascend in i."""
+    col, t = m.coded_column(j)
+    return Matrix._coded(m.field, cols, [({k[i]: x for i, x in col.items()}, t) for k in targets])
+
+
+def negated(m: Matrix) -> Matrix:
+    """-m, code by code."""
+    p = m.field.characteristic
+    rows = [({j: p - x if p else -x for j, x in row.items()}, s) for row, s in m._rows]
+    return Matrix._coded(m.field, m.cols, rows)
+
+
+def contraction_matrix(uv: Matrix, l: int, m: int) -> Matrix:
+    """Delta_l: D_m -> D_{m-1}, contraction by column l (1-based) of uv: row c
+    is column l with entry j moved to c + e_j (``column_copies``)."""
+    return column_copies(uv, l - 1, divided_dim(uv.rows, m), _raised_index(uv.rows, m))
+
+
+def signed_contractions(uv: Matrix, m: int):
+    """l -> (Delta_l, -Delta_l) on D_m, each pair built on first use: the
+    block from face I to I - {l} is entry (position of l in I) % 2."""
+    return functools.cache(lambda l: (delta := contraction_matrix(uv, l, m), negated(delta)))
+
+
+def from_blocks(field, rows: int, cols: int, blocks) -> Matrix:
+    """rows x cols with each (row0, col0, block) at that corner, none
+    overlapping, in nondecreasing col0 (else DimensionError), each block
+    written into its rows, in ascending columns, as blocks yields it."""
+    codes, scales, last = [{} for _ in range(rows)], [1] * rows, 0
+    for row0, col0, block in blocks:
+        if col0 < last:
+            raise DimensionError(f"block at column {col0} comes after one at column {last}")
+        last = col0
+        for i, (row, s) in enumerate(block._rows, row0):
+            if row:
+                target = codes[i]
+                # a row's pieces go to the lcm of their scales: canonical pieces
+                # make a canonical row (a prime's top power in the lcm divides
+                # some piece's scale, and that piece has a code it does not divide)
+                if s != scales[i]:
+                    t, lcm = scales[i], math.lcm(s, scales[i])
+                    for j in target:
+                        target[j] *= lcm // t
+                    scales[i], row = lcm, {j: x * (lcm // s) for j, x in row.items()}
+                for j, x in row.items():
+                    target[col0 + j] = x
+    return Matrix._coded(field, cols, list(zip(codes, scales)))
+
+
+def _blocks(cd, spaces, identity, faces, offsets, below, m: int):
+    """The blocks (row0, col0, block) of the differential out of faces, all of
+    size r + 1 + m, each face at its offset and each facet at below's.  For
+    m = 0 a face's block is its splice column (``CoeffData.minors``) times
+    its one-row embedding.  Above that, the block from face F (embedding
+    emb) to facet F - {l} is the signed Delta_l on D_m times emb (Delta_l
+    itself on an identity face), in the facet's basis: read directly on an
+    identity facet, else solved for."""
+    deltas = signed_contractions(cd.uv, m)
+    for face in faces:
+        emb, ident, k, p = spaces[face], face in identity, offsets[face], len(face)
+        if m == 0:
+            column = cd.minors.splice([tuple(j - 1 for j in face)])
+            yield 0, k, column if ident else column.mul(emb)
+            continue
+        # the facet without face[pos], for pos = p - 1, ..., 0
+        for pos, sub in zip(range(p - 1, -1, -1), itertools.combinations(face, p - 1)):
+            image = deltas(face[pos])[pos & 1]
+            image = image if ident else image.mul(emb)
+            if sub not in identity:
+                target = spaces.get(sub)  # absent: the zero space
+                if target is None and image.is_zero():
+                    continue
+                image = target.solve_matrix(image) if target else None
+                if image is None:
+                    where = "the span assigned to facet" if target else "the missing facet"
+                    raise RestrictionError(face, f"image of face {face} is not in {where} {sub}")
+            yield below[sub], k, image
+
+
+def per_block_complex(phi: Morphism, system) -> GradedComplex:
+    """Oracle for ``build_complex``: the system face by face (its ``spaces``;
+    a ``full_system`` lists every face), each differential above the source
+    assembled by ``from_blocks`` as ``_blocks`` finds each block, levels and
+    labels by ``systems._level``.  RestrictionError names the same face."""
+    from mgres.systems import _level, presentation_labels
+
+    cd, r, spaces = phi.coeff_data, phi.coeff_data.r, system.spaces
+    if system.r != r:
+        raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
+    levels, labels = [phi.target_degrees, phi.source_degrees], presentation_labels(phi)
+    made = {(): ("e{", (0,) * phi.n)}
+    by_size: dict[int, list] = {}
+    for face in sorted(sorted(spaces), key=len):  # by size, then lexicographic
+        if face[0] < 1 or face[-1] > phi.e:
+            raise RestrictionError(face, f"face {face} has an index outside 1..{phi.e}")
+        if spaces[face].rows != divided_dim(r, len(face) - r - 1):
+            raise RestrictionError(face, f"face {face} is not assigned a subspace of "
+                                         f"D_{len(face) - r - 1}")
+        by_size.setdefault(len(face), []).append(face)
+    eye = {d: Matrix.identity(phi.field, d) for d in {emb.rows for emb in spaces.values()}}
+    identity = {face for face, emb in spaces.items() if emb == eye[emb.rows]}
+    diffs, offsets = [cd.matrix], {}
+    for p in range(r + 1, system.max_face_size() + 1):
+        faces, below = by_size.get(p, []), offsets
+        dims = [spaces[face].cols for face in faces]
+        made, offsets = _level(phi, faces, dims, made, levels, labels)
+        blocks = _blocks(cd, spaces, identity, faces, offsets, below, p - r - 1)
+        diffs.append(from_blocks(phi.field, len(levels[-2]), len(levels[-1]), blocks))
+    return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
+
+
 def per_block_sigma(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
     """Oracle for ``multilinear.sigma_matrix_on``: one block Matrix per
-    (face, facet) pair, the signed Delta_l, assembled by ``Matrix.from_blocks``
+    (face, facet) pair, the signed Delta_l, assembled by ``from_blocks``
     with each row's pieces merged to the lcm of their scales."""
     n_dom, n_cod = divided_dim(uv.rows, m + i), divided_dim(uv.rows, m + i - 1)
     facet_offset = {f: s * n_cod for s, f in enumerate(exterior_basis(e, k + i - 1))}
@@ -787,7 +936,7 @@ def per_block_sigma(uv: Matrix, e: int, m: int, k: int, i: int) -> Matrix:
         for s, face in enumerate(faces)
         for pos, l in enumerate(face)
     )
-    return Matrix.from_blocks(uv.field, len(facet_offset) * n_cod, len(faces) * n_dom, blocks)
+    return from_blocks(uv.field, len(facet_offset) * n_cod, len(faces) * n_dom, blocks)
 
 
 # ----------------------------------------------- naive boxed linear algebra

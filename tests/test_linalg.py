@@ -19,9 +19,9 @@ from mgres import (
     kernel_basis,
 )
 from mgres.errors import DimensionError, FormatError
-from helpers import block_part, brute_minor_rank, from_columns, mat_vec, matrix_cancel
+from helpers import block_part, brute_minor_rank, from_columns, int_matrix, mat_vec, matrix_cancel
 
-C_EX = Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
+C_EX = int_matrix(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
 
 
 def test_rank_example():
@@ -37,7 +37,7 @@ def test_rank_matches_minor_oracle_on_randoms():
     for _ in range(60):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        m = Matrix.from_int_rows(
+        m = int_matrix(
             QQ, [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
         )
         assert m.rank() == brute_minor_rank(m)
@@ -55,7 +55,7 @@ def test_rank_with_fractions():
 def test_rank_six_by_six_exhaustive_oracle():
     rng = random.Random(7)
     for _ in range(10):
-        m = Matrix.from_int_rows(
+        m = int_matrix(
             QQ, [[rng.randint(-2, 2) for _ in range(6)] for _ in range(6)]
         )
         assert m.rank() == brute_minor_rank(m)
@@ -73,7 +73,7 @@ def test_kernel_substitutes_back():
 
 
 def test_kernel_symmetric_pair():
-    m = Matrix.from_int_rows(QQ, [[1, -1]])
+    m = int_matrix(QQ, [[1, -1]])
     k = kernel_basis(m)
     assert k == Subspace.from_rows(QQ, 2, [[QQ.one, QQ.one]])
 
@@ -82,7 +82,7 @@ def test_rank_nullity():
     rng = random.Random(99)
     for _ in range(30):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
-        m = Matrix.from_int_rows(
+        m = int_matrix(
             QQ, [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
         )
         assert kernel_basis(m).dim + m.rank() == c
@@ -97,7 +97,7 @@ def test_column_space_zero():
 
 
 def test_column_space_single_column():
-    m = Matrix.from_int_rows(QQ, [[1], [2]])
+    m = int_matrix(QQ, [[1], [2]])
     assert Subspace.row_space(m.transpose()) == Subspace.from_rows(QQ, 2, [[1, 2]])
 
 
@@ -136,16 +136,15 @@ def test_subspace_equality_is_canonical():
     assert hash(a) == hash(b)
 
 
-def test_stack_and_column_copies():
+def test_stack_and_coded_column():
     a = Matrix.from_rows(QQ, [[Fraction(1, 2), 0], [Fraction(3, 4), 2]])
-    assert Matrix.stack(QQ, 2, [a, -a]) == Matrix.from_rows(QQ, list(a.data) + list((-a).data))
+    neg = Matrix.from_rows(QQ, [[-x for x in row] for row in a.data])
+    assert Matrix.stack(QQ, 2, [a, neg]) == Matrix.from_rows(QQ, list(a.data) + list(neg.data))
     with pytest.raises(DimensionError):
         Matrix.stack(QQ, 3, [a])
-    # column 0 is (1/2, 3/4), coded once as (2, 3) / 4, written at columns 1 and 3, then 0 and 2
-    copies = a.column_copies(0, 4, [(1, 3), (0, 2)])
-    half, quarter = Fraction(1, 2), Fraction(3, 4)
-    assert copies == Matrix.from_rows(QQ, [[0, half, 0, quarter], [half, 0, quarter, 0]])
-    assert a.column_copies(1, 3, [(0, 2)]) == Matrix.from_rows(QQ, [[0, 0, 2]])
+    # column 0 is (1/2, 3/4), coded once as (2, 3) / 4; column 1 is (0, 2)
+    assert a.coded_column(0) == ({0: 2, 1: 3}, 4)
+    assert a.coded_column(1) == ({1: 2}, 1)
 
 
 @pytest.mark.parametrize(
@@ -165,32 +164,38 @@ def test_matrix_shape_refusals(build):
         build()
 
 
-def test_from_blocks_takes_blocks_in_column_order():
-    """Blocks come in nondecreasing col0, rows in any order; a block left
-    of the one before is refused, not sorted into place."""
-    one = Matrix.identity(QQ, 1)
-    swap = Matrix.from_int_rows(QQ, [[0, 1], [1, 0]])
-    assert Matrix.from_blocks(QQ, 2, 2, [(1, 0, one), (0, 1, one)]) == swap
-    with pytest.raises(DimensionError, match="block at column 0"):
-        Matrix.from_blocks(QQ, 2, 2, [(0, 1, one), (1, 0, one)])
+def test_write_into_merges_a_row_to_the_lcm_of_its_scales():
+    """A block goes to its corner, into columns the rows leave empty; a row
+    and its piece go to the lcm of their scales, and ``from_scaled_rows``
+    reduces each row to its one coding."""
+    half = Matrix.from_rows(QQ, [[Fraction(1, 2)]])
+    thirds = Matrix.from_rows(QQ, [[Fraction(1, 3), Fraction(2, 3)]])
+    codes, scales = [{}, {0: 1}], [1, 2]  # rows (0) and (1/2)
+    thirds.write_into(codes, scales, 1, 1)
+    half.write_into(codes, scales, 0, 2)
+    assert codes == [{2: 1}, {0: 3, 1: 2, 2: 4}] and scales == [2, 6]
+    want = [[0, 0, Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]]
+    assert Matrix.from_scaled_rows(QQ, 3, zip(codes, scales)) == Matrix.from_rows(QQ, want)
+    # codes over a scale they share a factor with are reduced: (2, 4) / 6 is (1, 2) / 3
+    assert Matrix.from_scaled_rows(QQ, 2, [({0: 2, 1: 4}, 6)]) == thirds
 
 
 def test_solve_and_failure():
-    m = Matrix.from_int_rows(QQ, [[1, 2], [3, 4]])
+    m = int_matrix(QQ, [[1, 2], [3, 4]])
     x = m.solve([QQ.of(5), QQ.of(11)])
     assert mat_vec(m, x) == [QQ.of(5), QQ.of(11)]
-    singular = Matrix.from_int_rows(QQ, [[1, 1], [1, 1]])
+    singular = int_matrix(QQ, [[1, 1], [1, 1]])
     assert singular.solve([QQ.of(0), QQ.of(1)]) is None
 
 
 def test_det_small():
-    assert Matrix.from_int_rows(QQ, [[1, 2], [3, 4]]).det() == QQ.of(-2)
+    assert int_matrix(QQ, [[1, 2], [3, 4]]).det() == QQ.of(-2)
     assert Matrix.from_rows(QQ, [], cols=0).det() == QQ.one
 
 
 def test_prime_field_rank_and_kernel():
     gf = PrimeField(5)
-    m = Matrix.from_int_rows(gf, [[1, 2, 3], [2, 4, 6]])
+    m = int_matrix(gf, [[1, 2, 3], [2, 4, 6]])
     assert m.rank() == 1
     k = kernel_basis(m)
     assert k.dim == 2

@@ -28,6 +28,7 @@ from mgres import (
 )
 from helpers import (
     check_record,
+    int_matrix,
     lattice_columns,
     random_morphism,
     uvw_example,
@@ -89,7 +90,7 @@ def test_validate_rejects_zero_column():
 
 def test_coeff_data_example():
     cd = xy_example().coeff_data
-    assert cd.matrix == Matrix.from_int_rows(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
+    assert cd.matrix == int_matrix(QQ, [[1, 1, 1, 1], [1, 2, 3, 0]])
     assert cd.r == 2
     assert cd.image == Subspace(Matrix.identity(QQ, 2))
     assert cd.r == cd.matrix.rows
@@ -97,7 +98,7 @@ def test_coeff_data_example():
 
 
 def test_coeff_data_record():
-    c = Matrix.from_int_rows(QQ, [[1, 2]])
+    c = int_matrix(QQ, [[1, 2]])
     image = Subspace(Matrix.identity(QQ, 1))
     cd = check_record(
         CoeffData,

@@ -25,7 +25,6 @@ from mgres import (
 )
 from mgres.errors import DimensionError
 from mgres.multilinear import (
-    contraction_matrix,
     sigma_matrix_on,
     splice_matrix_on,
 )
@@ -34,8 +33,10 @@ from helpers import (
     ROOT,
     check_record,
     contract,
+    contraction_matrix,
     enlarged_subspace,
     from_columns,
+    int_matrix,
     mat_vec,
     per_face_splice,
     random_coeff_matrix,
@@ -162,7 +163,7 @@ def test_splice_goldens():
 
 
 def test_splice_singular_minor_gives_zero():
-    c = Matrix.from_int_rows(QQ, [[1, 2, 0], [2, 4, 1]])
+    c = int_matrix(QQ, [[1, 2, 0], [2, 4, 1]])
     cd = coeff_data_from_matrix(c)
     spl = splice_matrix_on(cd.uv, cd.uv.cols, cd.r)
     col = spl.col(0)  # the only 3-subset; minor on columns {1,2} is singular
@@ -316,7 +317,7 @@ def test_divided_laws_over_prime_field():
     k = Subspace.from_rows(gf, 2, [[gf.of(2), gf.of(4)]])
     e2 = divided_embed(k, 2)
     assert e2.cols == 1 and e2.rank() == 1
-    c = Matrix.from_int_rows(gf, [[1, 2, 3], [0, 1, 4]])
+    c = int_matrix(gf, [[1, 2, 3], [0, 1, 4]])
     cd = coeff_data_from_matrix(c)
     b = build_B_complex(cd, cd.image)
     assert b.composes_to_zero()
@@ -413,7 +414,7 @@ def test_sigma_blocks_match_contract_of_unit_vectors(field):
 
 
 def test_complexes_require_vsub_to_contain_the_image():
-    c = Matrix.from_int_rows(QQ, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+    c = int_matrix(QQ, [[1, 0, 1], [0, 1, 1], [0, 0, 0]])
     cd = coeff_data_from_matrix(c)
     line = Subspace.from_rows(QQ, 3, [[QQ.one, QQ.zero, QQ.zero]])
     for build in (
@@ -446,5 +447,5 @@ def test_splice_matches_per_face_minors_at_high_rank():
     """A generic 18 x 20 matrix over GF(32003): every maximal minor comes off
     the one echelon form through a determinant of size at most 2."""
     field, rng = PrimeField(32003), random.Random(9004)
-    uv = Matrix.from_int_rows(field, [[rng.randrange(32003) for _ in range(20)] for _ in range(18)])
+    uv = int_matrix(field, [[rng.randrange(32003) for _ in range(20)] for _ in range(18)])
     assert splice_matrix_on(uv, 20, 18) == per_face_splice(uv, 20, 18)

@@ -11,9 +11,10 @@ rescanning oracle and the strand homology of the complex it came from, of
 tested degree,
 of the integer-coded ``linalg`` kernel (and the contraction and splice kernels built on its
 codes) against naive Gauss-Jordan and dense builds on boxed field elements,
-of the contraction boundary against its per-block assembly and of the
+of the contraction boundary against its per-block assembly, of the
 level-by-level Taylor build against ``build_complex`` over the full system
-given face by face,
+given face by face, of ``build_complex`` over full, Scarf and user systems
+against the block-by-block assembly ``per_block_complex``,
 of ``divided_embed`` against the product basis of divided powers, of
 ``contraction_kernel`` against ``divided_embed`` of the K-space, and of
 the byte-identical file round trip of sampled complexes.
@@ -39,17 +40,20 @@ from mgres import (  # noqa: E402
     QQ,
     DegreeNotInLattice,
     DimensionError,
+    FaceSystem,
     Matrix,
     MissingKey,
     Morphism,
     PrimeField,
     RelabelMap,
+    RestrictionError,
     Subspace,
     build_complex,
     check_join_preserving,
     check_quasi_equivalent,
     face_data,
     formats,
+    full_system,
     homology_dims,
     is_resolution,
     join_all,
@@ -66,11 +70,12 @@ from mgres import (  # noqa: E402
 )
 from mgres.lattice import faces_by_degree  # noqa: E402
 from mgres.multilinear import (  # noqa: E402
+    Contractions,
     contraction_kernel,
-    contraction_matrix,
     divided_basis,
     divided_embed,
     sigma_matrix_on,
+    write_level,
 )
 from mgres import linalg  # noqa: E402
 from mgres.linalg import MaximalMinors  # noqa: E402
@@ -82,7 +87,9 @@ from helpers import (  # noqa: E402
     coding_is_canonical,
     coefficient_kernels_agree,
     cloned_column_draw,
+    clustered_draw,
     coefficient_rank_walk,
+    contraction_matrix,
     fixpoint_join_closure,
     full_face_system,
     full_table_scarf_system,
@@ -99,6 +106,7 @@ from helpers import (  # noqa: E402
     naive_rref,
     naive_solve,
     pairwise_combinatorially_generic,
+    per_block_complex,
     per_block_sigma,
     per_degree_is_resolution,
     product_divided_embed,
@@ -445,6 +453,72 @@ def test_taylor_complex_matches_the_full_system_oracle(phi):
         assert len(x.levels) == 3
 
 
+@st.composite
+def face_systems(draw):
+    """(kind, phi, system): a ``taylor_inputs`` or ``clustered_draw`` morphism
+    over a drawn field and its full system, its Scarf system, or its full
+    system given face by face with one face below the top size assigned a
+    drawn matrix in place of the identity: an upper triangular basis of its
+    whole divided power, diagonal units other than 1 where the field has
+    them ("closed", so the system stays closed), or any matrix, fractional
+    over Q, with another face dropped ("user")."""
+    if draw(st.booleans()):
+        phi = draw(taylor_inputs())
+    else:
+        phi = clustered_draw(random.Random(draw(st.integers(0, 2**32))),
+                             draw(st.sampled_from(FIELDS)))
+    kind, field = draw(st.sampled_from(("full", "scarf", "closed", "user"))), phi.field
+    if kind in ("full", "scarf"):
+        return kind, phi, (full_system if kind == "full" else scarf_system)(phi)
+    spaces = full_system(phi).spaces
+    top = max(map(len, spaces), default=0)
+    facets = sorted(face for face in spaces if len(face) < top)
+    if len(facets) >= 2:
+        changed, dropped = draw(st.permutations(facets))[:2]
+        d = spaces[changed].rows
+        if kind == "closed":
+            units = [field.of(draw(st.sampled_from((-1, 3, 5))))
+                     / field.of(draw(st.sampled_from((1, 3)))) for _ in range(d)]
+            upper = _entries(draw, field, d, d)
+            rows = [[units[i] if i == j else upper[i][j] if i < j else field.zero for j in range(d)]
+                    for i in range(d)]
+            spaces[changed] = Matrix.from_rows(field, rows, cols=d)
+        else:
+            k = draw(st.integers(1, d))
+            spaces[changed] = Matrix.from_rows(field, _entries(draw, field, d, k), cols=k)
+            del spaces[dropped]
+    return kind, phi, FaceSystem(phi.coeff_data.r, spaces)
+
+
+def _built(build, phi, system):
+    """build(phi, system), or the face its RestrictionError names."""
+    try:
+        return build(phi, system)
+    except RestrictionError as exc:
+        return "RestrictionError", exc.face
+
+
+@PROPERTY
+@given(face_systems())
+def test_build_complex_matches_the_per_block_oracle(case):
+    """``build_complex`` writes every level above the splice with
+    ``write_level``; the oracle assembles the same maps block by block, one
+    Delta_l Matrix per (face, facet): the full system (the Taylor route), the
+    Scarf system (proper kernels and skipped face sizes are common in the
+    clustered draws), a closed user system with one face's divided power on
+    another basis (its splice column scaled, its facets' rows merging solved
+    and direct blocks, the faces above it solved into it) and a user system
+    with a non-identity and an absent facet give equal complexes in the one
+    coding, or RestrictionError at the same face."""
+    kind, phi, system = case
+    got = _built(build_complex, phi, system)
+    assert got == _built(per_block_complex, phi, system)
+    if isinstance(got, tuple):
+        assert kind == "user"
+    else:
+        assert all(coding_is_canonical(d) for d in got.diffs)
+
+
 def _collapsed(phi):
     """phi with every degree sent through c(a) = (max(a_1, a_2), a_3, ...)
     (2a for n = 1), a monotone join-preserving map, and c itself."""
@@ -616,6 +690,16 @@ def test_coded_product_and_solve_match_naive(data):
     assert x is None or coding_is_canonical(x)
 
 
+def _written(field, rows: int, cols: int, blocks) -> Matrix:
+    """The (row0, col0, block) blocks written by ``Matrix.write_into`` as
+    ``write_level`` adds its solved blocks: rows sorted, each reduced once."""
+    codes, scales = [{} for _ in range(rows)], [1] * rows
+    for row0, col0, block in blocks:
+        block.write_into(codes, scales, row0, col0)
+    return Matrix.from_scaled_rows(field, cols, [(dict(sorted(row.items())), s)
+                                                 for row, s in zip(codes, scales)])
+
+
 @PROPERTY
 @given(st.data())
 def test_every_route_to_a_matrix_stores_one_coding(data):
@@ -632,23 +716,20 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
         Matrix.identity(field, r).mul(m),
         m.mul(scale).mul(unscale),
         m.submatrix(range(r), range(c)),
-        -(-m),
         m.eliminate({}, range(r), range(c)),
         Matrix.from_nonzero_rows(field, c, m.nonzero_rows()),
         m.transpose().transpose(),
-        Matrix.from_blocks(field, r, c, [(0, 0, m)]),
-        # row i of m is column i of its transpose, copied once in place
-        Matrix.stack(field, c, [m.transpose().column_copies(i, c, [range(c)]) for i in range(r)]),
+        _written(field, r, c, [(0, 0, m)]),
     ]
+    # row i of m is column i of its transpose, coded once
+    assert [m.transpose().coded_column(i) for i in range(r)] == list(m._rows)
     # m cut into a grid of blocks (zero blocks and empty rows included,
-    # each block at its own Q scales), assembled in a drawn order stably
-    # sorted by column, as ``from_blocks`` requires: rows interleaved
+    # each block at its own Q scales), written in a drawn order
     row_cuts = sorted(set(data.draw(st.lists(st.integers(0, r), max_size=3)) + [0, r]))
     col_cuts = sorted(set(data.draw(st.lists(st.integers(0, c), max_size=3)) + [0, c]))
     grid = [(i0, j0, m.submatrix(range(i0, i1), range(j0, j1)))
             for i0, i1 in zip(row_cuts, row_cuts[1:]) for j0, j1 in zip(col_cuts, col_cuts[1:])]
-    order = sorted(data.draw(st.permutations(grid)), key=lambda block: block[1])
-    routes.append(Matrix.from_blocks(field, r, c, order))
+    routes.append(_written(field, r, c, data.draw(st.permutations(grid))))
     assert coding_is_canonical(m)
     for other in routes:
         assert other == m and hash(other) == hash(m)
@@ -658,8 +739,9 @@ def test_every_route_to_a_matrix_stores_one_coding(data):
 @PROPERTY
 @given(st.data())
 def test_contraction_and_splice_store_one_coding(data):
-    """Delta_l as copies of uv's coded column, and a splice column written
-    from the minor table, against dense builds, on uv with fractional entries."""
+    """Delta_l as ``write_level`` writes it from uv's coded columns (the one
+    face {l} over the empty facet), and a splice column written from the
+    minor table, against dense builds, on uv with fractional entries."""
     field = data.draw(st.sampled_from(FIELDS))
     r, e, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
     dense = _entries(data.draw, field, r, e)
@@ -671,13 +753,13 @@ def test_contraction_and_splice_store_one_coding(data):
         for i, c in enumerate(cod):
             for j in range(r):
                 want[i][dom_index[c[:j] + (c[j] + 1,) + c[j + 1 :]]] = dense[j][l - 1]
-        delta = contraction_matrix(uv, l, m)
+        delta = write_level(Contractions(uv), m, {(l,): 0}, {(): 0}, len(cod), len(dom))
         assert delta == Matrix.from_rows(field, want, cols=len(dom))
         assert coding_is_canonical(delta)
     if e <= r:
         return  # no splice face
     face = tuple(sorted(data.draw(st.permutations(range(1, e + 1)))[: r + 1]))
-    column = MaximalMinors(uv).column(tuple(j - 1 for j in face))
+    column = MaximalMinors(uv).splice([tuple(j - 1 for j in face)])
     want = [[field.zero] for _ in range(e)]
     for pos, l in enumerate(face):
         minor = naive_det(field, [[row[j - 1] for j in face if j != l] for row in dense])
@@ -754,7 +836,7 @@ def test_contraction_kernel_matches_the_annihilator_route(data):
         phi = mod_p(phi, field.characteristic) if field.characteristic else phi
     cols = sorted(data.draw(st.sets(st.integers(0, phi.e - 1))))
     m = data.draw(st.integers(0, 3))
-    emb = contraction_kernel(phi.coeff_data.uv, m, cols).basis.transpose()
+    emb = contraction_kernel(phi.coeff_data.contractions, m, cols).basis.transpose()
     assert emb == divided_embed(phi.k_space(j + 1 for j in cols), m)
 
 

@@ -23,7 +23,8 @@ from mgres import (
     scarf_complex,
     taylor_complex,
 )
-from helpers import DATA, join_preserving_walk, uvw_example, wide_generic_morphism, xy_example
+from helpers import (DATA, int_matrix, join_preserving_walk, uvw_example, wide_generic_morphism,
+                     xy_example)
 
 F_TABLE = [
     ((3, 0), (2, 1, 0)),
@@ -196,7 +197,7 @@ def test_first_negative_shift_is_row_major_and_skips_zeros():
     phi = Morphism(1, QQ, [(1,), (2,)], [(0,)], {(1, 1): QQ.one, (1, 2): QQ.one}).validate()
     degrees = [[(0,)], [(1,), (2,)], [(0,), (3,), (0,)]]
     labels = [[f"b{t}" for t in range(len(level))] for level in degrees]
-    d2 = Matrix.from_int_rows(QQ, [[0, 1, 5], [7, 1, 0]])
+    d2 = int_matrix(QQ, [[0, 1, 5], [7, 1, 0]])
     x = GradedComplex(QQ, 1, degrees, [phi.coeff_data.matrix, d2], labels)
     assert x.homogeneity_violation() == (1, 0, 2)
     ident = RelabelMap([((t,), (t,)) for t in range(4)])
@@ -286,7 +287,7 @@ def test_relabel_across_fields_is_refused():
 def test_graded_complex_refuses_a_differential_over_another_field():
     x = scarf_complex(xy_example())
     gf7 = PrimeField(7)
-    diffs = [Matrix.from_int_rows(gf7, [[1] * 4, [1, 2, 3, 0]]), *x.diffs[1:]]
+    diffs = [int_matrix(gf7, [[1] * 4, [1, 2, 3, 0]]), *x.diffs[1:]]
     with pytest.raises(DimensionError, match=r"differential 2 over Q, not GF\(7\)"):
         GradedComplex(gf7, x.n, x.levels, diffs, x.labels)
 
@@ -306,7 +307,7 @@ def _zero_column_complex():
     """x, x^2 over k[x] with an extra level-2 generator of degree x^3 whose
     column is zero, so homogeneity never reads its degree as a target."""
     phi = Morphism(1, QQ, [(1,), (2,)], [(0,)], {(1, 1): QQ.one, (1, 2): QQ.one}).validate()
-    d2 = Matrix.from_int_rows(QQ, [[0], [0]])
+    d2 = int_matrix(QQ, [[0], [0]])
     levels, labels = [[(0,)], [(1,), (2,)], [(3,)]], [["g1"], ["e1", "e2"], ["z"]]
     return phi, GradedComplex(QQ, 1, levels, [phi.coeff_data.matrix, d2], labels)
 

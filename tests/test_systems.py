@@ -25,10 +25,12 @@ from mgres import (
     taylor_complex,
 )
 from helpers import (
+    DATA,
     classical_taylor,
-    full_face_system,
+    clustered_draw,
     mod_p,
     monomial_ideal_morphism,
+    per_block_complex,
     random_generic_minimal,
     random_morphism,
     solved_differentials,
@@ -570,30 +572,89 @@ def _taylor_draw(field, g: int, e: int, rank: str) -> Morphism:
 @pytest.mark.parametrize("p", [None, 2, 7, 32003])
 def test_taylor_complex_builds_no_block_matrix(monkeypatch, p, rank):
     """taylor_complex writes every map above the source from uv's coded
-    columns and the minor table: with ``contraction_matrix``,
-    ``MaximalMinors.column`` and ``Matrix.from_blocks`` made to raise, it
-    still equals the full-system oracle, which is spanned block by block on
-    exactly those three (built before they are patched), over Q with
-    fractional uv, GF(2), GF(7) and GF(32003), at r = 0, generic r and r = e."""
-    from mgres import linalg, multilinear
-
+    columns and the minor table: with ``Matrix.mul`` and
+    ``Matrix.solve_matrix``, the level writer's block route, made to raise,
+    it still equals the full-system oracle ``per_block_complex``, which
+    spans it block by block (built before they are patched), over Q with
+    fractional uv, GF(2), GF(7) and GF(32003), at r = 0, generic r and
+    r = e."""
     field = PrimeField(p) if p else QQ
     g, e = {"r = 0": (2, 6), "generic": (3, 7), "r = e": (3, 3)}[rank]
     phi = _taylor_draw(field, g, e, rank)
-    phi.coeff_data.minors  # taken before the patches, as every build finds it
     want_rank = {"r = 0": 0, "r = e": e}.get(rank, phi.coeff_data.r)
     assert phi.coeff_data.r == want_rank
     if rank == "generic" and not p:
         assert any(s > 1 for _, s in phi.coeff_data.uv._rows)  # L > 1
-    oracle = build_complex(phi, full_face_system(phi))
+    oracle = per_block_complex(phi, full_system(phi))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Taylor route built a block Matrix")
 
-    monkeypatch.setattr(multilinear, "contraction_matrix", refuse)
-    monkeypatch.setattr(linalg.MaximalMinors, "column", refuse)
-    monkeypatch.setattr(linalg.Matrix, "from_blocks", refuse)
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    monkeypatch.setattr(Matrix, "solve_matrix", refuse)
     assert taylor_complex(phi) == oracle
+
+
+def test_scarf_and_taylor_builds_share_one_coding_of_uv(monkeypatch):
+    """``scarf_complex`` and then ``taylor_complex`` of ex_r3 (r = 3, whose
+    Scarf build takes a contraction kernel at m = 1 and writes levels above
+    the splice) code each column of uv once in all, e = 7 ``coded_column``
+    calls (``CoeffData.contractions``), and each build takes one
+    ``MaximalMinors.splice``, of its faces of size r + 1.  The Scarf complex
+    of a generic monomial ideal, every face assigned the identity, builds no
+    product and solves nothing: with ``Matrix.mul`` and
+    ``Matrix.solve_matrix`` made to raise it equals the per-block oracle."""
+    from mgres import formats, linalg
+
+    phi = formats.load_morphism(str(DATA / "ex_r3.mmor"))
+    r, e = phi.coeff_data.r, phi.e
+    coded, splices = [], []
+    column, splice = linalg.Matrix.coded_column, linalg.MaximalMinors.splice
+    monkeypatch.setattr(linalg.Matrix, "coded_column",
+                        lambda self, j: coded.append(j) or column(self, j))
+    monkeypatch.setattr(linalg.MaximalMinors, "splice",
+                        lambda self, faces: splices.append(faces) or splice(self, faces))
+    scarf, taylor = scarf_complex(phi), taylor_complex(phi)
+    assert len(coded) <= e and sorted(coded) == list(range(e))
+    assert len(splices) == 2 and all(len(f) == r + 1 for faces in splices for f in faces)
+    assert len(scarf.levels) > 3 and len(taylor.levels) > 3
+    assert scarf == per_block_complex(phi, scarf_system(phi))
+    assert taylor == per_block_complex(phi, full_system(phi))
+    monkeypatch.undo()
+
+    # x, y and z exponents each distinct across the generators: generic
+    ideal = monomial_ideal_morphism([(1, 6, 9), (2, 5, 7), (3, 9, 2), (4, 1, 8), (5, 3, 1),
+                                     (6, 8, 4), (7, 2, 6)])
+    system = scarf_system(ideal)
+    assert all(emb == Matrix.identity(QQ, emb.rows) for emb in system.spaces.values())
+    assert max(map(len, system.spaces)) > ideal.coeff_data.r + 1  # a level above the splice
+    oracle = per_block_complex(ideal, system)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an all-identity Scarf build took a product or a solve")
+
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    monkeypatch.setattr(Matrix, "solve_matrix", refuse)
+    assert scarf_complex(ideal) == oracle
+
+
+@pytest.mark.parametrize("p", [None, 2, 7, 32003])
+def test_scarf_kernel_faces_and_skipped_sizes_match_the_per_block_oracle(p):
+    """Clustered draws whose Scarf systems assign proper kernels, solved
+    into on the facets, and skip a face size: seed 10 (r = 3, face sizes 6
+    and 7), 26 (r = 2, size 4 only) and 60 (r = 2, sizes 4 and 5); over Q
+    uv has fractional entries."""
+    field = PrimeField(p) if p else QQ
+    fractional = False
+    for seed in (10, 26, 60):
+        phi = clustered_draw(random.Random(seed), field)
+        system, r = scarf_system(phi), phi.coeff_data.r
+        sizes = {len(face) for face in system.spaces}
+        assert set(range(r + 1, max(sizes))) - sizes
+        assert any(emb != Matrix.identity(field, emb.rows) for emb in system.spaces.values())
+        fractional |= any(s > 1 for _, s in phi.coeff_data.uv._rows)
+        assert scarf_complex(phi) == per_block_complex(phi, system)
+    assert fractional or p
 
 
 def _generators_by_level(phi: Morphism, spans: dict) -> tuple[list[list], list[list]]:
