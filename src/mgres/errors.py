@@ -71,7 +71,7 @@ class MissingKey(MgresError):
 
 
 class NegativeShift(MgresError):
-    """Relabeled degrees force a negative shift on a nonzero entry."""
+    """A nonzero entry of a graded complex has a negative forced shift."""
 
     def __init__(self, level: int, row: int, col: int, shift):
         self.level = level
@@ -79,7 +79,7 @@ class NegativeShift(MgresError):
         self.col = col
         self.shift = tuple(shift)
         super().__init__(
-            f"relabeled entry ({row}, {col}) of differential at level {level} "
+            f"entry ({row}, {col}) of differential at level {level} "
             f"has negative shift {self.shift}"
         )
 

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from . import degrees as deg
-from .errors import FormatError
+from .errors import FormatError, NegativeShift
 from .fields import field_by_name
 from .linalg import Matrix
 from .morphism import Morphism, check_var_names
@@ -204,11 +204,11 @@ def complex_from_dict(d: dict) -> GradedComplex:
             if coeff:
                 data[row - 1][col - 1] = coeff
         diffs.append(Matrix.from_nonzero_rows(field, cols, data))
-    x = GradedComplex(field, n, levels, diffs, labels, var_names=vars_)
-    if (bad := x.homogeneity_violation()) is not None:
-        i, row, col = (k + 1 for k in bad)  # 1-based
-        raise FormatError(f"entry ({row}, {col}) of differential {i} has negative shift")
-    return x
+    try:
+        return GradedComplex(field, n, levels, diffs, labels, var_names=vars_)
+    except NegativeShift as exc:
+        raise FormatError(f"entry ({exc.row}, {exc.col}) of differential {exc.level} "
+                          "has negative shift") from None
 
 
 def load_complex(path) -> GradedComplex:

@@ -126,9 +126,8 @@ class Morphism:
         for (i, j) in self.entries:
             if not (1 <= i <= self.g and 1 <= j <= self.e):
                 raise DimensionError(f"entry index ({i}, {j}) out of range")
-            s = self.shift(i, j)
-            if any(c < 0 for c in s):
-                raise HomogeneityError(i, j, s)
+            if not deg.leq(self.target_degrees[i - 1], self.source_degrees[j - 1]):
+                raise HomogeneityError(i, j, self.shift(i, j))
         if not allow_zero_columns:
             used = {j for (_, j) in self.entries}
             for j in range(1, self.e + 1):

@@ -199,10 +199,10 @@ def boundaries(uv: Matrix, e: int, m: int, k: int, steps):
         yield write_level(deltas, m + i, offsets, below, len(below) * n_cod, len(offsets) * n_dom)
 
 
-def splice_matrix_on(uv: Matrix, e: int, rk: int, minors: MaximalMinors | None = None) -> Matrix:
+def splice_matrix_on(uv: Matrix, e: int, rk: int) -> Matrix:
     """Splice Wedge^{rk+1} -> source space, entries signed maximal minors:
-    ``minors.splice`` of every (rk + 1)-face, minors a table of uv (fresh if None)."""
-    return (minors or MaximalMinors(uv)).splice(list(itertools.combinations(range(e), rk + 1)))
+    ``MaximalMinors(uv).splice`` of every (rk + 1)-face."""
+    return MaximalMinors(uv).splice(list(itertools.combinations(range(e), rk + 1)))
 
 
 def coordinates_on(cd: CoeffData, vsub: Subspace) -> Matrix:

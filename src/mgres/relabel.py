@@ -10,8 +10,8 @@ generator degrees (``check_join_preserving`` reads that off the LCM-lattice
 table ``phi.degree_index.lattice()``, not off the 2^e column subsets):
 coefficients stay untouched, the degrees of generators above level 0 are
 pushed through the map, level 0 and the presentation map are replaced by
-the target morphism's, and homogeneity of the recomputed shifts is
-verified.
+the target morphism's, and the ``GradedComplex`` constructor checks
+homogeneity of the recomputed shifts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections.abc import Mapping, Sequence
 
 from . import degrees as deg
 from .degrees import Multidegree
-from .errors import DimensionError, FormatError, MissingKey, NegativeShift, RankMismatch
+from .errors import DimensionError, FormatError, MissingKey, RankMismatch
 from .linalg import kernel_basis
 from .morphism import Morphism
 from .systems import GradedComplex, presentation_labels
@@ -127,9 +127,8 @@ def relabel(f: RelabelMap, x: GradedComplex, phi2: Morphism) -> GradedComplex:
     Level 0 becomes the target's free module and the presentation entries
     are the target morphism's; degrees at levels 1 and up are mapped
     through f with coefficients unchanged and labels kept (DimensionError
-    across fields, or when an image is not a multidegree of phi2).
-    Raises NegativeShift when a nonzero entry ends up with a negative
-    recomputed shift.
+    across fields, or when an image is not a multidegree of phi2; the
+    constructor raises NegativeShift on a negative recomputed shift).
     """
     if x.field != phi2.field:
         raise DimensionError(f"complex over {x.field.name}, target morphism over {phi2.field.name}")
@@ -148,9 +147,4 @@ def relabel(f: RelabelMap, x: GradedComplex, phi2: Morphism) -> GradedComplex:
             )
     labels = [presentation_labels(phi2)[0], *x.labels[1:]]
     diffs = [phi2.coeff_data.matrix, *x.diffs[1:]]
-    out = GradedComplex(phi2.field, phi2.n, levels, diffs, labels, var_names=phi2.var_names)
-    bad = out.homogeneity_violation()
-    if bad is not None:
-        i, row, col = bad
-        raise NegativeShift(i + 1, row + 1, col + 1, out.shift(i, row, col))
-    return out
+    return GradedComplex(phi2.field, phi2.n, levels, diffs, labels, var_names=phi2.var_names)

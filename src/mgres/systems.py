@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from . import degrees as deg
 from . import morphism
 from .degrees import Multidegree
-from .errors import DimensionError, RestrictionError, TooManyColumns
+from .errors import DimensionError, NegativeShift, RestrictionError, TooManyColumns
 from .linalg import Matrix
 from .morphism import Morphism, check_var_names
 from .multilinear import VectorComplex, contraction_kernel, divided_dim, write_level
@@ -70,8 +70,11 @@ class GradedComplex:
     levels[i] holds the degree of each generator of level i and labels[i]
     its label.  diffs[i] maps level i+1 to level i.  Nonzero entries carry
     the shift (column degree) - (row degree), which homogeneity forces to
-    be componentwise non-negative.  var_names defaults as a morphism's.
+    be non-negative: the constructor raises NegativeShift at the first that
+    is not, row-major from d_1.  var_names defaults as a morphism's.
     """
+
+    _scan = True  # False on _Homogeneous
 
     def __init__(self, field, n: int, levels, diffs, labels, var_names=None):
         self.field = field
@@ -87,6 +90,8 @@ class GradedComplex:
         for i, d in enumerate(self.diffs):
             if d.field != field:
                 raise DimensionError(f"differential {i + 1} over {d.field.name}, not {field.name}")
+        if self._scan and (bad := self.homogeneity_violation()) is not None:
+            raise NegativeShift(*(k + 1 for k in bad), self.shift(*bad))
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
@@ -122,6 +127,12 @@ class GradedComplex:
 
     def __repr__(self):
         return f"GradedComplex(ranks {self.ranks()})"
+
+
+class _Homogeneous(GradedComplex):
+    """A complex homogeneous by construction: every constructor check but the scan."""
+
+    _scan = False
 
 
 class FaceSystem:
@@ -237,7 +248,10 @@ def build_complex(phi: Morphism, system: FaceSystem | FullSystem) -> GradedCompl
     every level above by one ``write_level``.  A ``FaceSystem``'s faces must
     index columns of phi and be assigned a subspace of their own D_m; a
     malformed face, or an image that fails to decompose, raises
-    RestrictionError naming the face: the system was not closed."""
+    RestrictionError naming the face: the system was not closed.  phi is
+    validated first and faces map to facets of no larger degree, so the
+    complex is homogeneous by construction."""
+    phi.validate(allow_zero_columns=True)
     cd, r = phi.coeff_data, phi.coeff_data.r
     if system.r != r:
         raise DimensionError(f"system rank {system.r} differs from morphism rank {r}")
@@ -272,7 +286,7 @@ def build_complex(phi: Morphism, system: FaceSystem | FullSystem) -> GradedCompl
                         for s, f in enumerate(faces)]
                 d = d.mul(Matrix.from_nonzero_rows(phi.field, len(faces), diag))
         diffs.append(d)
-    return GradedComplex(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
+    return _Homogeneous(phi.field, phi.n, levels, diffs, labels, var_names=phi.var_names)
 
 
 def _level(phi: Morphism, faces, dims, prev: dict[Face, tuple[str, Multidegree]], levels, labels):

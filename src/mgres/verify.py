@@ -13,10 +13,10 @@ distinct cut's homology is taken once.  d^2 = 0 is a zero test on int sums
 Minimality means no nonzero entry has zero shift.  ``minimize`` removes
 them by unit-entry cancellation, an independent route to the minimal
 resolution that never consults the face system machinery, run on linalg's
-one left-looking elimination.  On a homogeneous complex each cancellation
-is a degree-preserving change of basis that splits off a trivial complex
-k(-a) -> k(-a), exact in every strand, so ``is_resolution`` takes its
-strand ranks on the much smaller minimized complex.
+one left-looking elimination.  Every complex is homogeneous, so each
+cancellation is a degree-preserving change of basis that splits off a
+trivial complex k(-a) -> k(-a), exact in every strand, and
+``is_resolution`` takes its strand ranks on the smaller minimized complex.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import degrees as deg
 from .degrees import Multidegree
 from .errors import DimensionError, NotAComplex
 from .multilinear import VectorComplex
-from .systems import GradedComplex
+from .systems import GradedComplex, _Homogeneous
 
 
 class ExactnessReport(namedtuple(
@@ -116,15 +116,15 @@ def strand_degrees(x: GradedComplex) -> list[Multidegree]:
 def is_resolution(x: GradedComplex) -> ExactnessReport:
     """Strandwise exactness report over the join-closure of generator degrees.
 
-    x must be homogeneous.  Cancelling a unit u = d[p, q] of degree a is a
-    change of basis: each c with d[p, c] != 0 (so deg c >= a) becomes
-    c - d[p, c] u^-1 q, and p becomes d(q), a sum of generators of degree
-    <= a.  So each strand stays spanned by basis vectors, splits off k -> k
-    where it holds p and q, and x and ``minimize(x)`` have the same
-    homology in every strand and at every position.  Degrees that cut the
-    same generators of y share one strand, so its homology is taken once
-    per distinct tuple of ``DegreeIndex.leq`` masks, and its strand is cut
-    from those masks, not cut again.
+    Cancelling a unit u = d[p, q] of degree a is a change of basis: each c
+    with d[p, c] != 0 (so deg c >= a) becomes c - d[p, c] u^-1 q, and p
+    becomes d(q), a sum of generators of degree <= a.  So each strand stays
+    spanned by basis vectors, splits off k -> k where it holds p and q, and
+    x and ``minimize(x)`` have the same homology in every strand and at
+    every position.  Degrees that cut the same generators of y share one
+    strand, so its homology is taken once per distinct tuple of
+    ``DegreeIndex.leq`` masks, and its strand is cut from those masks, not
+    cut again.
     """
     minimal = is_minimal(x)
     if not check_d2(x):
@@ -151,14 +151,13 @@ def is_minimal(x: GradedComplex) -> bool:
 
 
 def minimize(x: GradedComplex) -> GradedComplex:
-    """Cancel zero-shift unit entries until the complex is minimal; x must
-    be homogeneous.
+    """Cancel zero-shift unit entries until the complex is minimal.
 
     Cancelling entry (p, q) of d_i splits off the trivial summand spanned by
     generator q upstairs and d(q) downstairs: the rest of d_i picks up
     -d[r, q] * u^{-1} * d[p, c], d_{i+1} loses row q and d_{i-1} column p.
-    No earlier differential gains a unit, and in a homogeneous complex a
-    pivot of degree a changes a zero-shift entry (r, c) only when d[r, q]
+    No earlier differential gains a unit, and as x is homogeneous a pivot
+    of degree a changes a zero-shift entry (r, c) only when d[r, q]
     already was one (deg r = deg c = a), so no row already passed gains a
     unit.  One pass over the rows of d_0, d_1, ..., each pivoting at its
     first zero-shift nonzero column once cleared of every earlier pivot,
@@ -171,8 +170,8 @@ def minimize(x: GradedComplex) -> GradedComplex:
     rows cleared at every pivot column (``Matrix.eliminate``): the one
     vector of row + span(pivot rows) zero there, as the cancellations leave
     it, on the columns it keeps, since the generators that d_{i+1} cancels
-    as pivot rows are split off.  A complex with no differential is
-    minimal and comes back as it is.
+    as pivot rows are split off.  Changes of basis within degrees keep the
+    result homogeneous.  A complex with no differential comes back as it is.
     """
     if not x.diffs:
         return x
@@ -194,7 +193,7 @@ def minimize(x: GradedComplex) -> GradedComplex:
              for d, pivots, rows, cols in zip(x.diffs, taken, keep, keep[1:])]
     degrees = [[levels[i][j] for j in js] for i, js in enumerate(keep)]
     labels = [[x.labels[i][j] for j in js] for i, js in enumerate(keep)]
-    return GradedComplex(x.field, x.n, degrees, diffs, labels, var_names=x.var_names)
+    return _Homogeneous(x.field, x.n, degrees, diffs, labels, var_names=x.var_names)
 
 
 def graded_ranks(x: GradedComplex) -> list[Counter[Multidegree]]:

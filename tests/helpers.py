@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from mgres import (
     leq,
     sub,
 )
+from mgres.degrees import DegreeIndex, bits
 from mgres.formats import entry_text
 from mgres.errors import DimensionError, RestrictionError
 from mgres.linalg import _clear, _columns, _normalize, _reduce
@@ -121,6 +123,21 @@ def monomial_ideal_morphism(monomials, field=QQ) -> Morphism:
     n = len(monomials[0])
     entries = {(1, j): field.one for j in range(1, len(monomials) + 1)}
     return Morphism(n, field, list(monomials), [(0,) * n], entries).validate()
+
+
+# The 6-vertex real projective plane: its facets, and the 10 squarefree
+# cubics in 6 variables that are not facets, which generate its
+# Stanley-Reisner ideal (every edge is a face).
+RP2_FACETS = ("123", "134", "145", "156", "126", "235", "346", "245", "356", "246")
+
+
+def rp2_stanley_reisner(field=QQ) -> Morphism:
+    """The Stanley-Reisner ideal of the 6-vertex RP^2 over field.  Its Betti
+    numbers depend on the characteristic (Hochster's formula: the reduced
+    homology of RP^2 is nonzero only in characteristic 2)."""
+    facets = {frozenset(map(int, f)) for f in RP2_FACETS}
+    cubics = [t for t in itertools.combinations(range(1, 7), 3) if frozenset(t) not in facets]
+    return monomial_ideal_morphism([tuple(int(v in t) for v in range(1, 7)) for t in cubics], field)
 
 
 def brute_minor_rank(m: Matrix) -> int:
@@ -506,6 +523,40 @@ def per_degree_is_resolution(x: GradedComplex) -> ExactnessReport:
         h = homology_dims(strand(y, a, indexes), check=False)
         failures += [(a, i, dim) for i, dim in enumerate(h) if i and dim]
     return ExactnessReport(True, tuple(degrees), tuple(failures), minimal)
+
+
+def k_polynomial(phi: Morphism) -> dict:
+    """The K-polynomial of coker phi, degree -> nonzero coefficient, from the
+    Hilbert function alone: h(b) = #{i : t_i <= b} - rank C[t_i <= b, d_j <= b]
+    (two ``DegreeIndex.leq`` cuts) and K_a = sum over F of [n] of
+    (-1)^|F| h(a - e_F), h = 0 off N^n, over the join closure of the target
+    and source degrees, the only degrees where K can be nonzero."""
+    targets, sources = DegreeIndex(phi.target_degrees), DegreeIndex(phi.source_degrees)
+    c, ranks = phi.coeff_data.matrix, {}
+
+    def h(b):
+        if min(b) < 0:
+            return 0
+        rows, cols = targets.leq(b), sources.leq(b)
+        if (rows, cols) not in ranks:
+            ranks[rows, cols] = c.submatrix(list(bits(rows)), list(bits(cols))).rank()
+        return bin(rows).count("1") - ranks[rows, cols]
+
+    k = {}
+    for a in join_closure({*phi.target_degrees, *phi.source_degrees}):
+        k[a] = sum((-1) ** len(f) * h(tuple(v - (i in f) for i, v in enumerate(a)))
+                   for size in range(phi.n + 1) for f in itertools.combinations(range(phi.n), size))
+    return {a: v for a, v in k.items() if v}
+
+
+def euler_characteristic(x: GradedComplex) -> dict:
+    """Degree -> sum over levels i of (-1)^i times the generators of degree a
+    at level i, zeros dropped: K(coker phi) when x resolves it."""
+    chi = Counter()
+    for i, level in enumerate(x.levels):
+        for a in level:
+            chi[a] += (-1) ** i
+    return {a: v for a, v in chi.items() if v}
 
 
 def cloned_column_draw(rng: random.Random, field=QQ) -> Morphism:

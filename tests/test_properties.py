@@ -41,6 +41,7 @@ from mgres import (  # noqa: E402
     DegreeNotInLattice,
     DimensionError,
     FaceSystem,
+    GradedComplex,
     Matrix,
     MissingKey,
     Morphism,
@@ -90,10 +91,12 @@ from helpers import (  # noqa: E402
     clustered_draw,
     coefficient_rank_walk,
     contraction_matrix,
+    euler_characteristic,
     fixpoint_join_closure,
     full_face_system,
     full_table_scarf_system,
     join_preserving_walk,
+    k_polynomial,
     lattice_columns,
     leq_lattice_columns,
     leq_strand_cut,
@@ -110,6 +113,7 @@ from helpers import (  # noqa: E402
     per_block_sigma,
     per_degree_is_resolution,
     product_divided_embed,
+    random_generic_minimal,
     random_morphism,
     rank_walk_uniform_rank,
     removal_sign,
@@ -517,6 +521,44 @@ def test_build_complex_matches_the_per_block_oracle(case):
         assert kind == "user"
     else:
         assert all(coding_is_canonical(d) for d in got.diffs)
+
+
+@PROPERTY
+@given(face_systems(), st.integers(0, 2**32))
+def test_complexes_homogeneous_by_construction_pass_the_checked_constructor(case, seed):
+    """``build_complex`` and ``minimize`` build their complexes without the
+    homogeneity scan: the full, Scarf, closed and user systems of
+    ``face_systems`` (non-identity embeddings, dropped faces, skipped face
+    sizes), the Taylor and Scarf complexes of a generic minimal draw over
+    the same field, and each one minimized, rebuild through the public
+    constructor, which scans, with no raise and equal."""
+    _, phi, system = case
+    generic = random_generic_minimal(random.Random(seed))
+    generic = generic if phi.field == QQ else mod_p(generic, phi.field.p)
+    built = [taylor_complex(generic), scarf_complex(generic)]
+    if not isinstance(x := _built(build_complex, phi, system), tuple):
+        built.append(x)
+    for x in built:
+        for y in (x, minimize(x)):
+            assert y == GradedComplex(y.field, y.n, y.levels, y.diffs, y.labels,
+                                      var_names=y.var_names)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.sampled_from(FIELDS), st.booleans())
+def test_exact_complexes_have_the_k_polynomial_as_euler_characteristic(seed, field, generic):
+    """Every graded free resolution of coker phi has Euler characteristic
+    K(coker phi), read off the Hilbert function by two degree cuts per
+    lattice degree and no complex: so does each Taylor, Scarf and minimized
+    complex that ``is_resolution`` finds exact.  ``minimize`` cancels pairs
+    within one degree, so it keeps the Euler characteristic of any complex."""
+    phi = (random_generic_minimal if generic else random_morphism)(random.Random(seed))
+    phi = phi if field == QQ else mod_p(phi, field.p)
+    k, t = k_polynomial(phi), taylor_complex(phi)
+    assert euler_characteristic(minimize(t)) == euler_characteristic(t)
+    for x in (t, scarf_complex(phi), minimize(t)):
+        if is_resolution(x).exact:
+            assert euler_characteristic(x) == k
 
 
 def _collapsed(phi):

@@ -1,9 +1,11 @@
 """Face systems and the complexes they span: worked-example goldens,
 closure checking, classical monomial-ideal degeneration, containment."""
 
+import importlib.util
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -11,8 +13,11 @@ from mgres import (
     QQ,
     DimensionError,
     FaceSystem,
+    GradedComplex,
+    HomogeneityError,
     Matrix,
     Morphism,
+    NegativeShift,
     PrimeField,
     RestrictionError,
     TooManyColumns,
@@ -20,14 +25,19 @@ from mgres import (
     divided_dim,
     full_system,
     is_compatible_system,
+    minimize,
     scarf_complex,
     scarf_system,
     taylor_complex,
 )
+from mgres.formats import morphism_from_dict
+from mgres.systems import _Homogeneous
 from helpers import (
     DATA,
+    ROOT,
     classical_taylor,
     clustered_draw,
+    int_matrix,
     mod_p,
     monomial_ideal_morphism,
     per_block_complex,
@@ -1033,3 +1043,77 @@ def test_contraction_kernel_stacks_fewer_than_r_contractions(monkeypatch, tmp_pa
         capsys.readouterr()
         assert all(rows < r * delta_rows[cols] for rows, cols in stacks[start:])
     assert stacks and wide >= 2
+
+
+# ---------------------------------------------------------------- homogeneity
+
+
+def test_a_negative_shift_is_refused_at_construction():
+    """Both levels in degrees (1,), (0,) and d = [[1, 1], [1, 1]]: entry
+    (1, 2) maps a generator of degree 0 to one of degree 1.  Were it
+    accepted, minimize would cancel both units to ranks (0,) and
+    is_resolution report it exact, though H_1 has dimension 1."""
+    d = Matrix.from_rows(QQ, [[QQ.one, QQ.one], [QQ.one, QQ.one]])
+    with pytest.raises(NegativeShift) as exc:
+        GradedComplex(QQ, 1, [[(1,), (0,)], [(1,), (0,)]], [d], [["g1", "g2"], ["e1", "e2"]])
+    assert (exc.value.level, exc.value.row, exc.value.col, exc.value.shift) == (1, 1, 2, (-1,))
+
+
+def test_taylor_complex_refuses_an_unvalidated_negative_shift():
+    phi = Morphism(1, QQ, [(1,), (0,)], [(1,)], {(1, 1): QQ.one, (1, 2): QQ.one})
+    with pytest.raises(HomogeneityError):
+        taylor_complex(phi)
+
+
+def _bench_morphisms():
+    """The morphisms of the benchmark's seed-1 taylor-q and minimize-generic
+    corpora (``perfbench/corpus.py`` imports nothing of mgres)."""
+    path = ROOT / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    items = corpus.taylor_corpus(1, "Q") + corpus.minimize_corpus(1)
+    return [morphism_from_dict(item.spec) for item in items]
+
+
+def test_built_and_minimized_complexes_are_not_scanned(monkeypatch):
+    """``build_complex`` and ``minimize`` are homogeneous by construction and
+    skip the scan; the public constructor and ``is_homogeneous`` scan."""
+    scanned, scan = [], GradedComplex.homogeneity_violation
+
+    def counting(self):
+        scanned.append(self)
+        return scan(self)
+
+    monkeypatch.setattr(GradedComplex, "homogeneity_violation", counting)
+    built = []
+    for phi in _bench_morphisms():
+        t, s = taylor_complex(phi), scarf_complex(phi)
+        built += [t, s, minimize(t), minimize(s)]
+    assert len(built) == 4 * 34 and scanned == []
+    x = built[0]
+    assert x.is_homogeneous() and scanned == [x]
+    y = GradedComplex(x.field, x.n, x.levels, x.diffs, x.labels, var_names=x.var_names)
+    assert scanned == [x, y] and y == x and x == y
+
+
+def test_a_complex_built_homogeneous_keeps_every_other_check():
+    """The scan is the one check the flag skips: counts, shapes, labels,
+    fields and variable names are checked as on any complex, and equality
+    and repr do not tell the two classes apart."""
+    x = taylor_complex(xy_example())
+    args = (x.field, x.n, x.levels, x.diffs, x.labels)
+    gf7 = [int_matrix(PrimeField(7), [list(map(int, row)) for row in d.data], d.cols)
+           for d in x.diffs]
+    for bad, match in [((x.field, x.n, x.levels, x.diffs[:-1], x.labels), "count"),
+                       ((x.field, x.n, x.levels, x.diffs[::-1], x.labels), "shape"),
+                       ((x.field, x.n, x.levels, x.diffs, [*x.labels[:2], x.labels[2][:1]]),
+                        "label counts"),
+                       ((x.field, x.n, x.levels, gf7, x.labels), "over GF")]:
+        for cls in (GradedComplex, _Homogeneous):
+            with pytest.raises(DimensionError, match=match):
+                cls(*bad)
+    with pytest.raises(DimensionError, match="variable names"):
+        _Homogeneous(*args, var_names=["x"])
+    assert _Homogeneous(*args, var_names=x.var_names) == GradedComplex(*args, var_names=x.var_names)
+    assert repr(x) == repr(GradedComplex(*args)) == f"GradedComplex(ranks {x.ranks()})"

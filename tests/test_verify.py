@@ -13,6 +13,7 @@ from mgres import (
     Matrix,
     Morphism,
     NotAComplex,
+    PrimeField,
     VectorComplex,
     check_d2,
     graded_ranks,
@@ -29,12 +30,16 @@ from helpers import (
     DATA,
     ROOT,
     check_record,
+    cloned_column_draw,
+    euler_characteristic,
+    k_polynomial,
     leq_strand_cut,
     mod_p,
     monomial_ideal_morphism,
     random_generic_minimal,
     random_morphism,
     rescan_minimize,
+    rp2_stanley_reisner,
     spy_degree_cuts,
     strandwise_is_resolution,
     xy_example,
@@ -492,3 +497,35 @@ def test_readers_leave_the_complex_unchanged(name):
     is_resolution(x)
     complex_to_dict(x)
     assert complex_to_dict(x) == before
+
+
+# ------------------------------------------------------------ K-polynomial
+
+
+def test_k_polynomial_tells_a_cloned_column_taylor_complex_apart():
+    """A cloned column drops C's rank below the join of the pair, so the
+    Taylor complex is not exact there, and its Euler characteristic misses
+    the K-polynomial."""
+    for seed in range(10):
+        phi = cloned_column_draw(random.Random(seed))
+        t = taylor_complex(phi)
+        assert not is_resolution(t).exact
+        assert euler_characteristic(t) != k_polynomial(phi)
+
+
+@pytest.mark.parametrize("p, ranks", [
+    (None, (1, 10, 15, 6)),
+    (2, (1, 10, 15, 7, 1)),
+    (3, (1, 10, 15, 6)),
+    (7, (1, 10, 15, 6)),
+    (32003, (1, 10, 15, 6)),
+], ids=["Q", "GF2", "GF3", "GF7", "GF32003"])
+def test_rp2_betti_numbers_depend_on_the_characteristic(p, ranks):
+    """The minimal resolution of the RP^2 Stanley-Reisner ring gains a
+    generator at levels 3 and 4 in characteristic 2 only; the K-polynomial,
+    which sees only the Hilbert function, is the same in every field."""
+    phi = rp2_stanley_reisner(PrimeField(p) if p else QQ)
+    m = minimize(taylor_complex(phi))
+    assert m.ranks() == ranks
+    assert is_resolution(m).exact
+    assert euler_characteristic(m) == k_polynomial(phi) == k_polynomial(rp2_stanley_reisner())
